@@ -25,18 +25,15 @@
 //	ctbench -trace off        # trace-replay engine: on (default) =
 //	                          # record each simulation point's operation
 //	                          # stream once and replay repeats through
-//	                          # the batched interpreter; record-only =
-//	                          # record but never replay; off = always
-//	                          # simulate from scratch
+//	                          # the batched interpreter (a grouped sweep
+//	                          # such as geosweep decodes each shared
+//	                          # stream once for all its machine
+//	                          # configs); off = always simulate from
+//	                          # scratch
 //	ctbench -tracedir DIR     # persist traces to DIR (default: the
 //	                          # traces/ subdirectory of the cache dir
-//	                          # when -cache rw, else in-memory only)
-//	ctbench -fanout=false     # disable fan-out replay: grouped sweeps
-//	                          # (geosweep) decode the shared stream once
-//	                          # per machine config instead of once per
-//	                          # group. Tables are byte-identical either
-//	                          # way — only wall time and decode-pass
-//	                          # counts move
+//	                          # when -cache rw, else in-memory only);
+//	                          # a fresh DIR is primed by the first run
 //	ctbench -resume           # with -cache rw: consult the manifest
 //	                          # journal from a previous (possibly
 //	                          # crashed or partially failed) run and
@@ -59,10 +56,6 @@
 //	ctbench -json out.json    # machine-readable results: per-experiment
 //	                          # wall time, machine counts, cache hits
 //	                          # and table rows
-//	ctbench -benchjson b.json # run the perf snapshot suite (serial +
-//	                          # parallel wall time, allocs/op on the
-//	                          # core paths, cache-hit re-run time) and
-//	                          # write it as JSON
 //	ctbench -timeline t.json  # arm the observability layer and write a
 //	                          # Chrome trace-event timeline of every
 //	                          # harness phase (open in Perfetto or
@@ -103,6 +96,9 @@
 //	ctbench -progress         # print a progress line with ETA to stderr
 //	                          # every few seconds (long sweeps)
 //	ctbench -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Performance is measured by the repository benchmark, not by ctbench:
+// `bash bench/run.sh` (see bench/README.md).
 package main
 
 import (
@@ -166,11 +162,10 @@ type jsonReport struct {
 	TraceRecords   uint64  `json:"trace_records"`
 	TraceReplays   uint64  `json:"trace_replays"`
 	// TraceSharedReplays counts replays served from a recording made
-	// under a different machine config (the sweep-level sharing win);
-	// TraceStaleFormat counts v1-format files transparently re-recorded.
+	// under a different machine config (the sweep-level sharing win).
 	TraceSharedReplays uint64 `json:"trace_shared_replays"`
-	TraceStaleFormat   uint64 `json:"trace_stale_format"`
-	// TraceFanoutReplays counts fan-out passes (one per served group);
+	// TraceFanoutReplays counts fan-out passes (one per served group of
+	// two or more configs);
 	// TraceDecodePasses counts full decode passes over stored streams —
 	// under fan-out, one per distinct trace key touched, not one per
 	// replay served.
@@ -216,15 +211,13 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial)")
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
-	traceMode := flag.String("trace", "on", "trace-replay engine: on, off or record-only")
-	fanout := flag.Bool("fanout", true, "fan-out trace replay: charge every machine config of a grouped sweep from one decode pass per shared stream (false: serial per-config replay; tables are byte-identical either way)")
+	traceMode := flag.String("trace", "on", "trace-replay engine: on or off")
 	traceDir := flag.String("tracedir", "", "trace persistence directory (default <cachedir>/traces when -cache rw)")
 	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
 	manifestBatch := flag.Int("manifest-batch", harness.DefaultManifestBatch, "manifest journal batch: buffered outcomes per commit (1 = commit every record)")
 	manifestFlushMS := flag.Int("manifest-flushms", int(harness.DefaultManifestFlushInterval/time.Millisecond), "manifest journal deadline flush, in milliseconds")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
-	benchJSON := flag.String("benchjson", "", "run the perf snapshot suite and write it to this file")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline of harness phases to this file (open in Perfetto or chrome://tracing)")
 	listen := flag.String("listen", "", "serve live introspection on this address during the run (/metrics, /metrics.json, /progress, /debug/vars, /debug/pprof)")
 	serve := flag.String("serve", "", "coordinate a distributed sweep on this address: shard experiments into leased work units for -worker processes, merging their tables (falls back to in-process execution if no worker joins)")
@@ -280,9 +273,6 @@ func main() {
 	if *fleetJoinWaitMS < 1 {
 		usageErr("-fleet-joinwait-ms %d: need a positive join deadline", *fleetJoinWaitMS)
 	}
-	if *serve != "" && *benchJSON != "" {
-		usageErr("-serve and -benchjson are mutually exclusive: the perf snapshot is a local measurement")
-	}
 	if *workerURL != "" {
 		// A worker executes what it is told and uploads; selection,
 		// caching, journaling and reporting all live on the coordinator.
@@ -295,7 +285,7 @@ func main() {
 		if *resume {
 			usageErr("-worker does not take -resume: resuming happens on the coordinator")
 		}
-		if *jsonOut != "" || *benchJSON != "" {
+		if *jsonOut != "" {
 			usageErr("-worker does not produce reports: run -json on the coordinator")
 		}
 	}
@@ -376,7 +366,6 @@ func main() {
 	store.EnableWriteBehind()
 
 	harness.SetTraceMode(tmode)
-	harness.SetTraceFanout(*fanout)
 	// Persist traces next to the result cache when it is writable, or
 	// wherever -tracedir points; otherwise traces stay in memory.
 	tdir := *traceDir
@@ -497,13 +486,6 @@ func main() {
 		return
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchSnapshot(*benchJSON, selected, opts); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	start := time.Now()
 	builtBefore, reusedBefore := cpu.MachinesBuilt(), cpu.MachinesReset()
 	var results []harness.Result
@@ -577,8 +559,8 @@ func main() {
 				if wr.Live {
 					state = fmt.Sprintf("live, seen %dms ago", wr.LastSeenMS)
 				}
-				line := fmt.Sprintf("fleet worker %s: %s, proto v%d, %d units done, %d points",
-					wr.ID, state, wr.Protocol, wr.UnitsDone, wr.Points)
+				line := fmt.Sprintf("fleet worker %s: %s, %d units done, %d points",
+					wr.ID, state, wr.UnitsDone, wr.Points)
 				if wr.PointsPerSec > 0 {
 					line += fmt.Sprintf(" (%.0f pts/s)", wr.PointsPerSec)
 				}
@@ -607,12 +589,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ctbench: %d transient faults retried, %d points quarantined onto the direct path\n", retries, quarantined)
 		if qp := harness.QuarantinedPoints(); len(qp) > 0 {
 			fmt.Fprintf(os.Stderr, "ctbench: quarantined: %s\n", strings.Join(qp, ", "))
-		}
-	}
-	if sf := harness.TraceStaleFormatCount(); sf > 0 {
-		fmt.Fprintf(os.Stderr, "ctbench: %d stale-format trace file(s) discarded and re-recorded\n", sf)
-		if sp := harness.StaleFormatPoints(); len(sp) > 0 {
-			fmt.Fprintf(os.Stderr, "ctbench: re-recorded: %s\n", strings.Join(sp, ", "))
 		}
 	}
 	if q := store.Quarantined(); q > 0 {
@@ -659,7 +635,6 @@ func main() {
 			TraceRecords:       traceRecs,
 			TraceReplays:       traceReps,
 			TraceSharedReplays: sharedReps,
-			TraceStaleFormat:   harness.TraceStaleFormatCount(),
 			TraceFanoutReplays: fanouts,
 			TraceDecodePasses:  decodePasses,
 			Provenance:         harness.NewProvenance(flagLine),

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"io"
-
 	"ctbia/internal/cache"
 	"ctbia/internal/memp"
 	"ctbia/internal/trace"
@@ -39,7 +37,11 @@ var _ [1]struct{} = [cache.FlagWrite]struct{}{}
 // ExecTrace replays a compressed operation stream recorded by a
 // trace.Recorder. The machine should be in the state recording started
 // from (cold, for harness traces); replaying while a recorder is
-// attached is a bug.
+// attached is a bug. It is the machine's only replay entry point: a
+// stream may arrive in pieces (the chunks of a streamed trace file),
+// and since op records never span chunks and ExecTrace keeps no
+// cross-call state outside the machine, feeding the chunks in order is
+// bit-identical to replaying the concatenated stream.
 func (m *Machine) ExecTrace(ops []trace.Op) {
 	if m.rec != nil {
 		panic("cpu: ExecTrace on a machine with a recorder attached")
@@ -88,62 +90,6 @@ func (m *Machine) ExecTrace(ops []trace.Op) {
 			m.ResetStats()
 		default:
 			panic("cpu: unknown trace op kind")
-		}
-	}
-}
-
-// ExecTraceReader replays a trace streamed from a v2 on-disk file,
-// chunk by chunk: each Reader.Next block is fed straight through
-// ExecTrace, so the whole-file op slice is never materialized and the
-// resident footprint stays bounded by the reader's single chunk
-// buffer. Op records never span chunks and ExecTrace keeps no
-// cross-call state outside the machine, so chunked replay is
-// bit-identical to replaying the concatenated stream.
-func (m *Machine) ExecTraceReader(r *trace.Reader) error {
-	for {
-		ops, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		m.ExecTrace(ops)
-	}
-}
-
-// ExecTraceFanout charges one decoded op slice to every machine in ms,
-// in order. Each machine's replay is independent (ExecTrace touches
-// only the machine it runs on), so fanning out is bit-identical to
-// calling ExecTrace on each machine separately — the point is that the
-// caller decoded the ops exactly once for the whole group.
-func ExecTraceFanout(ms []*Machine, ops []trace.Op) {
-	for _, m := range ms {
-		m.ExecTrace(ops)
-	}
-}
-
-// ExecTraceFanoutReader streams a trace and charges every machine in
-// ms per chunk: each CRC-framed chunk is decoded exactly once, then
-// applied to all machines before the next chunk is read. Chunks are
-// validated (CRC + op kinds) before any machine is charged, so a torn
-// or corrupt chunk surfaces as a typed error with no machine having
-// consumed any part of it — but machines may already have been charged
-// with earlier, intact chunks; callers treat an error as poisoning the
-// whole group. Op records never span chunks and ExecTrace keeps no
-// cross-call state outside the machine, so the fan-out is
-// bit-identical to serial per-machine ExecTraceReader replay.
-func ExecTraceFanoutReader(ms []*Machine, r *trace.Reader) error {
-	for {
-		ops, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			m.ExecTrace(ops)
 		}
 	}
 }

@@ -87,7 +87,7 @@ type Stats struct {
 	DedupHits        atomic.Uint64
 	LocalUnits       atomic.Uint64
 	CachedUnits      atomic.Uint64
-	// v2 observability-streaming accounting.
+	// Observability-streaming accounting.
 	MetricSnapshots atomic.Uint64 // metric payloads merged (heartbeat deltas + upload snapshots)
 	MetricEntries   atomic.Uint64 // individual entries across those payloads
 	SpansImported   atomic.Uint64 // timeline spans merged from worker uploads
@@ -165,9 +165,8 @@ type workerState struct {
 // survives worker loss — a dead worker's reported work is still real,
 // so its per-worker metrics and fleet report row persist.
 type workerObs struct {
-	proto    int
 	joinedAt time.Time
-	lastObs  time.Time         // last v2 metric report (zero: never reported)
+	lastObs  time.Time         // last metric report (zero: never reported)
 	cum      map[string]uint64 // cumulative registry entries, max-merged per key
 	points   uint64            // cumulative executed points, max-merged
 	unitPts  uint64            // points summed over accepted units (floor under points)
@@ -589,10 +588,9 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Version < MinProtocolVersion || req.Version > ProtocolVersion {
+	if req.Version != ProtocolVersion {
 		writeJSON(w, joinResponse{Reason: fmt.Sprintf(
-			"protocol version %d outside coordinator window [%d, %d]",
-			req.Version, MinProtocolVersion, ProtocolVersion)})
+			"protocol version %d, coordinator speaks %d", req.Version, ProtocolVersion)})
 		return
 	}
 	if req.Salt != harness.SimVersionSalt {
@@ -617,28 +615,21 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	c.obsMu.Lock()
-	wo := c.obsWorkers[req.Worker]
-	if wo == nil {
-		wo = &workerObs{joinedAt: now, cum: make(map[string]uint64)}
-		c.obsWorkers[req.Worker] = wo
+	if c.obsWorkers[req.Worker] == nil {
+		c.obsWorkers[req.Worker] = &workerObs{joinedAt: now, cum: make(map[string]uint64)}
 	}
-	wo.proto = req.Version
 	c.obsMu.Unlock()
-	resp := joinResponse{
+	// Ask for exactly the observability this coordinator is itself
+	// collecting; a worker streaming into a disarmed registry would be
+	// pure overhead.
+	writeJSON(w, joinResponse{
 		OK:          true,
 		Quick:       c.opts.Quick,
 		HeartbeatMS: c.cfg.Heartbeat.Milliseconds(),
 		LeaseTTLMS:  c.cfg.LeaseTTL.Milliseconds(),
-		Version:     ProtocolVersion,
-	}
-	if req.Version >= 2 {
-		// Ask for exactly the observability this coordinator is itself
-		// collecting; a worker streaming into a disarmed registry would
-		// be pure overhead.
-		resp.Metrics = obs.Enabled()
-		resp.Timeline = obs.TimelineEnabled()
-	}
-	writeJSON(w, resp)
+		Metrics:     obs.Enabled(),
+		Timeline:    obs.TimelineEnabled(),
+	})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -712,7 +703,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, heartbeatResponse{OK: true})
 }
 
-// noteHeartbeatObs folds one v2 heartbeat's piggybacked observability
+// noteHeartbeatObs folds one heartbeat's piggybacked observability
 // into the worker's image: max-merge the changed registry entries
 // (cumulative values make re-sends after a dropped beat idempotent),
 // track point progress and what the worker is busy on, and refine the
@@ -722,7 +713,7 @@ func (c *Coordinator) noteHeartbeatObs(req *heartbeatRequest, recvNS int64) {
 	defer c.obsMu.Unlock()
 	wo := c.obsWorkers[req.Worker]
 	if wo == nil { // resurrected worker racing its rejoin; start an image anyway
-		wo = &workerObs{joinedAt: time.Now(), proto: ProtocolVersion, cum: make(map[string]uint64)}
+		wo = &workerObs{joinedAt: time.Now(), cum: make(map[string]uint64)}
 		c.obsWorkers[req.Worker] = wo
 	}
 	wo.lastObs = time.Now()
@@ -841,7 +832,7 @@ func (c *Coordinator) noteRemoteUpload(req *resultRequest, granted time.Time) {
 	c.obsMu.Lock()
 	wo := c.obsWorkers[req.Worker]
 	if wo == nil {
-		wo = &workerObs{joinedAt: time.Now(), proto: ProtocolVersion, cum: make(map[string]uint64)}
+		wo = &workerObs{joinedAt: time.Now(), cum: make(map[string]uint64)}
 		c.obsWorkers[req.Worker] = wo
 	}
 	wo.units++
@@ -918,7 +909,6 @@ func (c *Coordinator) FleetReport() FleetReport {
 		wr := WorkerReport{
 			ID:            id,
 			Live:          isLive && !li.lastSeen.IsZero(),
-			Protocol:      wo.proto,
 			LastSeenMS:    -1,
 			Leases:        li.leases,
 			UnitsDone:     wo.units,

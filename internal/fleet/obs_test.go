@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,8 +158,8 @@ func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 		t.Fatalf("fleet report has %d workers, want 1: %+v", len(fr.Workers), fr)
 	}
 	wr := fr.Workers[0]
-	if wr.ID != "w-hb" || !wr.Live || wr.Protocol != 2 {
-		t.Errorf("worker row = %+v, want live w-hb at proto 2", wr)
+	if wr.ID != "w-hb" || !wr.Live {
+		t.Errorf("worker row = %+v, want live w-hb", wr)
 	}
 	if wr.Points != 7 || wr.Busy != "config" || wr.MetricLagMS < 0 {
 		t.Errorf("worker row = %+v, want points 7, busy config, non-negative lag", wr)
@@ -172,8 +174,8 @@ func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 	}
 }
 
-// The join window accepts protocol v1 (tables only, no streaming) and
-// refuses anything newer than the coordinator speaks.
+// A join must carry exactly the coordinator's protocol version: older
+// and newer workers are refused with a reason naming the version.
 func TestJoinVersionWindow(t *testing.T) {
 	obsReset(t)
 	exps := testExps(t, "config")
@@ -186,7 +188,7 @@ func TestJoinVersionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait := startRun(t, co)
-	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: "w-v1", Opts: opts})
+	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: "w-v2", Opts: opts})
 	join := func(id string, version int) joinResponse {
 		t.Helper()
 		var resp joinResponse
@@ -202,24 +204,18 @@ func TestJoinVersionWindow(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	obs.Arm() // so a v2 hello would advertise metrics
-	if resp := join("w-v1", 1); !resp.OK || resp.Metrics || resp.Timeline {
-		t.Errorf("v1 join answered %+v, want OK without streaming capabilities", resp)
+	obs.Arm() // so the hello advertises metrics
+	for _, v := range []int{1, ProtocolVersion + 1} {
+		resp := join(fmt.Sprintf("w-v%d", v), v)
+		if resp.OK || !strings.Contains(resp.Reason, fmt.Sprintf("protocol version %d", v)) {
+			t.Errorf("v%d join answered %+v, want a refusal naming the version", v, resp)
+		}
 	}
-	if resp := join("w-v2", 2); !resp.OK || resp.Version != ProtocolVersion || !resp.Metrics {
-		t.Errorf("v2 join answered %+v, want OK with version %d and metrics on", resp, ProtocolVersion)
+	if resp := join("w-v2", ProtocolVersion); !resp.OK || !resp.Metrics {
+		t.Errorf("v%d join answered %+v, want OK with metrics on", ProtocolVersion, resp)
 	}
-	if resp := join("w-v9", ProtocolVersion+1); resp.OK {
-		t.Errorf("v%d join answered %+v, want a refusal", ProtocolVersion+1, resp)
-	}
-	// A v1 worker's bare heartbeat (no v2 fields) must be accepted and
-	// merge nothing.
-	var hb heartbeatResponse
-	if err := w.post("/fleet/heartbeat", heartbeatRequest{Worker: "w-v1"}, &hb); err != nil || !hb.OK {
-		t.Fatalf("v1 heartbeat: err=%v resp=%+v", err, hb)
-	}
-	if v := co.Stats().MetricSnapshots.Load(); v != 0 {
-		t.Errorf("metric_snapshots = %d after v1 traffic, want 0", v)
+	if v := co.Stats().WorkerJoins.Load(); v != 1 {
+		t.Errorf("worker_joins = %d, want 1 (refused joins register nothing)", v)
 	}
 	wait()
 }

@@ -32,22 +32,16 @@ import (
 	"ctbia/internal/obs"
 )
 
-// ProtocolVersion gates the wire protocol. Since v2 the check is a
-// negotiation window rather than an equality: the coordinator accepts
-// any worker from MinProtocolVersion up and tells it which version it
-// speaks, so old workers keep computing (they just don't stream
-// observability) while a too-new worker is still refused.
+// ProtocolVersion gates the wire protocol: a join must carry exactly
+// this version. The fleet runs one salt-checked binary, so there is no
+// older peer to stay compatible with.
 //
-// v1: join/lease/heartbeat/result with tables only.
-// v2: heartbeats carry cumulative metric deltas, point progress and
-// clock samples; results carry the per-unit metric delta (already a v1
-// field, now populated), a final cumulative snapshot, executed-point
-// counts and buffered timeline spans; joins negotiate version and the
-// metrics/timeline capabilities.
-const (
-	ProtocolVersion    = 2
-	MinProtocolVersion = 1
-)
+// Heartbeats carry cumulative metric deltas, point progress and clock
+// samples; results carry the table, the per-unit metric delta, a final
+// cumulative snapshot, executed-point counts and buffered timeline
+// spans; the join answer names the observability (metrics, timeline)
+// the coordinator wants streamed.
+const ProtocolVersion = 2
 
 // maxBodyBytes bounds request and response bodies (tables are a few
 // KB; the bound exists so a mangled length can't balloon a read).
@@ -66,19 +60,14 @@ type joinRequest struct {
 // joinResponse accepts or refuses a worker and, on accept, hands it
 // the run configuration: the coordinator's Quick scale (the worker's
 // own -quick flag is overridden — mixed sizes would corrupt the
-// sweep), the heartbeat interval, the lease TTL, the negotiated
-// protocol version and the observability capabilities the coordinator
-// wants exercised (a v1 coordinator omits all three; the zero values
-// degrade the worker to v1 behaviour).
+// sweep), the heartbeat interval, the lease TTL and the observability
+// the coordinator wants exercised.
 type joinResponse struct {
 	OK          bool   `json:"ok"`
 	Reason      string `json:"reason,omitempty"`
 	Quick       bool   `json:"quick"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
 	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
-	// Version is the coordinator's protocol generation; the worker uses
-	// min(its own, this) and gates the v2 fields on it.
-	Version int `json:"version,omitempty"`
 	// Metrics asks the worker to arm its obs registry and stream
 	// snapshots (the coordinator's registry is armed and merging).
 	Metrics bool `json:"metrics,omitempty"`
@@ -111,12 +100,12 @@ type leaseResponse struct {
 // not renew lease deadlines: the lease TTL is an execution deadline,
 // so a wedged-but-alive worker still forfeits its unit on time.
 //
-// Since v2 a heartbeat also piggybacks the worker's live observability:
-// the registry entries that changed since the last acknowledged beat
-// (as cumulative values — the coordinator max-merges per key, so a
-// re-sent entry after a dropped beat is idempotent), cumulative point
-// progress, what the worker is executing, and a clock sample for
-// offset estimation. All optional: a v1 worker sends none of it.
+// A heartbeat also piggybacks the worker's live observability: the
+// registry entries that changed since the last acknowledged beat (as
+// cumulative values — the coordinator max-merges per key, so a re-sent
+// entry after a dropped beat is idempotent), cumulative point progress,
+// what the worker is executing, and a clock sample for offset
+// estimation.
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
 	// SentNS is the worker's clock at send time; with RTTNS (the
@@ -193,9 +182,8 @@ type statusReport struct {
 // CLI's fleet summary block. Rows outlive their workers: a lost
 // worker's reported work is real, so its row stays (Live false).
 type WorkerReport struct {
-	ID       string `json:"id"`
-	Live     bool   `json:"live"`
-	Protocol int    `json:"protocol"`
+	ID   string `json:"id"`
+	Live bool   `json:"live"`
 	// LastSeenMS is the age of the worker's last protocol contact
 	// (-1 when the worker is gone).
 	LastSeenMS int64 `json:"last_seen_ms"`

@@ -65,9 +65,8 @@ type Worker struct {
 	client     *http.Client
 	needRejoin atomic.Bool
 
-	// Negotiated at join; atomics because the heartbeat goroutine reads
-	// them while the main loop may rejoin.
-	proto     atomic.Int32 // min(our ProtocolVersion, coordinator's)
+	// Set at join; atomics because the heartbeat goroutine reads them
+	// while the main loop may rejoin.
 	sendObs   atomic.Bool  // coordinator asked for metric streaming
 	sendSpans atomic.Bool  // coordinator asked for timeline spans
 	busy      atomic.Value // string: experiment currently executing
@@ -229,20 +228,18 @@ func (w *Worker) submit(ctx context.Context, lr leaseResponse, res harness.Resul
 		WallMS:   float64(res.Wall.Microseconds()) / 1000,
 		Machines: res.Machines,
 		Metrics:  res.Metrics,
+		Points:   res.Points,
 	}
-	if w.proto.Load() >= 2 {
-		req.Points = res.Points
-		if w.sendObs.Load() {
-			// Full cumulative snapshot: the per-worker namespace's
-			// authoritative refresh, and the crash-loss bound — anything a
-			// dropped heartbeat missed is covered by the next upload.
-			req.Obs = obs.Snapshot()
-		}
-		if w.sendSpans.Load() {
-			// Drained once, marshaled once; upload retries resend the same
-			// body, and the coordinator's dedup makes re-delivery harmless.
-			req.Spans = obs.TakeWireEvents()
-		}
+	if w.sendObs.Load() {
+		// Full cumulative snapshot: the per-worker namespace's
+		// authoritative refresh, and the crash-loss bound — anything a
+		// dropped heartbeat missed is covered by the next upload.
+		req.Obs = obs.Snapshot()
+	}
+	if w.sendSpans.Load() {
+		// Drained once, marshaled once; upload retries resend the same
+		// body, and the coordinator's dedup makes re-delivery harmless.
+		req.Spans = obs.TakeWireEvents()
 	}
 	if res.Failed() {
 		req.Failed = true
@@ -291,27 +288,15 @@ func (w *Worker) join(ctx context.Context) (joinResponse, error) {
 		return nil
 	})
 	if err == nil {
-		// Negotiate down to what both sides speak. A v1 coordinator
-		// omits Version; treat that as 1 and send none of the v2 fields.
-		neg := resp.Version
-		if neg == 0 {
-			neg = 1
+		// Collect what the coordinator asked for: its hello mirrors its
+		// own armed registry / open timeline file.
+		w.sendObs.Store(resp.Metrics)
+		w.sendSpans.Store(resp.Timeline)
+		if resp.Metrics {
+			obs.Arm()
 		}
-		if neg > ProtocolVersion {
-			neg = ProtocolVersion
-		}
-		w.proto.Store(int32(neg))
-		w.sendObs.Store(neg >= 2 && resp.Metrics)
-		w.sendSpans.Store(neg >= 2 && resp.Timeline)
-		if neg >= 2 {
-			// Collect what the coordinator asked for: its hello mirrors
-			// its own armed registry / open timeline file.
-			if resp.Metrics {
-				obs.Arm()
-			}
-			if resp.Timeline {
-				obs.EnableTimeline()
-			}
+		if resp.Timeline {
+			obs.EnableTimeline()
 		}
 	}
 	return resp, err
@@ -321,10 +306,10 @@ func (w *Worker) join(ctx context.Context) (joinResponse, error) {
 // failures are ignored — the lease poll does the real erroring — and
 // an Unknown answer flags the main loop to rejoin.
 //
-// On a v2 fleet each beat piggybacks the worker's live observability:
-// registry entries changed since the last beat that got through (as
-// cumulative values — a drop just re-sends them next time), cumulative
-// point progress, the busy experiment, and a clock sample (our send
+// Each beat piggybacks the worker's live observability: registry
+// entries changed since the last beat that got through (as cumulative
+// values — a drop just re-sends them next time), cumulative point
+// progress, the busy experiment, and a clock sample (our send
 // time plus the previous beat's measured round-trip) the coordinator
 // turns into an offset estimate for timeline alignment.
 func (w *Worker) heartbeatLoop(stop <-chan struct{}, interval time.Duration) {
@@ -342,17 +327,17 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}, interval time.Duration) {
 			if faultinject.Should("fleet.heartbeat.drop", w.id) {
 				continue
 			}
-			req := heartbeatRequest{Worker: w.id}
+			req := heartbeatRequest{
+				Worker: w.id,
+				SentNS: time.Now().UnixNano(),
+				RTTNS:  w.lastRTT.Load(),
+				Points: obs.ProgressPoints(),
+			}
+			req.Busy, _ = w.busy.Load().(string)
 			var pending map[string]uint64
-			if w.proto.Load() >= 2 {
-				req.SentNS = time.Now().UnixNano()
-				req.RTTNS = w.lastRTT.Load()
-				req.Points = obs.ProgressPoints()
-				req.Busy, _ = w.busy.Load().(string)
-				if w.sendObs.Load() {
-					pending = w.pendingObs()
-					req.Obs = pending
-				}
+			if w.sendObs.Load() {
+				pending = w.pendingObs()
+				req.Obs = pending
 			}
 			t0 := time.Now()
 			var resp heartbeatResponse

@@ -10,9 +10,9 @@ import (
 
 // runWorkloadAllocBudget bounds the allocations of one pooled
 // RunWorkload call (machine from pool, full workload simulation,
-// verification, report). Measured at 22 allocs/op — the workload's own
-// input setup (slices of test data), not the access path, which is at
-// zero. The budget leaves headroom for small workload-side changes but
+// verification, report). Measured at 14 allocs/op — the workload's own
+// input setup (slices of test data) and the replay group's machine and
+// report slices, not the access path, which is at zero. The budget leaves headroom for small workload-side changes but
 // fails loudly if pooling regresses (a machine rebuild alone is
 // thousands of allocations).
 const runWorkloadAllocBudget = 64
@@ -37,7 +37,7 @@ func TestRunWorkloadAllocBudget(t *testing.T) {
 // streamingReplayAllocBudget bounds one warm streaming replay: a
 // file-backed point served through Reader.Next (pooled chunk buffers)
 // pays the file open and header decode, nothing per chunk. Measured at
-// 9 allocs/op; the byte-level pin on the pooled buffers themselves
+// 11 allocs/op; the byte-level pin on the pooled buffers themselves
 // lives in the trace package's TestReaderCycleAllocBudget.
 const streamingReplayAllocBudget = 32
 

@@ -3,48 +3,36 @@ package harness
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/ctcrypto"
-	"ctbia/internal/faultinject"
 	"ctbia/internal/obs"
-	"ctbia/internal/trace"
 	"ctbia/internal/workloads"
 )
 
 // Fan-out replay: the sweep-side counterpart of config-independent
-// trace keys. PR 6 made one recording serve every geometry of a sweep,
-// but each geometry still paid a full *decode* of the stream — the
-// geosweep warm path iterated the same recording once per machine
-// config, so decode bandwidth bounded the sweep. A fan-out pass
-// decodes each chunk exactly once and charges a whole slice of
-// machines (one per geometry, drawn from their pools) before moving to
-// the next chunk: the decode cost of an N-geometry group drops from N
-// passes to 1, while per-config report anchors and checksum
-// verification stay exactly as strict as the per-config path.
+// trace keys. One recording serves every geometry of a sweep, and a
+// fan-out group also shares its *decode*: each chunk is read once and
+// charged to a whole slice of machines (one per geometry, drawn from
+// their pools) before the next chunk, so an N-geometry group costs one
+// decode pass instead of N, with per-config report anchors and checksum
+// verification exactly as strict as for a single point (which is the
+// same code, a group of one).
 //
 // Only share-keyed points fan out — one key, many configs. BIA-family
 // strategies key per config (their streams are geometry-dependent), so
-// their points keep the serial per-config path, as does any group the
+// their points run one by one through runTraced, as does any group the
 // engine cannot serve whole: trace mode off, quarantined key, a stream
 // that was never recorded (dead key), or a replay failure mid-group.
-// The fallback is always the battle-tested runTraced path, point by
-// point, so fan-out can only ever change wall time, never a table
-// cell.
+// Fan-out can therefore only ever change wall time, never a table cell.
 
-// traceFanoutOff gates the fan-out scheduler, inverted so the zero
-// value means enabled (fan-out is the default, like tracing itself).
-var traceFanoutOff atomic.Bool
-
-// SetTraceFanout enables or disables fan-out replay (default enabled).
-// Disabled, grouped entry points degrade to serial per-config replay —
-// the regime benchmarks and equivalence tests compare against.
-func SetTraceFanout(on bool) { traceFanoutOff.Store(!on) }
-
-// TraceFanoutEnabled reports whether fan-out replay is enabled.
-func TraceFanoutEnabled() bool { return !traceFanoutOff.Load() }
+// SetTraceFanout does nothing. Every replay is a fan-out group — a
+// single point is a group of one — so there is no other regime to
+// switch to.
+//
+// Deprecated: kept only so existing callers compile.
+func SetTraceFanout(bool) {}
 
 // RunWorkloadFanout runs one (workload, params, strategy) point across
 // a group of machine configs, returning one report per config in input
@@ -83,166 +71,43 @@ func RunKernelFanout(cfgs []cpu.Config, k ctcrypto.Kernel, p ctcrypto.Params, s 
 // usual fault tolerance).
 func runFanout(cfgs []cpu.Config, key, label string, ref func() uint64, perConfig func(cpu.Config) cpu.Report) []cpu.Report {
 	out := make([]cpu.Report, len(cfgs))
-	fallback := func(from int) {
-		for i := from; i < len(cfgs); i++ {
-			out[i] = perConfig(cfgs[i])
-		}
-	}
-	if key == "" || len(cfgs) < 2 || !TraceFanoutEnabled() ||
-		TraceModeNow() != TraceOn || isQuarantined(key) {
-		fallback(0)
-		return out
-	}
-	pools := make([]*cpu.Pool, len(cfgs))
-	fps := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		pools[i], fps[i] = poolFor(cfg)
-	}
 	start := 0
-	e := lookupTrace(key, label)
-	if e == nil {
-		// Miss: run the first config through the ordinary engine so the
-		// stream is recorded (or the recording leader waited on) with
-		// all of runTraced's fault tolerance, then fan the rest out.
-		out[0] = perConfig(cfgs[0])
-		start = 1
-		if e = lookupTrace(key, label); e == nil {
+	if key != "" && len(cfgs) >= 2 && TraceModeNow() == TraceOn && !isQuarantined(key) {
+		pools := make([]*cpu.Pool, len(cfgs))
+		fps := make([]string, len(cfgs))
+		for i, cfg := range cfgs {
+			pools[i], fps[i] = poolFor(cfg)
+		}
+		e := lookupTrace(key)
+		if e == nil {
+			// Miss: run the first config through the ordinary engine so
+			// the stream is recorded (or the recording leader waited on)
+			// with all of runTraced's fault tolerance, then fan the rest
+			// out.
+			out[0] = perConfig(cfgs[0])
+			start = 1
+			e = lookupTrace(key)
+		}
+		if e == nil {
 			// Dead, quarantined or aborted recording: nothing to fan out.
 			if traceDebug {
 				fmt.Fprintf(os.Stderr, "TRACEDBG fanout-miss %s\n", label)
 			}
-			fallback(start)
+		} else if reps, ok := tryReplay(pools[start:], fps[start:], key, label, e, ref); ok {
+			copy(out[start:], reps)
+			// Every config served by the pass is one simulation point for
+			// the observability layer, as runTraced counts a single point.
+			for range reps {
+				obs.NotePoint()
+			}
 			return out
 		}
+		// A stale or transiently failing entry was dropped (and booked)
+		// by tryReplay: the per-config path re-records and serves the
+		// tail.
 	}
-	reps, ok := fanoutReplay(pools[start:], fps[start:], key, label, e, ref)
-	if !ok {
-		// Stale or transiently failing entry: it has been dropped (and
-		// booked) — the per-config path re-records and serves the tail.
-		fallback(start)
-		return out
+	for i := start; i < len(cfgs); i++ {
+		out[i] = perConfig(cfgs[i])
 	}
-	copy(out[start:], reps)
 	return out
-}
-
-// fanoutReplay is tryReplay's group form: one verified fan-out pass
-// over every pool in the group, with the engine counters booked per
-// served config and the fan-out savings booked once per pass. ok=false
-// means the entry was dropped (stale anchors, unreadable file, or a
-// transient failure — the latter also booked for quarantine) and the
-// caller must fall back per config.
-func fanoutReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, ref func() uint64) ([]cpu.Report, bool) {
-	rsp := obs.StartSpan("fanout", label)
-	reps, ok, err := replayFanout(pools, fps, key, label, e, ref())
-	rsp.End()
-	if ok {
-		n := uint64(len(pools))
-		traceReplays.Add(n)
-		traceFanoutReplays.Add(1)
-		traceDecodePasses.Add(1)
-		bytes := entryWireBytes(key, e)
-		traceBytesReplayed.Add(bytes * n)
-		traceDecodeBytesAvoided.Add(bytes * (n - 1))
-		for _, fp := range fps {
-			if e.src != "" && e.src != fp {
-				traceSharedReplays.Add(1)
-				traceBytesSharedAvoided.Add(bytes)
-			}
-		}
-		// Every config served by the pass is one simulation point for
-		// the observability layer, same as the per-config path.
-		for range pools {
-			obs.NotePoint()
-		}
-		return reps, true
-	}
-	dropTrace(key)
-	traceRerecords.Add(1)
-	if err != nil {
-		noteTransient(key, label, err)
-	}
-	return nil, false
-}
-
-// replayFanout charges one stored stream to a group of machines,
-// decoding each chunk exactly once, then verifies (or anchors) every
-// config's report. Mirrors replayTrace's contract: panics in the
-// replay layer are recovered into err for the caller's degraded retry,
-// ok=false with err=nil means the entry is merely stale. Machines are
-// pooled only after the whole group verified — any failure abandons
-// them all, because a machine charged with a partial or mismatched
-// stream may hold arbitrary state.
-func replayFanout(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, refSum uint64) (out []cpu.Report, ok bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if f, isFault := rec.(*faultinject.Fault); isFault && !f.Transient {
-				panic(rec) // permanent injected faults are not the replay layer's to absorb
-			}
-			ok = false
-			err = fmt.Errorf("trace fanout %s: %v", label, rec)
-		}
-	}()
-	faultinject.Check("trace.replay", label, true)
-	if e.sum != refSum {
-		return nil, false, nil
-	}
-	ms := make([]*cpu.Machine, len(pools))
-	for i, p := range pools {
-		ms[i] = p.Get()
-	}
-	if e.ops != nil {
-		cpu.ExecTraceFanout(ms, e.ops)
-	} else {
-		f, ferr := os.Open(e.file)
-		if ferr != nil {
-			return nil, false, nil
-		}
-		rd, rerr := trace.NewReader(f)
-		if rerr != nil {
-			f.Close()
-			return nil, false, nil
-		}
-		serr := cpu.ExecTraceFanoutReader(ms, rd)
-		rd.Release()
-		f.Close()
-		if serr != nil {
-			// Mid-stream corruption: every machine executed a partial
-			// stream, so abandon the whole group rather than pool it.
-			return nil, false, nil
-		}
-	}
-	out = make([]cpu.Report, len(ms))
-	for i, m := range ms {
-		out[i] = m.Report()
-	}
-	newAnchor, stale := false, false
-	traceEngine.mu.Lock()
-	for i, fp := range fps {
-		want, anchored := e.reps[fp]
-		switch {
-		case !anchored:
-			e.reps[fp] = out[i]
-			newAnchor = true
-		case out[i] != want:
-			stale = true
-		}
-	}
-	traceEngine.mu.Unlock()
-	if stale {
-		return nil, false, nil
-	}
-	for i, m := range ms {
-		harvest(pools[i], m)
-		pools[i].Put(m)
-	}
-	if newAnchor && e.ops != nil {
-		traceEngine.mu.RLock()
-		dir := traceEngine.dir
-		traceEngine.mu.RUnlock()
-		if dir != "" {
-			persistTrace(dir, key, e)
-		}
-	}
-	return out, true, nil
 }

@@ -1,20 +1,22 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
 	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
+	"ctbia/internal/trace"
 	"ctbia/internal/workloads"
 )
 
 // Fan-out replay tests: grouped sweeps served by one decode pass per
-// shared stream must be bit-identical to the serial per-config path —
-// for every geometry × strategy, in the in-memory and streaming
-// regimes, and across every fallback (torn chunks included). The
-// decode-pass counter is the efficiency contract: one pass per distinct
-// trace key, not one per replay served.
+// shared stream must be bit-identical to direct execution — for every
+// geometry × strategy, in the in-memory and streaming regimes, and
+// across every fallback (torn chunks included). The decode-pass counter
+// is the efficiency contract: one pass per distinct trace key, not one
+// per replay served.
 
 // geoStrategies mirrors runGeoSweep's strategy set: the pure strategies
 // fan out over one shared key; BIA keys per config and serves the group
@@ -50,7 +52,6 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 	ResetTraces()
 	t.Cleanup(func() {
 		SetTraceMode(TraceOn)
-		SetTraceFanout(true)
 		ResetTraces()
 	})
 	pureCfgs, biaCfgs := geoConfigGroups()
@@ -73,7 +74,6 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 	}
 
 	SetTraceMode(TraceOn)
-	SetTraceFanout(true)
 	ResetTraces()
 	sweep := func() {
 		for wi, wl := range wls {
@@ -120,14 +120,13 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 }
 
 // TestFanoutGeoSweepTableByteIdentical is the table-level pin: the
-// geosweep experiment rendered with tracing off, with per-config warm
-// replay (fan-out disabled) and with fan-out warm replay must be
-// byte-identical.
+// geosweep experiment rendered with tracing off and with warm fan-out
+// replay must be byte-identical, and the warm sweep must actually fan
+// out.
 func TestFanoutGeoSweepTableByteIdentical(t *testing.T) {
 	ResetTraces()
 	t.Cleanup(func() {
 		SetTraceMode(TraceOn)
-		SetTraceFanout(true)
 		ResetTraces()
 	})
 	o := Options{Quick: true, Parallel: 1}
@@ -135,19 +134,12 @@ func TestFanoutGeoSweepTableByteIdentical(t *testing.T) {
 	off := runGeoSweep(o).Render()
 
 	SetTraceMode(TraceOn)
-	SetTraceFanout(false)
 	ResetTraces()
 	runGeoSweep(o) // cold
-	perConfig := runGeoSweep(o).Render()
 	fanoutsBefore, _, _ := TraceFanoutStats()
-
-	SetTraceFanout(true)
 	fanned := runGeoSweep(o).Render()
 	fanouts, _, _ := TraceFanoutStats()
 
-	if perConfig != off {
-		t.Errorf("per-config warm table diverged from trace-off\noff:\n%s\nper-config:\n%s", off, perConfig)
-	}
 	if fanned != off {
 		t.Errorf("fan-out warm table diverged from trace-off\noff:\n%s\nfan-out:\n%s", off, fanned)
 	}
@@ -164,11 +156,9 @@ func TestFanoutParallelSweep(t *testing.T) {
 	ResetTraces()
 	t.Cleanup(func() {
 		SetTraceMode(TraceOn)
-		SetTraceFanout(true)
 		ResetTraces()
 	})
 	SetTraceMode(TraceOn)
-	SetTraceFanout(true)
 	serial := Options{Quick: true, Parallel: 1}
 	parallel := Options{Quick: true, Parallel: 4}
 	ResetTraces()
@@ -195,7 +185,6 @@ func TestFanoutStreamingTornChunk(t *testing.T) {
 		maxInlineTraceBytes = old
 		SetTraceDir("")
 		SetTraceMode(TraceOn)
-		SetTraceFanout(true)
 		ResetTraces()
 	})
 	ResetTraces()
@@ -214,7 +203,6 @@ func TestFanoutStreamingTornChunk(t *testing.T) {
 	}
 
 	SetTraceMode(TraceOn)
-	SetTraceFanout(true)
 	maxInlineTraceBytes = 1
 	ResetTraces()
 	check := func(stage string) {
@@ -244,4 +232,109 @@ func TestFanoutStreamingTornChunk(t *testing.T) {
 		t.Error("torn stream served without a re-record")
 	}
 	check("after re-record")
+}
+
+// TestReplayChunkSources drives the one replay path over every shape
+// it serves: an in-memory or a streamed (file-backed) entry, charged to
+// one config or fanned out over four geometries, from a clean or a
+// torn file. The stream spans two chunks, so a torn final chunk lands
+// after every machine of the group consumed the first. Reports must
+// equal direct execution at every stage, a warm group must be one
+// decode pass (a fan-out pass only for a group of two or more), and a
+// torn file must re-record without a single wrong report.
+func TestReplayChunkSources(t *testing.T) {
+	old := maxInlineTraceBytes
+	t.Cleanup(func() {
+		maxInlineTraceBytes = old
+		SetTraceDir("")
+		SetTraceMode(TraceOn)
+		ResetTraces()
+	})
+	geos, _ := geoConfigGroups()
+	w := workloads.Permutation{}
+	p := workloads.Params{Size: 2048, Seed: 11}
+	s := ct.Linear{}
+	key := workloadTraceKey(w, p, s, 0, "")
+
+	SetTraceMode(TraceOff)
+	want := make([]cpu.Report, len(geos))
+	for i, cfg := range geos {
+		want[i] = RunWorkloadOn(cfg, w, p, s)
+	}
+	SetTraceMode(TraceOn)
+
+	for _, streaming := range []bool{false, true} {
+		for _, n := range []int{1, len(geos)} {
+			for _, torn := range []bool{false, true} {
+				name := fmt.Sprintf("streaming=%v/configs=%d/torn=%v", streaming, n, torn)
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					if err := SetTraceDir(dir); err != nil {
+						t.Fatal(err)
+					}
+					maxInlineTraceBytes = old
+					if streaming {
+						maxInlineTraceBytes = 1
+					}
+					cfgs := geos[:n]
+					check := func(stage string) {
+						t.Helper()
+						got := RunWorkloadFanout(cfgs, w, p, s)
+						for i := range cfgs {
+							if got[i] != want[i] {
+								t.Errorf("%s: config %d diverged from direct\nwant: %v\ngot:  %v", stage, i, want[i], got[i])
+							}
+						}
+					}
+					ResetTraces()
+					check("cold")
+					ResetTraces() // fresh engine: the entry comes back from disk
+					if !torn {
+						check("warm")
+						rec, reps, _ := TraceStats()
+						fanouts, passes, _ := TraceFanoutStats()
+						wantFanouts := uint64(0)
+						if n > 1 {
+							wantFanouts = 1
+						}
+						if rec != 0 || reps != uint64(n) || passes != 1 || fanouts != wantFanouts {
+							t.Errorf("warm: records=%d replays=%d decode passes=%d fan-outs=%d, want 0/%d/1/%d",
+								rec, reps, passes, fanouts, n, wantFanouts)
+						}
+						traceEngine.mu.RLock()
+						e := traceEngine.entries[key]
+						traceEngine.mu.RUnlock()
+						if e == nil {
+							t.Fatal("warm: no entry stored for the key")
+						}
+						if (e.ops == nil) != streaming || e.nops <= trace.DefaultChunkOps {
+							t.Errorf("warm entry: streaming=%v with %d ops, want streaming=%v with more than %d ops (two chunks)",
+								e.ops == nil, e.nops, streaming, trace.DefaultChunkOps)
+						}
+						return
+					}
+					path := traceFilePath(dir, key)
+					buf, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, buf[:len(buf)-9], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					check("torn")
+					// A streamed entry meets the tear mid-replay (a stale
+					// entry: dropped, one re-record); a whole-file decode
+					// meets it at lookup (a miss).
+					wantRerec := uint64(0)
+					if streaming {
+						wantRerec = 1
+					}
+					if rec, _, rerec := TraceStats(); rec != 1 || rerec != wantRerec {
+						t.Errorf("torn file: records=%d rerecords=%d, want 1/%d", rec, rerec, wantRerec)
+					}
+					check("after re-record")
+				})
+			}
+		}
+	}
 }

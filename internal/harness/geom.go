@@ -82,12 +82,10 @@ func geoSweepWorkloads(quick bool) []struct {
 // runGeoSweep measures the sweep grouped for fan-out: one group per
 // (workload, strategy), each group charging every geometry of the
 // ladder from a single decode pass of the shared stream (the BIA
-// groups key per config inside the group and degrade to per-config
-// replay). The table is assembled geometry-major exactly as the
-// pre-fan-out serial loop produced it, and every report is
-// bit-identical to per-config replay (the equivalence tests pin the
-// rendered bytes), so the grouping changes wall time and decode
-// passes only.
+// groups key per config inside the group and run point by point). The
+// table is assembled geometry-major, and every report is bit-identical
+// to direct execution (the equivalence tests pin the rendered bytes),
+// so the grouping changes wall time and decode passes only.
 func runGeoSweep(o Options) *Table {
 	geos := GeoSweepGeometries()
 	wls := geoSweepWorkloads(o.Quick)

@@ -106,10 +106,6 @@ type Manifest struct {
 	timer        *time.Timer
 	wal          *os.File
 	snapshotted  bool // manifest.json reflects this lineage on disk
-	// legacySnapshotPerRecord restores the pre-batching behaviour
-	// (full snapshot rewrite on every Record) — kept as the measured
-	// baseline for the sink-contention benchmark.
-	legacySnapshotPerRecord bool
 
 	// Commit accounting (read via Stats/EmitMetrics).
 	records       uint64
@@ -225,10 +221,6 @@ func (m *Manifest) Record(id string, e ManifestEntry) {
 	defer m.mu.Unlock()
 	m.records++
 	m.data.Entries[id] = e
-	if m.legacySnapshotPerRecord {
-		m.snapshotLocked()
-		return
-	}
 	if e.Status != "ok" {
 		m.snapshotLocked()
 		return

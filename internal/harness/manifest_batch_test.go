@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ctbia/internal/resultcache"
 )
 
 // The batched journal's durability contract, exercised by simulated
@@ -216,4 +221,80 @@ func TestManifestStaleSnapshotIgnoresWAL(t *testing.T) {
 	if okN, failedN := got.Summary(); okN != 0 || failedN != 0 {
 		t.Fatalf("stale reload carried %d/%d entries from the WAL", okN, failedN)
 	}
+}
+
+// checkBatchedSinksUnderContention journals and caches items outcomes
+// from workers concurrent goroutines — the shared-sink traffic of a
+// parallel sweep — and checks that batching holds under contention: the
+// manifest commits a bounded number of times instead of once per
+// record, the write-behind cache groups its writes, and the journal
+// reloads complete.
+func checkBatchedSinksUnderContention(t *testing.T, workers int) {
+	t.Helper()
+	const items = 192
+	dir := t.TempDir()
+	store, err := resultcache.Open(dir, resultcache.ReadWrite, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.EnableWriteBehind()
+	man := NewManifest(filepath.Join(dir, ManifestName), true)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < items; i = int(next.Add(1)) - 1 {
+				key := resultcache.Key("contention", fmt.Sprint(i))
+				if err := store.Save(key, []int{i, 2 * i}); err != nil {
+					t.Error(err)
+				}
+				man.Record(fmt.Sprintf("item-%d", i), ManifestEntry{Status: "ok", Key: key, WallMS: 0.1})
+			}
+		}()
+	}
+	wg.Wait()
+	man.Flush()
+	store.Flush()
+
+	// One WAL append per full batch, plus the first-commit snapshot, the
+	// deadline tick and the final Flush.
+	_, walCommits, snapCommits, _, _ := man.Stats()
+	if commits, bound := walCommits+snapCommits, uint64(items/DefaultManifestBatch+4); commits > bound {
+		t.Errorf("manifest commits = %d, want <= %d", commits, bound)
+	}
+	if _, _, writes := store.Stats(); writes != items {
+		t.Errorf("cache writes = %d, want %d", writes, items)
+	}
+	var groups uint64
+	store.EmitMetrics(func(name string, v uint64) {
+		if name == "resultcache.wb_commits" {
+			groups = v
+		}
+	})
+	if groups == 0 || groups > items {
+		t.Errorf("cache commit groups = %d, want in [1,%d]", groups, items)
+	}
+	man.Close()
+	store.Close()
+
+	// Batching trades commit granularity, never completed-sweep
+	// durability.
+	m, stale, err := LoadManifest(filepath.Join(dir, ManifestName), true)
+	if err != nil || stale {
+		t.Fatalf("manifest reload: stale=%v err=%v", stale, err)
+	}
+	if okN, failedN := m.Summary(); okN != items || failedN != 0 {
+		t.Errorf("manifest reloaded %d/%d entries, want %d/0", okN, failedN, items)
+	}
+}
+
+func TestManifestBatchUnderContention(t *testing.T) {
+	checkBatchedSinksUnderContention(t, runtime.GOMAXPROCS(0))
+}
+
+// At 4x oversubscription workers contend hardest for the sinks' locks.
+func TestManifestBatchUnderContentionHighWorkers(t *testing.T) {
+	checkBatchedSinksUnderContention(t, 4*runtime.GOMAXPROCS(0))
 }

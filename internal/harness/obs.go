@@ -52,7 +52,6 @@ func emitTraceMetrics(emit func(name string, v uint64)) {
 	shared, avoided := TraceShareStats()
 	emit("trace.shared_replays", shared)
 	emit("trace.bytes_shared_avoided", avoided)
-	emit("trace.stale_format", TraceStaleFormatCount())
 	fanouts, passes, decodeAvoided := TraceFanoutStats()
 	emit("trace.fanout_replays", fanouts)
 	emit("trace.decode_passes", passes)

@@ -199,3 +199,43 @@ func TestRunAllJournalsMetricsAndProvenance(t *testing.T) {
 		t.Fatal("no simulation points booked")
 	}
 }
+
+// Tables must be byte-identical whether the registry is disarmed or
+// armed with per-worker shards: the accumulation strategy moves
+// traffic, never results.
+func TestTablesByteIdenticalUnderSharding(t *testing.T) {
+	defer obsReset()
+	obsReset()
+	defer ResetTraces()
+	ResetTraces()
+	exps := Experiments()
+	if len(exps) == 0 {
+		t.Fatal("no experiments registered")
+	}
+	exp := exps[0]
+	for _, e := range exps {
+		if e.ID == "fig2" {
+			exp = e
+			break
+		}
+	}
+
+	render := func(armed bool) string {
+		obsReset()
+		ResetTraces()
+		if armed {
+			obs.Arm()
+		}
+		res := RunAll([]Experiment{exp}, Options{Quick: true, Parallel: 2})
+		if len(res) != 1 || res[0].Failed() {
+			t.Fatalf("experiment failed: %+v", res[0].Err)
+		}
+		return res[0].Table.Render()
+	}
+
+	disarmed := render(false)
+	armed := render(true)
+	if disarmed != armed {
+		t.Fatalf("tables diverged between disarmed and armed+sharded runs:\n--- disarmed ---\n%s\n--- armed ---\n%s", disarmed, armed)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
+	"ctbia/internal/trace"
 	"ctbia/internal/workloads"
 )
 
@@ -216,24 +217,29 @@ func TestSharedAnchorPersists(t *testing.T) {
 	}
 }
 
-// TestStaleFormatTraceRerecords plants a pre-v2 trace file and checks
-// the harness journals it, removes it, and transparently re-records
-// into the current format.
-func TestStaleFormatTraceRerecords(t *testing.T) {
+// TestV1TraceFileRerecords plants a v1-format trace file where a
+// point's trace lives: it is just an undecodable file, so the point
+// records once, reports exactly what direct execution does, and the
+// recording writes a v2 file over the old one.
+func TestV1TraceFileRerecords(t *testing.T) {
 	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		SetTraceDir("")
+		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
-	ResetTraces()
-
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 9}
 	s := ct.Linear{}
 	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
+
+	SetTraceMode(TraceOff)
+	want := RunWorkload(w, p, s, 0)
+	SetTraceMode(TraceOn)
+	if err := SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ResetTraces()
 
 	v1 := append([]byte("CTRT"), make([]byte, 8)...)
 	binary.LittleEndian.PutUint32(v1[4:], 1) // version 1
@@ -242,24 +248,27 @@ func TestStaleFormatTraceRerecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := RunWorkload(w, p, s, 0)
-	if n := TraceStaleFormatCount(); n != 1 {
-		t.Errorf("stale-format count = %d, want 1", n)
+	if got := RunWorkload(w, p, s, 0); got != want {
+		t.Errorf("run over a v1 file diverged from direct\nwant: %v\ngot:  %v", want, got)
 	}
-	if pts := StaleFormatPoints(); len(pts) != 1 {
-		t.Errorf("StaleFormatPoints = %v, want one entry", pts)
+	if rec, rep, rerec := TraceStats(); rec != 1 || rep != 0 || rerec != 0 {
+		t.Errorf("run over a v1 file: records=%d replays=%d rerecords=%d, want 1/0/0", rec, rep, rerec)
 	}
-	if rec, _, _ := TraceStats(); rec != 1 {
-		t.Errorf("records = %d, want 1 (transparent re-record)", rec)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fkey, _, _, _, _, err := trace.Decode(buf); err != nil || fkey != key {
+		t.Fatalf("file after re-record does not decode as this key's v2 trace: %v", err)
 	}
 
-	// The re-recorded file is v2 and must replay in a fresh engine.
+	// The re-recorded file replays in a fresh engine.
 	ResetTraces()
 	if got := RunWorkload(w, p, s, 0); got != want {
-		t.Errorf("replay after format migration diverged\nwant: %v\ngot:  %v", want, got)
+		t.Errorf("replay of the re-recorded file diverged\nwant: %v\ngot:  %v", want, got)
 	}
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
-		t.Errorf("post-migration run: records=%d replays=%d, want 0/1", rec, rep)
+		t.Errorf("replay of the re-recorded file: records=%d replays=%d, want 0/1", rec, rep)
 	}
 }
 

@@ -1,8 +1,8 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,12 +47,14 @@ import (
 // value (interference hooks, the stateful scratchpad strategy) are
 // never traced.
 //
-// On-disk traces past maxInlineTraceBytes are not materialized:
-// lookup validates the v2 header only and replay streams the chunked
-// op blocks straight into the interpreter, so resident memory stays
-// bounded by one chunk buffer however large the corpus grows. Files
-// in the pre-v2 wire format are journalled (StaleFormatPoints),
-// removed, and transparently re-recorded.
+// Every replay is a fan-out group: one stored stream read once and
+// charged chunk by chunk to one machine per config — a single point is
+// a group of one. On-disk traces past maxInlineTraceBytes are not
+// materialized: lookup validates the v2 header only and replay streams
+// the chunked op blocks straight into the interpreter, so resident
+// memory stays bounded by one chunk buffer however large the corpus
+// grows. A file that does not decode (corrupt, truncated, or in an
+// older wire format) is a miss, and the point re-records over it.
 
 // TraceMode selects how RunWorkload/RunKernel use the trace engine.
 type TraceMode int
@@ -61,9 +63,6 @@ type TraceMode int
 const (
 	// TraceOn records on first execution and replays on repeats.
 	TraceOn TraceMode = iota
-	// TraceRecordOnly records (overwriting) but never replays — for
-	// priming a persistent trace directory or measuring record cost.
-	TraceRecordOnly
 	// TraceOff disables the engine entirely.
 	TraceOff
 )
@@ -73,12 +72,10 @@ func ParseTraceMode(s string) (TraceMode, error) {
 	switch s {
 	case "on":
 		return TraceOn, nil
-	case "record-only":
-		return TraceRecordOnly, nil
 	case "off":
 		return TraceOff, nil
 	}
-	return TraceOff, fmt.Errorf("harness: unknown trace mode %q (want on, off or record-only)", s)
+	return TraceOff, fmt.Errorf("harness: unknown trace mode %q (want on or off)", s)
 }
 
 // String names the mode.
@@ -86,8 +83,6 @@ func (m TraceMode) String() string {
 	switch m {
 	case TraceOn:
 		return "on"
-	case TraceRecordOnly:
-		return "record-only"
 	case TraceOff:
 		return "off"
 	}
@@ -159,17 +154,12 @@ var traceEngine = struct {
 	// bad point can never loop through retries.
 	transients  map[string]int
 	quarantined map[string]string // key -> point label, for reporting
-	// staleFormat journals keys whose persisted file carried a pre-v2
-	// wire format: the file is removed, the point transparently
-	// re-records, and the journal surfaces what happened.
-	staleFormat map[string]string // key -> point label
 }{
 	entries:     make(map[string]*traceEntry),
 	inflight:    make(map[string]chan struct{}),
 	dead:        make(map[string]struct{}),
 	transients:  make(map[string]int),
 	quarantined: make(map[string]string),
-	staleFormat: make(map[string]string),
 }
 
 var (
@@ -183,16 +173,14 @@ var (
 	// traceBytesSharedAvoided accounts the wire bytes of those shared
 	// replays: recording volume a geometry sweep did not re-produce.
 	traceBytesSharedAvoided atomic.Uint64
-	// traceStaleFormatCount counts pre-v2 files found (and removed).
-	traceStaleFormatCount atomic.Uint64
 	// traceFanoutReplays counts fan-out passes: one stored stream
-	// decoded once and charged to a whole group of machine geometries.
+	// decoded once and charged to a group of two or more machine
+	// geometries.
 	traceFanoutReplays atomic.Uint64
 	// traceDecodePasses counts full iterations of a stored stream
-	// during replay — per-config replay adds one per served point,
-	// a fan-out pass adds one however many machines it charges. The
-	// sweep win is this staying at the shared-key count, not the
-	// point count.
+	// during replay: one per served group, however many machines it
+	// charges. The sweep win is this staying at the shared-key count,
+	// not the point count.
 	traceDecodePasses atomic.Uint64
 	// traceDecodeBytesAvoided accounts the wire bytes fan-out did not
 	// re-decode: (machines-1) x stream size per fan-out pass.
@@ -251,7 +239,6 @@ func ResetTraces() {
 	traceEngine.dead = make(map[string]struct{})
 	traceEngine.transients = make(map[string]int)
 	traceEngine.quarantined = make(map[string]string)
-	traceEngine.staleFormat = make(map[string]string)
 	traceEngine.mu.Unlock()
 	traceRecords.Store(0)
 	traceReplays.Store(0)
@@ -259,7 +246,6 @@ func ResetTraces() {
 	traceRetries.Store(0)
 	traceSharedReplays.Store(0)
 	traceBytesSharedAvoided.Store(0)
-	traceStaleFormatCount.Store(0)
 	traceFanoutReplays.Store(0)
 	traceDecodePasses.Store(0)
 	traceDecodeBytesAvoided.Store(0)
@@ -280,9 +266,9 @@ func TraceShareStats() (sharedReplays, bytesAvoided uint64) {
 }
 
 // TraceFanoutStats returns the fan-out counters since the last
-// ResetTraces: fan-out passes served, full decode passes over stored
-// streams (per-config and fan-out alike), and the wire bytes fan-out
-// avoided re-decoding.
+// ResetTraces: fan-out passes served (groups of two or more machines),
+// full decode passes over stored streams (one per served group of any
+// size), and the wire bytes fan-out avoided re-decoding.
 func TraceFanoutStats() (fanoutReplays, decodePasses, bytesAvoided uint64) {
 	return traceFanoutReplays.Load(), traceDecodePasses.Load(), traceDecodeBytesAvoided.Load()
 }
@@ -309,25 +295,6 @@ func QuarantinedPoints() []string {
 	sort.Strings(out)
 	return out
 }
-
-// StaleFormatPoints lists the labels of points whose persisted trace
-// carried a pre-v2 wire format (sorted). Each such file was removed
-// and its point transparently re-recorded; the journal exists so a
-// migration is visible, not silent.
-func StaleFormatPoints() []string {
-	traceEngine.mu.RLock()
-	out := make([]string, 0, len(traceEngine.staleFormat))
-	for _, label := range traceEngine.staleFormat {
-		out = append(out, label)
-	}
-	traceEngine.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// TraceStaleFormatCount returns how many pre-v2 trace files were found
-// (and removed) since the last ResetTraces.
-func TraceStaleFormatCount() uint64 { return traceStaleFormatCount.Load() }
 
 // isQuarantined reports whether the key's trace engine access is
 // disabled after repeated transient failures.
@@ -363,20 +330,6 @@ func noteTransient(key, label string, err error) {
 	}
 	if d := (retry.Policy{Base: retryBackoffBase, Cap: retryBackoffCap}).Backoff(n); d > 0 {
 		time.Sleep(d)
-	}
-}
-
-// noteStaleFormat journals a pre-v2 trace file and removes it so the
-// point re-records into the current format instead of failing every
-// lookup.
-func noteStaleFormat(key, label, path string) {
-	traceStaleFormatCount.Add(1)
-	traceEngine.mu.Lock()
-	traceEngine.staleFormat[key] = label
-	traceEngine.mu.Unlock()
-	os.Remove(path)
-	if traceDebug {
-		fmt.Fprintf(os.Stderr, "TRACEDBG staleformat %s (%s)\n", label, path)
 	}
 }
 
@@ -467,10 +420,11 @@ func repsFromTags(tags map[string][]uint64) map[string]cpu.Report {
 
 // lookupTrace finds a stored stream in memory, falling back to the
 // persistent directory. Disk entries are validated (CRC, embedded key)
-// and memoized; anything unreadable is a miss, except pre-v2 files,
-// which are journalled and removed. Files past maxInlineTraceBytes
-// validate their header only and become streaming entries.
-func lookupTrace(key, label string) *traceEntry {
+// and memoized; anything unreadable — corrupt, truncated, or in an
+// older wire format — is a miss, and the recording that follows writes
+// over it. Files past maxInlineTraceBytes validate their header only
+// and become streaming entries.
+func lookupTrace(key string) *traceEntry {
 	traceEngine.mu.RLock()
 	e := traceEngine.entries[key]
 	dir := traceEngine.dir
@@ -495,13 +449,7 @@ func lookupTrace(key, label string) *traceEntry {
 		// the embedded-key check) below and decay to a miss + re-record.
 		buf = faultinject.Corrupt("trace.corrupt", key, buf)
 		fkey, src, meta, tags, ops, err := trace.Decode(buf)
-		if err != nil {
-			if errors.Is(err, trace.ErrVersion) {
-				noteStaleFormat(key, label, path)
-			}
-			return nil
-		}
-		if fkey != key || len(meta) != 1 {
+		if err != nil || fkey != key || len(meta) != 1 {
 			return nil
 		}
 		e = &traceEntry{ops: ops, nops: len(ops), sum: meta[0], src: src, reps: repsFromTags(tags)}
@@ -519,9 +467,6 @@ func lookupTrace(key, label string) *traceEntry {
 	rd, err := trace.NewReader(f)
 	f.Close()
 	if err != nil {
-		if errors.Is(err, trace.ErrVersion) {
-			noteStaleFormat(key, label, path)
-		}
 		return nil
 	}
 	if rd.Key() != key || len(rd.Meta()) != 1 {
@@ -656,20 +601,58 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 	return r
 }
 
-// replayTrace replays one stored stream under the machine config
-// fingerprinted by cfgFP, recovering any panic in the replay layer (an
-// injected fault, or a corrupt decoded stream crashing the batched
-// interpreter) into err so the caller can retry through the degraded
-// path. ok=false with err=nil means the entry is merely stale
-// (checksum mismatch, report-anchor mismatch, unreadable stream file)
-// — re-record, no retry accounting.
+// forEachChunk feeds the entry's op stream to fn in order. An
+// in-memory entry is one chunk; a file entry streams its CRC-framed
+// chunks through trace.Reader, each validated before fn sees it, and
+// releases the reader and the file on every path, panics included. A
+// non-nil error means the stream could not be read to its end (missing
+// file, bad header, torn or corrupt chunk) — fn may already have seen
+// the intact chunks before the damage.
+func (e *traceEntry) forEachChunk(fn func(ops []trace.Op)) error {
+	if e.ops != nil {
+		fn(e.ops)
+		return nil
+	}
+	f, err := os.Open(e.file)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rd, err := trace.NewReader(f)
+	if err != nil {
+		return err
+	}
+	defer rd.Release()
+	for {
+		ops, err := rd.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(ops)
+	}
+}
+
+// replayTrace charges one stored stream to one machine from each pool,
+// reading every chunk once for the whole group, then verifies each
+// machine's report; fps[i] fingerprints pools[i]'s config. Verification
+// is per config: replaying under an anchored fingerprint must reproduce
+// that anchor bit-exactly, and the first replay under a new geometry
+// anchors its report (re-persisting an in-memory entry's file, when
+// persistence is on, so the anchor survives the process).
 //
-// Report verification is per config: replaying under an anchored
-// fingerprint must reproduce that anchor bit-exactly; the first replay
-// under a new geometry anchors its report (and, for materialized
-// entries with persistence on, re-persists the file so the anchor
-// survives the process).
-func replayTrace(pool *cpu.Pool, key, label string, e *traceEntry, cfgFP string, refSum uint64) (r cpu.Report, ok bool, err error) {
+// A panic in the replay layer (an injected fault, or a corrupt decoded
+// stream crashing the batched interpreter) is recovered into err so the
+// caller can retry through the degraded path. ok=false with err=nil
+// means the entry is merely stale (checksum or anchor mismatch,
+// unreadable stream) — re-record, no retry accounting. The checksum is
+// checked before any machine is charged, and machines go back to their
+// pools only after the whole group verified: a machine charged with a
+// partial or mismatched stream may hold arbitrary state, so any
+// failure abandons them all.
+func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, refSum uint64) (out []cpu.Report, ok bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if f, isFault := rec.(*faultinject.Fault); isFault && !f.Transient {
@@ -681,45 +664,44 @@ func replayTrace(pool *cpu.Pool, key, label string, e *traceEntry, cfgFP string,
 	}()
 	faultinject.Check("trace.replay", label, true)
 	if e.sum != refSum {
-		return r, false, nil
+		return nil, false, nil
 	}
-	m := pool.Get()
-	if e.ops != nil {
-		m.ExecTrace(e.ops)
-	} else {
-		f, ferr := os.Open(e.file)
-		if ferr != nil {
-			return r, false, nil
-		}
-		rd, rerr := trace.NewReader(f)
-		if rerr != nil {
-			f.Close()
-			return r, false, nil
-		}
-		serr := m.ExecTraceReader(rd)
-		rd.Release()
-		f.Close()
-		if serr != nil {
-			// Mid-stream corruption: the machine executed a partial
-			// stream, so abandon it rather than pool it.
-			return r, false, nil
-		}
+	ms := make([]*cpu.Machine, len(pools))
+	for i, p := range pools {
+		ms[i] = p.Get()
 	}
-	r = m.Report()
+	if e.forEachChunk(func(ops []trace.Op) {
+		for _, m := range ms {
+			m.ExecTrace(ops)
+		}
+	}) != nil {
+		return nil, false, nil
+	}
+	out = make([]cpu.Report, len(ms))
+	for i, m := range ms {
+		out[i] = m.Report()
+	}
+	newAnchor, stale := false, false
 	traceEngine.mu.Lock()
-	want, anchored := e.reps[cfgFP]
-	if !anchored {
-		e.reps[cfgFP] = r
+	for i, fp := range fps {
+		want, anchored := e.reps[fp]
+		switch {
+		case !anchored:
+			e.reps[fp] = out[i]
+			newAnchor = true
+		case out[i] != want:
+			stale = true
+		}
 	}
 	traceEngine.mu.Unlock()
-	if anchored && r != want {
-		// Pool the machine only after it proved healthy: a replay that
-		// produced the wrong report may have left arbitrary state behind.
-		return r, false, nil
+	if stale {
+		return nil, false, nil
 	}
-	harvest(pool, m)
-	pool.Put(m)
-	if !anchored && e.ops != nil {
+	for i, m := range ms {
+		harvest(pools[i], m)
+		pools[i].Put(m)
+	}
+	if newAnchor && e.ops != nil {
 		traceEngine.mu.RLock()
 		dir := traceEngine.dir
 		traceEngine.mu.RUnlock()
@@ -727,7 +709,49 @@ func replayTrace(pool *cpu.Pool, key, label string, e *traceEntry, cfgFP string,
 			persistTrace(dir, key, e)
 		}
 	}
-	return r, true, nil
+	return out, true, nil
+}
+
+// tryReplay serves one point per pool from the stored entry e and books
+// the engine counters. A stale or transiently failing entry is dropped
+// (the latter also booked towards quarantine) so the caller falls back
+// to recording. The fan-out counters book groups of two or more
+// machines only: a group of one decodes nothing it could share.
+func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, ref func() uint64) ([]cpu.Report, bool) {
+	span := "replay"
+	if len(pools) > 1 {
+		span = "fanout"
+	}
+	rsp := obs.StartSpan(span, label)
+	reps, ok, err := replayTrace(pools, fps, key, label, e, ref())
+	rsp.End()
+	if !ok {
+		// Stale or corrupt: forget it and let the caller re-record.
+		dropTrace(key)
+		traceRerecords.Add(1)
+		if err != nil {
+			// Transient replay failure: book it (quarantining repeat
+			// offenders) and back off before the degraded retry.
+			noteTransient(key, label, err)
+		}
+		return nil, false
+	}
+	n := uint64(len(pools))
+	bytes := entryWireBytes(key, e)
+	traceReplays.Add(n)
+	traceDecodePasses.Add(1)
+	traceBytesReplayed.Add(bytes * n)
+	if n > 1 {
+		traceFanoutReplays.Add(1)
+		traceDecodeBytesAvoided.Add(bytes * (n - 1))
+	}
+	for _, fp := range fps {
+		if e.src != "" && e.src != fp {
+			traceSharedReplays.Add(1)
+			traceBytesSharedAvoided.Add(bytes)
+		}
+	}
+	return reps, true
 }
 
 // enterRecording makes the caller the key's recording leader, or
@@ -752,39 +776,6 @@ func exitRecording(key string) {
 	if ch != nil {
 		close(ch)
 	}
-}
-
-// tryReplay attempts to serve one point from the trace store; a stale
-// or transiently failing entry is dropped (and booked) so the caller
-// falls back to recording.
-func tryReplay(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64) (cpu.Report, bool) {
-	e := lookupTrace(key, label)
-	if e == nil {
-		return cpu.Report{}, false
-	}
-	rsp := obs.StartSpan("replay", label)
-	r, ok, err := replayTrace(pool, key, label, e, cfgFP, ref())
-	rsp.End()
-	if ok {
-		traceReplays.Add(1)
-		traceDecodePasses.Add(1)
-		bytes := entryWireBytes(key, e)
-		traceBytesReplayed.Add(bytes)
-		if e.src != "" && e.src != cfgFP {
-			traceSharedReplays.Add(1)
-			traceBytesSharedAvoided.Add(bytes)
-		}
-		return r, true
-	}
-	// Stale or corrupt: forget it and let the caller re-record.
-	dropTrace(key)
-	traceRerecords.Add(1)
-	if err != nil {
-		// Transient replay failure: book it (quarantining repeat
-		// offenders) and back off before the degraded retry.
-		noteTransient(key, label, err)
-	}
-	return cpu.Report{}, false
 }
 
 // runTraced executes one simulation point through the trace engine: a
@@ -819,8 +810,7 @@ func runTraced(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim 
 // runTracedEngine is runTraced's engine body (see runTraced for the
 // contract).
 func runTracedEngine(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
-	mode := TraceModeNow()
-	if mode == TraceOff || key == "" {
+	if TraceModeNow() == TraceOff || key == "" {
 		if traceDebug && key == "" {
 			fmt.Fprintf(os.Stderr, "TRACEDBG untraceable %s\n", label)
 		}
@@ -834,41 +824,38 @@ func runTracedEngine(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64
 		return runDirect(pool, label, ref, sim)
 	}
 
-	if mode == TraceOn {
-		for {
-			if r, ok := tryReplay(pool, key, label, cfgFP, ref); ok {
-				return r
+	for {
+		if e := lookupTrace(key); e != nil {
+			if reps, ok := tryReplay([]*cpu.Pool{pool}, []string{cfgFP}, key, label, e, ref); ok {
+				return reps[0]
 			}
-			// A failed replay may have quarantined the key; a dead key
-			// (recording aborted, here or in the leader we waited on)
-			// will never replay. Both degrade to direct simulation.
-			if isQuarantined(key) || isDead(key) {
-				if traceDebug {
-					fmt.Fprintf(os.Stderr, "TRACEDBG deadrun %s\n", label)
-				}
-				return runDirect(pool, label, ref, sim)
-			}
-			ch, leader := enterRecording(key)
-			if leader {
-				return recordPoint(pool, key, label, cfgFP, ref, sim, true)
-			}
-			// Another worker is recording this key right now — the
-			// single-flight at the heart of sweep sharing. Wait for it,
-			// then loop back to replay its stream.
-			<-ch
 		}
+		// A failed replay may have quarantined the key; a dead key
+		// (recording aborted, here or in the leader we waited on) will
+		// never replay. Both degrade to direct simulation.
+		if isQuarantined(key) || isDead(key) {
+			if traceDebug {
+				fmt.Fprintf(os.Stderr, "TRACEDBG deadrun %s\n", label)
+			}
+			return runDirect(pool, label, ref, sim)
+		}
+		ch, leader := enterRecording(key)
+		if leader {
+			return recordPoint(pool, key, label, cfgFP, ref, sim)
+		}
+		// Another worker is recording this key right now — the
+		// single-flight at the heart of sweep sharing. Wait for it,
+		// then loop back to replay its stream.
+		<-ch
 	}
-	return recordPoint(pool, key, label, cfgFP, ref, sim, false)
 }
 
 // recordPoint runs one point directly with a recorder attached and
-// stores the captured stream. With exitFlight set the caller holds the
-// key's recording leadership, released (waking the waiters) however
-// the recording ends — including the verifySum panic path.
-func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64, exitFlight bool) cpu.Report {
-	if exitFlight {
-		defer exitRecording(key)
-	}
+// stores the captured stream. The caller holds the key's recording
+// leadership, released (waking the waiters) however the recording ends
+// — including the verifySum panic path.
+func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
+	defer exitRecording(key)
 	rsp := obs.StartSpan("record", label)
 	m := pool.Get()
 	rec := trace.NewRecorder(maxTraceOps)

@@ -125,17 +125,6 @@ type Trace struct {
 	Ops []Op
 }
 
-// Len returns the number of compressed records.
-func (t *Trace) Len() int { return len(t.Ops) }
-
-// Executor replays a compressed stream (implemented by cpu.Machine).
-type Executor interface {
-	ExecTrace(ops []Op)
-}
-
-// Replay drives t through the executor's batched interpreter.
-func Replay(m Executor, t *Trace) { m.ExecTrace(t.Ops) }
-
 // Recorder captures and compresses a stream. The zero value is not
 // usable; use NewRecorder. A Recorder is not safe for concurrent use
 // (one machine, one recorder).
@@ -466,10 +455,8 @@ func (r *Recorder) ResetStats() { r.single(Op{Kind: KReset}) }
 // integrity-checked by its own CRC, is what lets the streaming Reader
 // replay a large trace in bounded memory: a chunk is validated, decoded
 // and executed before the next one is even read. Any mismatch — magic,
-// truncation, CRC — is ErrCorrupt and the caller treats the file as a
-// miss; a v1 (or future) version word is the distinct ErrVersion so
-// callers can report stale-format files instead of silently eating
-// them.
+// version, truncation, CRC — is ErrCorrupt and the caller treats the
+// file as a miss.
 
 const (
 	traceMagic   = "CTRT"
@@ -486,14 +473,10 @@ const (
 	maxHeaderLen = 1 << 20
 )
 
-// ErrCorrupt reports an undecodable trace file.
+// ErrCorrupt reports an undecodable trace file, including one in a
+// format version this package does not speak (the wrapped error names
+// the version).
 var ErrCorrupt = errors.New("trace: corrupt or truncated trace")
-
-// ErrVersion reports a structurally plausible trace whose format
-// version this package does not speak (a leftover v1 file, or a file
-// from a newer build). Distinct from ErrCorrupt so callers can journal
-// the stale format before transparently re-recording.
-var ErrVersion = errors.New("trace: unsupported trace format version")
 
 // numChunks returns how many op chunks a trace of nOps encodes to.
 func numChunks(nOps int) int {
@@ -635,9 +618,9 @@ var readerBufPool = sync.Pool{New: func() any { return new(readerBufs) }}
 // errReleased guards use-after-Release.
 var errReleased = errors.New("trace: reader used after Release")
 
-// NewReader reads and validates a v2 trace header from r. A v1 file
-// fails with ErrVersion; structural damage with ErrCorrupt. The op
-// chunks are not read yet — drive Next (or DecodeAll) for those.
+// NewReader reads and validates a v2 trace header from r. Structural
+// damage and any other version fail with ErrCorrupt. The op chunks are
+// not read yet — drive Next (or Decode) for those.
 func NewReader(r io.Reader) (*Reader, error) {
 	var fixed [12]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -647,7 +630,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, ErrCorrupt
 	}
 	if v := binary.LittleEndian.Uint32(fixed[4:]); v != traceVersion {
-		return nil, fmt.Errorf("%w (v%d)", ErrVersion, v)
+		return nil, fmt.Errorf("%w (unsupported format version %d)", ErrCorrupt, v)
 	}
 	headerLen := binary.LittleEndian.Uint32(fixed[8:])
 	if headerLen < 4+4+4+4+8+4 || headerLen > maxHeaderLen {

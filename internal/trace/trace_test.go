@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -287,9 +288,10 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsV1 pins the typed version error: a v1-era file is
-// ErrVersion (so the harness can journal the stale format), not the
-// generic ErrCorrupt.
+// TestDecodeRejectsV1 pins that a v1-era file is just an undecodable
+// file: ErrCorrupt, with the version named in the message, so the
+// harness treats it like any other corrupt trace (a miss that
+// re-records over it).
 func TestDecodeRejectsV1(t *testing.T) {
 	var v1 []byte
 	v1 = append(v1, traceMagic...)
@@ -301,14 +303,14 @@ func TestDecodeRejectsV1(t *testing.T) {
 	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
 
 	_, _, _, _, _, err := Decode(v1)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 file decoded with %v, want ErrVersion", err)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 file decoded with %v, want ErrCorrupt", err)
 	}
-	if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version error must be distinct from ErrCorrupt: %v", err)
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("v1 error %q does not name the version", err)
 	}
-	if _, err := NewReader(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("NewReader on v1 file returned %v, want ErrVersion", err)
+	if _, err := NewReader(bytes.NewReader(v1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("NewReader on v1 file returned %v, want ErrCorrupt", err)
 	}
 }
 
