@@ -40,15 +40,6 @@
 //	                          # re-run only missing or failed
 //	                          # experiments; completed ones are served
 //	                          # from the cache
-//	ctbench -manifest-batch N # with -cache rw: commit the manifest
-//	                          # journal after N buffered outcomes
-//	                          # (default 32; 1 = commit every record).
-//	                          # A crash loses at most N-1 uncommitted
-//	                          # outcomes — -resume re-runs only those.
-//	ctbench -manifest-flushms MS
-//	                          # deadline for buffered manifest entries:
-//	                          # commit after MS milliseconds even if the
-//	                          # batch is not full (default 500)
 //	ctbench -faults SPEC      # arm deterministic fault injection (same
 //	                          # grammar as the CTBIA_FAULTS env var),
 //	                          # e.g. 'seed=1; worker.panic@1' — chaos
@@ -187,12 +178,7 @@ type jsonReport struct {
 	Experiments  []jsonExperiment     `json:"experiments"`
 }
 
-// cleanup drains the journal and cache sinks before an early exit;
-// main replaces it once those sinks exist (os.Exit skips defers).
-var cleanup = func() {}
-
 func fatal(err error) {
-	cleanup()
 	fmt.Fprintln(os.Stderr, "ctbench: ", err)
 	os.Exit(1)
 }
@@ -214,8 +200,6 @@ func main() {
 	traceMode := flag.String("trace", "on", "trace-replay engine: on or off")
 	traceDir := flag.String("tracedir", "", "trace persistence directory (default <cachedir>/traces when -cache rw)")
 	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
-	manifestBatch := flag.Int("manifest-batch", harness.DefaultManifestBatch, "manifest journal batch: buffered outcomes per commit (1 = commit every record)")
-	manifestFlushMS := flag.Int("manifest-flushms", int(harness.DefaultManifestFlushInterval/time.Millisecond), "manifest journal deadline flush, in milliseconds")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline of harness phases to this file (open in Perfetto or chrome://tracing)")
@@ -320,12 +304,6 @@ func main() {
 	if *resume && mode != resultcache.ReadWrite {
 		usageErr("-resume needs -cache rw: the result cache is what lets completed experiments be skipped")
 	}
-	if *manifestBatch < 1 {
-		usageErr("-manifest-batch %d: need at least 1 outcome per commit", *manifestBatch)
-	}
-	if *manifestFlushMS < 1 {
-		usageErr("-manifest-flushms %d: need a positive deadline", *manifestFlushMS)
-	}
 	if *faults != "" {
 		inj, err := faultinject.Parse(*faults)
 		if err != nil {
@@ -360,11 +338,6 @@ func main() {
 	if store.Pruned() > 0 {
 		fmt.Fprintf(os.Stderr, "ctbench: pruned %d stale cache entries (simulator version changed)\n", store.Pruned())
 	}
-	// Parallel workers save results concurrently; coalesce them into
-	// grouped commits off the workers' critical path. RunAll flushes at
-	// the end of the sweep and Close drains on every exit below.
-	store.EnableWriteBehind()
-
 	harness.SetTraceMode(tmode)
 	// Persist traces next to the result cache when it is writable, or
 	// wherever -tracedir points; otherwise traces stay in memory.
@@ -432,21 +405,11 @@ func main() {
 			manifest = harness.NewManifest(mpath, *quick)
 		}
 	}
-	// Stamp the journal with the producing run's provenance, apply the
-	// batching knobs and expose its commit accounting as a metrics
-	// source (all nil-safe when no manifest is in play).
+	// Stamp the journal with the producing run's provenance and expose
+	// its commit accounting as a metrics source (both nil-safe when no
+	// manifest is in play).
 	manifest.SetProvenance(harness.NewProvenance(flagLine))
-	manifest.SetBatch(*manifestBatch, 0, time.Duration(*manifestFlushMS)*time.Millisecond)
 	obs.RegisterSource(manifest.EmitMetrics)
-	// Fold buffered journal entries into the final snapshot and drain
-	// the cache's write-behind queue on every exit path; the explicit
-	// calls before os.Exit below cover the paths that skip defers.
-	closeSinks := func() {
-		manifest.Close()
-		store.Close()
-	}
-	defer closeSinks()
-	cleanup = closeSinks
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -690,10 +653,8 @@ func main() {
 	}
 
 	if len(failures) > 0 {
-		// os.Exit skips defers; flush the CPU profile and drain the
-		// journal/cache sinks explicitly (no-ops when unused).
+		// os.Exit skips defers; flush the CPU profile explicitly.
 		pprof.StopCPUProfile()
-		closeSinks()
 		os.Exit(1)
 	}
 }

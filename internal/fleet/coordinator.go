@@ -296,14 +296,8 @@ loop:
 			c.scan(now)
 		}
 	}
-	// The sweep is durable before anyone is told it finished: commit
-	// the journal tail and drain the cache's write-behind queue, then
-	// linger briefly so polling workers hear Done instead of dying on
+	// Linger briefly so polling workers hear Done instead of dying on
 	// a refused connection.
-	c.opts.Manifest.Flush()
-	if c.opts.Cache != nil {
-		c.opts.Cache.Flush()
-	}
 	c.mu.Lock()
 	sawWorkers := c.everJoined
 	c.mu.Unlock()
@@ -537,13 +531,8 @@ func (c *Coordinator) accept(idx int, res harness.Result, from string) (dup bool
 		delete(ws.leases, u.leaseID)
 	}
 	u.state = unitDone
-	c.open--
 	c.results[idx] = res
 	c.lastProgress = time.Now()
-	sweepDone := c.open == 0 && !c.finished
-	if sweepDone {
-		c.finished = true
-	}
 	c.mu.Unlock()
 	if from == localWorker {
 		c.stats.LocalUnits.Add(1)
@@ -566,6 +555,15 @@ func (c *Coordinator) accept(idx int, res harness.Result, from string) (dup bool
 		})
 		obs.ProgressExpDone(false, false)
 	}
+	// The unit stops counting as open only once its outcome is on disk,
+	// so Run cannot return while another accept is still writing.
+	c.mu.Lock()
+	c.open--
+	sweepDone := c.open == 0 && !c.finished
+	if sweepDone {
+		c.finished = true
+	}
+	c.mu.Unlock()
 	if sweepDone {
 		close(c.done)
 	}

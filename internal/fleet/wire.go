@@ -9,8 +9,8 @@
 // determinism: every experiment produces byte-identical tables
 // wherever it runs, so the coordinator accepts the first result for a
 // unit and counts any later copy as a dedup hit. Accepted results
-// funnel through the same content-addressed result cache and WAL'd
-// manifest journal as a local RunAll, so `ctbench -resume` behaves
+// funnel through the same content-addressed result cache and manifest
+// journal as a local RunAll, so `ctbench -resume` behaves
 // identically for distributed and local sweeps.
 //
 // Failure handling: workers heartbeat; a worker silent for three

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/obs"
 	"ctbia/internal/workloads"
@@ -67,32 +68,29 @@ func TestStreamingReplayAllocBudget(t *testing.T) {
 	}
 }
 
-// The shard-and-commit write path the harness hands its workers:
-// a warm private shard absorbs counter adds and histogram observes
-// with zero allocations, and merging every shard into a warm snapshot
-// map allocates nothing either. These pin the same contract as the
-// obs-package tests but from the harness's side of the API, with the
-// harness's own interned names in the table.
-func TestHarnessShardHotPathZeroAllocs(t *testing.T) {
+// The harvest path a point takes when the registry is armed: once warm,
+// feeding a machine's statistics into the registry allocates nothing
+// beyond the names Machine.EmitMetrics itself builds, the point-wall
+// histogram observes with zero allocations, and a snapshot into a warm
+// map allocates nothing either.
+func TestHarvestZeroAllocs(t *testing.T) {
 	defer obsReset()
 	obsReset()
 	obs.Arm()
-	id := obs.Intern("harness.alloc_probe")
-	h := obs.NewHistogram("harness.alloc_hist")
-	sh := obs.AcquireShard()
-	defer obs.ReleaseShard(sh)
-	sh.Add(id, 1)
-	sh.Observe(h, 1)
-	if n := testing.AllocsPerRun(1000, func() { sh.Add(id, 1) }); n != 0 {
-		t.Errorf("worker shard Add allocates %v/op", n)
+	m := cpu.NewDefault()
+	harvest(m) // intern every name outside the measured loops
+	names := testing.AllocsPerRun(100, func() { m.EmitMetrics(func(string, uint64) {}) })
+	if n := testing.AllocsPerRun(100, func() { harvest(m) }); n != names {
+		t.Errorf("harvest allocates %v/op, the emission alone %v/op", n, names)
 	}
-	if n := testing.AllocsPerRun(1000, func() { sh.Observe(h, 9) }); n != 0 {
-		t.Errorf("worker shard Observe allocates %v/op", n)
+	pointWall.Observe(1)
+	if n := testing.AllocsPerRun(1000, func() { pointWall.Observe(9) }); n != 0 {
+		t.Errorf("armed Observe allocates %v/op", n)
 	}
 	dst := make(map[string]uint64)
 	obs.SnapshotInto(dst)
 	if n := testing.AllocsPerRun(100, func() { obs.SnapshotInto(dst) }); n != 0 {
-		t.Errorf("merge-on-pull SnapshotInto allocates %v/op on a warm map", n)
+		t.Errorf("SnapshotInto allocates %v/op on a warm map", n)
 	}
 }
 

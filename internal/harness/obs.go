@@ -58,59 +58,13 @@ func emitTraceMetrics(emit func(name string, v uint64)) {
 	emit("trace.decode_bytes_avoided", decodeAvoided)
 }
 
-// harvestPlans caches, per machine pool, the interned metric IDs of
-// that pool's EmitMetrics emission in order. A pool is 1:1 with a
-// machine configuration and EmitMetrics enumerates a config's
-// statistics in a deterministic order with a fixed name set (cache
-// level names and BIA presence are properties of the config), so the
-// name→ID map lookup happens once per pool, not once per metric per
-// point: later harvests walk the plan by index straight into a
-// per-worker shard.
-var harvestPlans sync.Map // *cpu.Pool -> *harvestPlan
-
-type harvestPlan struct {
-	ids atomic.Pointer[[]obs.ID]
-}
-
-// harvest pushes a machine's per-run statistics into the registry via
-// a private shard (no shared cache lines on the write path; merged on
-// pull). Call before pool.Put — a pooled machine may be re-issued
-// (and reset) by another worker immediately after.
-func harvest(pool *cpu.Pool, m *cpu.Machine) {
-	if !obs.Enabled() {
-		return
+// harvest pushes a machine's per-run statistics into the registry.
+// Call before pool.Put — a pooled machine may be re-issued (and reset)
+// by another worker immediately after.
+func harvest(m *cpu.Machine) {
+	if obs.Enabled() {
+		m.EmitMetrics(obs.Add)
 	}
-	p, _ := harvestPlans.LoadOrStore(pool, &harvestPlan{})
-	plan := p.(*harvestPlan)
-	sh := obs.AcquireShard()
-	defer obs.ReleaseShard(sh)
-	if idsp := plan.ids.Load(); idsp != nil {
-		ids, i := *idsp, 0
-		m.EmitMetrics(func(name string, v uint64) {
-			if i < len(ids) {
-				sh.Add(ids[i], v)
-			} else {
-				// Should not happen (the emission set is fixed per
-				// pool); land the metric correctly anyway and rebuild
-				// the plan on the next harvest.
-				obs.Add(name, v)
-			}
-			i++
-		})
-		if i != len(ids) {
-			plan.ids.Store(nil)
-		}
-		return
-	}
-	// First harvest for this pool: intern every name once and record
-	// the plan for everyone after.
-	ids := make([]obs.ID, 0, 64)
-	m.EmitMetrics(func(name string, v uint64) {
-		id := obs.Intern(name)
-		ids = append(ids, id)
-		sh.Add(id, v)
-	})
-	plan.ids.Store(&ids)
 }
 
 // obsSnapshot returns the registry snapshot when armed, nil otherwise —

@@ -201,9 +201,8 @@ func TestRunAllJournalsMetricsAndProvenance(t *testing.T) {
 }
 
 // Tables must be byte-identical whether the registry is disarmed or
-// armed with per-worker shards: the accumulation strategy moves
-// traffic, never results.
-func TestTablesByteIdenticalUnderSharding(t *testing.T) {
+// armed: observation never feeds back into simulation.
+func TestTablesByteIdenticalArmedOrDisarmed(t *testing.T) {
 	defer obsReset()
 	obsReset()
 	defer ResetTraces()
@@ -236,6 +235,6 @@ func TestTablesByteIdenticalUnderSharding(t *testing.T) {
 	disarmed := render(false)
 	armed := render(true)
 	if disarmed != armed {
-		t.Fatalf("tables diverged between disarmed and armed+sharded runs:\n--- disarmed ---\n%s\n--- armed ---\n%s", disarmed, armed)
+		t.Fatalf("tables diverged between disarmed and armed runs:\n--- disarmed ---\n%s\n--- armed ---\n%s", disarmed, armed)
 	}
 }

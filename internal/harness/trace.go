@@ -595,7 +595,7 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 	got := sim(m)
 	verifySum(label, got, ref())
 	r := m.Report()
-	harvest(pool, m)
+	harvest(m)
 	pool.Put(m)
 	sp.End()
 	return r
@@ -698,7 +698,7 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		return nil, false, nil
 	}
 	for i, m := range ms {
-		harvest(pools[i], m)
+		harvest(m)
 		pools[i].Put(m)
 	}
 	if newAnchor && e.ops != nil {
@@ -868,7 +868,7 @@ func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, si
 	m.SetRecorder(nil)
 	verifySum(label, got, ref())
 	r := m.Report()
-	harvest(pool, m)
+	harvest(m)
 	pool.Put(m)
 	if t, ok := rec.Take(); ok {
 		e := &traceEntry{ops: t.Ops, nops: len(t.Ops), sum: got, src: cfgFP,

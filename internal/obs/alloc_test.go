@@ -13,6 +13,10 @@ func TestDisarmedAddZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { Add("hot.counter", 1) }); n != 0 {
 		t.Fatalf("disarmed Add allocates %v/op", n)
 	}
+	id := Intern("hot.counter")
+	if n := testing.AllocsPerRun(1000, func() { AddID(id, 1) }); n != 0 {
+		t.Fatalf("disarmed AddID allocates %v/op", n)
+	}
 }
 
 func TestDisarmedHistogramZeroAllocs(t *testing.T) {
@@ -48,57 +52,30 @@ func TestArmedAddSteadyStateZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { Add("warm.counter", 1) }); n != 0 {
 		t.Fatalf("armed steady-state Add allocates %v/op", n)
 	}
+	id := Intern("warm.counter")
+	if n := testing.AllocsPerRun(1000, func() { AddID(id, 1) }); n != 0 {
+		t.Fatalf("armed steady-state AddID allocates %v/op", n)
+	}
 }
 
-// The sharded hot paths carry the same contract as the compat ones:
-// a warm per-worker shard updates with zero allocations, armed or not.
-
-func TestShardAddZeroAllocs(t *testing.T) {
+func TestArmedObserveZeroAllocs(t *testing.T) {
 	defer reset()
 	reset()
 	Arm()
-	id := Intern("shard.hot")
-	sh := AcquireShard()
-	defer ReleaseShard(sh)
-	sh.Add(id, 1) // install the chunk outside the measured loop
-	if n := testing.AllocsPerRun(1000, func() { sh.Add(id, 1) }); n != 0 {
-		t.Fatalf("armed shard Add allocates %v/op", n)
-	}
-	Disarm()
-	if n := testing.AllocsPerRun(1000, func() { sh.Add(id, 1) }); n != 0 {
-		t.Fatalf("disarmed shard Add allocates %v/op", n)
+	h := NewHistogram("warm.hist")
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(7) }); n != 0 {
+		t.Fatalf("armed Observe allocates %v/op", n)
 	}
 }
 
-func TestShardObserveZeroAllocs(t *testing.T) {
-	defer reset()
-	reset()
-	Arm()
-	h := NewHistogram("shard.hist")
-	sh := AcquireShard()
-	defer ReleaseShard(sh)
-	sh.Observe(h, 1)
-	if n := testing.AllocsPerRun(1000, func() { sh.Observe(h, 7) }); n != 0 {
-		t.Fatalf("armed shard Observe allocates %v/op", n)
-	}
-	Disarm()
-	if n := testing.AllocsPerRun(1000, func() { sh.Observe(h, 7) }); n != 0 {
-		t.Fatalf("disarmed shard Observe allocates %v/op", n)
-	}
-}
-
-// The merge-on-pull read side must not tax a polling exporter: merging
-// into a warm caller-owned map allocates nothing once every key exists.
+// A polling exporter must not pay per poll: filling a warm caller-owned
+// map allocates nothing once every key exists.
 func TestSnapshotIntoSteadyStateZeroAllocs(t *testing.T) {
 	defer reset()
 	reset()
 	Arm()
-	id := Intern("merge.counter")
-	h := NewHistogram("merge.hist")
-	sh := AcquireShard()
-	sh.Add(id, 3)
-	sh.Observe(h, 9)
-	ReleaseShard(sh)
+	Add("snap.counter", 3)
+	NewHistogram("snap.hist").Observe(9)
 	dst := make(map[string]uint64)
 	SnapshotInto(dst) // first call inserts the keys
 	if n := testing.AllocsPerRun(100, func() { SnapshotInto(dst) }); n != 0 {

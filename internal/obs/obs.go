@@ -13,11 +13,9 @@
 // experiment tables are byte-identical either way (observation never
 // feeds back into simulation).
 //
-// The write side is sharded (see shard.go): names intern once into
-// dense IDs, each worker updates a private Shard with no shared state,
-// and snapshots merge every shard on pull. The name-based Add/Set
-// remain as the compat path for cold call sites; high-frequency
-// producers hold a shard and use handles.
+// Counter names intern once into dense IDs, each backed by one atomic
+// cell; producers that update a counter often intern it up front and
+// add through the handle (AddID), the rest add by name.
 //
 // The simulator's layers do not push into this package directly: the
 // machine model keeps its existing per-machine statistics and the
@@ -55,22 +53,93 @@ func Disarm() { armed.Store(false) }
 // forgetting the guard costs allocations, never correctness.
 func Enabled() bool { return armed.Load() }
 
-// Add increments the named counter by v through the shared compat
-// shard. Disarmed it is a single atomic load; armed it pays one name
-// interning (RLock + map hit) per call — hot producers should Intern
-// once and Add through a private Shard instead. The signature matches
-// cpu.Machine.EmitMetrics's emit callback, so a whole machine harvests
-// with m.EmitMetrics(obs.Add).
+// ID is the dense handle of an interned metric name. Resolve it once
+// at registration time (Intern) and use it on every AddID — the map
+// lookup happens exactly once per name, not once per update. The zero
+// value is a valid ID (the first interned name); negative IDs are
+// ignored by AddID.
+type ID int32
+
+// nameTab interns metric names to dense IDs.
+var nameTab = struct {
+	mu   sync.RWMutex
+	ids  map[string]ID
+	list []string // index = ID
+}{ids: make(map[string]ID)}
+
+// Intern registers name and returns its dense ID (the existing ID when
+// the name is already known). Safe for concurrent use; the read path is
+// an RLock + map hit.
+func Intern(name string) ID {
+	nameTab.mu.RLock()
+	id, ok := nameTab.ids[name]
+	nameTab.mu.RUnlock()
+	if ok {
+		return id
+	}
+	nameTab.mu.Lock()
+	defer nameTab.mu.Unlock()
+	if id, ok = nameTab.ids[name]; ok {
+		return id
+	}
+	id = ID(len(nameTab.list))
+	if int(id) >= countChunks*countChunkSize {
+		panic(fmt.Sprintf("obs: more than %d interned metric names", countChunks*countChunkSize))
+	}
+	nameTab.ids[name] = id
+	nameTab.list = append(nameTab.list, name)
+	return id
+}
+
+// Counter cells live in fixed-position chunks hanging off a spine of
+// atomic pointers: a chunk is installed once (CAS) and never moves, so
+// adds and concurrent snapshots need no coordination as the name table
+// grows.
+const (
+	countChunkBits = 10
+	countChunkSize = 1 << countChunkBits // counters per chunk
+	countChunks    = 64                  // spine length: 65536 names max
+)
+
+type countChunk [countChunkSize]atomic.Uint64
+
+var counts [countChunks]atomic.Pointer[countChunk]
+
+// counter returns the cell for id, installing its chunk on first touch.
+func counter(id ID) *atomic.Uint64 {
+	ci, off := int(id)>>countChunkBits, int(id)&(countChunkSize-1)
+	ch := counts[ci].Load()
+	if ch == nil {
+		ch = new(countChunk)
+		if !counts[ci].CompareAndSwap(nil, ch) {
+			ch = counts[ci].Load()
+		}
+	}
+	return &ch[off]
+}
+
+// AddID increments the counter behind an interned handle. Disarmed it
+// is a single atomic load; armed and warm it is one atomic add with
+// zero allocations and no name lookup. Negative IDs are ignored.
+func AddID(id ID, v uint64) {
+	if !armed.Load() || id < 0 {
+		return
+	}
+	counter(id).Add(v)
+}
+
+// Add increments the named counter by v. Disarmed it is a single atomic
+// load; armed it also pays one name interning (RLock + map hit). The
+// signature matches cpu.Machine.EmitMetrics's emit callback, so a whole
+// machine harvests with m.EmitMetrics(obs.Add).
 func Add(name string, v uint64) {
 	if !armed.Load() {
 		return
 	}
-	global.cell(Intern(name)).Add(v)
+	counter(Intern(name)).Add(v)
 }
 
-// gauges hold last-write-wins values. Gauges stay unsharded: merging
-// per-worker "last writes" has no meaningful winner, and every Set
-// call site is low-rate.
+// gauges hold last-write-wins values.
 var gauges = struct {
 	mu sync.RWMutex
 	m  map[string]*atomic.Uint64
@@ -105,12 +174,11 @@ func bucketOf(v uint64) int { return bits.Len64(v) }
 // Histogram counts observations in power-of-two buckets, exported as
 // cumulative le_* counters plus count and sum — enough resolution to
 // see a latency distribution's shape without per-observation storage.
-// The histogram itself is a handle: observations land in the caller's
-// shard (Shard.Observe) or the shared compat shard (Observe), and
-// snapshots merge all of them.
 type Histogram struct {
 	name string
-	hid  ID // dense histogram index into each shard's hist chunks
+	// Accumulation cells: bucket i holds values with bits.Len64(v) == i.
+	buckets    [histBuckets]atomic.Uint64
+	count, sum atomic.Uint64
 	// leNames precomputes the exported bucket key for every bucket
 	// index, so merging a snapshot allocates no strings.
 	leNames   [histBuckets]string
@@ -138,10 +206,7 @@ func NewHistogram(name string) *Histogram {
 			return h
 		}
 	}
-	if len(histograms.all) >= histChunks*histChunkSize {
-		panic(fmt.Sprintf("obs: more than %d histograms", histChunks*histChunkSize))
-	}
-	h := &Histogram{name: name, hid: ID(len(histograms.all))}
+	h := &Histogram{name: name}
 	for i := range h.leNames {
 		h.leNames[i] = fmt.Sprintf("%s.le_%d", name, boundOf(i))
 	}
@@ -163,14 +228,15 @@ func registeredHistograms() []*Histogram {
 	return all
 }
 
-// Observe records one value into the shared compat shard. Disarmed it
-// is a single atomic load. High-frequency producers should go through
-// Shard.Observe instead.
+// Observe records one value. Disarmed it is a single atomic load;
+// armed it is three atomic adds with zero allocations.
 func (h *Histogram) Observe(v uint64) {
 	if !armed.Load() {
 		return
 	}
-	global.hcells(h.hid).observe(v)
+	h.buckets[bucketOf(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
 // Source is a pull-side metrics producer: called at snapshot time with
@@ -202,18 +268,18 @@ var (
 func snapEmit(name string, v uint64) { snapDst[name] = v }
 
 // Snapshot returns every known metric as a flat name->value map:
-// merged shard counters, gauges, histogram decompositions (name.count,
+// counters, gauges, histogram decompositions (name.count,
 // name.sum, name.le_<bound> cumulative buckets) and registered
 // sources.
 func Snapshot() map[string]uint64 {
 	return SnapshotInto(make(map[string]uint64))
 }
 
-// SnapshotInto is Snapshot merging into a caller-owned map: dst is
-// cleared, filled and returned. Reusing one map across calls keeps a
-// polling exporter's steady state allocation-free — map writes to
-// existing keys allocate nothing, and the merge itself builds no
-// strings (bucket names are precomputed, counter names interned).
+// SnapshotInto is Snapshot filling a caller-owned map: dst is cleared,
+// filled and returned. Reusing one map across calls keeps a polling
+// exporter's steady state allocation-free — map writes to existing
+// keys allocate nothing, and the fill builds no strings (bucket names
+// are precomputed, counter names interned).
 func SnapshotInto(dst map[string]uint64) map[string]uint64 {
 	snapMu.Lock()
 	defer snapMu.Unlock()
@@ -221,63 +287,32 @@ func SnapshotInto(dst map[string]uint64) map[string]uint64 {
 	snapDst = dst
 	defer func() { snapDst = nil }()
 
-	// Counters: every interned name, summed across every shard. The
+	// Counters: every interned name, including zero-valued ones. The
 	// name table only grows while armed (disarmed adds don't intern),
-	// so like the old registry a name appears once touched and stays.
+	// so a name appears once touched and stays.
 	nameTab.mu.RLock()
 	names := nameTab.list
 	nameTab.mu.RUnlock()
-	shards.mu.Lock()
-	for ci := 0; ci*countChunkSize < len(names); ci++ {
-		for _, sh := range shards.all {
-			ch := sh.counts[ci].Load()
-			if ch == nil {
-				continue
-			}
-			base := ci * countChunkSize
-			top := len(names) - base
-			if top > countChunkSize {
-				top = countChunkSize
-			}
-			for off := 0; off < top; off++ {
-				if v := ch[off].Load(); v != 0 {
-					dst[names[base+off]] += v
-				}
-			}
+	for id, n := range names {
+		var v uint64
+		if ch := counts[id>>countChunkBits].Load(); ch != nil {
+			v = ch[id&(countChunkSize-1)].Load()
 		}
-	}
-	// Zero-valued but interned names still appear (the old registry
-	// listed every created counter); fill the gaps.
-	for _, n := range names {
-		if _, ok := dst[n]; !ok {
-			dst[n] = 0
-		}
+		dst[n] = v
 	}
 
-	// Histograms: merge buckets across shards into cumulative counts.
+	// Histograms: per-bucket counts become cumulative le_* keys.
 	histograms.mu.Lock()
 	for _, h := range histograms.all {
-		var count, sum uint64
-		for _, sh := range shards.all {
-			if ch := sh.hists[int(h.hid)>>histChunkBits].Load(); ch != nil {
-				c := &ch[int(h.hid)&(histChunkSize-1)]
-				count += c.count.Load()
-				sum += c.sum.Load()
-			}
-		}
+		count := h.count.Load()
 		if count == 0 {
 			continue
 		}
 		dst[h.countName] = count
-		dst[h.sumName] = sum
+		dst[h.sumName] = h.sum.Load()
 		var cum uint64
-		for i := 0; i < histBuckets; i++ {
-			var b uint64
-			for _, sh := range shards.all {
-				if ch := sh.hists[int(h.hid)>>histChunkBits].Load(); ch != nil {
-					b += ch[int(h.hid)&(histChunkSize-1)].buckets[i].Load()
-				}
-			}
+		for i := range h.buckets {
+			b := h.buckets[i].Load()
 			if b == 0 {
 				continue
 			}
@@ -286,7 +321,6 @@ func SnapshotInto(dst map[string]uint64) map[string]uint64 {
 		}
 	}
 	histograms.mu.Unlock()
-	shards.mu.Unlock()
 
 	gauges.mu.RLock()
 	for name, g := range gauges.m {
@@ -440,7 +474,7 @@ func decodeBuckets(snap map[string]uint64, h *Histogram, dst *[histBuckets]uint6
 // MergeFlat folds a flat snapshot produced by another process's
 // registry — a fleet worker's Snapshot, or a Delta of two such
 // snapshots — into this registry as if the work had happened here:
-// plain entries Add into the shared compat shard, and the
+// plain entries add into their counters, and the
 // count/sum/le_* decomposition of each locally registered histogram is
 // decoded back into per-bucket observations, so merged bucket counts
 // (and the quantiles computed from them) stay exact. Decomposition
@@ -468,18 +502,17 @@ func MergeFlat(snap map[string]uint64) int {
 		if count == 0 {
 			continue
 		}
-		cells := global.hcells(h.hid)
 		var prev uint64
 		for i := 0; i < histBuckets; i++ {
 			if v, ok := snap[h.leNames[i]]; ok {
 				if v > prev {
-					cells.buckets[i].Add(v - prev)
+					h.buckets[i].Add(v - prev)
 				}
 				prev = v
 			}
 		}
-		cells.count.Add(count)
-		cells.sum.Add(snap[h.sumName])
+		h.count.Add(count)
+		h.sum.Add(snap[h.sumName])
 		merged++
 	}
 	for name, v := range snap {
@@ -491,21 +524,30 @@ func MergeFlat(snap map[string]uint64) int {
 		if v == 0 {
 			continue
 		}
-		global.cell(Intern(name)).Add(v)
+		counter(Intern(name)).Add(v)
 		merged++
 	}
 	return merged
 }
 
-// Reset zeroes every counter, gauge and histogram across every shard
-// (sources keep their own state). Benchmarks use it to separate
-// measurement phases; tests use it for isolation.
+// Reset zeroes every counter, gauge and histogram (sources keep their
+// own state). Benchmarks use it to separate measurement phases; tests
+// use it for isolation.
 func Reset() {
-	shards.mu.Lock()
-	for _, sh := range shards.all {
-		sh.reset()
+	for i := range counts {
+		if ch := counts[i].Load(); ch != nil {
+			for j := range ch {
+				ch[j].Store(0)
+			}
+		}
 	}
-	shards.mu.Unlock()
+	for _, h := range registeredHistograms() {
+		for i := range h.buckets {
+			h.buckets[i].Store(0)
+		}
+		h.count.Store(0)
+		h.sum.Store(0)
+	}
 	gauges.mu.Lock()
 	for _, g := range gauges.m {
 		g.Store(0)

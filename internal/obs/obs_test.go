@@ -30,6 +30,10 @@ func TestDisarmedAddIsInvisible(t *testing.T) {
 	if v, ok := Snapshot()["x"]; ok {
 		t.Fatalf("disarmed Add registered x=%d", v)
 	}
+	AddID(Intern("y"), 5) // an interned name is listed, at zero until added to
+	if v := Snapshot()["y"]; v != 0 {
+		t.Fatalf("disarmed AddID leaked y=%d", v)
+	}
 }
 
 func TestArmedCountersAccumulate(t *testing.T) {
@@ -38,11 +42,12 @@ func TestArmedCountersAccumulate(t *testing.T) {
 	Arm()
 	Add("a.b", 2)
 	Add("a.b", 3)
+	AddID(Intern("a.b"), 4) // the handle path lands in the same cell
 	Set("g", 7)
 	Set("g", 9)
 	snap := Snapshot()
-	if snap["a.b"] != 5 {
-		t.Fatalf("a.b = %d, want 5", snap["a.b"])
+	if snap["a.b"] != 9 {
+		t.Fatalf("a.b = %d, want 9", snap["a.b"])
 	}
 	if snap["g"] != 9 {
 		t.Fatalf("gauge g = %d, want 9 (last write wins)", snap["g"])
@@ -224,77 +229,19 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// Sharded write side: per-worker shards are private on the write path
-// and merged on pull, summing with each other and the compat path.
-func TestShardsMergeOnPull(t *testing.T) {
+// Concurrent writers plus a poller on SnapshotInto: the registry must
+// be race-free and lose nothing once the writers finish.
+func TestConcurrentAddLosesNothing(t *testing.T) {
 	defer reset()
 	reset()
 	Arm()
-	id := Intern("shard.merge")
-	if Intern("shard.merge") != id {
-		t.Fatal("Intern did not dedup")
-	}
-	a, b := AcquireShard(), NewShard()
-	a.Add(id, 2)
-	b.Add(id, 3)
-	AddID(id, 5)          // compat shard, by handle
-	Add("shard.merge", 7) // compat shard, by name
-	ReleaseShard(a)
-	if got := Snapshot()["shard.merge"]; got != 17 {
-		t.Fatalf("merged counter = %d, want 17", got)
-	}
-	Reset()
-	if got := Snapshot()["shard.merge"]; got != 0 {
-		t.Fatalf("after Reset, merged counter = %d, want 0", got)
-	}
-}
-
-func TestShardHistogramMergesWithCompat(t *testing.T) {
-	defer reset()
-	reset()
-	Arm()
-	h := NewHistogram("shard.lat")
-	sh := AcquireShard()
-	sh.Observe(h, 1)
-	sh.Observe(h, 100)
-	ReleaseShard(sh)
-	h.Observe(3)
-	snap := Snapshot()
-	if snap["shard.lat.count"] != 3 || snap["shard.lat.sum"] != 104 {
-		t.Fatalf("count/sum = %d/%d, want 3/104", snap["shard.lat.count"], snap["shard.lat.sum"])
-	}
-	if snap["shard.lat.le_2"] != 1 || snap["shard.lat.le_4"] != 2 || snap["shard.lat.le_128"] != 3 {
-		t.Fatalf("cumulative buckets wrong: %v", snap)
-	}
-}
-
-func TestDisarmedShardAddInvisible(t *testing.T) {
-	defer reset()
-	reset()
-	Arm()
-	id := Intern("shard.gated")
-	Disarm()
-	sh := AcquireShard()
-	sh.Add(id, 9)
-	ReleaseShard(sh)
-	if v := Snapshot()["shard.gated"]; v != 0 {
-		t.Fatalf("disarmed shard Add leaked %d", v)
-	}
-}
-
-// Concurrent writers on private shards plus pollers on SnapshotInto:
-// the merge must be race-free and lose nothing once writers finish.
-func TestShardConcurrentMerge(t *testing.T) {
-	defer reset()
-	reset()
-	Arm()
-	id := Intern("shard.conc")
+	h := NewHistogram("conc.hist")
 	const workers, per = 8, 1000
-	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
+	var pw sync.WaitGroup
+	pw.Add(1)
 	go func() { // poller racing the writers
-		defer wg.Done()
+		defer pw.Done()
 		dst := make(map[string]uint64)
 		for {
 			select {
@@ -310,17 +257,20 @@ func TestShardConcurrentMerge(t *testing.T) {
 		ww.Add(1)
 		go func() {
 			defer ww.Done()
-			sh := AcquireShard()
 			for i := 0; i < per; i++ {
-				sh.Add(id, 1)
+				Add("conc.counter", 1)
+				h.Observe(3)
 			}
-			ReleaseShard(sh)
 		}()
 	}
 	ww.Wait()
 	close(stop)
-	wg.Wait()
-	if got := Snapshot()["shard.conc"]; got != workers*per {
-		t.Fatalf("merged %d, want %d", got, workers*per)
+	pw.Wait()
+	snap := Snapshot()
+	if got := snap["conc.counter"]; got != workers*per {
+		t.Fatalf("counter = %d, want %d", got, workers*per)
+	}
+	if got := snap["conc.hist.count"]; got != workers*per {
+		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }

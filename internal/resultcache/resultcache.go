@@ -103,10 +103,6 @@ type Store struct {
 	pruned int
 
 	hits, misses, writes, quarantines atomic.Uint64
-
-	// wb, when non-nil, routes Saves through the write-behind
-	// coalescer (see writebehind.go).
-	wb atomic.Pointer[writeBehind]
 }
 
 // versionMarker is the file recording which version salt the
@@ -265,12 +261,6 @@ func (s *Store) Load(key string, v any) bool {
 		s.misses.Add(1)
 		return false
 	}
-	// Read-your-writes: an entry queued behind the write-behind
-	// coalescer serves from memory before the disk is consulted.
-	if wb := s.wb.Load(); wb != nil && wb.loadPending(key, v) {
-		s.hits.Add(1)
-		return true
-	}
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
@@ -335,12 +325,10 @@ func EnsureWritable(dir string) error {
 	return nil
 }
 
-// Save persists v under key. A nil or read-only store ignores the
-// write. The value lands via temp file + rename, so a concurrent
-// reader sees either the old entry or the complete new one. With
-// write-behind enabled (EnableWriteBehind) the encoded entry is
-// queued instead and reaches disk at the next grouped commit — Flush
-// or Close makes it durable.
+// Save persists v under key and returns once the entry is on disk (or
+// with the write's error). A nil or read-only store ignores the write.
+// The value lands via temp file + rename, so a concurrent reader sees
+// either the old entry or the complete new one.
 func (s *Store) Save(key string, v any) error {
 	if s == nil || s.mode != ReadWrite {
 		return nil
@@ -352,15 +340,6 @@ func (s *Store) Save(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if wb := s.wb.Load(); wb != nil {
-		wb.enqueue(key, buf)
-		return nil
-	}
-	return s.writeEntry(key, buf)
-}
-
-// writeEntry lands an encoded entry via temp file + rename.
-func (s *Store) writeEntry(key string, buf []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
@@ -398,9 +377,14 @@ func (s *Store) EmitMetrics(emit func(name string, v uint64)) {
 	emit("resultcache.misses", s.misses.Load())
 	emit("resultcache.writes", s.writes.Load())
 	emit("resultcache.quarantines", s.quarantines.Load())
-	if wb := s.wb.Load(); wb != nil {
-		emit("resultcache.wb_commits", wb.groups.Load())
-		emit("resultcache.wb_pending", uint64(wb.queued.Load()))
-		emit("resultcache.wb_drops", wb.drops.Load())
-	}
 }
+
+// EnableWriteBehind does nothing: Save always writes through.
+//
+// Deprecated: kept only so existing callers compile.
+func (s *Store) EnableWriteBehind() {}
+
+// Close does nothing: a Store holds no open files or goroutines.
+//
+// Deprecated: kept only so existing callers compile.
+func (s *Store) Close() {}

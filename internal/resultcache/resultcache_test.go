@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"ctbia/internal/faultinject"
@@ -473,88 +472,33 @@ func TestPruneFastPathSkipsWalk(t *testing.T) {
 	}
 }
 
-// Write-behind: parallel Saves coalesce into grouped commits by the
-// background committer; queued entries serve read-your-writes hits
-// from memory, and Flush makes everything durable.
-func TestWriteBehindCoalescesAndFlushes(t *testing.T) {
+// Save is write-through: once it returns, the entry is on disk for any
+// other store over the directory, with no Flush or Close, and a write
+// that cannot land comes back as Save's error. EnableWriteBehind, kept
+// only for old callers, changes neither.
+func TestSaveDurableOnReturn(t *testing.T) {
 	s := openRW(t)
 	s.EnableWriteBehind()
-	s.EnableWriteBehind() // idempotent
-	defer s.Close()
-
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := s.Save(Key("wb", fmt.Sprint(i)), payload{Name: "e", Vals: []int{i}}); err != nil {
-				t.Errorf("Save: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Read-your-writes: every entry hits immediately, flushed or not.
-	var got payload
-	for i := 0; i < n; i++ {
-		if !s.Load(Key("wb", fmt.Sprint(i)), &got) || got.Vals[0] != i {
-			t.Fatalf("entry %d not served while queued: %+v", i, got)
-		}
-	}
-
-	s.Flush()
-	s.Flush() // idempotent on an empty queue
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.json"))
-	if len(files) != n {
-		t.Fatalf("after Flush, %d files on disk, want %d", len(files), n)
-	}
-	metrics := map[string]uint64{}
-	s.EmitMetrics(func(name string, v uint64) { metrics[name] = v })
-	if metrics["resultcache.wb_pending"] != 0 {
-		t.Errorf("wb_pending = %d after Flush", metrics["resultcache.wb_pending"])
-	}
-	if g := metrics["resultcache.wb_commits"]; g == 0 || g > n {
-		t.Errorf("wb_commits = %d, want in [1,%d]", g, n)
-	}
-	if _, _, writes := s.Stats(); writes != n {
-		t.Errorf("writes = %d, want %d", writes, n)
-	}
-
-	// A fresh store (no queue in play) reads the committed files.
-	s2, err := Open(s.Dir(), ReadOnly, "")
+	other, err := Open(s.Dir(), ReadOnly, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Load(Key("wb", "7"), &got) || got.Vals[0] != 7 {
-		t.Fatalf("committed entry unreadable from disk: %+v", got)
+	for i := 0; i < 32; i++ {
+		key := Key("durable", fmt.Sprint(i))
+		if err := s.Save(key, payload{Name: "e", Vals: []int{i}}); err != nil {
+			t.Fatal(err)
+		}
+		var got payload
+		if !other.Load(key, &got) || len(got.Vals) != 1 || got.Vals[0] != i {
+			t.Fatalf("entry %d not on disk when Save returned: %+v", i, got)
+		}
 	}
-}
-
-// Close drains the queue and returns the store to direct writes.
-func TestWriteBehindCloseDrains(t *testing.T) {
-	s := openRW(t)
-	s.EnableWriteBehind()
-	key := Key("wb", "close")
-	if err := s.Save(key, payload{Name: "queued"}); err != nil {
+	if err := os.RemoveAll(s.Dir()); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := os.Stat(s.path(key)); err != nil {
-		t.Fatalf("Close did not drain the queue: %v", err)
+	if err := s.Save(Key("durable", "gone"), payload{}); err == nil {
+		t.Fatal("Save into a removed directory reported success")
 	}
-	// Post-Close Saves are write-through again.
-	key2 := Key("wb", "direct")
-	if err := s.Save(key2, payload{Name: "direct"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.path(key2)); err != nil {
-		t.Fatalf("post-Close Save not written through: %v", err)
-	}
-	var nilStore *Store
-	nilStore.Flush() // nil-safe
-	nilStore.Close()
 }
 
 func TestEnsureWritable(t *testing.T) {

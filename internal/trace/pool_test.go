@@ -49,6 +49,9 @@ func TestReaderCycleAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, cycle); allocs > 12 {
 		t.Errorf("warm reader cycle: %.1f allocs, budget is 12 — chunk buffers no longer pooled?", allocs)
 	}
+	if raceEnabled {
+		t.Skip("byte budget not checked under -race: sync.Pool drops a random quarter of Puts by design, so chunk buffers are reallocated")
+	}
 	const cycles = 50
 	var before, after runtime.MemStats
 	runtime.GC()
