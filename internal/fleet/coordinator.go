@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,8 +86,8 @@ type Stats struct {
 	LocalUnits       atomic.Uint64
 	CachedUnits      atomic.Uint64
 	// Observability-streaming accounting.
-	MetricSnapshots atomic.Uint64 // metric payloads merged (heartbeat deltas + upload snapshots)
-	MetricEntries   atomic.Uint64 // individual entries across those payloads
+	MetricSnapshots atomic.Uint64 // per-unit metric deltas merged from accepted uploads
+	MetricEntries   atomic.Uint64 // individual entries across those deltas
 	SpansImported   atomic.Uint64 // timeline spans merged from worker uploads
 	RemotePoints    atomic.Uint64 // simulation points executed inside accepted remote units
 }
@@ -135,14 +133,12 @@ const (
 	unitDone
 )
 
-// unit is one work unit: a single experiment, its cache key, and its
-// lease bookkeeping. One experiment per unit keeps the protocol
-// trivially idempotent — a duplicate execution reproduces the same
-// table bit for bit.
+// unit is one work unit: a single experiment and its lease bookkeeping.
+// One experiment per unit keeps the protocol trivially idempotent — a
+// duplicate execution reproduces the same table bit for bit.
 type unit struct {
 	idx      int
 	exp      harness.Experiment
-	key      string
 	state    unitState
 	worker   string
 	leaseID  uint64
@@ -159,14 +155,14 @@ type workerState struct {
 }
 
 // workerObs is the coordinator's observability image of one worker:
-// the max-merged cumulative registry the worker streams over
-// heartbeats and uploads, its point progress, and the clock-offset
-// estimate used to place its timeline spans. Unlike workerState it
-// survives worker loss — a dead worker's reported work is still real,
-// so its per-worker metrics and fleet report row persist.
+// the max-merged cumulative registry its accepted uploads carry, its
+// point progress, and the clock-offset estimate used to place its
+// timeline spans. Unlike workerState it survives worker loss — a dead
+// worker's reported work is still real, so its per-worker metrics and
+// fleet report row persist.
 type workerObs struct {
 	joinedAt time.Time
-	lastObs  time.Time         // last metric report (zero: never reported)
+	lastObs  time.Time         // last accepted upload's snapshot (zero: none yet)
 	cum      map[string]uint64 // cumulative registry entries, max-merged per key
 	points   uint64            // cumulative executed points, max-merged
 	unitPts  uint64            // points summed over accepted units (floor under points)
@@ -198,7 +194,6 @@ type Coordinator struct {
 	lastProgress time.Time
 	start        time.Time
 	draining     bool
-	finished     bool
 
 	// obsMu guards obsWorkers separately from mu: metric merges and
 	// report rendering never contend with the lease path, and neither
@@ -220,11 +215,6 @@ func NewCoordinator(cfg Config, exps []harness.Experiment, o harness.Options) (*
 	if exps == nil {
 		exps = harness.Experiments()
 	}
-	// Same clamp as RunAll: extra workers beyond the CPUs only add
-	// scheduling overhead inside the experiments' own fan-out.
-	if max := runtime.GOMAXPROCS(0); o.Parallel > max {
-		o.Parallel = max
-	}
 	c := &Coordinator{
 		cfg:        cfg,
 		opts:       o,
@@ -236,10 +226,9 @@ func NewCoordinator(cfg Config, exps []harness.Experiment, o harness.Options) (*
 		done:       make(chan struct{}),
 	}
 	for i, e := range exps {
-		c.units[i] = &unit{idx: i, exp: e, key: harness.CacheKey(e, o)}
+		c.units[i] = &unit{idx: i, exp: e}
 	}
 	if c.open == 0 {
-		c.finished = true
 		close(c.done)
 	}
 	srv, err := obs.NewServer(cfg.Addr)
@@ -251,7 +240,6 @@ func NewCoordinator(cfg Config, exps []harness.Experiment, o harness.Options) (*
 	srv.HandleFunc("/fleet/lease", c.handleLease)
 	srv.HandleFunc("/fleet/heartbeat", c.handleHeartbeat)
 	srv.HandleFunc("/fleet/result", c.handleResult)
-	srv.HandleFunc("/fleet/status", c.handleStatus)
 	srv.HandleFunc("/fleet", c.handleFleet)
 	return c, nil
 }
@@ -316,41 +304,22 @@ loop:
 	return out, nil
 }
 
-// serveCached resolves every unit the result cache already answers,
-// mirroring RunAll's lookup path (including quarantining decodable
-// garbage). Runs before the endpoint opens, so workers only ever see
-// the units that actually need simulating.
+// serveCached resolves every unit the result cache already answers
+// through harness.Lookup, exactly as RunAll would. Runs before the
+// endpoint opens, so workers only ever see the units that actually need
+// simulating.
 func (c *Coordinator) serveCached() {
-	if c.opts.Cache == nil {
-		return
-	}
 	for _, u := range c.units {
-		var cached harness.Table
-		lsp := obs.StartSpan("cache-lookup", u.exp.ID)
-		hit := c.opts.Cache.Load(u.key, &cached)
-		lsp.End()
-		if !hit {
-			continue
-		}
-		if !cached.UsableFor(u.exp.ID) {
-			c.opts.Cache.Quarantine(u.key)
+		res, ok := harness.Lookup(u.exp, c.opts)
+		if !ok {
 			continue
 		}
 		c.mu.Lock()
 		u.state = unitDone
-		c.open--
-		c.results[u.idx] = harness.Result{Experiment: u.exp, Table: &cached, Cached: true}
-		sweepDone := c.open == 0 && !c.finished
-		if sweepDone {
-			c.finished = true
-		}
+		c.results[u.idx] = res
 		c.mu.Unlock()
 		c.stats.CachedUnits.Add(1)
-		c.opts.Manifest.Record(u.exp.ID, harness.ManifestEntry{Status: "ok", Key: u.key})
-		obs.ProgressExpDone(true, false)
-		if sweepDone {
-			close(c.done)
-		}
+		c.retire()
 	}
 }
 
@@ -513,12 +482,10 @@ func (c *Coordinator) drainLocal() {
 }
 
 // accept integrates one result for the unit at idx — a worker upload
-// or the local drain — and journals it exactly like RunAll: failed
-// results land in the manifest as "failed" and never touch the cache;
-// clean tables are cached and journaled "ok". Duplicate submissions
-// for an already-done unit are dedup hits: the first result won, and
-// determinism makes the copies identical, so the duplicate is dropped
-// without touching any sink.
+// or the local drain — and books it through harness.Commit, exactly as
+// RunAll would. Duplicate submissions for an already-done unit are
+// dedup hits: the first result won, and determinism makes the copies
+// identical, so the duplicate is dropped without touching any sink.
 func (c *Coordinator) accept(idx int, res harness.Result, from string) (dup bool) {
 	c.mu.Lock()
 	u := c.units[idx]
@@ -539,46 +506,22 @@ func (c *Coordinator) accept(idx int, res harness.Result, from string) (dup bool
 	} else {
 		c.stats.ResultsAccepted.Add(1)
 	}
-	wallMS := float64(res.Wall.Microseconds()) / 1000
-	if res.Failed() {
-		c.opts.Manifest.Record(u.exp.ID, harness.ManifestEntry{
-			Status: "failed", Key: u.key,
-			Error: failLine(res), WallMS: wallMS, Metrics: res.Metrics,
-		})
-		obs.ProgressExpDone(false, true)
-	} else {
-		if c.opts.Cache != nil {
-			_ = c.opts.Cache.Save(u.key, res.Table)
-		}
-		c.opts.Manifest.Record(u.exp.ID, harness.ManifestEntry{
-			Status: "ok", Key: u.key, WallMS: wallMS, Metrics: res.Metrics,
-		})
-		obs.ProgressExpDone(false, false)
-	}
-	// The unit stops counting as open only once its outcome is on disk,
-	// so Run cannot return while another accept is still writing.
+	harness.Commit(u.exp, c.opts, res)
+	c.retire()
+	return false
+}
+
+// retire counts one done unit out of the open set; the last one ends
+// the sweep. Callers retire a unit only once its outcome is on disk, so
+// Run cannot return while another accept is still writing.
+func (c *Coordinator) retire() {
 	c.mu.Lock()
 	c.open--
-	sweepDone := c.open == 0 && !c.finished
-	if sweepDone {
-		c.finished = true
-	}
+	sweepDone := c.open == 0
 	c.mu.Unlock()
 	if sweepDone {
 		close(c.done)
 	}
-	return false
-}
-
-// failLine summarizes a failed result for the manifest.
-func failLine(res harness.Result) string {
-	if res.Err != nil {
-		return firstLine(res.Err.Error())
-	}
-	if res.Table != nil && len(res.Table.Failures) > 0 {
-		return firstLine(res.Table.Failures[0].Error())
-	}
-	return "failed"
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -613,9 +556,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	c.obsMu.Lock()
-	if c.obsWorkers[req.Worker] == nil {
-		c.obsWorkers[req.Worker] = &workerObs{joinedAt: now, cum: make(map[string]uint64)}
-	}
+	c.workerObsLocked(req.Worker) // the report row starts at join
 	c.obsMu.Unlock()
 	// Ask for exactly the observability this coordinator is itself
 	// collecting; a worker streaming into a disarmed registry would be
@@ -695,38 +636,22 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.stats.Heartbeats.Add(1)
 	if req.SentNS != 0 {
-		c.noteHeartbeatObs(&req, recvNS)
+		c.noteHeartbeat(&req, recvNS)
 		c.updateFleetProgress()
 	}
 	writeJSON(w, heartbeatResponse{OK: true})
 }
 
-// noteHeartbeatObs folds one heartbeat's piggybacked observability
-// into the worker's image: max-merge the changed registry entries
-// (cumulative values make re-sends after a dropped beat idempotent),
-// track point progress and what the worker is busy on, and refine the
-// clock-offset estimate from the RTT sample.
-func (c *Coordinator) noteHeartbeatObs(req *heartbeatRequest, recvNS int64) {
+// noteHeartbeat folds one heartbeat's liveness payload into the
+// worker's image: point progress, what the worker is busy on, and a
+// refined clock-offset estimate from the RTT sample.
+func (c *Coordinator) noteHeartbeat(req *heartbeatRequest, recvNS int64) {
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
-	wo := c.obsWorkers[req.Worker]
-	if wo == nil { // resurrected worker racing its rejoin; start an image anyway
-		wo = &workerObs{joinedAt: time.Now(), cum: make(map[string]uint64)}
-		c.obsWorkers[req.Worker] = wo
-	}
-	wo.lastObs = time.Now()
+	wo := c.workerObsLocked(req.Worker)
 	wo.busy = req.Busy
 	if req.Points > wo.points {
 		wo.points = req.Points
-	}
-	for k, v := range req.Obs {
-		if v > wo.cum[k] {
-			wo.cum[k] = v
-		}
-	}
-	if n := len(req.Obs); n > 0 {
-		c.stats.MetricSnapshots.Add(1)
-		c.stats.MetricEntries.Add(uint64(n))
 	}
 	// Clock offset ≈ recv − sent − rtt/2. Keep the smallest-RTT sample
 	// (least asymmetry headroom); the first beat carries no RTT yet, so
@@ -738,6 +663,18 @@ func (c *Coordinator) noteHeartbeatObs(req *heartbeatRequest, recvNS int64) {
 	case wo.offRTT <= 0 && wo.offNS == 0:
 		wo.offNS = off
 	}
+}
+
+// workerObsLocked returns id's image, starting one for a worker seen
+// for the first time (a resurrected worker may beat or upload before
+// its rejoin lands). Caller holds obsMu.
+func (c *Coordinator) workerObsLocked(id string) *workerObs {
+	wo := c.obsWorkers[id]
+	if wo == nil {
+		wo = &workerObs{joinedAt: time.Now(), cum: make(map[string]uint64)}
+		c.obsWorkers[id] = wo
+	}
+	return wo
 }
 
 // clockOffsetFor returns the current local−worker offset estimate.
@@ -773,21 +710,22 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		Machines:   req.Machines,
 		Metrics:    req.Metrics,
 	}
+	usable := req.Table.UsableFor(exp.ID)
 	if req.Failed {
-		// Table.Failures doesn't survive JSON; rebuild the error so
-		// the CLI's FAILED accounting matches a local run.
-		msg := "worker reported failure"
+		// Table.Failures doesn't survive JSON: rebuild the worker's first
+		// failure so the journal and the CLI print the worker's own line.
+		// A missing or unusable table (null, another experiment's) must
+		// never be served under this unit: it becomes the placeholder.
+		line := "worker reported failure"
 		if len(req.Errors) > 0 {
-			msg = req.Errors[0]
+			line = req.Errors[0]
 		}
-		res.Err = &harness.PointError{Experiment: exp.ID, Err: errors.New(msg), Attempts: 1}
-		if res.Table == nil {
-			t := &harness.Table{ID: exp.ID, Title: exp.Title, Paper: exp.Paper,
-				Headers: []string{"status", "error"}}
-			t.AddRow("FAILED", msg)
-			res.Table = t
+		failed := harness.FailedResult(exp, harness.ParsePointError(exp.ID, line))
+		res.Err = failed.Err
+		if !usable {
+			res.Table = failed.Table
 		}
-	} else if !res.Table.UsableFor(exp.ID) {
+	} else if !usable {
 		// Decoded cleanly but is garbage (null body, wrong experiment):
 		// reject so the unit re-queues at lease expiry and recomputes —
 		// a mangled upload must never reach the cache or the tables.
@@ -828,11 +766,7 @@ func (c *Coordinator) noteRemoteUpload(req *resultRequest, granted time.Time) {
 	}
 	c.stats.RemotePoints.Add(req.Points)
 	c.obsMu.Lock()
-	wo := c.obsWorkers[req.Worker]
-	if wo == nil {
-		wo = &workerObs{joinedAt: time.Now(), cum: make(map[string]uint64)}
-		c.obsWorkers[req.Worker] = wo
-	}
+	wo := c.workerObsLocked(req.Worker)
 	wo.units++
 	if len(req.Obs) > 0 {
 		wo.lastObs = time.Now()
@@ -940,7 +874,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.FleetReport())
 }
 
-// EmitWorkerMetrics enumerates each worker's streamed registry image
+// EmitWorkerMetrics enumerates each worker's uploaded registry image
 // under the fleet.worker.<id>.* namespace — the per-worker plane next
 // to the exact fleet-aggregate one MergeFlat maintains. Registered as
 // an obs Source by the CLI (only for coordinator runs: an idle
@@ -956,22 +890,4 @@ func (c *Coordinator) EmitWorkerMetrics(emit func(name string, v uint64)) {
 		emit(prefix+"points", wo.points)
 		emit(prefix+"units_done", wo.units)
 	}
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	st := statusReport{Total: len(c.units), Workers: len(c.workers)}
-	for _, u := range c.units {
-		switch u.state {
-		case unitPending:
-			st.Pending++
-		case unitLeased:
-			st.Leased++
-		case unitDone:
-			st.Done++
-		}
-	}
-	c.mu.Unlock()
-	st.Stats = c.stats.Map()
-	writeJSON(w, st)
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"ctbia/internal/faultinject"
 	"ctbia/internal/harness"
+	"ctbia/internal/obs"
 	"ctbia/internal/resultcache"
 )
 
@@ -456,5 +459,159 @@ func TestStatsEmitMetrics(t *testing.T) {
 	}
 	if _, ok := got["fleet.heartbeats_missed"]; !ok {
 		t.Fatal("EmitMetrics missing fleet.heartbeats_missed")
+	}
+}
+
+// journalRow is the part of one manifest entry that must not depend on
+// where the experiment ran.
+type journalRow struct {
+	Status, Key, Error string
+	Wall, Metrics      bool
+}
+
+// readJournal loads a manifest file's entries as journalRows.
+func readJournal(t *testing.T, path string) map[string]journalRow {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data struct {
+		Entries map[string]harness.ManifestEntry `json:"entries"`
+	}
+	if err := json.Unmarshal(buf, &data); err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]journalRow, len(data.Entries))
+	for id, e := range data.Entries {
+		rows[id] = journalRow{e.Status, e.Key, e.Error, e.WallMS > 0, len(e.Metrics) > 0}
+	}
+	return rows
+}
+
+// One injected worker panic journals one line, whichever path ran the
+// experiment: RunAll, the coordinator's in-process drain, or a remote
+// worker. A second pass over each cache journals its hits alike.
+func TestJournalSameLocalDrainAndRemote(t *testing.T) {
+	obsReset(t)
+	obs.Arm() // so the journal carries per-experiment metrics
+	exps := testExps(t, "fig2", "config")
+	ways := []struct {
+		name string
+		run  func(o harness.Options) []harness.Result
+	}{
+		{"local", func(o harness.Options) []harness.Result { return harness.RunAll(exps, o) }},
+		{"drain", func(o harness.Options) []harness.Result {
+			cfg := testCfg()
+			cfg.JoinWait = 50 * time.Millisecond
+			co, err := NewCoordinator(cfg, exps, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return startRun(t, co)()
+		}},
+		{"remote", func(o harness.Options) []harness.Result {
+			cfg := testCfg()
+			cfg.JoinWait = 10 * time.Second
+			cfg.IdleGrace = 10 * time.Second
+			co, err := NewCoordinator(cfg, exps, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait := startRun(t, co)
+			ch := startWorker(co, "w-journal", harness.Options{Parallel: 1}, 0)
+			results := wait()
+			if r := <-ch; r.err != nil {
+				t.Fatalf("worker: %v", r.err)
+			}
+			if v := co.Stats().LocalUnits.Load(); v != 0 {
+				t.Fatalf("remote run drained %d units locally", v)
+			}
+			return results
+		}},
+	}
+	journals := make([][2]map[string]journalRow, len(ways))
+	for i, way := range ways {
+		dir := t.TempDir()
+		store, err := resultcache.Open(dir, resultcache.ReadWrite, harness.SimVersionSalt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mpath := filepath.Join(dir, harness.ManifestName)
+		for pass := 0; pass < 2; pass++ {
+			if pass == 0 {
+				arm(t, "seed=1;worker.panic:fig2")
+			} else {
+				faultinject.Disarm()
+			}
+			o := harness.Options{Quick: true, Parallel: 1, Cache: store, Manifest: harness.NewManifest(mpath, true)}
+			results := way.run(o)
+			if got := results[0].Failed(); got != (pass == 0) {
+				t.Fatalf("%s pass %d: fig2 failed = %v", way.name, pass, got)
+			}
+			if results[1].Cached != (pass == 1) {
+				t.Fatalf("%s pass %d: config cached = %v", way.name, pass, results[1].Cached)
+			}
+			journals[i][pass] = readJournal(t, mpath)
+		}
+	}
+	want := `point failed [fig2]: faultinject: injected permanent fault at worker.panic (key "fig2")`
+	if got := journals[0][0]["fig2"].Error; got != want {
+		t.Errorf("local journal error = %q, want %q", got, want)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 1; i < len(ways); i++ {
+			for _, e := range exps {
+				if got, ref := journals[i][pass][e.ID], journals[0][pass][e.ID]; got != ref {
+					t.Errorf("pass %d %s: %s journaled %+v, local %+v", pass, e.ID, ways[i].name, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// A failed upload's table is validated like a clean one's: another
+// experiment's table is never served under this unit. The result
+// becomes the FAILED placeholder carrying the worker's error line, and
+// the journal records that line once.
+func TestFailedUploadTableValidated(t *testing.T) {
+	exps := testExps(t, "config")
+	dir := t.TempDir()
+	mpath := filepath.Join(dir, harness.ManifestName)
+	opts := harness.Options{Quick: true, Parallel: 1, Manifest: harness.NewManifest(mpath, true)}
+	cfg := testCfg()
+	cfg.JoinWait = time.Hour
+	cfg.IdleGrace = time.Hour
+	co, err := NewCoordinator(cfg, exps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := startRun(t, co)
+	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: "w-bad", Opts: opts})
+	if _, err := w.join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var lr leaseResponse
+	if err := w.post("/fleet/lease", leaseRequest{Worker: w.id}, &lr); err != nil {
+		t.Fatal(err)
+	}
+	line := "point failed [config]: boom"
+	wrong := &harness.Table{ID: "fig9", Title: "not config", Headers: []string{"a"}, Rows: [][]string{{"1"}}}
+	var resp resultResponse
+	if err := w.post("/fleet/result", resultRequest{
+		Worker: w.id, LeaseID: lr.LeaseID, Idx: lr.Idx, ExpID: lr.ExpID,
+		Table: wrong, Failed: true, Errors: []string{line}, WallMS: 1,
+	}, &resp); err != nil || !resp.OK {
+		t.Fatalf("upload: err=%v resp=%+v", err, resp)
+	}
+	res := wait()[0]
+	if res.Table.ID != "config" || !strings.Contains(res.Table.Render(), "FAILED") {
+		t.Errorf("unit config rendered another table:\n%s", res.Table.Render())
+	}
+	if res.Err == nil || res.Err.Error() != line {
+		t.Errorf("result error = %v, want %q", res.Err, line)
+	}
+	if got := readJournal(t, mpath)["config"]; got.Status != "failed" || got.Error != line {
+		t.Errorf("journal = %+v, want failed with %q", got, line)
 	}
 }

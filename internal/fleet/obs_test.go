@@ -111,17 +111,19 @@ func TestMetricMergeIdempotentOnDuplicate(t *testing.T) {
 	}
 }
 
-// Heartbeats stream cumulative registry entries; the coordinator
-// max-merges them per worker, so re-sends after a dropped beat (and
-// stale lower values) are idempotent, and the image surfaces under
-// the fleet.worker.<id>.* namespace and the /fleet report.
+// Heartbeats carry liveness only — points, the busy unit and a clock
+// sample; an obs field from an older worker is ignored. The per-worker
+// fleet.worker.<id>.* plane is filled by each accepted upload's
+// cumulative snapshot (max-merged), and a duplicate upload changes
+// nothing.
 func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 	obsReset(t)
 	exps := testExps(t, "config")
 	opts := harness.Options{Quick: true, Parallel: 1}
 	cfg := testCfg()
 	cfg.JoinWait = time.Hour
-	cfg.IdleGrace = 250 * time.Millisecond // the fake worker never leases; drain locally
+	cfg.IdleGrace = time.Hour
+	cfg.Linger = 2 * time.Second // keep the endpoint up for the duplicate
 	co, err := NewCoordinator(cfg, exps, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -131,47 +133,75 @@ func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 	if _, err := w.join(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	beat := func(points uint64, entries map[string]uint64) {
-		t.Helper()
-		var resp heartbeatResponse
-		err := w.post("/fleet/heartbeat", heartbeatRequest{
-			Worker: w.id, SentNS: time.Now().UnixNano(), RTTNS: int64(time.Millisecond),
-			Points: points, Busy: "config", Obs: entries,
-		}, &resp)
-		if err != nil || !resp.OK {
-			t.Fatalf("heartbeat: err=%v resp=%+v", err, resp)
-		}
+	plane := func() map[string]uint64 {
+		got := map[string]uint64{}
+		co.EmitWorkerMetrics(func(name string, v uint64) { got[name] = v })
+		return got
 	}
-	beat(7, map[string]uint64{"flt.hb_counter": 7})
-	beat(7, map[string]uint64{"flt.hb_counter": 7}) // re-send: idempotent
-	beat(5, map[string]uint64{"flt.hb_counter": 4}) // stale: ignored by max-merge
-	got := map[string]uint64{}
-	co.EmitWorkerMetrics(func(name string, v uint64) { got[name] = v })
-	if got["fleet.worker.w-hb.flt.hb_counter"] != 7 {
-		t.Errorf("per-worker counter = %d, want 7 (max-merge)", got["fleet.worker.w-hb.flt.hb_counter"])
+	// An older worker's beat still carries metric entries: liveness and
+	// progress land, the entries do not.
+	sent := time.Now().UnixNano()
+	var hb heartbeatResponse
+	if err := w.post("/fleet/heartbeat", map[string]any{
+		"worker": w.id, "sent_ns": sent, "rtt_ns": int64(time.Millisecond),
+		"points": 7, "busy": "config", "obs": map[string]uint64{"flt.hb_counter": 7},
+	}, &hb); err != nil || !hb.OK {
+		t.Fatalf("heartbeat: err=%v resp=%+v", err, hb)
 	}
-	if got["fleet.worker.w-hb.points"] != 7 {
-		t.Errorf("per-worker points = %d, want 7", got["fleet.worker.w-hb.points"])
+	if v, ok := plane()["fleet.worker.w-hb.flt.hb_counter"]; ok {
+		t.Errorf("heartbeat obs entry reached the per-worker plane (= %d)", v)
 	}
 	fr := co.FleetReport()
 	if len(fr.Workers) != 1 {
 		t.Fatalf("fleet report has %d workers, want 1: %+v", len(fr.Workers), fr)
 	}
 	wr := fr.Workers[0]
-	if wr.ID != "w-hb" || !wr.Live {
-		t.Errorf("worker row = %+v, want live w-hb", wr)
+	if wr.ID != "w-hb" || !wr.Live || wr.Points != 7 || wr.Busy != "config" {
+		t.Errorf("worker row = %+v, want live w-hb, points 7, busy config", wr)
 	}
-	if wr.Points != 7 || wr.Busy != "config" || wr.MetricLagMS < 0 {
-		t.Errorf("worker row = %+v, want points 7, busy config, non-negative lag", wr)
+	if wr.MetricLagMS != -1 {
+		t.Errorf("metric lag = %dms before any upload, want -1", wr.MetricLagMS)
 	}
-	if fr.RemotePoints != 7 {
-		t.Errorf("report remote points = %d, want 7", fr.RemotePoints)
+	if wr.ClockOffsetMS == 0 {
+		t.Error("the heartbeat's clock sample set no offset")
 	}
-	// The whole sweep drained locally while the fake worker idled.
+
+	var lr leaseResponse
+	if err := w.post("/fleet/lease", leaseRequest{Worker: w.id}, &lr); err != nil {
+		t.Fatal(err)
+	}
+	res := w.execute(lr, opts)
+	upload := func(snap map[string]uint64, wantDup bool) {
+		t.Helper()
+		var resp resultResponse
+		err := w.post("/fleet/result", resultRequest{
+			Worker: w.id, LeaseID: lr.LeaseID, Idx: lr.Idx, ExpID: lr.ExpID,
+			Table: res.Table, WallMS: 1, Obs: snap,
+		}, &resp)
+		if err != nil || !resp.OK || resp.Dup != wantDup {
+			t.Fatalf("upload: err=%v resp=%+v, want dup=%v", err, resp, wantDup)
+		}
+	}
+	upload(map[string]uint64{"flt.hb_counter": 9}, false)
+	upload(map[string]uint64{"flt.hb_counter": 12, "flt.other": 1}, true)
+	got := plane()
+	if got["fleet.worker.w-hb.flt.hb_counter"] != 9 {
+		t.Errorf("per-worker counter = %d, want 9 (the accepted upload's)", got["fleet.worker.w-hb.flt.hb_counter"])
+	}
+	if _, ok := got["fleet.worker.w-hb.flt.other"]; ok {
+		t.Error("the duplicate upload's snapshot reached the per-worker plane")
+	}
+	if got["fleet.worker.w-hb.points"] != 7 || got["fleet.worker.w-hb.units_done"] != 1 {
+		t.Errorf("per-worker points/units = %d/%d, want 7/1",
+			got["fleet.worker.w-hb.points"], got["fleet.worker.w-hb.units_done"])
+	}
+	if lag := co.FleetReport().Workers[0].MetricLagMS; lag < 0 {
+		t.Errorf("metric lag = %dms after an accepted upload, want the upload's age", lag)
+	}
+	if v := co.Stats().MetricSnapshots.Load(); v != 0 {
+		t.Errorf("metric_snapshots = %d, want 0 (no upload carried a delta)", v)
+	}
 	wait()
-	if v := co.Stats().LocalUnits.Load(); int(v) != len(exps) {
-		t.Errorf("local_units = %d, want %d", v, len(exps))
-	}
 }
 
 // A join must carry exactly the coordinator's protocol version: older

@@ -36,11 +36,13 @@ import (
 // this version. The fleet runs one salt-checked binary, so there is no
 // older peer to stay compatible with.
 //
-// Heartbeats carry cumulative metric deltas, point progress and clock
-// samples; results carry the table, the per-unit metric delta, a final
-// cumulative snapshot, executed-point counts and buffered timeline
-// spans; the join answer names the observability (metrics, timeline)
-// the coordinator wants streamed.
+// Heartbeats carry liveness only: point progress, the busy experiment
+// and clock samples. Results carry the table, the per-unit metric
+// delta, the worker's cumulative registry snapshot, executed-point
+// counts and buffered timeline spans; the join answer names the
+// observability (metrics, timeline) the coordinator wants collected.
+// Dropping the heartbeats' metric entries needed no bump: the field was
+// optional, and JSON decoding ignores it should a peer still send it.
 const ProtocolVersion = 2
 
 // maxBodyBytes bounds request and response bodies (tables are a few
@@ -98,14 +100,9 @@ type leaseResponse struct {
 
 // heartbeatRequest renews a worker's liveness. It deliberately does
 // not renew lease deadlines: the lease TTL is an execution deadline,
-// so a wedged-but-alive worker still forfeits its unit on time.
-//
-// A heartbeat also piggybacks the worker's live observability: the
-// registry entries that changed since the last acknowledged beat (as
-// cumulative values — the coordinator max-merges per key, so a re-sent
-// entry after a dropped beat is idempotent), cumulative point progress,
-// what the worker is executing, and a clock sample for offset
-// estimation.
+// so a wedged-but-alive worker still forfeits its unit on time. It also
+// reports cumulative point progress, what the worker is executing, and
+// a clock sample for offset estimation.
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
 	// SentNS is the worker's clock at send time; with RTTNS (the
@@ -118,9 +115,6 @@ type heartbeatRequest struct {
 	Points uint64 `json:"points,omitempty"`
 	// Busy names the experiment currently executing ("" when idle).
 	Busy string `json:"busy,omitempty"`
-	// Obs carries registry entries changed since the last acked beat,
-	// as cumulative values.
-	Obs map[string]uint64 `json:"obs,omitempty"`
 }
 
 type heartbeatResponse struct {
@@ -149,9 +143,8 @@ type resultRequest struct {
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 	// Points counts simulation points executed during this unit.
 	Points uint64 `json:"points,omitempty"`
-	// Obs is the worker's full cumulative registry snapshot at upload —
-	// the per-worker namespace's authoritative refresh (heartbeat deltas
-	// only bound staleness between uploads).
+	// Obs is the worker's full cumulative registry snapshot at upload;
+	// an accepted upload refreshes the per-worker namespace with it.
 	Obs map[string]uint64 `json:"obs,omitempty"`
 	// Spans is the worker's buffered timeline, drained at upload.
 	Spans []obs.WireEvent `json:"spans,omitempty"`
@@ -166,16 +159,6 @@ type resultResponse struct {
 	OK     bool   `json:"ok"`
 	Dup    bool   `json:"dup,omitempty"`
 	Reason string `json:"reason,omitempty"`
-}
-
-// statusReport is the GET /fleet/status debug snapshot.
-type statusReport struct {
-	Total   int               `json:"total"`
-	Pending int               `json:"pending"`
-	Leased  int               `json:"leased"`
-	Done    int               `json:"done"`
-	Workers int               `json:"workers"`
-	Stats   map[string]uint64 `json:"stats"`
 }
 
 // WorkerReport is one worker's row in the GET /fleet report and the
@@ -197,8 +180,8 @@ type WorkerReport struct {
 	// reported; PointsPerSec averages it over time since join.
 	Points       uint64  `json:"points"`
 	PointsPerSec float64 `json:"points_per_sec"`
-	// MetricLagMS is the age of the worker's last merged metric report
-	// — how stale the per-worker namespace is (-1: never reported).
+	// MetricLagMS is the age of the worker's last accepted upload —
+	// how stale the per-worker namespace is (-1: none yet).
 	MetricLagMS int64 `json:"metric_lag_ms"`
 	// ClockOffsetMS estimates (coordinator clock − worker clock) from
 	// heartbeat RTT midpoints; imported timeline spans are shifted by

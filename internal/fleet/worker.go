@@ -71,13 +71,6 @@ type Worker struct {
 	sendSpans atomic.Bool  // coordinator asked for timeline spans
 	busy      atomic.Value // string: experiment currently executing
 	lastRTT   atomic.Int64 // ns round-trip of the previous heartbeat post
-
-	// lastSent tracks the cumulative registry values the coordinator has
-	// acknowledged, so each heartbeat ships only what changed. Committed
-	// only after a successful post: a dropped beat's entries simply ride
-	// the next one (cumulative values make the re-send idempotent).
-	obsMu    sync.Mutex
-	lastSent map[string]uint64
 }
 
 // NewWorker builds a worker; Run drives it.
@@ -206,10 +199,7 @@ func (w *Worker) execute(lr leaseResponse, opts harness.Options) harness.Result 
 	if err != nil {
 		// A unit this binary doesn't know: version skew the salt check
 		// should have caught. Report it failed rather than crash.
-		pe := &harness.PointError{Experiment: lr.ExpID, Err: err, Attempts: 1}
-		t := &harness.Table{ID: lr.ExpID, Headers: []string{"status", "error"}}
-		t.AddRow("FAILED", firstLine(err.Error()))
-		return harness.Result{Table: t, Err: pe}
+		return harness.FailedResult(harness.Experiment{ID: lr.ExpID}, err)
 	}
 	return harness.RunOne(e, opts)
 }
@@ -231,9 +221,8 @@ func (w *Worker) submit(ctx context.Context, lr leaseResponse, res harness.Resul
 		Points:   res.Points,
 	}
 	if w.sendObs.Load() {
-		// Full cumulative snapshot: the per-worker namespace's
-		// authoritative refresh, and the crash-loss bound — anything a
-		// dropped heartbeat missed is covered by the next upload.
+		// Full cumulative snapshot: refreshes the coordinator's
+		// per-worker namespace once the upload is accepted.
 		req.Obs = obs.Snapshot()
 	}
 	if w.sendSpans.Load() {
@@ -306,12 +295,10 @@ func (w *Worker) join(ctx context.Context) (joinResponse, error) {
 // failures are ignored — the lease poll does the real erroring — and
 // an Unknown answer flags the main loop to rejoin.
 //
-// Each beat piggybacks the worker's live observability: registry
-// entries changed since the last beat that got through (as cumulative
-// values — a drop just re-sends them next time), cumulative point
-// progress, the busy experiment, and a clock sample (our send
-// time plus the previous beat's measured round-trip) the coordinator
-// turns into an offset estimate for timeline alignment.
+// Each beat also carries cumulative point progress, the busy
+// experiment, and a clock sample (our send time plus the previous
+// beat's measured round-trip) the coordinator turns into an offset
+// estimate for timeline alignment. Metrics ride the result uploads.
 func (w *Worker) heartbeatLoop(stop <-chan struct{}, interval time.Duration) {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -334,59 +321,15 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}, interval time.Duration) {
 				Points: obs.ProgressPoints(),
 			}
 			req.Busy, _ = w.busy.Load().(string)
-			var pending map[string]uint64
-			if w.sendObs.Load() {
-				pending = w.pendingObs()
-				req.Obs = pending
-			}
 			t0 := time.Now()
 			var resp heartbeatResponse
 			if err := w.post("/fleet/heartbeat", req, &resp); err != nil {
 				continue
 			}
 			w.lastRTT.Store(int64(time.Since(t0)))
-			w.commitObs(pending)
 			if resp.Unknown {
 				w.needRejoin.Store(true)
 			}
-		}
-	}
-}
-
-// pendingObs returns the registry entries whose cumulative value moved
-// since the last acknowledged heartbeat (nil when quiet).
-func (w *Worker) pendingObs() map[string]uint64 {
-	snap := obs.Snapshot()
-	w.obsMu.Lock()
-	defer w.obsMu.Unlock()
-	var out map[string]uint64
-	for k, v := range snap {
-		if v != w.lastSent[k] {
-			if out == nil {
-				out = make(map[string]uint64)
-			}
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// commitObs marks entries as acknowledged after a successful post.
-// Max-merge, not overwrite: the registry kept moving while the beat
-// was in flight, and regressing lastSent would only cause a harmless
-// re-send anyway.
-func (w *Worker) commitObs(sent map[string]uint64) {
-	if len(sent) == 0 {
-		return
-	}
-	w.obsMu.Lock()
-	defer w.obsMu.Unlock()
-	if w.lastSent == nil {
-		w.lastSent = make(map[string]uint64, len(sent))
-	}
-	for k, v := range sent {
-		if v > w.lastSent[k] {
-			w.lastSent[k] = v
 		}
 	}
 }

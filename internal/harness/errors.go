@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"ctbia/internal/faultinject"
 	"ctbia/internal/obs"
 )
 
@@ -17,7 +16,7 @@ import (
 // point costs one FAILED row, never the sweep.
 type PointError struct {
 	// Experiment is the experiment id, when known at capture time
-	// (RunAll fills it in for experiment-level failures).
+	// (FailedResult fills it in for experiment-level failures).
 	Experiment string
 	// Point labels the failing data point ("hist_4000"); empty for
 	// experiment-level failures.
@@ -32,9 +31,6 @@ type PointError struct {
 	// Attempts counts how many times the point was tried before
 	// giving up (1 when the failure was not retryable).
 	Attempts int
-	// Quarantined marks points whose trace key was quarantined after
-	// repeated transient failures.
-	Quarantined bool
 }
 
 // Error renders the failure with its location chain.
@@ -79,21 +75,8 @@ func toPointError(p any) *PointError {
 	}
 }
 
-// transientFault reports whether err models a recoverable condition the
-// harness should retry through the degraded (no-trace) path: injected
-// transient faults and anything the replay layer recovered. Permanent
-// injected faults and simulator-verification failures are not.
-func transientFault(err error) bool {
-	var f *faultinject.Fault
-	if errors.As(err, &f) {
-		return f.Transient
-	}
-	var pe *PointError
-	return !errors.As(err, &pe)
-}
-
 // Fail records one unmeasurable point on the table: a row whose
-// non-label cells read FAILED, plus a Failures entry that RunAll keeps
+// non-label cells read FAILED, plus a Failures entry that Commit keeps
 // out of the result cache and ctbench surfaces in its exit status.
 func (t *Table) Fail(label string, err error) {
 	row := make([]string, 0, len(t.Headers))
@@ -124,15 +107,32 @@ func toPointErrorValue(err error) *PointError {
 // Failed reports whether any of the table's points failed.
 func (t *Table) Failed() bool { return len(t.Failures) > 0 }
 
-// failedTable is the placeholder rendered for an experiment whose Run
-// panicked outright (no partial rows survive an experiment-level
-// failure; point-level failures keep their partial tables instead).
-func failedTable(e Experiment, pe *PointError) *Table {
+// FailedResult is the outcome of an experiment that produced no table:
+// its Run panicked, or a fleet upload carried none worth serving. The
+// FAILED placeholder keeps no partial rows (point-level failures keep
+// their partial tables instead) and shows the cause's first line.
+func FailedResult(e Experiment, err error) Result {
+	pe := toPointErrorValue(err)
+	pe.Experiment = e.ID
 	t := &Table{ID: e.ID, Title: e.Title, Paper: e.Paper,
 		Headers: []string{"status", "error"}}
 	t.AddRow("FAILED", firstLine(pe.Err.Error()))
 	t.Failures = append(t.Failures, pe)
-	return t
+	return Result{Experiment: e, Table: t, Err: pe}
+}
+
+// ParsePointError rebuilds a failure of experiment id from its rendered
+// line — all a fleet worker uploads — so that Error() returns exactly
+// that line again. The location after the experiment (point, strategy,
+// attempts) is kept verbatim as Point; a line no PointError of id
+// rendered becomes the cause of an experiment-level failure.
+func ParsePointError(id, line string) *PointError {
+	pe := &PointError{Experiment: id, Err: errors.New(line), Attempts: 1}
+	rest, ok := strings.CutPrefix(line, "point failed ["+id+"]")
+	if loc, cause, found := strings.Cut(rest, ": "); ok && found && (loc == "" || loc[0] == ' ') {
+		pe.Point, pe.Err = strings.TrimPrefix(loc, " "), errors.New(cause)
+	}
+	return pe
 }
 
 // firstLine truncates s at its first newline, for one-line summaries.

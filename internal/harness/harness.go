@@ -92,15 +92,15 @@ type Options struct {
 	Quick bool
 	// Parallel is the worker count for RunAll and for the fan-out
 	// inside the sweep experiments. Values <= 1 run everything
-	// serially; RunAll clamps values above GOMAXPROCS, where extra
-	// workers only add scheduling overhead. Every data point owns its
+	// serially; RunAll and RunOne clamp values above GOMAXPROCS, where
+	// extra workers only add scheduling overhead. Every data point owns its
 	// own cpu.Machine (seeded RNGs and all state are per-machine), so
 	// any Parallel value produces tables byte-identical to the serial
 	// run.
 	Parallel int
 	// Cache, when non-nil, serves experiments from the
 	// content-addressed result store and persists fresh results to it
-	// (subject to the store's mode). See RunAll and CacheKey.
+	// (subject to the store's mode). See Lookup, Commit and CacheKey.
 	Cache *resultcache.Store
 	// Manifest, when non-nil, journals each experiment's outcome for
 	// checkpoint-resume (see Manifest). Completed experiments land in

@@ -325,119 +325,96 @@ func machineUses() uint64 { return cpu.MachinesBuilt() + cpu.MachinesReset() }
 // inside the sweep experiments, each data point) owns cold machines,
 // so parallelism changes wall time only, never a table cell.
 //
-// With o.Cache set, experiments whose identity key (simulator version
-// salt, experiment ID, Quick flag, Table 1 config fingerprint,
-// strategy set) already has a stored table are served from the cache
-// without simulating; fresh results are persisted for the next run
-// unless the store is read-only. o.Parallel is deliberately not part
-// of the key: parallelism never changes a table cell, so serial and
-// parallel runs share cache entries.
+// Every experiment goes through the same lifecycle as a fleet unit:
+// Lookup serves it from o.Cache when a usable table is stored under its
+// identity key (simulator version salt, experiment ID, Quick flag,
+// Table 1 config fingerprint, strategy set); otherwise RunOne executes
+// it and Commit caches and journals the outcome. o.Parallel is
+// deliberately not part of the key: parallelism never changes a table
+// cell, so serial and parallel runs share cache entries.
 func RunAll(exps []Experiment, o Options) []Result {
 	if exps == nil {
 		exps = Experiments()
 	}
-	// More workers than CPUs cannot help a compute-bound simulation and
-	// the scheduling overhead can make it slower than serial (the PR 2
-	// numbers on a single-CPU host did exactly that), so clamp. The
-	// clamped value propagates into the sweep experiments via o.
-	if max := runtime.GOMAXPROCS(0); o.Parallel > max {
-		o.Parallel = max
-	}
+	o = o.clamped()
 	obs.ProgressAddTotal(len(exps))
 	results := make([]Result, len(exps))
 	errs := forEachIndexed(len(exps), o.Parallel, func(i int) {
-		start := time.Now()
-		id := exps[i].ID
-		sp := obs.StartSpan("experiment", id)
-		defer sp.End()
-		obsBefore := obsSnapshot()
-		// Chaos hook: a matching worker.panic rule kills exactly this
-		// worker; the recovery in forEachIndexed turns it into a
-		// FAILED result while the other experiments finish.
-		faultinject.Check("worker.panic", id, false)
-		var key string
-		if o.Cache != nil || o.Manifest != nil {
-			key = CacheKey(exps[i], o)
-		}
-		if o.Cache != nil {
-			lsp := obs.StartSpan("cache-lookup", id)
-			var cached Table
-			hit := o.Cache.Load(key, &cached)
-			lsp.End()
-			if hit {
-				if cached.UsableFor(id) {
-					wall := time.Since(start)
-					metrics := obsDelta(obsBefore)
-					results[i] = Result{
-						Experiment: exps[i],
-						Table:      &cached,
-						Wall:       wall,
-						Cached:     true,
-						Metrics:    metrics,
-					}
-					o.Manifest.Record(id, ManifestEntry{
-						Status: "ok", Key: key,
-						WallMS:  float64(wall.Microseconds()) / 1000,
-						Metrics: metrics,
-					})
-					obs.ProgressExpDone(true, false)
-					return
-				}
-				// Decodable but unusable (garbage JSON body, wrong
-				// experiment): quarantine the entry so it cannot
-				// re-fail every run, and recompute.
-				o.Cache.Quarantine(key)
-			}
-		}
-		before := machineUses()
-		table := exps[i].Run(o)
-		wall := time.Since(start)
-		metrics := obsDelta(obsBefore)
-		results[i] = Result{
-			Experiment: exps[i],
-			Table:      table,
-			Wall:       wall,
-			Machines:   machineUses() - before,
-			Metrics:    metrics,
-		}
-		if table.Failed() {
-			// A table with FAILED points must never be served from
-			// the cache; journal the failure so -resume re-runs it.
-			o.Manifest.Record(id, ManifestEntry{
-				Status: "failed", Key: key,
-				Error:   firstLine(table.Failures[0].Error()),
-				WallMS:  float64(wall.Microseconds()) / 1000,
-				Metrics: metrics,
-			})
-			obs.ProgressExpDone(false, true)
+		if res, ok := Lookup(exps[i], o); ok {
+			results[i] = res
 			return
 		}
-		if o.Cache != nil {
-			// Best-effort: a failed write costs the next run a
-			// recompute, which is the cache's miss behaviour anyway.
-			_ = o.Cache.Save(key, table)
-		}
-		o.Manifest.Record(id, ManifestEntry{
-			Status: "ok", Key: key,
-			WallMS:  float64(wall.Microseconds()) / 1000,
-			Metrics: metrics,
-		})
-		obs.ProgressExpDone(false, false)
+		results[i] = RunOne(exps[i], o)
+		Commit(exps[i], o, results[i])
 	})
 	for i, pe := range errs {
-		if pe == nil {
-			continue
+		if pe != nil { // a panic outside RunOne's own recovery
+			results[i] = FailedResult(exps[i], pe)
+			Commit(exps[i], o, results[i])
 		}
-		pe.Experiment = exps[i].ID
-		results[i] = Result{Experiment: exps[i], Table: failedTable(exps[i], pe), Err: pe}
-		o.Manifest.Record(exps[i].ID, ManifestEntry{
-			Status: "failed", Key: CacheKey(exps[i], o),
-			Error: firstLine(pe.Err.Error()),
-		})
-		obs.ProgressExpDone(false, true)
 	}
 	return results
 }
+
+// clamped caps Parallel at GOMAXPROCS: more workers than CPUs cannot
+// help a compute-bound simulation, and the scheduling overhead can make
+// it slower than serial (the PR 2 numbers on a single-CPU host did
+// exactly that).
+func (o Options) clamped() Options {
+	if max := runtime.GOMAXPROCS(0); o.Parallel > max {
+		o.Parallel = max
+	}
+	return o
+}
+
+// Lookup serves e from o.Cache. A usable stored table comes back as a
+// cached Result, with the lookup's wall time and (when obs is armed)
+// metric delta, journaled "ok" and booked as progress. A table that
+// decodes but is unusable (garbage JSON body, wrong experiment) is
+// quarantined so it cannot re-fail every run, and counts as a miss.
+func Lookup(e Experiment, o Options) (Result, bool) {
+	if o.Cache == nil {
+		return Result{}, false
+	}
+	start := time.Now()
+	obsBefore := obsSnapshot()
+	key := CacheKey(e, o)
+	sp := obs.StartSpan("cache-lookup", e.ID)
+	t := new(Table)
+	hit := o.Cache.Load(key, t)
+	sp.End()
+	if !hit {
+		return Result{}, false
+	}
+	if !t.UsableFor(e.ID) {
+		o.Cache.Quarantine(key)
+		return Result{}, false
+	}
+	res := Result{Experiment: e, Table: t, Wall: time.Since(start), Cached: true, Metrics: obsDelta(obsBefore)}
+	o.Manifest.Record(e.ID, ManifestEntry{Status: "ok", Key: key, WallMS: wallMS(res), Metrics: res.Metrics})
+	obs.ProgressExpDone(true, false)
+	return res, true
+}
+
+// Commit books one executed experiment's outcome, wherever it ran. A
+// failed result is journaled "failed" under the first line of its first
+// failure and never cached, so -resume re-runs it; a clean one is saved
+// to o.Cache (best-effort: a failed write costs the next run a
+// recompute), then journaled "ok".
+func Commit(e Experiment, o Options, res Result) {
+	entry := ManifestEntry{Status: "ok", Key: CacheKey(e, o), WallMS: wallMS(res), Metrics: res.Metrics}
+	if res.Failed() {
+		entry.Status = "failed"
+		entry.Error = firstLine(Failures([]Result{res})[0].Error())
+	} else if o.Cache != nil {
+		_ = o.Cache.Save(entry.Key, res.Table)
+	}
+	o.Manifest.Record(e.ID, entry)
+	obs.ProgressExpDone(false, res.Failed())
+}
+
+// wallMS is a result's wall time in the journal's unit.
+func wallMS(res Result) float64 { return float64(res.Wall.Microseconds()) / 1000 }
 
 // UsableFor validates a deserialized table before serving it as
 // experiment id's result: JSON from the result cache or a fleet
@@ -456,35 +433,30 @@ func (t *Table) UsableFor(id string) bool {
 	return true
 }
 
-// RunOne executes a single experiment with the same panic isolation as
-// a RunAll worker, but no cache or manifest interaction — the
-// execution primitive behind the fleet's work units (a remote worker
-// runs RunOne and uploads the Result; the coordinator owns cache and
-// journal). An experiment-level panic comes back as a FAILED
-// placeholder Result, exactly like RunAll produces.
+// RunOne executes a single experiment with panic isolation and no
+// cache or manifest interaction — the one executor behind RunAll, the
+// fleet coordinator's in-process drain and a fleet worker's units. An
+// experiment-level panic comes back as a FailedResult.
 func RunOne(e Experiment, o Options) (res Result) {
+	o = o.clamped()
 	start := time.Now()
 	sp := obs.StartSpan("experiment", e.ID)
 	defer sp.End()
 	obsBefore := obsSnapshot()
 	ptsBefore := obs.ProgressPoints()
+	machinesBefore := machineUses()
 	defer func() {
 		if rec := recover(); rec != nil {
-			pe := toPointError(rec)
-			pe.Experiment = e.ID
-			res = Result{Experiment: e, Table: failedTable(e, pe), Err: pe,
-				Wall: time.Since(start), Points: obs.ProgressPoints() - ptsBefore}
+			res = FailedResult(e, toPointError(rec))
 		}
+		res.Wall = time.Since(start)
+		res.Machines = machineUses() - machinesBefore
+		res.Metrics = obsDelta(obsBefore)
+		res.Points = obs.ProgressPoints() - ptsBefore
 	}()
+	// Chaos hook: a matching worker.panic rule kills exactly this
+	// experiment; the recovery above turns it into a FAILED result while
+	// the other experiments finish.
 	faultinject.Check("worker.panic", e.ID, false)
-	before := machineUses()
-	table := e.Run(o)
-	return Result{
-		Experiment: e,
-		Table:      table,
-		Wall:       time.Since(start),
-		Machines:   machineUses() - before,
-		Metrics:    obsDelta(obsBefore),
-		Points:     obs.ProgressPoints() - ptsBefore,
-	}
+	return Result{Experiment: e, Table: e.Run(o)}
 }

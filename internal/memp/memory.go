@@ -268,13 +268,6 @@ func (a *Allocator) AllocLines(name string, n uint64) Region {
 	return a.Alloc(name, n*LineSize)
 }
 
-// Regions returns all regions allocated so far, in allocation order.
-func (a *Allocator) Regions() []Region {
-	out := make([]Region, len(a.regions))
-	copy(out, a.regions)
-	return out
-}
-
 // Lookup finds the region containing addr, for trace annotation.
 func (a *Allocator) Lookup(addr Addr) (Region, bool) {
 	for _, r := range a.regions {

@@ -1,6 +1,6 @@
 // Package obs is the simulator's zero-cost-when-disabled observability
-// layer: a process-wide registry of named counters, gauges and
-// histograms, a span/timeline tracer that renders a whole ctbench run
+// layer: a process-wide registry of named counters and histograms, a
+// span/timeline tracer that renders a whole ctbench run
 // as a Chrome trace-event file (openable in Perfetto), progress
 // accounting for long sweeps, and an HTTP endpoint serving expvar,
 // pprof and Prometheus text exposition.
@@ -139,31 +139,6 @@ func Add(name string, v uint64) {
 	counter(Intern(name)).Add(v)
 }
 
-// gauges hold last-write-wins values.
-var gauges = struct {
-	mu sync.RWMutex
-	m  map[string]*atomic.Uint64
-}{m: make(map[string]*atomic.Uint64)}
-
-// Set stores v as the named gauge (last write wins).
-func Set(name string, v uint64) {
-	if !armed.Load() {
-		return
-	}
-	gauges.mu.RLock()
-	g := gauges.m[name]
-	gauges.mu.RUnlock()
-	if g == nil {
-		gauges.mu.Lock()
-		if g = gauges.m[name]; g == nil {
-			g = new(atomic.Uint64)
-			gauges.m[name] = g
-		}
-		gauges.mu.Unlock()
-	}
-	g.Store(v)
-}
-
 // histBuckets is the bucket count of a power-of-two histogram: bucket
 // i holds values v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
 const histBuckets = 65
@@ -268,9 +243,8 @@ var (
 func snapEmit(name string, v uint64) { snapDst[name] = v }
 
 // Snapshot returns every known metric as a flat name->value map:
-// counters, gauges, histogram decompositions (name.count,
-// name.sum, name.le_<bound> cumulative buckets) and registered
-// sources.
+// counters, histogram decompositions (name.count, name.sum,
+// name.le_<bound> cumulative buckets) and registered sources.
 func Snapshot() map[string]uint64 {
 	return SnapshotInto(make(map[string]uint64))
 }
@@ -321,12 +295,6 @@ func SnapshotInto(dst map[string]uint64) map[string]uint64 {
 		}
 	}
 	histograms.mu.Unlock()
-
-	gauges.mu.RLock()
-	for name, g := range gauges.m {
-		dst[name] = g.Load()
-	}
-	gauges.mu.RUnlock()
 
 	sources.mu.Lock()
 	for _, fn := range sources.fns {
@@ -530,7 +498,7 @@ func MergeFlat(snap map[string]uint64) int {
 	return merged
 }
 
-// Reset zeroes every counter, gauge and histogram (sources keep their
+// Reset zeroes every counter and histogram (sources keep their
 // own state). Benchmarks use it to separate measurement phases; tests
 // use it for isolation.
 func Reset() {
@@ -548,11 +516,6 @@ func Reset() {
 		h.count.Store(0)
 		h.sum.Store(0)
 	}
-	gauges.mu.Lock()
-	for _, g := range gauges.m {
-		g.Store(0)
-	}
-	gauges.mu.Unlock()
 }
 
 // sortedNames returns the snapshot's keys in deterministic order, so

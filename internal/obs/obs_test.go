@@ -43,14 +43,9 @@ func TestArmedCountersAccumulate(t *testing.T) {
 	Add("a.b", 2)
 	Add("a.b", 3)
 	AddID(Intern("a.b"), 4) // the handle path lands in the same cell
-	Set("g", 7)
-	Set("g", 9)
 	snap := Snapshot()
 	if snap["a.b"] != 9 {
 		t.Fatalf("a.b = %d, want 9", snap["a.b"])
-	}
-	if snap["g"] != 9 {
-		t.Fatalf("gauge g = %d, want 9 (last write wins)", snap["g"])
 	}
 }
 
@@ -102,11 +97,10 @@ func TestResetZeroesEverything(t *testing.T) {
 	reset()
 	Arm()
 	Add("c", 3)
-	Set("g", 4)
 	NewHistogram("h").Observe(9)
 	Reset()
 	snap := Snapshot()
-	for _, k := range []string{"c", "g", "h.count", "h.sum"} {
+	for _, k := range []string{"c", "h.count", "h.sum"} {
 		if v, ok := snap[k]; ok && v != 0 {
 			t.Fatalf("after Reset, %s = %d", k, v)
 		}
