@@ -37,11 +37,7 @@ var _ [1]struct{} = [cache.FlagWrite]struct{}{}
 // ExecTrace replays a compressed operation stream recorded by a
 // trace.Recorder. The machine should be in the state recording started
 // from (cold, for harness traces); replaying while a recorder is
-// attached is a bug. It is the machine's only replay entry point: a
-// stream may arrive in pieces (the chunks of a streamed trace file),
-// and since op records never span chunks and ExecTrace keeps no
-// cross-call state outside the machine, feeding the chunks in order is
-// bit-identical to replaying the concatenated stream.
+// attached is a bug. It is the machine's only replay entry point.
 func (m *Machine) ExecTrace(ops []trace.Op) {
 	if m.rec != nil {
 		panic("cpu: ExecTrace on a machine with a recorder attached")

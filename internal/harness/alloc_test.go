@@ -35,39 +35,6 @@ func TestRunWorkloadAllocBudget(t *testing.T) {
 	}
 }
 
-// streamingReplayAllocBudget bounds one warm streaming replay: a
-// file-backed point served through Reader.Next (pooled chunk buffers)
-// pays the file open and header decode, nothing per chunk. Measured at
-// 11 allocs/op; the byte-level pin on the pooled buffers themselves
-// lives in the trace package's TestReaderCycleAllocBudget.
-const streamingReplayAllocBudget = 32
-
-func TestStreamingReplayAllocBudget(t *testing.T) {
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	old := maxInlineTraceBytes
-	t.Cleanup(func() {
-		maxInlineTraceBytes = old
-		SetTraceDir("")
-		ResetTraces()
-	})
-	maxInlineTraceBytes = 1 // every trace goes to disk; replays stream
-	ResetTraces()
-	w := workloads.Histogram{}
-	p := workloads.Params{Size: 500, Seed: 1}
-	RunWorkload(w, p, ct.Linear{}, 0) // record
-	RunWorkload(w, p, ct.Linear{}, 0) // first replay anchors the report
-	allocs := testing.AllocsPerRun(10, func() {
-		RunWorkload(w, p, ct.Linear{}, 0)
-	})
-	if allocs > streamingReplayAllocBudget {
-		t.Errorf("warm streaming replay: %.0f allocs/op, budget is %d — reader pooling regressed?",
-			allocs, streamingReplayAllocBudget)
-	}
-}
-
 // The harvest path a point takes when the registry is armed: once warm,
 // feeding a machine's statistics into the registry allocates nothing
 // beyond the names Machine.EmitMetrics itself builds, the point-wall

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"ctbia/internal/ct"
 	"ctbia/internal/faultinject"
@@ -19,21 +18,17 @@ import (
 // run, and a resumed sweep finishes.
 
 // chaosSetup gives each chaos test a clean, self-restoring engine:
-// empty trace store, no persistence, trace mode on, fault injection
-// disarmed afterwards, and zero retry backoff so quarantine tests don't
-// sleep.
+// empty trace store, no persistence, trace mode on, and fault injection
+// disarmed afterwards.
 func chaosSetup(t *testing.T) {
 	t.Helper()
 	ResetTraces()
 	SetTraceMode(TraceOn)
-	savedBase := retryBackoffBase
-	retryBackoffBase = 0
 	t.Cleanup(func() {
 		faultinject.Disarm()
 		SetTraceDir("")
 		SetTraceMode(TraceOn)
 		ResetTraces()
-		retryBackoffBase = savedBase
 	})
 }
 
@@ -381,30 +376,5 @@ func TestManifestRoundTripAndStaleness(t *testing.T) {
 	}
 	if _, stale, err := LoadManifest(path, true); err != nil || !stale {
 		t.Errorf("corrupt journal: stale=%v err=%v, want stale", stale, err)
-	}
-}
-
-// The backoff schedule is exponential and capped, independent of wall
-// clock (the base is zeroed in tests; here we just check the arithmetic
-// the sleeper uses).
-func TestRetryBackoffSchedule(t *testing.T) {
-	base, cap := 2*time.Millisecond, 50*time.Millisecond
-	want := []time.Duration{2, 4, 8, 16, 32, 50, 50}
-	for i, w := range want {
-		backoff := base << i
-		if backoff > cap || backoff <= 0 {
-			backoff = cap
-		}
-		if backoff != w*time.Millisecond {
-			t.Errorf("attempt %d: backoff %v, want %v", i+1, backoff, w*time.Millisecond)
-		}
-	}
-	// And the overflow guard: a shift far past the range clamps to cap.
-	huge := base << 62
-	if huge > cap || huge <= 0 {
-		huge = cap
-	}
-	if huge != cap {
-		t.Errorf("overflowed backoff %v, want cap %v", huge, cap)
 	}
 }

@@ -13,12 +13,12 @@ import (
 
 // Fan-out replay: the sweep-side counterpart of config-independent
 // trace keys. One recording serves every geometry of a sweep, and a
-// fan-out group also shares its *decode*: each chunk is read once and
-// charged to a whole slice of machines (one per geometry, drawn from
-// their pools) before the next chunk, so an N-geometry group costs one
-// decode pass instead of N, with per-config report anchors and checksum
-// verification exactly as strict as for a single point (which is the
-// same code, a group of one).
+// fan-out group also shares its *decode*: the stored stream is looked
+// up (and, from disk, decoded) once and charged to a whole slice of
+// machines (one per geometry, drawn from their pools), so an
+// N-geometry group costs one decode pass instead of N, with per-config
+// report anchors and checksum verification exactly as strict as for a
+// single point (which is the same code, a group of one).
 //
 // Only share-keyed points fan out — one key, many configs. BIA-family
 // strategies key per config (their streams are geometry-dependent), so
@@ -37,7 +37,7 @@ func SetTraceFanout(bool) {}
 // RunWorkloadFanout runs one (workload, params, strategy) point across
 // a group of machine configs, returning one report per config in input
 // order. Share-keyed strategies decode the stored stream once and
-// charge every config per chunk; everything else (and every fallback
+// charge every config from it; everything else (and every fallback
 // condition) runs the configs through RunWorkloadOn one by one, so the
 // results are always identical to the serial path.
 func RunWorkloadFanout(cfgs []cpu.Config, w workloads.Workload, p workloads.Params, s ct.Strategy) []cpu.Report {

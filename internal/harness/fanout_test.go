@@ -13,10 +13,10 @@ import (
 
 // Fan-out replay tests: grouped sweeps served by one decode pass per
 // shared stream must be bit-identical to direct execution — for every
-// geometry × strategy, in the in-memory and streaming regimes, and
-// across every fallback (torn chunks included). The decode-pass counter
-// is the efficiency contract: one pass per distinct trace key, not one
-// per replay served.
+// geometry × strategy, from memory and from disk, and across every
+// fallback (torn files included). The decode-pass counter is the
+// efficiency contract: one pass per distinct trace key, not one per
+// replay served.
 
 // geoStrategies mirrors runGeoSweep's strategy set: the pure strategies
 // fan out over one shared key; BIA keys per config and serves the group
@@ -172,80 +172,19 @@ func TestFanoutParallelSweep(t *testing.T) {
 	}
 }
 
-// TestFanoutStreamingTornChunk forces the streaming regime, tears a
-// chunk mid-file and checks the fan-out group degrades to the
-// per-config path (which re-records) without a single wrong report.
-func TestFanoutStreamingTornChunk(t *testing.T) {
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	old := maxInlineTraceBytes
-	t.Cleanup(func() {
-		maxInlineTraceBytes = old
-		SetTraceDir("")
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
-	ResetTraces()
-
-	pureCfgs, _ := geoConfigGroups()
-	w := workloads.BinarySearch{}
-	p := workloads.Params{Size: 800, Seed: 11, Ops: 8}
-	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, "")
-	path := traceFilePath(dir, key)
-
-	SetTraceMode(TraceOff)
-	want := make([]cpu.Report, len(pureCfgs))
-	for i, cfg := range pureCfgs {
-		want[i] = RunWorkloadOn(cfg, w, p, s)
-	}
-
-	SetTraceMode(TraceOn)
-	maxInlineTraceBytes = 1
-	ResetTraces()
-	check := func(stage string) {
-		got := RunWorkloadFanout(pureCfgs, w, p, s)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: config %d diverged\nwant: %v\ngot:  %v", stage, i, want[i], got[i])
-			}
-		}
-	}
-	check("cold streaming fan-out")
-	check("warm streaming fan-out")
-
-	// Tear the file mid-stream: the chunk CRC fails during the fan-out
-	// pass, the entry is dropped, and the per-config fallback re-records.
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-5] ^= 0x20
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetTraces() // drop in-memory entries so the group re-reads the torn file
-	check("fan-out over torn file")
-	if _, _, rerec := TraceStats(); rerec == 0 {
-		t.Error("torn stream served without a re-record")
-	}
-	check("after re-record")
-}
-
-// TestReplayChunkSources drives the one replay path over every shape
-// it serves: an in-memory or a streamed (file-backed) entry, charged to
-// one config or fanned out over four geometries, from a clean or a
-// torn file. The stream spans two chunks, so a torn final chunk lands
-// after every machine of the group consumed the first. Reports must
-// equal direct execution at every stage, a warm group must be one
-// decode pass (a fan-out pass only for a group of two or more), and a
-// torn file must re-record without a single wrong report.
+// TestReplayChunkSources drives the one replay path over both places a
+// stream comes from, charged to one config or fanned out over four
+// geometries, from a clean or a torn file. streaming=false replays this
+// process's recording, held in memory; streaming=true streams the
+// key's file back in on a fresh engine — read whole, decoded, replayed
+// and kept nowhere. The stream spans two chunks. Reports must equal
+// direct execution at every stage; a warm group must be one decode
+// pass (a fan-out pass only for a group of two or more); and a torn
+// file must never reach a machine: a memory hit leaves it unread and
+// unwritten, and a lookup that reads it misses and records over it
+// once, with no re-record.
 func TestReplayChunkSources(t *testing.T) {
-	old := maxInlineTraceBytes
 	t.Cleanup(func() {
-		maxInlineTraceBytes = old
 		SetTraceDir("")
 		SetTraceMode(TraceOn)
 		ResetTraces()
@@ -262,6 +201,17 @@ func TestReplayChunkSources(t *testing.T) {
 		want[i] = RunWorkloadOn(cfg, w, p, s)
 	}
 	SetTraceMode(TraceOn)
+	stored := func() *traceEntry {
+		traceEngine.mu.RLock()
+		defer traceEngine.mu.RUnlock()
+		return traceEngine.entries[key]
+	}
+	// counts reads the engine counters the warm stage is judged by.
+	counts := func() (rec, reps, rerec, fanouts, passes uint64) {
+		rec, reps, rerec = TraceStats()
+		fanouts, passes, _ = TraceFanoutStats()
+		return
+	}
 
 	for _, streaming := range []bool{false, true} {
 		for _, n := range []int{1, len(geos)} {
@@ -271,10 +221,6 @@ func TestReplayChunkSources(t *testing.T) {
 					dir := t.TempDir()
 					if err := SetTraceDir(dir); err != nil {
 						t.Fatal(err)
-					}
-					maxInlineTraceBytes = old
-					if streaming {
-						maxInlineTraceBytes = 1
 					}
 					cfgs := geos[:n]
 					check := func(stage string) {
@@ -287,52 +233,69 @@ func TestReplayChunkSources(t *testing.T) {
 						}
 					}
 					ResetTraces()
-					check("cold")
-					ResetTraces() // fresh engine: the entry comes back from disk
-					if !torn {
-						check("warm")
-						rec, reps, _ := TraceStats()
-						fanouts, passes, _ := TraceFanoutStats()
-						wantFanouts := uint64(0)
-						if n > 1 {
-							wantFanouts = 1
+					check("cold") // records; a group fans out over the fresh recording
+					if e := stored(); e == nil || len(e.ops) <= trace.DefaultChunkOps {
+						t.Fatalf("cold: recording not held in memory as a stream of more than %d ops (two chunks): %v",
+							trace.DefaultChunkOps, e)
+					}
+					path := traceFilePath(dir, key)
+					var tornBuf []byte
+					if torn {
+						buf, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if rec != 0 || reps != uint64(n) || passes != 1 || fanouts != wantFanouts {
-							t.Errorf("warm: records=%d replays=%d decode passes=%d fan-outs=%d, want 0/%d/1/%d",
-								rec, reps, passes, fanouts, n, wantFanouts)
+						tornBuf = buf[:len(buf)-9]
+						if err := os.WriteFile(path, tornBuf, 0o644); err != nil {
+							t.Fatal(err)
 						}
-						traceEngine.mu.RLock()
-						e := traceEngine.entries[key]
-						traceEngine.mu.RUnlock()
-						if e == nil {
-							t.Fatal("warm: no entry stored for the key")
+					}
+					if streaming {
+						ResetTraces() // fresh engine: the stream comes back from the file
+					}
+					rec0, reps0, rerec0, fanouts0, passes0 := counts()
+					check("warm")
+					rec, reps, rerec, fanouts, passes := counts()
+					rec, reps, rerec, fanouts, passes = rec-rec0, reps-reps0, rerec-rerec0, fanouts-fanouts0, passes-passes0
+
+					if torn && streaming {
+						// The lookup meets the tear and misses: one recording
+						// writes over the file, nothing is re-recorded.
+						if rec != 1 || rerec != 0 {
+							t.Errorf("torn file: records=%d rerecords=%d, want 1/0", rec, rerec)
 						}
-						if (e.ops == nil) != streaming || e.nops <= trace.DefaultChunkOps {
-							t.Errorf("warm entry: streaming=%v with %d ops, want streaming=%v with more than %d ops (two chunks)",
-								e.ops == nil, e.nops, streaming, trace.DefaultChunkOps)
+						check("after re-record")
+						buf, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fkey, _, _, _, _, err := trace.Decode(buf); err != nil || fkey != key {
+							t.Errorf("after re-record: file does not decode as the key's trace: key %q, err %v", fkey, err)
 						}
 						return
 					}
-					path := traceFilePath(dir, key)
-					buf, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
+					wantFanouts := uint64(0)
+					if n > 1 {
+						wantFanouts = 1
 					}
-					if err := os.WriteFile(path, buf[:len(buf)-9], 0o644); err != nil {
-						t.Fatal(err)
+					if rec != 0 || rerec != 0 || reps != uint64(n) || passes != 1 || fanouts != wantFanouts {
+						t.Errorf("warm: records=%d rerecords=%d replays=%d decode passes=%d fan-outs=%d, want 0/0/%d/1/%d",
+							rec, rerec, reps, passes, fanouts, n, wantFanouts)
 					}
-					check("torn")
-					// A streamed entry meets the tear mid-replay (a stale
-					// entry: dropped, one re-record); a whole-file decode
-					// meets it at lookup (a miss).
-					wantRerec := uint64(0)
-					if streaming {
-						wantRerec = 1
+					if held := stored() != nil; held == streaming {
+						t.Errorf("warm: entry held in memory=%v, want %v", held, !streaming)
 					}
-					if rec, _, rerec := TraceStats(); rec != 1 || rerec != wantRerec {
-						t.Errorf("torn file: records=%d rerecords=%d, want 1/%d", rec, rerec, wantRerec)
+					if torn {
+						// Served from memory: the torn file was neither
+						// read into a miss nor written over.
+						buf, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if string(buf) != string(tornBuf) {
+							t.Error("warm: a memory hit rewrote the torn file")
+						}
 					}
-					check("after re-record")
 				})
 			}
 		}

@@ -170,8 +170,8 @@ func TestSingleFlightRecording(t *testing.T) {
 
 // TestSharedAnchorPersists checks per-config report verification
 // across processes: the first replay under a new geometry anchors its
-// report and the anchor is re-persisted, so a fresh engine loads both
-// configs' anchors from disk.
+// report and the anchor reaches the key's file — whether the stream
+// came from this process's recording or from the file itself.
 func TestSharedAnchorPersists(t *testing.T) {
 	dir := t.TempDir()
 	if err := SetTraceDir(dir); err != nil {
@@ -179,6 +179,7 @@ func TestSharedAnchorPersists(t *testing.T) {
 	}
 	t.Cleanup(func() {
 		SetTraceDir("")
+		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
 	ResetTraces()
@@ -187,17 +188,47 @@ func TestSharedAnchorPersists(t *testing.T) {
 	p := workloads.Params{Size: 400, Seed: 13}
 	s := ct.Linear{}
 	geos := GeoSweepGeometries()
-	cfgA, cfgB := geos[0].Config, geos[1].Config
+	cfgA, cfgB, cfgC := geos[0].Config, geos[1].Config, geos[2].Config
 	key := workloadTraceKey(w, p, s, 0, cfgA.Fingerprint())
+	// Disk entries are not memoized, so the anchors are read off the
+	// file itself.
+	fileAnchors := func(stage string, cfgs ...cpu.Config) {
+		t.Helper()
+		buf, err := os.ReadFile(traceFilePath(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, tags, _, err := trace.Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if len(tags) != len(cfgs) {
+			t.Errorf("%s: file carries %d report anchors, want %d", stage, len(tags), len(cfgs))
+		}
+		for _, cfg := range cfgs {
+			if _, ok := tags[cfg.Fingerprint()]; !ok {
+				t.Errorf("%s: file carries no anchor for %s", stage, cfg.Fingerprint())
+			}
+		}
+	}
+
+	SetTraceMode(TraceOff)
+	wantC := RunWorkloadOn(cfgC, w, p, s)
+	SetTraceMode(TraceOn)
 
 	RunWorkloadOn(cfgA, w, p, s) // records, anchored under cfgA
 	wantB := RunWorkloadOn(cfgB, w, p, s)
 	if shared, _ := TraceShareStats(); shared != 1 {
 		t.Fatalf("shared replays = %d, want 1", shared)
 	}
+	fileAnchors("after the in-memory replay", cfgA, cfgB)
 
-	// Fresh engine: the disk entry must carry both anchors and cfgB
-	// must verify against its persisted anchor, not re-anchor blind.
+	// Fresh engine: cfgB must verify against its persisted anchor, not
+	// re-anchor blind — which would rewrite (rename over) the file.
+	before, err := os.Stat(traceFilePath(dir, key))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ResetTraces()
 	if got := RunWorkloadOn(cfgB, w, p, s); got != wantB {
 		t.Errorf("disk replay under cfgB diverged\nwant: %v\ngot:  %v", wantB, got)
@@ -205,16 +236,21 @@ func TestSharedAnchorPersists(t *testing.T) {
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
 		t.Errorf("disk-served run: records=%d replays=%d, want 0/1", rec, rep)
 	}
-	traceEngine.mu.RLock()
-	e := traceEngine.entries[key]
-	var anchors int
-	if e != nil {
-		anchors = len(e.reps)
+	if after, err := os.Stat(traceFilePath(dir, key)); err != nil || !os.SameFile(before, after) {
+		t.Errorf("replay under an anchored geometry rewrote the file (err=%v)", err)
 	}
-	traceEngine.mu.RUnlock()
-	if e == nil || anchors < 2 {
-		t.Errorf("disk entry carries %d report anchors, want >= 2 (both geometries)", anchors)
+	fileAnchors("after the anchored disk replay", cfgA, cfgB)
+
+	// Fresh engine, new geometry: the anchor a disk-served replay sets
+	// is re-persisted too.
+	ResetTraces()
+	if got := RunWorkloadOn(cfgC, w, p, s); got != wantC {
+		t.Errorf("disk replay under cfgC diverged\nwant: %v\ngot:  %v", wantC, got)
 	}
+	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
+		t.Errorf("disk-served run under cfgC: records=%d replays=%d, want 0/1", rec, rep)
+	}
+	fileAnchors("after the disk replay under a third geometry", cfgA, cfgB, cfgC)
 }
 
 // TestV1TraceFileRerecords plants a v1-format trace file where a
@@ -269,68 +305,5 @@ func TestV1TraceFileRerecords(t *testing.T) {
 	}
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
 		t.Errorf("replay of the re-recorded file: records=%d replays=%d, want 0/1", rec, rep)
-	}
-}
-
-// TestStreamingDiskReplay forces the streaming reader path (threshold
-// lowered to one byte) and checks a disk entry replays without
-// materializing, that the stub survives re-use, and that mid-stream
-// corruption decays to a re-record, never a wrong report.
-func TestStreamingDiskReplay(t *testing.T) {
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	old := maxInlineTraceBytes
-	t.Cleanup(func() {
-		maxInlineTraceBytes = old
-		SetTraceDir("")
-		ResetTraces()
-	})
-	ResetTraces()
-
-	w := workloads.BinarySearch{}
-	p := workloads.Params{Size: 800, Seed: 11, Ops: 8}
-	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
-	path := traceFilePath(dir, key)
-
-	want := RunWorkload(w, p, s, 0)
-
-	maxInlineTraceBytes = 1
-	ResetTraces()
-	if got := RunWorkload(w, p, s, 0); got != want {
-		t.Errorf("streaming replay diverged\nwant: %v\ngot:  %v", want, got)
-	}
-	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
-		t.Errorf("streaming run: records=%d replays=%d, want 0/1", rec, rep)
-	}
-	traceEngine.mu.RLock()
-	e := traceEngine.entries[key]
-	traceEngine.mu.RUnlock()
-	if e == nil || e.ops != nil || e.file == "" {
-		t.Fatalf("expected a streaming stub entry (no ops, file set), got %+v", e)
-	}
-	// The stub replays again without re-reading the header.
-	if got := RunWorkload(w, p, s, 0); got != want {
-		t.Errorf("second streaming replay diverged\nwant: %v\ngot:  %v", want, got)
-	}
-
-	// Mid-stream corruption: the chunk CRC must catch it and the point
-	// re-record rather than leak a wrong report.
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-5] ^= 0x20
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetTraces()
-	if got := RunWorkload(w, p, s, 0); got != want {
-		t.Errorf("run after mid-stream corruption diverged\nwant: %v\ngot:  %v", want, got)
-	}
-	if rec, _, rerec := TraceStats(); rec != 1 || rerec != 1 {
-		t.Errorf("corrupted stream: records=%d rerecords=%d, want 1/1", rec, rerec)
 	}
 }

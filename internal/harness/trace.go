@@ -16,7 +16,6 @@ import (
 	"ctbia/internal/faultinject"
 	"ctbia/internal/obs"
 	"ctbia/internal/resultcache"
-	"ctbia/internal/retry"
 	"ctbia/internal/trace"
 	"ctbia/internal/workloads"
 )
@@ -47,14 +46,16 @@ import (
 // value (interference hooks, the stateful scratchpad strategy) are
 // never traced.
 //
-// Every replay is a fan-out group: one stored stream read once and
-// charged chunk by chunk to one machine per config — a single point is
-// a group of one. On-disk traces past maxInlineTraceBytes are not
-// materialized: lookup validates the v2 header only and replay streams
-// the chunked op blocks straight into the interpreter, so resident
-// memory stays bounded by one chunk buffer however large the corpus
-// grows. A file that does not decode (corrupt, truncated, or in an
-// older wire format) is a miss, and the point re-records over it.
+// Every replay is a fan-out group: one stored stream charged to one
+// machine per config — a single point is a group of one. A stream
+// comes from one of two places. Memory holds the streams this process
+// recorded, the only copy a run without a trace directory has. Any
+// other stream is the key's file, read whole, checked and decoded for
+// the one lookup that asked for it, and not kept: the file is the
+// store, so memory does not grow with the corpus. A file larger than
+// any recording can write is refused unread, and one that does not
+// decode (corrupt, truncated, or in an older wire format) is a miss;
+// either way the point re-records over it.
 
 // TraceMode selects how RunWorkload/RunKernel use the trace engine.
 type TraceMode int
@@ -90,16 +91,12 @@ func (m TraceMode) String() string {
 }
 
 // traceEntry is one stored stream with its verification anchors.
-// Exactly one of ops/file is set: small traces are materialized,
-// larger ones stay on disk and replay through the streaming reader.
 // reps is guarded by traceEngine.mu (entries are shared across
 // workers); every other field is immutable after construction.
 type traceEntry struct {
-	ops  []trace.Op
-	file string // streaming entry: path of the validated v2 file
-	nops int    // op count (header-sourced for streaming entries)
-	sum  uint64 // workload checksum the recording run produced
-	src  string // config fingerprint of the recording machine
+	ops []trace.Op
+	sum uint64 // workload checksum the recording run produced
+	src string // config fingerprint of the recording machine
 	// reps anchors the expected report per machine-config fingerprint.
 	// The recording run seeds its own config; the first replay under
 	// any other geometry anchors that geometry's report and repeats
@@ -113,16 +110,10 @@ type traceEntry struct {
 // before aborting is the engine's only overhead over a plain run.
 const maxTraceOps = 1 << 20
 
-// maxTraceOpsTotal caps the in-memory store across all entries; beyond
-// it new traces are simply not stored.
+// maxTraceOpsTotal caps the in-memory store of this process's
+// recordings across all entries; beyond it new recordings are kept
+// only on disk, or not at all without a trace directory.
 const maxTraceOpsTotal = 8 << 20
-
-// maxInlineTraceBytes is the materialization threshold: on-disk traces
-// up to this size decode whole (and stay memoized as op slices);
-// larger ones replay via the streaming reader with only the single
-// chunk buffer resident. A variable so tests can force the streaming
-// path without recording gigabytes.
-var maxInlineTraceBytes int64 = 10 << 20
 
 // traceDebug (env CTBIA_TRACE_DEBUG) logs, per run, why a point did not
 // replay: untraceable (impure strategy), dead (recording aborted — with
@@ -187,16 +178,11 @@ var (
 	traceDecodeBytesAvoided atomic.Uint64
 )
 
-// Retry policy for transient trace-layer failures: capped exponential
-// backoff (internal/retry, shared with the fleet worker's reconnect
-// and upload paths) before each degraded (direct-simulation) retry,
-// quarantine after quarantineAfter transient failures of the same key.
-// The backoff base is a variable so chaos tests can zero it.
-var (
-	retryBackoffBase = 2 * time.Millisecond
-	retryBackoffCap  = 50 * time.Millisecond
-)
-
+// quarantineAfter is how many transient trace-layer failures of one
+// key the engine absorbs, each followed at once by a degraded
+// (direct-simulation) retry, before it bypasses the key for good.
+// Nothing is waited for: the retry re-runs a deterministic simulation,
+// which no delay can change.
 const quarantineAfter = 3
 
 // SetTraceMode switches the engine's mode (default TraceOn).
@@ -314,8 +300,7 @@ func isDead(key string) bool {
 }
 
 // noteTransient books one transient trace-layer failure for key,
-// quarantining repeat offenders, and sleeps the capped exponential
-// backoff before the caller's degraded retry.
+// quarantining repeat offenders, before the caller's degraded retry.
 func noteTransient(key, label string, err error) {
 	traceRetries.Add(1)
 	traceEngine.mu.Lock()
@@ -327,9 +312,6 @@ func noteTransient(key, label string, err error) {
 	traceEngine.mu.Unlock()
 	if traceDebug {
 		fmt.Fprintf(os.Stderr, "TRACEDBG transient %s (failure %d): %v\n", label, n, err)
-	}
-	if d := (retry.Policy{Base: retryBackoffBase, Cap: retryBackoffCap}).Backoff(n); d > 0 {
-		time.Sleep(d)
 	}
 }
 
@@ -418,12 +400,13 @@ func repsFromTags(tags map[string][]uint64) map[string]cpu.Report {
 	return reps
 }
 
-// lookupTrace finds a stored stream in memory, falling back to the
-// persistent directory. Disk entries are validated (CRC, embedded key)
-// and memoized; anything unreadable — corrupt, truncated, or in an
-// older wire format — is a miss, and the recording that follows writes
-// over it. Files past maxInlineTraceBytes validate their header only
-// and become streaming entries.
+// lookupTrace finds a stored stream: one of this process's recordings
+// in memory, or else the key's file in the persistent directory, read
+// whole, validated (CRCs, embedded key) and decoded. A file-served
+// entry is not memoized; it lives as long as the replay that asked
+// for it. Anything unreadable — larger than any recording writes,
+// corrupt, truncated, or in an older wire format — is a miss, and the
+// recording that follows writes over it.
 func lookupTrace(key string) *traceEntry {
 	traceEngine.mu.RLock()
 	e := traceEngine.entries[key]
@@ -435,53 +418,33 @@ func lookupTrace(key string) *traceEntry {
 	if faultinject.Should("trace.read", key) {
 		return nil // injected read failure: a persisted trace is just a miss
 	}
-	path := traceFilePath(dir, key)
-	fi, err := os.Stat(path)
+	f, err := os.Open(traceFilePath(dir, key))
 	if err != nil {
 		return nil
 	}
-	if fi.Size() <= maxInlineTraceBytes {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return nil
-		}
-		// Injected on-disk corruption: flipped bytes must fail a CRC (or
-		// the embedded-key check) below and decay to a miss + re-record.
-		buf = faultinject.Corrupt("trace.corrupt", key, buf)
-		fkey, src, meta, tags, ops, err := trace.Decode(buf)
-		if err != nil || fkey != key || len(meta) != 1 {
-			return nil
-		}
-		e = &traceEntry{ops: ops, nops: len(ops), sum: meta[0], src: src, reps: repsFromTags(tags)}
-		memoTrace(key, e)
-		return e
-	}
-	// Streaming entry: validate the v2 header (magic, version, CRC,
-	// embedded key) without touching the chunks; replay re-opens the
-	// file and feeds it through the chunked reader, so the op slice is
-	// never materialized.
-	f, err := os.Open(path)
-	if err != nil {
+	defer f.Close()
+	// Bytes from disk are outside input: a file larger than any
+	// recording writes is refused before a buffer is sized for it.
+	fi, err := f.Stat()
+	if err != nil || fi.Size() > int64(trace.MaxWireSize(maxTraceOps)) {
 		return nil
 	}
-	rd, err := trace.NewReader(f)
-	f.Close()
-	if err != nil {
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil
 	}
-	if rd.Key() != key || len(rd.Meta()) != 1 {
-		rd.Release()
+	// Injected on-disk corruption: flipped bytes must fail a CRC (or
+	// the embedded-key check) below and decay to a miss + re-record.
+	buf = faultinject.Corrupt("trace.corrupt", key, buf)
+	fkey, src, meta, tags, ops, err := trace.Decode(buf)
+	if err != nil || fkey != key || len(meta) != 1 {
 		return nil
 	}
-	e = &traceEntry{file: path, nops: rd.NumOps(), sum: rd.Meta()[0], src: rd.Src(), reps: repsFromTags(rd.Tags())}
-	rd.Release()
-	memoTrace(key, e)
-	return e
+	return &traceEntry{ops: ops, sum: meta[0], src: src, reps: repsFromTags(tags)}
 }
 
-// memoTrace inserts an entry into the in-memory store, respecting the
-// global budget (over budget the entry is simply not kept; streaming
-// entries hold no ops and always fit).
+// memoTrace inserts a recording into the in-memory store, respecting
+// the global budget (over budget the entry is simply not kept).
 func memoTrace(key string, e *traceEntry) {
 	traceEngine.mu.Lock()
 	if old, ok := traceEngine.entries[key]; ok {
@@ -495,9 +458,9 @@ func memoTrace(key string, e *traceEntry) {
 	traceEngine.mu.Unlock()
 }
 
-// persistTrace writes a materialized entry to its key's file
-// (best-effort, temp file + rename). The report anchors are
-// snapshotted under the engine lock; ops/sum/src are immutable.
+// persistTrace writes an entry to its key's file (best-effort, temp
+// file + rename). The report anchors are snapshotted under the engine
+// lock; ops/sum/src are immutable.
 func persistTrace(dir, key string, e *traceEntry) {
 	if faultinject.Should("trace.write", key) {
 		return // injected write failure: persistence is best-effort anyway
@@ -551,7 +514,7 @@ func dropTrace(key string) {
 // framing, header, report-anchor tags and op chunks — for the obs
 // recorded/replayed byte accounting.
 func entryWireBytes(key string, e *traceEntry) uint64 {
-	n := trace.WireSize(len(key), len(e.src), 1, e.nops)
+	n := trace.WireSize(len(key), len(e.src), 1, len(e.ops))
 	traceEngine.mu.RLock()
 	for fp := range e.reps {
 		n += trace.TagWireSize(len(fp), 8)
@@ -601,57 +564,22 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 	return r
 }
 
-// forEachChunk feeds the entry's op stream to fn in order. An
-// in-memory entry is one chunk; a file entry streams its CRC-framed
-// chunks through trace.Reader, each validated before fn sees it, and
-// releases the reader and the file on every path, panics included. A
-// non-nil error means the stream could not be read to its end (missing
-// file, bad header, torn or corrupt chunk) — fn may already have seen
-// the intact chunks before the damage.
-func (e *traceEntry) forEachChunk(fn func(ops []trace.Op)) error {
-	if e.ops != nil {
-		fn(e.ops)
-		return nil
-	}
-	f, err := os.Open(e.file)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rd, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	defer rd.Release()
-	for {
-		ops, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		fn(ops)
-	}
-}
-
 // replayTrace charges one stored stream to one machine from each pool,
-// reading every chunk once for the whole group, then verifies each
-// machine's report; fps[i] fingerprints pools[i]'s config. Verification
-// is per config: replaying under an anchored fingerprint must reproduce
-// that anchor bit-exactly, and the first replay under a new geometry
-// anchors its report (re-persisting an in-memory entry's file, when
-// persistence is on, so the anchor survives the process).
+// then verifies each machine's report; fps[i] fingerprints pools[i]'s
+// config. Verification is per config: replaying under an anchored
+// fingerprint must reproduce that anchor bit-exactly, and the first
+// replay under a new geometry anchors its report (re-persisting the
+// entry's file, when persistence is on, so the anchor survives the
+// process).
 //
 // A panic in the replay layer (an injected fault, or a corrupt decoded
 // stream crashing the batched interpreter) is recovered into err so the
 // caller can retry through the degraded path. ok=false with err=nil
-// means the entry is merely stale (checksum or anchor mismatch,
-// unreadable stream) — re-record, no retry accounting. The checksum is
-// checked before any machine is charged, and machines go back to their
-// pools only after the whole group verified: a machine charged with a
-// partial or mismatched stream may hold arbitrary state, so any
-// failure abandons them all.
+// means the entry is merely stale (checksum or anchor mismatch) —
+// re-record, no retry accounting. The checksum is checked before any
+// machine is charged, and machines go back to their pools only after
+// the whole group verified: a machine charged with a mismatched stream
+// may hold arbitrary state, so any failure abandons them all.
 func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, refSum uint64) (out []cpu.Report, ok bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -667,19 +595,11 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		return nil, false, nil
 	}
 	ms := make([]*cpu.Machine, len(pools))
+	out = make([]cpu.Report, len(pools))
 	for i, p := range pools {
 		ms[i] = p.Get()
-	}
-	if e.forEachChunk(func(ops []trace.Op) {
-		for _, m := range ms {
-			m.ExecTrace(ops)
-		}
-	}) != nil {
-		return nil, false, nil
-	}
-	out = make([]cpu.Report, len(ms))
-	for i, m := range ms {
-		out[i] = m.Report()
+		ms[i].ExecTrace(e.ops)
+		out[i] = ms[i].Report()
 	}
 	newAnchor, stale := false, false
 	traceEngine.mu.Lock()
@@ -701,7 +621,7 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		harvest(m)
 		pools[i].Put(m)
 	}
-	if newAnchor && e.ops != nil {
+	if newAnchor {
 		traceEngine.mu.RLock()
 		dir := traceEngine.dir
 		traceEngine.mu.RUnlock()
@@ -730,8 +650,8 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 		dropTrace(key)
 		traceRerecords.Add(1)
 		if err != nil {
-			// Transient replay failure: book it (quarantining repeat
-			// offenders) and back off before the degraded retry.
+			// Transient replay failure: book it, quarantining repeat
+			// offenders, before the degraded retry.
 			noteTransient(key, label, err)
 		}
 		return nil, false
@@ -786,9 +706,9 @@ func exitRecording(key string) {
 // built from — the identity report anchors are keyed by.
 //
 // Fault tolerance: a transient replay failure (injected fault, crashing
-// interpreter) is retried through the degraded direct path after a
-// capped exponential backoff; keys that keep failing are quarantined —
-// bypassing the engine entirely — and reported via QuarantinedPoints.
+// interpreter) is retried at once through the degraded direct path;
+// keys that keep failing are quarantined — bypassing the engine
+// entirely — and reported via QuarantinedPoints.
 //
 // runTraced is also the observability layer's per-point anchor — every
 // simulation run, whatever engine path it takes, passes through here
@@ -871,7 +791,7 @@ func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, si
 	harvest(m)
 	pool.Put(m)
 	if t, ok := rec.Take(); ok {
-		e := &traceEntry{ops: t.Ops, nops: len(t.Ops), sum: got, src: cfgFP,
+		e := &traceEntry{ops: t.Ops, sum: got, src: cfgFP,
 			reps: map[string]cpu.Report{cfgFP: r}}
 		storeTrace(key, e)
 		traceRecords.Add(1)

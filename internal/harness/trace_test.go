@@ -2,6 +2,7 @@ package harness
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"ctbia/internal/attacker"
@@ -226,7 +227,8 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 
 // TestTracePersistence round-trips a trace through the on-disk store:
 // a fresh process image (simulated by ResetTraces) replays from the
-// file, and a corrupted file is silently re-recorded.
+// file without keeping it in memory, and a corrupted file is silently
+// re-recorded.
 func TestTracePersistence(t *testing.T) {
 	dir := t.TempDir()
 	if err := SetTraceDir(dir); err != nil {
@@ -257,6 +259,14 @@ func TestTracePersistence(t *testing.T) {
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
 		t.Errorf("disk-served run: records=%d replays=%d, want 0/1", rec, rep)
 	}
+	// Memory holds only this process's recordings: the file-served
+	// stream is gone once its replay is done.
+	traceEngine.mu.RLock()
+	e := traceEngine.entries[key]
+	traceEngine.mu.RUnlock()
+	if e != nil {
+		t.Error("disk-served replay left an entry in the in-memory store")
+	}
 
 	// Corrupt the file: the load must miss and the point re-record.
 	buf, err := os.ReadFile(path)
@@ -273,5 +283,61 @@ func TestTracePersistence(t *testing.T) {
 	}
 	if rec, _, _ := TraceStats(); rec != 1 {
 		t.Errorf("corrupted file was not re-recorded: records=%d", rec)
+	}
+}
+
+// TestOversizedTraceFileIsMiss plants a sparse file one byte larger
+// than any recording writes at a point's trace path. Lookup must refuse
+// it without reading it: the point records, reports exactly what direct
+// execution does, allocates less than the file's size, and the
+// recording writes the key's trace over the file.
+func TestOversizedTraceFileIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	t.Cleanup(func() {
+		SetTraceDir("")
+		SetTraceMode(TraceOn)
+		ResetTraces()
+	})
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 400, Seed: 29}
+	s := ct.Linear{}
+	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
+
+	SetTraceMode(TraceOff)
+	want := RunWorkload(w, p, s, 0) // also warms the machine pool
+	SetTraceMode(TraceOn)
+	if err := SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ResetTraces()
+
+	path := traceFilePath(dir, key)
+	planted := int64(trace.MaxWireSize(maxTraceOps)) + 1
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, planted); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := RunWorkload(w, p, s, 0)
+	runtime.ReadMemStats(&after)
+	if got != want {
+		t.Errorf("run over an oversized file diverged from direct\nwant: %v\ngot:  %v", want, got)
+	}
+	if rec, rep, rerec := TraceStats(); rec != 1 || rep != 0 || rerec != 0 {
+		t.Errorf("run over an oversized file: records=%d replays=%d rerecords=%d, want 1/0/0", rec, rep, rerec)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(planted) {
+		t.Errorf("run over a %d-byte file allocated %d bytes: the file was read", planted, grew)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fkey, _, _, _, _, err := trace.Decode(buf); err != nil || fkey != key {
+		t.Fatalf("file after the recording does not decode as this key's trace: key ok=%v, err=%v", fkey == key, err)
 	}
 }

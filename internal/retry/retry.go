@@ -1,14 +1,15 @@
 // Package retry is the repository's one shared backoff policy: capped
 // exponential delays with optional jitter, context-aware sleeping, and
-// a Do loop for idempotent operations. The trace engine's degraded
-// retries, the fleet worker's coordinator reconnect and its result
-// uploads all run through here, so "how we back off" is defined once.
+// a Do loop for idempotent operations. The fleet worker's coordinator
+// reconnect and its result uploads run through here, so "how we back
+// off" is defined once. The trace engine's degraded retries do not
+// back off: they re-run a deterministic simulation, which no wait can
+// change.
 //
 // The policy is deliberately tiny: attempt counting and the decision of
-// *what* is retryable stay with the caller (the trace engine retries
-// transient faults through its quarantine accounting, the fleet worker
-// retries any transport error). Permanent wraps an error to stop a Do
-// loop early.
+// *what* is retryable stay with the caller (the fleet worker retries
+// any transport error). Permanent wraps an error to stop a Do loop
+// early.
 package retry
 
 import (

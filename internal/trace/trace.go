@@ -28,14 +28,11 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sort"
-	"sync"
 )
 
 // Kind discriminates trace operations.
@@ -442,7 +439,7 @@ func (r *Recorder) ResetStats() { r.single(Op{Kind: KReset}) }
 //	    tagCount u32 | tags: nameLen u32 | name | wordLen u32 | words u64s |
 //	    opCount u64 | chunkCap u32
 //	headerCRC u32 (over everything before it) |
-//	chunks: ops (37 B each, min(chunkCap, remaining) per chunk) |
+//	chunks: ops (32 B each, min(chunkCap, remaining) per chunk) |
 //	        chunkCRC u32 (over that chunk's op bytes)
 //
 // The key is the caller's full identity string (not a hash), so a
@@ -451,25 +448,25 @@ func (r *Recorder) ResetStats() { r.single(Op{Kind: KReset}) }
 // harness stores the recording machine's config fingerprint); meta
 // carries caller-opaque words (the workload checksum) and tags carry
 // named word vectors (one expected report per machine config the stream
-// has verified against). Framing the ops in fixed-size chunks, each
-// integrity-checked by its own CRC, is what lets the streaming Reader
-// replay a large trace in bounded memory: a chunk is validated, decoded
-// and executed before the next one is even read. Any mismatch — magic,
-// version, truncation, CRC — is ErrCorrupt and the caller treats the
-// file as a miss.
+// has verified against). The ops are framed in fixed-size chunks, each
+// integrity-checked by its own CRC, so a flipped bit is pinned to the
+// chunk it hit; no reader streams the chunks — Decode checks every one
+// before it returns any op. Any mismatch — magic, version, a length
+// past its bounds, truncation, CRC, trailing bytes — is ErrCorrupt and
+// the caller treats the file as a miss.
 
 const (
 	traceMagic   = "CTRT"
 	traceVersion = 2
 	opWireSize   = 8 + 8 + 8 + 4 + 1 + 1 + 2
 
-	// DefaultChunkOps is the chunk granularity Encode frames ops at and
-	// the unit the streaming Reader buffers: ~150 KiB of wire bytes and
-	// one decoded []Op of the same length, whatever the trace size.
+	// DefaultChunkOps is the chunk granularity Encode frames ops at:
+	// 128 KiB of op bytes per CRC. The chunk CRCs only localize damage:
+	// nothing streams the chunks, and Decode checks them all.
 	DefaultChunkOps = 4096
 
-	// maxHeaderLen bounds the header block a Reader will buffer; real
-	// headers are a few hundred bytes (key + a handful of report tags).
+	// maxHeaderLen bounds the header block Decode accepts; real headers
+	// are a few hundred bytes (key + a handful of report tags).
 	maxHeaderLen = 1 << 20
 )
 
@@ -498,6 +495,13 @@ func WireSize(keyLen, srcLen, metaLen, nOps int) int {
 // nameLen-byte name with a words-long u64 vector.
 func TagWireSize(nameLen, words int) int {
 	return 4 + nameLen + 4 + 8*words
+}
+
+// MaxWireSize returns the largest file Encode writes for nOps ops that
+// Decode accepts: a header block at Decode's cap plus the ops in
+// DefaultChunkOps chunks. A loader can refuse a bigger file unread.
+func MaxWireSize(nOps int) int {
+	return 4 + 4 + 4 + maxHeaderLen + 4 + opWireSize*nOps + 4*numChunks(nOps)
 }
 
 // appendOp serializes one op record.
@@ -579,269 +583,107 @@ func Encode(key, src string, meta []uint64, tags map[string][]uint64, ops []Op) 
 	return buf
 }
 
-// Reader decodes an Encode'd stream incrementally: NewReader validates
-// the header, Next hands out one chunk of ops at a time. Memory stays
-// bounded by the chunk size however large the trace is, and the chunk
-// buffers are reused, so a replay loop driving Next allocates nothing
-// after construction. The buffers themselves come from a package-wide
-// pool (they are ~300 KiB per Reader at the default chunk geometry);
-// call Release when done with a Reader so a warm replay loop stops
-// allocating them per open.
-type Reader struct {
-	r         io.Reader
-	key, src  string
-	meta      []uint64
-	tags      map[string][]uint64
-	opCount   uint64
-	remaining uint64
-	chunkCap  int
-	bufs      *readerBufs
-	buf       []byte // wire bytes of one chunk (+ its CRC)
-	ops       []Op   // decoded chunk, reused across Next calls
-	err       error  // sticky
+// cursor reads little-endian fields off the front of p. A read past the
+// end sets bad and yields zero values, so a parse can run several reads
+// and check bad once after them.
+type cursor struct {
+	p   []byte
+	bad bool
 }
 
-// readerBufs is one Reader's reusable chunk storage: the wire bytes of
-// one chunk (+ CRC) and its decoded ops.
-type readerBufs struct {
-	buf []byte
-	ops []Op
+// take returns the next n bytes.
+func (c *cursor) take(n uint64) []byte {
+	if c.bad || n > uint64(len(c.p)) {
+		c.bad = true
+		return nil
+	}
+	b := c.p[:n:n]
+	c.p = c.p[n:]
+	return b
 }
 
-// readerBufPool recycles chunk buffers across Readers. Entries grow to
-// the largest chunk geometry they have served; the default geometry is
-// uniform (Encode always frames at DefaultChunkOps), so in practice
-// every entry stabilizes at ~300 KiB and a warm streaming replay
-// allocates no chunk storage at all.
-var readerBufPool = sync.Pool{New: func() any { return new(readerBufs) }}
-
-// errReleased guards use-after-Release.
-var errReleased = errors.New("trace: reader used after Release")
-
-// NewReader reads and validates a v2 trace header from r. Structural
-// damage and any other version fail with ErrCorrupt. The op chunks are
-// not read yet — drive Next (or Decode) for those.
-func NewReader(r io.Reader) (*Reader, error) {
-	var fixed [12]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, ErrCorrupt
+// u32 reads one u32, widened so callers can bound it without casts.
+func (c *cursor) u32() uint64 {
+	if b := c.take(4); !c.bad {
+		return uint64(binary.LittleEndian.Uint32(b))
 	}
-	if string(fixed[:4]) != traceMagic {
-		return nil, ErrCorrupt
-	}
-	if v := binary.LittleEndian.Uint32(fixed[4:]); v != traceVersion {
-		return nil, fmt.Errorf("%w (unsupported format version %d)", ErrCorrupt, v)
-	}
-	headerLen := binary.LittleEndian.Uint32(fixed[8:])
-	if headerLen < 4+4+4+4+8+4 || headerLen > maxHeaderLen {
-		return nil, ErrCorrupt
-	}
-	header := make([]byte, headerLen+4)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, ErrCorrupt
-	}
-	crc := crc32.ChecksumIEEE(fixed[:])
-	crc = crc32.Update(crc, crc32.IEEETable, header[:headerLen])
-	if crc != binary.LittleEndian.Uint32(header[headerLen:]) {
-		return nil, ErrCorrupt
-	}
-
-	p := header[:headerLen]
-	take := func(n int) []byte {
-		if n < 0 || len(p) < n {
-			return nil
-		}
-		b := p[:n]
-		p = p[n:]
-		return b
-	}
-	takeU32 := func() (uint32, bool) {
-		b := take(4)
-		if b == nil {
-			return 0, false
-		}
-		return binary.LittleEndian.Uint32(b), true
-	}
-	d := &Reader{r: r}
-	kl, ok := takeU32()
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	kb := take(int(kl))
-	if kb == nil {
-		return nil, ErrCorrupt
-	}
-	d.key = string(kb)
-	sl, ok := takeU32()
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	sb := take(int(sl))
-	if sb == nil {
-		return nil, ErrCorrupt
-	}
-	d.src = string(sb)
-	ml, ok := takeU32()
-	if !ok || uint64(ml) > uint64(len(p))/8 {
-		return nil, ErrCorrupt
-	}
-	d.meta = make([]uint64, ml)
-	for i := range d.meta {
-		d.meta[i] = binary.LittleEndian.Uint64(take(8))
-	}
-	tc, ok := takeU32()
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	d.tags = make(map[string][]uint64, tc)
-	for t := uint32(0); t < tc; t++ {
-		nl, ok := takeU32()
-		if !ok {
-			return nil, ErrCorrupt
-		}
-		nb := take(int(nl))
-		if nb == nil {
-			return nil, ErrCorrupt
-		}
-		wl, ok := takeU32()
-		if !ok || uint64(wl) > uint64(len(p))/8 {
-			return nil, ErrCorrupt
-		}
-		words := make([]uint64, wl)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(take(8))
-		}
-		d.tags[string(nb)] = words
-	}
-	oc := take(8)
-	if oc == nil {
-		return nil, ErrCorrupt
-	}
-	d.opCount = binary.LittleEndian.Uint64(oc)
-	cc, ok := takeU32()
-	if !ok || len(p) != 0 {
-		return nil, ErrCorrupt
-	}
-	if cc == 0 || cc > 1<<20 {
-		return nil, ErrCorrupt
-	}
-	d.chunkCap = int(cc)
-	d.remaining = d.opCount
-	rb := readerBufPool.Get().(*readerBufs)
-	need := d.chunkCap*opWireSize + 4
-	if cap(rb.buf) < need {
-		rb.buf = make([]byte, need)
-	}
-	if cap(rb.ops) < d.chunkCap {
-		rb.ops = make([]Op, d.chunkCap)
-	}
-	d.bufs = rb
-	d.buf = rb.buf[:need]
-	d.ops = rb.ops[:d.chunkCap]
-	return d, nil
+	return 0
 }
 
-// Release returns the Reader's chunk buffers to the package pool. The
-// Reader is unusable afterwards: Next reports a sticky error, and any
-// chunk slice previously handed out must no longer be read. Release is
-// idempotent; callers that drained the stream (or abandoned it on
-// error) should Release so warm replay loops reuse buffers instead of
-// allocating ~300 KiB per open.
-func (d *Reader) Release() {
-	if d.bufs == nil {
-		return
+// words reads a u32 count and that many u64s; a count larger than the
+// bytes left fails before anything is allocated.
+func (c *cursor) words() []uint64 {
+	n := c.u32()
+	if n > uint64(len(c.p))/8 {
+		c.bad = true
+		return nil
 	}
-	rb := d.bufs
-	d.bufs = nil
-	d.buf = nil
-	d.ops = nil
-	if d.err == nil {
-		d.err = errReleased
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(c.take(8))
 	}
-	readerBufPool.Put(rb)
+	return w
 }
 
-// Key returns the identity string embedded in the trace.
-func (d *Reader) Key() string { return d.key }
-
-// Src returns the caller-opaque source string (the harness stores the
-// recording machine's config fingerprint).
-func (d *Reader) Src() string { return d.src }
-
-// Meta returns the header's opaque metadata words.
-func (d *Reader) Meta() []uint64 { return d.meta }
-
-// Tags returns the header's named word vectors.
-func (d *Reader) Tags() map[string][]uint64 { return d.tags }
-
-// NumOps returns the total op count the header declares.
-func (d *Reader) NumOps() int { return int(d.opCount) }
-
-// Next returns the next chunk of ops, or io.EOF after the last chunk
-// (having verified the stream ends exactly there). The returned slice
-// is valid only until the following Next call — the Reader reuses its
-// buffers. Errors are sticky.
-func (d *Reader) Next() ([]Op, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining == 0 {
-		if _, err := io.ReadFull(d.r, d.buf[:1]); err != io.EOF {
-			d.err = fmt.Errorf("%w (trailing bytes)", ErrCorrupt)
-			return nil, d.err
-		}
-		d.err = io.EOF
-		return nil, io.EOF
-	}
-	n := d.chunkCap
-	if uint64(n) > d.remaining {
-		n = int(d.remaining)
-	}
-	need := n*opWireSize + 4
-	buf := d.buf[:need]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = ErrCorrupt
-		return nil, d.err
-	}
-	body := buf[: need-4 : need-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[need-4:]) {
-		d.err = ErrCorrupt
-		return nil, d.err
-	}
-	ops := d.ops[:n]
-	for i := range ops {
-		ops[i] = decodeOp(body[i*opWireSize:])
-		if ops[i].Kind >= kindCount {
-			d.err = fmt.Errorf("%w (kind)", ErrCorrupt)
-			return nil, d.err
-		}
-	}
-	d.remaining -= uint64(n)
-	return ops, nil
-}
-
-// Decode parses an Encode'd buffer in full, verifying structure and
-// checksums — NewReader + Next drained into one slice, for callers
-// that want the whole stream resident.
+// Decode parses an Encode'd buffer in place, verifying the header
+// bounds and CRC, every chunk's CRC and op kinds, and that the buffer
+// ends exactly after the last chunk. Every count is checked against the
+// bytes present before it sizes an allocation, so what Decode allocates
+// stays proportional to len(buf); every failure wraps ErrCorrupt.
 func Decode(buf []byte) (key, src string, meta []uint64, tags map[string][]uint64, ops []Op, err error) {
-	d, err := NewReader(bytes.NewReader(buf))
-	if err != nil {
+	fail := func(err error) (string, string, []uint64, map[string][]uint64, []Op, error) {
 		return "", "", nil, nil, nil, err
 	}
-	defer d.Release()
-	if d.opCount > uint64(len(buf))/opWireSize {
-		return "", "", nil, nil, nil, ErrCorrupt
+	if len(buf) < 12 || string(buf[:4]) != traceMagic {
+		return fail(ErrCorrupt)
 	}
-	ops = make([]Op, 0, d.opCount)
-	for {
-		chunk, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", "", nil, nil, nil, err
-		}
-		ops = append(ops, chunk...)
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != traceVersion {
+		return fail(fmt.Errorf("%w (unsupported format version %d)", ErrCorrupt, v))
 	}
-	return d.key, d.src, d.meta, d.tags, ops, nil
+	end := 12 + uint64(binary.LittleEndian.Uint32(buf[8:]))
+	if end < 12+4+4+4+4+8+4 || end > 12+maxHeaderLen || end+4 > uint64(len(buf)) ||
+		crc32.ChecksumIEEE(buf[:end]) != binary.LittleEndian.Uint32(buf[end:]) {
+		return fail(ErrCorrupt)
+	}
+	h := cursor{p: buf[12:end]}
+	key = string(h.take(h.u32()))
+	src = string(h.take(h.u32()))
+	meta = h.words()
+	n := h.u32()
+	if n > uint64(len(h.p))/8 { // a tag is at least its two lengths
+		return fail(ErrCorrupt)
+	}
+	tags = make(map[string][]uint64, n)
+	for ; n > 0 && !h.bad; n-- {
+		name := string(h.take(h.u32()))
+		tags[name] = h.words()
+	}
+	var nOps uint64
+	if b := h.take(8); !h.bad {
+		nOps = binary.LittleEndian.Uint64(b)
+	}
+	chunkOps := h.u32()
+	body := cursor{p: buf[end+4:]}
+	if h.bad || len(h.p) != 0 || chunkOps == 0 || chunkOps > 1<<20 ||
+		nOps > uint64(len(body.p))/opWireSize {
+		return fail(ErrCorrupt)
+	}
+	ops = make([]Op, 0, nOps)
+	for uint64(len(ops)) < nOps {
+		chunk := body.take(min(nOps-uint64(len(ops)), chunkOps) * opWireSize)
+		if sum := body.u32(); body.bad || uint64(crc32.ChecksumIEEE(chunk)) != sum {
+			return fail(ErrCorrupt)
+		}
+		for i := 0; i < len(chunk); i += opWireSize {
+			op := decodeOp(chunk[i:])
+			if op.Kind >= kindCount {
+				return fail(fmt.Errorf("%w (kind)", ErrCorrupt))
+			}
+			ops = append(ops, op)
+		}
+	}
+	if len(body.p) != 0 {
+		return fail(fmt.Errorf("%w (trailing bytes)", ErrCorrupt))
+	}
+	return key, src, meta, tags, ops, nil
 }

@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,8 @@ func TestScratchFusion(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip round-trips a recorded stream and one
+// spanning several chunks, the last of them partial.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
 	r.Op(7)
@@ -140,6 +143,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r.Warm(0, 1<<14)
 	r.ResetStats()
 	tr, _ := r.Take()
+	long := make([]Op, 3*DefaultChunkOps+123)
+	for i := range long {
+		long[i] = Op{Kind: KAccess, Addr: uint64(i * 64), Arg: 1, Flags: uint32(i % 7)}
+	}
 
 	key := "salt\x1fw:histogram\x1f500/1/0\x1fct\x1fshared"
 	src := "L1d:65536:8:2;dram=200"
@@ -148,120 +155,63 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		"cfgA": {10, 20, 30},
 		"cfgB": {40},
 	}
-	buf := Encode(key, src, meta, tags, tr.Ops)
-	want := WireSize(len(key), len(src), len(meta), len(tr.Ops)) +
-		TagWireSize(len("cfgA"), 3) + TagWireSize(len("cfgB"), 1)
-	if len(buf) != want {
-		t.Errorf("WireSize mispredicts: encoded %d bytes, WireSize says %d", len(buf), want)
-	}
-
-	gotKey, gotSrc, gotMeta, gotTags, gotOps, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotKey != key {
-		t.Errorf("key round trip: %q != %q", gotKey, key)
-	}
-	if gotSrc != src {
-		t.Errorf("src round trip: %q != %q", gotSrc, src)
-	}
-	if len(gotMeta) != len(meta) || gotMeta[0] != meta[0] || gotMeta[3] != meta[3] {
-		t.Errorf("meta round trip: %v != %v", gotMeta, meta)
-	}
-	if len(gotTags) != 2 || len(gotTags["cfgA"]) != 3 || gotTags["cfgA"][2] != 30 || gotTags["cfgB"][0] != 40 {
-		t.Errorf("tags round trip: %v != %v", gotTags, tags)
-	}
-	if len(gotOps) != len(tr.Ops) {
-		t.Fatalf("ops round trip: %d != %d", len(gotOps), len(tr.Ops))
-	}
-	for i := range gotOps {
-		if gotOps[i] != tr.Ops[i] {
-			t.Errorf("op %d round trip: %+v != %+v", i, gotOps[i], tr.Ops[i])
+	for name, ops := range map[string][]Op{"recorded": tr.Ops, "multi-chunk": long} {
+		buf := Encode(key, src, meta, tags, ops)
+		want := WireSize(len(key), len(src), len(meta), len(ops)) +
+			TagWireSize(len("cfgA"), 3) + TagWireSize(len("cfgB"), 1)
+		if len(buf) != want {
+			t.Errorf("%s: WireSize mispredicts: encoded %d bytes, WireSize says %d", name, len(buf), want)
 		}
-	}
-}
 
-// TestReaderStreamsChunks pins the streaming contract on a trace big
-// enough for several chunks: Next hands out at most DefaultChunkOps ops
-// per call, the concatenation reproduces the stream exactly, and the
-// header fields arrive before any chunk is read.
-func TestReaderStreamsChunks(t *testing.T) {
-	const n = DefaultChunkOps*3 + 123
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: KAccess, Addr: uint64(i * 64), Arg: 1, Flags: uint32(i % 7)}
-	}
-	buf := Encode("key", "src", []uint64{9}, map[string][]uint64{"fp": {1, 2}}, ops)
-
-	d, err := NewReader(bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Key() != "key" || d.Src() != "src" || d.NumOps() != n {
-		t.Fatalf("header: key=%q src=%q ops=%d", d.Key(), d.Src(), d.NumOps())
-	}
-	if len(d.Meta()) != 1 || d.Meta()[0] != 9 || len(d.Tags()["fp"]) != 2 {
-		t.Fatalf("header meta/tags wrong: %v / %v", d.Meta(), d.Tags())
-	}
-	var got []Op
-	chunks := 0
-	for {
-		chunk, err := d.Next()
-		if err == io.EOF {
-			break
-		}
+		gotKey, gotSrc, gotMeta, gotTags, gotOps, err := Decode(buf)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if len(chunk) > DefaultChunkOps {
-			t.Fatalf("chunk of %d ops exceeds the %d cap", len(chunk), DefaultChunkOps)
+		if gotKey != key {
+			t.Errorf("%s: key round trip: %q != %q", name, gotKey, key)
 		}
-		chunks++
-		got = append(got, chunk...)
-	}
-	if chunks != 4 {
-		t.Errorf("streamed %d chunks, want 4", chunks)
-	}
-	if len(got) != n {
-		t.Fatalf("streamed %d ops, want %d", len(got), n)
-	}
-	for i := range got {
-		if got[i] != ops[i] {
-			t.Fatalf("op %d diverged: %+v != %+v", i, got[i], ops[i])
+		if gotSrc != src {
+			t.Errorf("%s: src round trip: %q != %q", name, gotSrc, src)
 		}
-	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Errorf("post-EOF Next returned %v, want io.EOF", err)
+		if !slices.Equal(gotMeta, meta) {
+			t.Errorf("%s: meta round trip: %v != %v", name, gotMeta, meta)
+		}
+		if !maps.EqualFunc(gotTags, tags, slices.Equal[[]uint64]) {
+			t.Errorf("%s: tags round trip: %v != %v", name, gotTags, tags)
+		}
+		if len(gotOps) != len(ops) {
+			t.Fatalf("%s: ops round trip: %d != %d", name, len(gotOps), len(ops))
+		}
+		for i := range gotOps {
+			if gotOps[i] != ops[i] {
+				t.Fatalf("%s: op %d round trip: %+v != %+v", name, i, gotOps[i], ops[i])
+			}
+		}
 	}
 }
 
-// TestReaderNextZeroAlloc pins that the streaming loop allocates
-// nothing after construction — the property that lets a large on-disk
-// trace replay without growing the heap per chunk.
-func TestReaderNextZeroAlloc(t *testing.T) {
-	const n = DefaultChunkOps * 8
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: KRun, Addr: uint64(i * 64), Arg: 2, Stride: 64}
+// TestMaxWireSize pins the loader's read bound to the format: a trace
+// whose header block sits exactly at Decode's cap encodes to
+// MaxWireSize bytes and decodes, and one more header byte is refused.
+func TestMaxWireSize(t *testing.T) {
+	ops := make([]Op, DefaultChunkOps+1)
+	// With an empty src, one meta word and no tags, the header block is
+	// the key plus 36 bytes of lengths, the meta word and the op count.
+	key := strings.Repeat("k", maxHeaderLen-36)
+	buf := Encode(key, "", []uint64{1}, nil, ops)
+	if want := MaxWireSize(len(ops)); len(buf) != want {
+		t.Errorf("largest header encodes to %d bytes, MaxWireSize says %d", len(buf), want)
 	}
-	buf := Encode("key", "src", []uint64{1}, nil, ops)
-	d, err := NewReader(bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
+	if _, _, _, _, _, err := Decode(buf); err != nil {
+		t.Errorf("trace at the header cap does not decode: %v", err)
 	}
-	// One warm-up call plus 4 measured calls still leaves chunks unread,
-	// so every measured call takes the full-chunk path.
-	allocs := testing.AllocsPerRun(4, func() {
-		if _, err := d.Next(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Reader.Next allocates %.1f objects per chunk, want 0", allocs)
+	if _, _, _, _, _, err := Decode(Encode(key+"k", "", []uint64{1}, nil, ops)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("header one byte over the cap decoded with %v, want ErrCorrupt", err)
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
+// corruptEncodings returns damaged variants of a small valid encoding.
+func corruptEncodings() map[string][]byte {
 	r := NewRecorder(0)
 	for i := 0; i < 20; i++ {
 		r.Access(uint64(i*64), 0)
@@ -278,14 +228,52 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0x40
 	cases["bitflip"] = flipped
-	trailing := append(bytes.Clone(good), 0)
-	cases["trailing"] = trailing
+	cases["trailing"] = append(bytes.Clone(good), 0)
+	return cases
+}
 
-	for name, buf := range cases {
-		if _, _, _, _, _, err := Decode(buf); err == nil {
-			t.Errorf("%s: Decode accepted corrupted input", name)
+func TestDecodeRejectsCorruption(t *testing.T) {
+	for name, buf := range corruptEncodings() {
+		if _, _, _, _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode returned %v on corrupted input, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// FuzzDecode holds Decode to its contract on arbitrary bytes: it never
+// panics, every error is ErrCorrupt, and whatever it accepts
+// re-encodes to a buffer that decodes to the same trace. The seeds are
+// small on purpose: one multi-chunk encoding is over 128 KiB, which
+// slows the fuzzer by orders of magnitude.
+func FuzzDecode(f *testing.F) {
+	for _, n := range []int{0, 1, 12, 40} {
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{Kind: Kind(i) % kindCount, Addr: uint64(i * 64), Arg: uint64(i), Stride: 64,
+				Flags: uint32(i % 3), Pre: uint8(i % 3), PreN: uint16(i)}
+		}
+		f.Add(Encode("key", "src", []uint64{uint64(n)}, map[string][]uint64{"fp": {1, 2, 3}}, ops))
+	}
+	for _, buf := range corruptEncodings() {
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		key, src, meta, tags, ops, err := Decode(buf)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		key2, src2, meta2, tags2, ops2, err := Decode(Encode(key, src, meta, tags, ops))
+		if err != nil {
+			t.Fatalf("accepted trace does not survive a re-encode: %v", err)
+		}
+		if key2 != key || src2 != src || !slices.Equal(meta2, meta) ||
+			!maps.EqualFunc(tags2, tags, slices.Equal[[]uint64]) || !slices.Equal(ops2, ops) {
+			t.Fatal("accepted trace decodes differently after a re-encode")
+		}
+	})
 }
 
 // TestDecodeRejectsV1 pins that a v1-era file is just an undecodable
@@ -308,9 +296,6 @@ func TestDecodeRejectsV1(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("v1 error %q does not name the version", err)
-	}
-	if _, err := NewReader(bytes.NewReader(v1)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("NewReader on v1 file returned %v, want ErrCorrupt", err)
 	}
 }
 
