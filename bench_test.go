@@ -3,7 +3,10 @@ package ctbia_test
 // One benchmark per table and figure in the paper's evaluation, plus
 // ablation and micro benchmarks. The figure benchmarks execute the same
 // experiment code cmd/ctbench prints, so `go test -bench .` regenerates
-// every artifact; key ratios are attached as custom metrics.
+// every artifact; key ratios are attached as custom metrics. They run
+// the default trace engine with no trace directory, which keeps no
+// recording between calls: with b.N > 1 the iterations after the first
+// simulate directly, as the first does, instead of replaying it.
 //
 // Run everything:   go test -bench . -benchmem
 // One figure:       go test -bench BenchmarkFig7a

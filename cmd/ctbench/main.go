@@ -23,16 +23,17 @@
 //	ctbench -cachedir DIR     # cache location (default
 //	                          # ~/.cache/ctbia/results)
 //	ctbench -trace off        # trace-replay engine: on (default) =
-//	                          # record each simulation point's operation
-//	                          # stream once and replay repeats through
-//	                          # the batched interpreter (a grouped sweep
-//	                          # such as geosweep decodes each shared
-//	                          # stream once for all its machine
-//	                          # configs); off = always simulate from
-//	                          # scratch
+//	                          # a grouped sweep such as geosweep records
+//	                          # each shared stream on one machine config
+//	                          # and replays it through the batched
+//	                          # interpreter on the others, and with a
+//	                          # trace directory every traceable point
+//	                          # records once and replays from its file;
+//	                          # off = always simulate from scratch
 //	ctbench -tracedir DIR     # persist traces to DIR (default: the
 //	                          # traces/ subdirectory of the cache dir
-//	                          # when -cache rw, else in-memory only);
+//	                          # when -cache rw, else none: without a
+//	                          # directory a single point runs direct);
 //	                          # a fresh DIR is primed by the first run
 //	ctbench -resume           # with -cache rw: consult the manifest
 //	                          # journal from a previous (possibly
@@ -340,7 +341,8 @@ func main() {
 	}
 	harness.SetTraceMode(tmode)
 	// Persist traces next to the result cache when it is writable, or
-	// wherever -tracedir points; otherwise traces stay in memory.
+	// wherever -tracedir points; otherwise only fan-out groups replay,
+	// each from its own recording.
 	tdir := *traceDir
 	if tdir == "" && store.Mode() == resultcache.ReadWrite {
 		tdir = filepath.Join(store.Dir(), resultcache.TracesSubdir)

@@ -10,26 +10,36 @@ import (
 )
 
 // runWorkloadAllocBudget bounds the allocations of one pooled
-// RunWorkload call (machine from pool, full workload simulation,
-// verification, report). Measured at 14 allocs/op — the workload's own
-// input setup (slices of test data) and the replay group's machine and
-// report slices, not the access path, which is at zero. The budget leaves headroom for small workload-side changes but
-// fails loudly if pooling regresses (a machine rebuild alone is
-// thousands of allocations).
+// RunWorkload call that replays its point from a trace file (file read,
+// decode, machine from pool, replay, verification, report). Measured at
+// 36 allocs/op: opening, reading and decoding the file, the workload's
+// own input setup and the replay group's machine and report slices; the
+// access path allocates nothing. The budget leaves headroom for small
+// workload-side changes but fails loudly if pooling regresses (a machine
+// rebuild alone is thousands of allocations).
 const runWorkloadAllocBudget = 64
 
-func measureRunWorkloadAllocs() float64 {
+// measureRunWorkloadAllocs primes one point into a fresh trace
+// directory and measures the RunWorkload calls that replay it from the
+// file.
+func measureRunWorkloadAllocs(tb testing.TB) float64 {
+	useTraceDir(tb)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 500, Seed: 1}
-	// Prime the pool so the measured runs recycle instead of build.
+	// Record the point's file and prime the pool so the measured runs
+	// replay and recycle instead of recording and building.
 	RunWorkload(w, p, ct.BIA{}, 1)
-	return testing.AllocsPerRun(5, func() {
+	allocs := testing.AllocsPerRun(5, func() {
 		RunWorkload(w, p, ct.BIA{}, 1)
 	})
+	if rec, rep, _ := TraceStats(); rec != 1 || rep == 0 {
+		tb.Fatalf("records=%d replays=%d, want 1 and >0: the measured runs must replay", rec, rep)
+	}
+	return allocs
 }
 
 func TestRunWorkloadAllocBudget(t *testing.T) {
-	if allocs := measureRunWorkloadAllocs(); allocs > runWorkloadAllocBudget {
+	if allocs := measureRunWorkloadAllocs(t); allocs > runWorkloadAllocBudget {
 		t.Errorf("RunWorkload: %.0f allocs/op, budget is %d — machine pooling regressed?",
 			allocs, runWorkloadAllocBudget)
 	}
@@ -75,8 +85,10 @@ func TestNoteWorkerBusyZeroAllocsWarm(t *testing.T) {
 }
 
 // BenchmarkRunWorkloadAllocs tracks the end-to-end cost of one pooled
-// experiment data point and fails when over the allocation budget.
+// experiment data point replayed from its trace file and fails when over
+// the allocation budget.
 func BenchmarkRunWorkloadAllocs(b *testing.B) {
+	useTraceDir(b)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 500, Seed: 1}
 	RunWorkload(w, p, ct.BIA{}, 1)
@@ -86,7 +98,7 @@ func BenchmarkRunWorkloadAllocs(b *testing.B) {
 		RunWorkload(w, p, ct.BIA{}, 1)
 	}
 	b.StopTimer()
-	if allocs := measureRunWorkloadAllocs(); allocs > runWorkloadAllocBudget {
+	if allocs := measureRunWorkloadAllocs(b); allocs > runWorkloadAllocBudget {
 		b.Fatalf("RunWorkload: %.0f allocs/op, budget is %d", allocs, runWorkloadAllocBudget)
 	}
 }

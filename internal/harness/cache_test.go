@@ -2,6 +2,7 @@ package harness
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 
 	"ctbia/internal/resultcache"
@@ -132,4 +133,65 @@ func TestRunAllReadOnlyCache(t *testing.T) {
 	if !res[0].Cached {
 		t.Error("ro store missed an entry seeded by a rw store")
 	}
+}
+
+// FuzzCachedTable feeds arbitrary bytes to Lookup as the cached table
+// of one experiment. A hit is only ever a table usable as that
+// experiment's result, and it renders. A miss leaves nothing at the
+// key's path: an undecodable body, or one that decodes into an
+// unusable table, is quarantined rather than left to fail again on the
+// next run.
+func FuzzCachedTable(f *testing.F) {
+	e, err := ByID("config")
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := ByID("table2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// saved returns the body a read-write store writes for t.
+	saved := func(t *Table) []byte {
+		dir := f.TempDir()
+		store, err := resultcache.Open(dir, resultcache.ReadWrite, "")
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := store.Save("5eed", t); err != nil {
+			f.Fatal(err)
+		}
+		buf, err := os.ReadFile(filepath.Join(dir, "5eed.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	f.Add(saved(e.Run(Options{Quick: true})))
+	f.Add(saved(other.Run(Options{Quick: true})))
+	f.Add([]byte("null\n")) // TestChaosGarbageJSONCacheEntry's body
+	f.Add([]byte("null"))
+	f.Add([]byte("{}"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		store, err := resultcache.Open(dir, resultcache.ReadWrite, SimVersionSalt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{Quick: true, Cache: store}
+		path := filepath.Join(dir, CacheKey(e, o)+".json")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, hit := Lookup(e, o)
+		if hit {
+			if !res.Table.UsableFor(e.ID) {
+				t.Fatalf("served a table unusable as %s: %+v", e.ID, res.Table)
+			}
+			res.Table.Render()
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("a miss left its entry at the key's path (stat err %v)", err)
+		}
+	})
 }

@@ -18,7 +18,7 @@ import (
 // run, and a resumed sweep finishes.
 
 // chaosSetup gives each chaos test a clean, self-restoring engine:
-// empty trace store, no persistence, trace mode on, and fault injection
+// fresh counters, no persistence, trace mode on, and fault injection
 // disarmed afterwards.
 func chaosSetup(t *testing.T) {
 	t.Helper()
@@ -125,7 +125,7 @@ func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetTraces() // drop the memoized copy; force the disk path
+	ResetTraces() // a fresh engine, as in a new process
 	got := RunWorkload(w, p, ct.BIA{}, 1)
 	if got != clean {
 		t.Errorf("report after on-disk corruption %+v, want %+v", got, clean)
@@ -142,6 +142,9 @@ func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
 // direct path: same numbers, one booked retry, no quarantine yet.
 func TestChaosTransientReplayRetries(t *testing.T) {
 	chaosSetup(t)
+	if err := SetTraceDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 512, Seed: 1}
 
@@ -168,6 +171,9 @@ func TestChaosTransientReplayRetries(t *testing.T) {
 // never an unbounded retry loop, and still always the right numbers.
 func TestChaosRepeatOffenderQuarantined(t *testing.T) {
 	chaosSetup(t)
+	if err := SetTraceDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 512, Seed: 1}
 

@@ -12,20 +12,23 @@ import (
 )
 
 // Fan-out replay: the sweep-side counterpart of config-independent
-// trace keys. One recording serves every geometry of a sweep, and a
-// fan-out group also shares its *decode*: the stored stream is looked
-// up (and, from disk, decoded) once and charged to a whole slice of
-// machines (one per geometry, drawn from their pools), so an
-// N-geometry group costs one decode pass instead of N, with per-config
-// report anchors and checksum verification exactly as strict as for a
-// single point (which is the same code, a group of one).
+// trace keys, and the one place replay pays without a trace directory.
+// One recording serves every geometry of a group: on a miss the first
+// config records the stream and the rest are charged from that
+// recording; with a trace directory a later group reads the key's file
+// once and charges every config from it. Either way the stream is
+// decoded once and charged to a whole slice of machines (one per
+// geometry, drawn from their pools), so an N-geometry group costs one
+// recording or one decode pass instead of N, with per-config report
+// anchors and checksum verification exactly as strict as for a single
+// point (which is the same code, a group of one).
 //
 // Only share-keyed points fan out — one key, many configs. BIA-family
 // strategies key per config (their streams are geometry-dependent), so
 // their points run one by one through runTraced, as does any group the
-// engine cannot serve whole: trace mode off, quarantined key, a stream
-// that was never recorded (dead key), or a replay failure mid-group.
-// Fan-out can therefore only ever change wall time, never a table cell.
+// engine cannot serve whole: trace mode off, quarantined key, an
+// aborted recording (dead key), or a replay failure mid-group. Fan-out
+// can therefore only ever change wall time, never a table cell.
 
 // SetTraceFanout does nothing. Every replay is a fan-out group — a
 // single point is a group of one — so there is no other regime to
@@ -36,10 +39,10 @@ func SetTraceFanout(bool) {}
 
 // RunWorkloadFanout runs one (workload, params, strategy) point across
 // a group of machine configs, returning one report per config in input
-// order. Share-keyed strategies decode the stored stream once and
-// charge every config from it; everything else (and every fallback
-// condition) runs the configs through RunWorkloadOn one by one, so the
-// results are always identical to the serial path.
+// order. Share-keyed strategies charge every config from one recorded
+// or stored stream; everything else (and every fallback condition) runs
+// the configs through RunWorkloadOn one by one, so the results are
+// always identical to the serial path.
 func RunWorkloadFanout(cfgs []cpu.Config, w workloads.Workload, p workloads.Params, s ct.Strategy) []cpu.Report {
 	key := ""
 	if _, shared, ok := strategyFingerprint(s); ok && shared {
@@ -47,6 +50,7 @@ func RunWorkloadFanout(cfgs []cpu.Config, w workloads.Workload, p workloads.Para
 	}
 	return runFanout(cfgs, key, w.Name()+"/"+s.Name(),
 		func() uint64 { return w.Reference(p) },
+		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) },
 		func(cfg cpu.Config) cpu.Report { return RunWorkloadOn(cfg, w, p, s) })
 }
 
@@ -58,18 +62,21 @@ func RunKernelFanout(cfgs []cpu.Config, k ctcrypto.Kernel, p ctcrypto.Params, s 
 	}
 	return runFanout(cfgs, key, k.Name()+"/"+s.Name(),
 		func() uint64 { return k.Reference(p) },
+		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) },
 		func(cfg cpu.Config) cpu.Report { return RunKernelOn(cfg, k, p, s) })
 }
 
-// runFanout serves one shared-key point for a group of configs. The
-// stream must already exist to fan out; on a miss the first config
-// runs through the ordinary engine — which records under the
-// single-flight leader election exactly as a serial sweep would — and
-// the remaining configs fan out over the fresh recording. Any failure
-// to serve the whole group degrades the unserved tail to per-config
-// runTraced calls (which re-record, retry and quarantine with the
-// usual fault tolerance).
-func runFanout(cfgs []cpu.Config, key, label string, ref func() uint64, perConfig func(cpu.Config) cpu.Report) []cpu.Report {
+// runFanout serves one shared-key point for a group of configs. A
+// stored stream (a file in the trace directory) fans out to the whole
+// group. On a miss the first config records through sim, as one
+// observed point under the key's single-flight: a worker that finds the
+// key being recorded waits, then fans out over the leader's file or,
+// with no directory to read, records for itself. The rest of the group
+// fans out over the recording. Any failure to serve the whole
+// group degrades the unserved tail to per-config runTraced calls (which
+// re-record, retry and quarantine with the usual fault tolerance, or
+// run direct without a directory).
+func runFanout(cfgs []cpu.Config, key, label string, ref func() uint64, sim func(m *cpu.Machine) uint64, perConfig func(cpu.Config) cpu.Report) []cpu.Report {
 	out := make([]cpu.Report, len(cfgs))
 	start := 0
 	if key != "" && len(cfgs) >= 2 && TraceModeNow() == TraceOn && !isQuarantined(key) {
@@ -79,17 +86,17 @@ func runFanout(cfgs []cpu.Config, key, label string, ref func() uint64, perConfi
 			pools[i], fps[i] = poolFor(cfg)
 		}
 		e := lookupTrace(key)
-		if e == nil {
-			// Miss: run the first config through the ordinary engine so
-			// the stream is recorded (or the recording leader waited on)
-			// with all of runTraced's fault tolerance, then fan the rest
-			// out.
-			out[0] = perConfig(cfgs[0])
-			start = 1
-			e = lookupTrace(key)
+		for e == nil && !isDead(key) {
+			if recordOnce(key, func() {
+				observePoint(label, func() { out[0], e = recordPoint(pools[0], key, label, fps[0], ref, sim) })
+			}) {
+				start = 1
+				break
+			}
+			e = lookupTrace(key) // another worker recorded the key
 		}
 		if e == nil {
-			// Dead, quarantined or aborted recording: nothing to fan out.
+			// Dead key or aborted recording: nothing to fan out.
 			if traceDebug {
 				fmt.Fprintf(os.Stderr, "TRACEDBG fanout-miss %s\n", label)
 			}
@@ -103,8 +110,7 @@ func runFanout(cfgs []cpu.Config, key, label string, ref func() uint64, perConfi
 			return out
 		}
 		// A stale or transiently failing entry was dropped (and booked)
-		// by tryReplay: the per-config path re-records and serves the
-		// tail.
+		// by tryReplay: the per-config path serves the tail.
 	}
 	for i := start; i < len(cfgs); i++ {
 		out[i] = perConfig(cfgs[i])

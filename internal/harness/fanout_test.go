@@ -13,8 +13,8 @@ import (
 
 // Fan-out replay tests: grouped sweeps served by one decode pass per
 // shared stream must be bit-identical to direct execution — for every
-// geometry × strategy, from memory and from disk, and across every
-// fallback (torn files included). The decode-pass counter is the
+// geometry × strategy, from a fresh recording and from disk, and across
+// every fallback (torn files included). The decode-pass counter is the
 // efficiency contract: one pass per distinct trace key, not one per
 // replay served.
 
@@ -44,16 +44,13 @@ func geoConfigGroups() (pure, bia []cpu.Config) {
 }
 
 // TestFanoutEquivalenceGeoSweep checks every geometry × strategy of the
-// geosweep grid: fan-out groups must return exactly the reports direct
-// (trace-off) execution produces, and a warm sweep must perform one
-// decode pass per distinct trace key — shared keys fan out (one pass
-// serves four geometries), BIA keys replay per config.
+// geosweep grid over a trace directory: fan-out groups must return
+// exactly the reports direct (trace-off) execution produces, and a warm
+// sweep must perform one decode pass per distinct trace key — shared
+// keys fan out (one pass serves four geometries), BIA keys replay per
+// config.
 func TestFanoutEquivalenceGeoSweep(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
+	useTraceDir(t)
 	pureCfgs, biaCfgs := geoConfigGroups()
 	wls := geoSweepWorkloads(true)
 
@@ -124,11 +121,7 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 // replay must be byte-identical, and the warm sweep must actually fan
 // out.
 func TestFanoutGeoSweepTableByteIdentical(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
+	useTraceDir(t)
 	o := Options{Quick: true, Parallel: 1}
 	SetTraceMode(TraceOff)
 	off := runGeoSweep(o).Render()
@@ -151,38 +144,40 @@ func TestFanoutGeoSweepTableByteIdentical(t *testing.T) {
 // TestFanoutParallelSweep drives the grouped geosweep with concurrent
 // workers (the -race CI job runs this at oversubscribed GOMAXPROCS):
 // fan-out groups racing on pools and the trace engine must produce the
-// same rendered table as the serial sweep, cold and warm.
+// same rendered table as the serial sweep, cold and warm. Each sweep
+// runs over a trace directory, so the cold one reaches single-flight
+// and persistence and the warm one replays every group from the files.
 func TestFanoutParallelSweep(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
-	SetTraceMode(TraceOn)
+	useTraceDir(t)
 	serial := Options{Quick: true, Parallel: 1}
 	parallel := Options{Quick: true, Parallel: 4}
-	ResetTraces()
 	want := runGeoSweep(serial).Render() // cold, serial
-	ResetTraces()
+	useTraceDir(t)                       // an empty directory: the parallel sweep starts cold
 	if got := runGeoSweep(parallel).Render(); got != want {
 		t.Errorf("cold parallel fan-out sweep diverged from serial\nserial:\n%s\nparallel:\n%s", want, got)
 	}
+	recBefore, _, _ := TraceStats()
 	if got := runGeoSweep(parallel).Render(); got != want {
 		t.Errorf("warm parallel fan-out sweep diverged from serial\nserial:\n%s\nparallel:\n%s", want, got)
+	}
+	if rec, _, _ := TraceStats(); rec != recBefore {
+		t.Errorf("warm parallel sweep recorded %d streams, want 0 (every group replays its file)", rec-recBefore)
 	}
 }
 
 // TestReplayChunkSources drives the one replay path over both places a
 // stream comes from, charged to one config or fanned out over four
-// geometries, from a clean or a torn file. streaming=false replays this
-// process's recording, held in memory; streaming=true streams the
-// key's file back in on a fresh engine — read whole, decoded, replayed
-// and kept nowhere. The stream spans two chunks. Reports must equal
-// direct execution at every stage; a warm group must be one decode
-// pass (a fan-out pass only for a group of two or more); and a torn
-// file must never reach a machine: a memory hit leaves it unread and
-// unwritten, and a lookup that reads it misses and records over it
-// once, with no re-record.
+// geometries, from a clean or a torn file. The cold stage records, and
+// a group of four charges its other three configs from that recording,
+// which lives for the one call. The warm stage reads the key's file
+// whole, decodes and replays it and keeps nothing, in the same engine
+// (streaming=false) or in a fresh one (streaming=true); no stream
+// outlives its call, so both must behave alike. The stream spans two
+// chunks. Reports must equal direct execution at every stage; a warm
+// group must be one decode pass (a fan-out pass only for a group of two
+// or more) that leaves the file as it found it; and a torn file must
+// never reach a machine: the lookup that reads it misses and records
+// over it once, with no re-record.
 func TestReplayChunkSources(t *testing.T) {
 	t.Cleanup(func() {
 		SetTraceDir("")
@@ -201,12 +196,7 @@ func TestReplayChunkSources(t *testing.T) {
 		want[i] = RunWorkloadOn(cfg, w, p, s)
 	}
 	SetTraceMode(TraceOn)
-	stored := func() *traceEntry {
-		traceEngine.mu.RLock()
-		defer traceEngine.mu.RUnlock()
-		return traceEngine.entries[key]
-	}
-	// counts reads the engine counters the warm stage is judged by.
+	// counts reads the engine counters each stage is judged by.
 	counts := func() (rec, reps, rerec, fanouts, passes uint64) {
 		rec, reps, rerec = TraceStats()
 		fanouts, passes, _ = TraceFanoutStats()
@@ -223,6 +213,12 @@ func TestReplayChunkSources(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfgs := geos[:n]
+					// A group of four books a fan-out pass whether it fans
+					// out over the recording (three configs) or the file.
+					wantFanouts := uint64(0)
+					if n > 1 {
+						wantFanouts = 1
+					}
 					check := func(stage string) {
 						t.Helper()
 						got := RunWorkloadFanout(cfgs, w, p, s)
@@ -234,31 +230,38 @@ func TestReplayChunkSources(t *testing.T) {
 					}
 					ResetTraces()
 					check("cold") // records; a group fans out over the fresh recording
-					if e := stored(); e == nil || len(e.ops) <= trace.DefaultChunkOps {
-						t.Fatalf("cold: recording not held in memory as a stream of more than %d ops (two chunks): %v",
-							trace.DefaultChunkOps, e)
+					rec, reps, rerec, fanouts, passes := counts()
+					if rec != 1 || rerec != 0 || reps != uint64(n-1) || passes != wantFanouts || fanouts != wantFanouts {
+						t.Errorf("cold: records=%d rerecords=%d replays=%d decode passes=%d fan-outs=%d, want 1/0/%d/%d/%d",
+							rec, rerec, reps, passes, fanouts, n-1, wantFanouts, wantFanouts)
 					}
 					path := traceFilePath(dir, key)
-					var tornBuf []byte
+					buf, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, _, _, ops, err := trace.Decode(buf); err != nil || len(ops) <= trace.DefaultChunkOps {
+						t.Fatalf("cold: recording not stored as a stream of more than %d ops (two chunks): %d ops, err %v",
+							trace.DefaultChunkOps, len(ops), err)
+					}
 					if torn {
-						buf, err := os.ReadFile(path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						tornBuf = buf[:len(buf)-9]
-						if err := os.WriteFile(path, tornBuf, 0o644); err != nil {
+						if err := os.WriteFile(path, buf[:len(buf)-9], 0o644); err != nil {
 							t.Fatal(err)
 						}
 					}
+					before, err := os.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if streaming {
-						ResetTraces() // fresh engine: the stream comes back from the file
+						ResetTraces() // fresh engine
 					}
 					rec0, reps0, rerec0, fanouts0, passes0 := counts()
 					check("warm")
-					rec, reps, rerec, fanouts, passes := counts()
+					rec, reps, rerec, fanouts, passes = counts()
 					rec, reps, rerec, fanouts, passes = rec-rec0, reps-reps0, rerec-rerec0, fanouts-fanouts0, passes-passes0
 
-					if torn && streaming {
+					if torn {
 						// The lookup meets the tear and misses: one recording
 						// writes over the file, nothing is re-recorded.
 						if rec != 1 || rerec != 0 {
@@ -274,27 +277,14 @@ func TestReplayChunkSources(t *testing.T) {
 						}
 						return
 					}
-					wantFanouts := uint64(0)
-					if n > 1 {
-						wantFanouts = 1
-					}
 					if rec != 0 || rerec != 0 || reps != uint64(n) || passes != 1 || fanouts != wantFanouts {
 						t.Errorf("warm: records=%d rerecords=%d replays=%d decode passes=%d fan-outs=%d, want 0/0/%d/1/%d",
 							rec, rerec, reps, passes, fanouts, n, wantFanouts)
 					}
-					if held := stored() != nil; held == streaming {
-						t.Errorf("warm: entry held in memory=%v, want %v", held, !streaming)
-					}
-					if torn {
-						// Served from memory: the torn file was neither
-						// read into a miss nor written over.
-						buf, err := os.ReadFile(path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if string(buf) != string(tornBuf) {
-							t.Error("warm: a memory hit rewrote the torn file")
-						}
+					// Every config was anchored cold, so the warm replay
+					// verifies against the file and rewrites nothing.
+					if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+						t.Errorf("warm: a replay under anchored configs rewrote the file (err=%v)", err)
 					}
 				})
 			}

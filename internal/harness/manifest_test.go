@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -176,4 +178,71 @@ func TestSinksUnderContention(t *testing.T) {
 // At 4x oversubscription workers contend hardest for the sinks' locks.
 func TestSinksUnderContentionHighWorkers(t *testing.T) {
 	checkSinksUnderContention(t, 4*runtime.GOMAXPROCS(0))
+}
+
+// FuzzLoadManifest feeds arbitrary bytes to -resume's entry point as
+// manifest.json. Whatever the bytes, LoadManifest returns a journal
+// without error, the skip decisions -resume asks of it never panic, and
+// it journals on: the snapshot a following Record writes loads back
+// current (not stale) with the same entries.
+func FuzzLoadManifest(f *testing.F) {
+	path := filepath.Join(f.TempDir(), ManifestName)
+	m := NewManifest(path, true)
+	for i := 0; i < 3; i++ {
+		id, e := okEntry(i)
+		if i == 2 {
+			e.Status, e.Error = "failed", "boom"
+		}
+		m.Record(id, e)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap, true)
+	f.Add(snap, false)
+	f.Add(snap[:len(snap)/2], true) // a truncated journal
+	f.Add(bytes.Replace(snap, []byte(SimVersionSalt), []byte("ctbia-sim-old"), 1), true)
+	f.Add([]byte(`{"id":"exp-1","e":{"status":"ok","key":"key-exp-1","wall_ms":1}}`), true) // an old WAL line
+	f.Add([]byte("{torn"), true)
+	f.Add([]byte("null"), true)
+	f.Add([]byte(`{"entries":null}`), true)
+	// entries renders a journal's entries in the form Record writes.
+	entries := func(m *Manifest) string {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		buf, _ := json.Marshal(m.data.Entries)
+		return string(buf)
+	}
+	// keys[quick][id] is the cache key -resume checks an entry against.
+	keys := map[bool]map[string]string{}
+	for _, quick := range []bool{false, true} {
+		keys[quick] = map[string]string{}
+		for _, e := range Experiments() {
+			keys[quick][e.ID] = CacheKey(e, Options{Quick: quick})
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, quick bool) {
+		path := filepath.Join(t.TempDir(), ManifestName)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := LoadManifest(path, quick)
+		if err != nil {
+			t.Fatalf("LoadManifest of an existing file: %v", err)
+		}
+		for id, key := range keys[quick] {
+			m.Done(id, key)
+			m.Entry(id)
+		}
+		m.Summary()
+		m.Record("fuzz", ManifestEntry{Status: "ok", Key: "k"})
+		back, stale, err := LoadManifest(path, quick)
+		if err != nil || stale {
+			t.Fatalf("reload after Record: stale=%v err=%v", stale, err)
+		}
+		if got, want := entries(back), entries(m); got != want {
+			t.Fatalf("reload after Record changed the entries\nwant: %s\ngot:  %s", want, got)
+		}
+	})
 }

@@ -56,15 +56,19 @@ func TestDisarmedRunCollectsNothing(t *testing.T) {
 	}
 }
 
-// TestArmedRunHarvestsAllLayers runs one point armed and checks the
-// acceptance-criteria metrics appear: BIA lines skipped, per-level
-// cache stats, CT probe outcomes, page-cache and trace counters.
+// TestArmedRunHarvestsAllLayers runs one point armed over a trace
+// directory and checks the acceptance-criteria metrics appear: BIA
+// lines skipped, per-level cache stats, CT probe outcomes, page-cache
+// and trace counters.
 func TestArmedRunHarvestsAllLayers(t *testing.T) {
 	defer obsReset()
 	obsReset()
-	defer ResetTraces()
-	ResetTraces()
+	useTraceDir(t)
 	obs.Arm()
+	// ResetTraces leaves the trace byte counters alone (bench takes
+	// per-pass deltas of them), so they are judged by deltas over this
+	// test's own runs.
+	base := obs.Snapshot()
 	w := firstWorkload(t)
 	p := workloads.Params{Size: resetSize(w), Seed: 1}
 	RunWorkload(w, p, ct.BIA{}, 1)
@@ -89,9 +93,8 @@ func TestArmedRunHarvestsAllLayers(t *testing.T) {
 		t.Error("DS savings metrics absent")
 	}
 	// The trace source must be wired in (records the first run).
-	if snap["trace.records"] == 0 || snap["trace.bytes_recorded"] == 0 {
-		t.Errorf("trace source metrics missing: records=%d bytes=%d",
-			snap["trace.records"], snap["trace.bytes_recorded"])
+	if recs, bytes := snap["trace.records"]-base["trace.records"], snap["trace.bytes_recorded"]-base["trace.bytes_recorded"]; recs == 0 || bytes == 0 {
+		t.Errorf("trace source metrics missing: records=%d bytes=%d", recs, bytes)
 	}
 
 	// A replayed repeat harvests the same machine-side metrics again —
@@ -103,9 +106,8 @@ func TestArmedRunHarvestsAllLayers(t *testing.T) {
 		t.Errorf("second (replayed) run harvested cpu.cycles %d, want exactly 2x the first run's %d — pooled machine leaked stats",
 			snap2["cpu.cycles"], first)
 	}
-	if snap2["trace.replays"] == 0 || snap2["trace.bytes_replayed"] == 0 {
-		t.Errorf("replay metrics missing: replays=%d bytes=%d",
-			snap2["trace.replays"], snap2["trace.bytes_replayed"])
+	if reps, bytes := snap2["trace.replays"]-snap["trace.replays"], snap2["trace.bytes_replayed"]-snap["trace.bytes_replayed"]; reps == 0 || bytes == 0 {
+		t.Errorf("replay metrics missing: replays=%d bytes=%d", reps, bytes)
 	}
 }
 

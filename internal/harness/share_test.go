@@ -44,16 +44,13 @@ func TestSharedKeyExcludesGeometry(t *testing.T) {
 }
 
 // TestSharedTraceSweepEquivalence is the sweep-level equivalence
-// check: a multi-geometry sweep with tracing on must (a) produce
-// reports identical to direct execution for every geometry × workload
-// × strategy, and (b) perform exactly one recording per (workload,
-// params, strategy), serving every other geometry by shared replay.
+// check: a multi-geometry sweep of single points with tracing on and a
+// trace directory must (a) produce reports identical to direct
+// execution for every geometry × workload × strategy, and (b) perform
+// exactly one recording per (workload, params, strategy), serving every
+// other geometry by shared replay.
 func TestSharedTraceSweepEquivalence(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
+	useTraceDir(t)
 	geos := GeoSweepGeometries()
 	wls := geoSweepWorkloads(true)
 
@@ -112,11 +109,7 @@ func TestSharedTraceSweepEquivalence(t *testing.T) {
 // and requires byte-identical rendered tables — the tentpole's
 // correctness bar.
 func TestGeoSweepTableByteIdentical(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
+	useTraceDir(t)
 	o := Options{Quick: true, Parallel: 1}
 	SetTraceMode(TraceOff)
 	off := runGeoSweep(o).Render()
@@ -136,11 +129,11 @@ func TestGeoSweepTableByteIdentical(t *testing.T) {
 }
 
 // TestSingleFlightRecording pins the concurrency contract: workers
-// racing on one shared point must produce exactly one recording, with
-// every other worker served by replay.
+// racing on one shared point over a trace directory must produce
+// exactly one recording, with every other worker served by replay of
+// the leader's file.
 func TestSingleFlightRecording(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(ResetTraces)
+	useTraceDir(t)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 700, Seed: 3}
 	const workers = 8
@@ -170,8 +163,8 @@ func TestSingleFlightRecording(t *testing.T) {
 
 // TestSharedAnchorPersists checks per-config report verification
 // across processes: the first replay under a new geometry anchors its
-// report and the anchor reaches the key's file — whether the stream
-// came from this process's recording or from the file itself.
+// report and the anchor reaches the key's file — in the engine that
+// recorded the stream or in a fresh one.
 func TestSharedAnchorPersists(t *testing.T) {
 	dir := t.TempDir()
 	if err := SetTraceDir(dir); err != nil {
@@ -190,8 +183,8 @@ func TestSharedAnchorPersists(t *testing.T) {
 	geos := GeoSweepGeometries()
 	cfgA, cfgB, cfgC := geos[0].Config, geos[1].Config, geos[2].Config
 	key := workloadTraceKey(w, p, s, 0, cfgA.Fingerprint())
-	// Disk entries are not memoized, so the anchors are read off the
-	// file itself.
+	// The engine keeps no entry, so the anchors are read off the file
+	// itself.
 	fileAnchors := func(stage string, cfgs ...cpu.Config) {
 		t.Helper()
 		buf, err := os.ReadFile(traceFilePath(dir, key))
@@ -221,7 +214,7 @@ func TestSharedAnchorPersists(t *testing.T) {
 	if shared, _ := TraceShareStats(); shared != 1 {
 		t.Fatalf("shared replays = %d, want 1", shared)
 	}
-	fileAnchors("after the in-memory replay", cfgA, cfgB)
+	fileAnchors("after the first replay", cfgA, cfgB)
 
 	// Fresh engine: cfgB must verify against its persisted anchor, not
 	// re-anchor blind — which would rewrite (rename over) the file.

@@ -20,10 +20,10 @@ import (
 	"ctbia/internal/workloads"
 )
 
-// The trace-replay engine behind RunWorkload/RunKernel: the first
-// execution of a point records the machine's operation stream; repeats
-// replay the stream through the batched interpreter instead of
-// re-running the workload front end.
+// The trace-replay engine behind RunWorkload/RunKernel and the fan-out
+// entry points: a recorded operation stream of a point is replayed
+// through the batched interpreter instead of re-running the workload
+// front end.
 //
 // Keying is the whole trick. For the pure strategies (insecure,
 // software-CT, its vector variant) the dynamic op/address stream is a
@@ -40,29 +40,33 @@ import (
 // recomputed from the pure-Go reference on every replay) and one
 // expected report *per machine config* that has replayed it — the
 // first replay under a new geometry anchors its report, repeats must
-// reproduce it bit-exactly. Any mismatch — a stale disk file, a
-// corrupted entry, behaviour drift — silently falls back to recording
-// fresh. Strategies whose behaviour is not a pure function of their
-// value (interference hooks, the stateful scratchpad strategy) are
-// never traced.
+// reproduce it bit-exactly. Any mismatch — a stale or corrupted file,
+// behaviour drift — silently falls back to recording fresh. Strategies
+// whose behaviour is not a pure function of their value (interference
+// hooks, the stateful scratchpad strategy) are never traced.
 //
 // Every replay is a fan-out group: one stored stream charged to one
-// machine per config — a single point is a group of one. A stream
-// comes from one of two places. Memory holds the streams this process
-// recorded, the only copy a run without a trace directory has. Any
-// other stream is the key's file, read whole, checked and decoded for
-// the one lookup that asked for it, and not kept: the file is the
-// store, so memory does not grow with the corpus. A file larger than
-// any recording can write is refused unread, and one that does not
-// decode (corrupt, truncated, or in an older wire format) is a miss;
-// either way the point re-records over it.
+// machine per config — a single point is a group of one. Replay runs
+// only where it pays, so a stream comes from one of two places. A
+// fan-out group (fanout.go) records on its first config and charges
+// the others from that recording, which lives for that one call. With
+// a trace directory, the key's file is the store: a point records and
+// persists its stream once, and every later lookup, in this process or
+// another, reads the file whole, checks and decodes it, replays it and
+// keeps nothing. A file larger than any recording can write is refused
+// unread, and one that does not decode (corrupt, truncated, or in an
+// older wire format) is a miss; either way the point re-records over
+// it. Without a directory the engine keeps nothing between calls and a
+// single point runs direct: a recording that no later call can read
+// costs more than it saves.
 
 // TraceMode selects how RunWorkload/RunKernel use the trace engine.
 type TraceMode int
 
 // Trace modes. The zero value is TraceOn: tracing is the default.
 const (
-	// TraceOn records on first execution and replays on repeats.
+	// TraceOn replays within fan-out groups and, with a trace
+	// directory, from the directory's files.
 	TraceOn TraceMode = iota
 	// TraceOff disables the engine entirely.
 	TraceOff
@@ -90,9 +94,9 @@ func (m TraceMode) String() string {
 	return fmt.Sprintf("TraceMode(%d)", int(m))
 }
 
-// traceEntry is one stored stream with its verification anchors.
-// reps is guarded by traceEngine.mu (entries are shared across
-// workers); every other field is immutable after construction.
+// traceEntry is one stored stream with its verification anchors. An
+// entry belongs to one call — a recording to the call that made it, a
+// decoded file to the lookup that read it — so nothing guards reps.
 type traceEntry struct {
 	ops []trace.Op
 	sum uint64 // workload checksum the recording run produced
@@ -110,11 +114,6 @@ type traceEntry struct {
 // before aborting is the engine's only overhead over a plain run.
 const maxTraceOps = 1 << 20
 
-// maxTraceOpsTotal caps the in-memory store of this process's
-// recordings across all entries; beyond it new recordings are kept
-// only on disk, or not at all without a trace directory.
-const maxTraceOpsTotal = 8 << 20
-
 // traceDebug (env CTBIA_TRACE_DEBUG) logs, per run, why a point did not
 // replay: untraceable (impure strategy), dead (recording aborted — with
 // the record/event counts that tripped the compression gate or the
@@ -124,16 +123,15 @@ const maxTraceOpsTotal = 8 << 20
 var traceDebug = os.Getenv("CTBIA_TRACE_DEBUG") != ""
 
 var traceEngine = struct {
-	mu      sync.RWMutex
-	mode    TraceMode
-	dir     string // "" = no persistence
-	entries map[string]*traceEntry
-	ops     int64 // total records held across entries
-	// inflight single-flights recordings: the first worker to miss a
-	// key becomes its recording leader, later workers block on the
-	// channel and re-try the lookup when it closes. Without this a
-	// parallel sweep's geometries would all record the same shared
-	// stream concurrently — the exact duplication sharing removes.
+	mu   sync.RWMutex
+	mode TraceMode
+	dir  string // "" = no persistence
+	// inflight single-flights the recordings of a key: the first worker
+	// to miss the key becomes its recording leader, later workers block
+	// on the channel and re-try the lookup when it closes. Without
+	// this a parallel sweep's geometries would all record the same
+	// shared stream concurrently — the exact duplication sharing
+	// removes.
 	inflight map[string]chan struct{}
 	// dead remembers keys whose recording aborted (stream past
 	// maxTraceOps), so repeats run direct instead of paying the
@@ -146,7 +144,6 @@ var traceEngine = struct {
 	transients  map[string]int
 	quarantined map[string]string // key -> point label, for reporting
 }{
-	entries:     make(map[string]*traceEntry),
 	inflight:    make(map[string]chan struct{}),
 	dead:        make(map[string]struct{}),
 	transients:  make(map[string]int),
@@ -199,6 +196,13 @@ func TraceModeNow() TraceMode {
 	return traceEngine.mode
 }
 
+// traceDirNow returns the engine's trace directory ("" = none).
+func traceDirNow() string {
+	traceEngine.mu.RLock()
+	defer traceEngine.mu.RUnlock()
+	return traceEngine.dir
+}
+
 // SetTraceDir sets the directory traces persist to ("" disables
 // persistence, the default). The directory is created eagerly so a
 // misconfigured path surfaces here, not as silently-unsaved traces.
@@ -214,13 +218,11 @@ func SetTraceDir(dir string) error {
 	return nil
 }
 
-// ResetTraces empties the in-memory store and zeroes the engine
-// counters, leaving any persistent directory alone. Benchmarks use it
-// to separate cold (recording) from warm (replaying) runs.
+// ResetTraces forgets dead and quarantined keys and zeroes the counters
+// the Trace*Stats accessors read, leaving any persistent directory
+// alone. Benchmarks use it to start each pass from a fresh engine.
 func ResetTraces() {
 	traceEngine.mu.Lock()
-	traceEngine.entries = make(map[string]*traceEntry)
-	traceEngine.ops = 0
 	traceEngine.inflight = make(map[string]chan struct{})
 	traceEngine.dead = make(map[string]struct{})
 	traceEngine.transients = make(map[string]int)
@@ -238,8 +240,8 @@ func ResetTraces() {
 }
 
 // TraceStats returns the engine's counters since the last ResetTraces:
-// streams recorded, runs served by replay, and stale/corrupt entries
-// that were silently re-recorded.
+// streams recorded, runs served by replay, and stale or corrupt trace
+// files dropped so that their key re-records.
 func TraceStats() (records, replays, rerecords uint64) {
 	return traceRecords.Load(), traceReplays.Load(), traceRerecords.Load()
 }
@@ -400,20 +402,16 @@ func repsFromTags(tags map[string][]uint64) map[string]cpu.Report {
 	return reps
 }
 
-// lookupTrace finds a stored stream: one of this process's recordings
-// in memory, or else the key's file in the persistent directory, read
-// whole, validated (CRCs, embedded key) and decoded. A file-served
-// entry is not memoized; it lives as long as the replay that asked
-// for it. Anything unreadable — larger than any recording writes,
-// corrupt, truncated, or in an older wire format — is a miss, and the
-// recording that follows writes over it.
+// lookupTrace finds a stored stream: the key's file in the trace
+// directory, read whole, validated (CRCs, embedded key) and decoded.
+// The entry lives as long as the replay that asked for it. Without a
+// directory there is nothing to find. Anything unreadable — larger than
+// any recording writes, corrupt, truncated, or in an older wire format
+// — is a miss, and the recording that follows writes over it.
 func lookupTrace(key string) *traceEntry {
-	traceEngine.mu.RLock()
-	e := traceEngine.entries[key]
-	dir := traceEngine.dir
-	traceEngine.mu.RUnlock()
-	if e != nil || dir == "" {
-		return e
+	dir := traceDirNow()
+	if dir == "" {
+		return nil
 	}
 	if faultinject.Should("trace.read", key) {
 		return nil // injected read failure: a persisted trace is just a miss
@@ -443,34 +441,20 @@ func lookupTrace(key string) *traceEntry {
 	return &traceEntry{ops: ops, sum: meta[0], src: src, reps: repsFromTags(tags)}
 }
 
-// memoTrace inserts a recording into the in-memory store, respecting
-// the global budget (over budget the entry is simply not kept).
-func memoTrace(key string, e *traceEntry) {
-	traceEngine.mu.Lock()
-	if old, ok := traceEngine.entries[key]; ok {
-		traceEngine.ops -= int64(len(old.ops))
-		delete(traceEngine.entries, key)
+// persistTrace writes an entry to its key's file in the trace
+// directory, if one is set (best-effort, temp file + rename).
+func persistTrace(key string, e *traceEntry) {
+	dir := traceDirNow()
+	if dir == "" {
+		return
 	}
-	if traceEngine.ops+int64(len(e.ops)) <= maxTraceOpsTotal {
-		traceEngine.entries[key] = e
-		traceEngine.ops += int64(len(e.ops))
-	}
-	traceEngine.mu.Unlock()
-}
-
-// persistTrace writes an entry to its key's file (best-effort, temp
-// file + rename). The report anchors are snapshotted under the engine
-// lock; ops/sum/src are immutable.
-func persistTrace(dir, key string, e *traceEntry) {
 	if faultinject.Should("trace.write", key) {
 		return // injected write failure: persistence is best-effort anyway
 	}
-	traceEngine.mu.RLock()
 	tags := make(map[string][]uint64, len(e.reps))
 	for fp, rep := range e.reps {
 		tags[fp] = packReport(rep)
 	}
-	traceEngine.mu.RUnlock()
 	buf := trace.Encode(key, e.src, []uint64{e.sum}, tags, e.ops)
 	tmp, err := os.CreateTemp(dir, "tmp-*")
 	if err != nil {
@@ -483,30 +467,14 @@ func persistTrace(dir, key string, e *traceEntry) {
 	}
 }
 
-// storeTrace memoizes a freshly recorded entry and persists it if a
-// trace directory is configured.
-func storeTrace(key string, e *traceEntry) {
-	memoTrace(key, e)
-	traceEngine.mu.RLock()
-	dir := traceEngine.dir
-	traceEngine.mu.RUnlock()
-	if dir != "" {
-		persistTrace(dir, key, e)
-	}
-}
-
-// dropTrace forgets a stale entry everywhere, including its disk file,
-// so it cannot be re-loaded and fail again.
+// dropTrace removes a stale entry's file, if there is a trace
+// directory, so it cannot be re-loaded and fail again; the next lookup
+// of the key misses and re-records it. Without a directory the entry
+// was the caller's own recording, and its unserved configs run direct.
 func dropTrace(key string) {
-	traceEngine.mu.Lock()
-	if old, ok := traceEngine.entries[key]; ok {
-		traceEngine.ops -= int64(len(old.ops))
-		delete(traceEngine.entries, key)
-	}
-	dir := traceEngine.dir
-	traceEngine.mu.Unlock()
-	if dir != "" {
+	if dir := traceDirNow(); dir != "" {
 		os.Remove(traceFilePath(dir, key))
+		traceRerecords.Add(1)
 	}
 }
 
@@ -515,11 +483,9 @@ func dropTrace(key string) {
 // recorded/replayed byte accounting.
 func entryWireBytes(key string, e *traceEntry) uint64 {
 	n := trace.WireSize(len(key), len(e.src), 1, len(e.ops))
-	traceEngine.mu.RLock()
 	for fp := range e.reps {
 		n += trace.TagWireSize(len(fp), 8)
 	}
-	traceEngine.mu.RUnlock()
 	return uint64(n)
 }
 
@@ -602,7 +568,6 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		out[i] = ms[i].Report()
 	}
 	newAnchor, stale := false, false
-	traceEngine.mu.Lock()
 	for i, fp := range fps {
 		want, anchored := e.reps[fp]
 		switch {
@@ -613,7 +578,6 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 			stale = true
 		}
 	}
-	traceEngine.mu.Unlock()
 	if stale {
 		return nil, false, nil
 	}
@@ -622,12 +586,7 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		pools[i].Put(m)
 	}
 	if newAnchor {
-		traceEngine.mu.RLock()
-		dir := traceEngine.dir
-		traceEngine.mu.RUnlock()
-		if dir != "" {
-			persistTrace(dir, key, e)
-		}
+		persistTrace(key, e)
 	}
 	return out, true, nil
 }
@@ -648,7 +607,6 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 	if !ok {
 		// Stale or corrupt: forget it and let the caller re-record.
 		dropTrace(key)
-		traceRerecords.Add(1)
 		if err != nil {
 			// Transient replay failure: book it, quarantining repeat
 			// offenders, before the degraded retry.
@@ -674,63 +632,50 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 	return reps, true
 }
 
-// enterRecording makes the caller the key's recording leader, or
-// returns the current leader's done channel to wait on.
-func enterRecording(key string) (ch chan struct{}, leader bool) {
-	traceEngine.mu.Lock()
-	defer traceEngine.mu.Unlock()
-	if ch, ok := traceEngine.inflight[key]; ok {
-		return ch, false
-	}
-	ch = make(chan struct{})
-	traceEngine.inflight[key] = ch
-	return ch, true
-}
-
-// exitRecording releases leadership and wakes the waiters.
-func exitRecording(key string) {
-	traceEngine.mu.Lock()
-	ch := traceEngine.inflight[key]
-	delete(traceEngine.inflight, key)
-	traceEngine.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
-// runTraced executes one simulation point through the trace engine: a
-// stored stream whose checksum and per-config report re-verify is
-// replayed on a pooled machine; otherwise the workload runs for real
-// (recording it for next time unless untraceable or disabled). cfgFP
-// is the fingerprint of the machine config every machine in pool is
-// built from — the identity report anchors are keyed by.
+// runTraced executes one simulation point through the trace engine:
+// with a trace directory, a stored stream whose checksum and per-config
+// report re-verify is replayed on a pooled machine, and otherwise the
+// workload runs for real and records its stream for later lookups;
+// every other point runs direct. cfgFP is the fingerprint of the
+// machine config every machine in pool is built from — the identity
+// report anchors are keyed by.
 //
 // Fault tolerance: a transient replay failure (injected fault, crashing
 // interpreter) is retried at once through the degraded direct path;
 // keys that keep failing are quarantined — bypassing the engine
 // entirely — and reported via QuarantinedPoints.
 //
-// runTraced is also the observability layer's per-point anchor — every
-// simulation run, whatever engine path it takes, passes through here
-// exactly once, so this is where points are counted and their wall time
-// distributed. Disarmed, the wrapper costs three atomic loads.
-func runTraced(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
+// Every single-point simulation run, whatever engine path it takes,
+// passes through runTraced exactly once, inside observePoint.
+func runTraced(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) (r cpu.Report) {
+	observePoint(label, func() { r = runTracedEngine(pool, key, label, cfgFP, ref, sim) })
+	return r
+}
+
+// observePoint is the observability layer's per-point anchor: it counts
+// one simulation point, opens its "point" span and distributes its wall
+// time. runTraced wraps every single point in it and runFanout the
+// recording that serves a group's first config. Disarmed, the wrapper
+// costs three atomic loads.
+func observePoint(label string, run func()) {
 	obs.NotePoint()
 	if !obs.Enabled() && !obs.TimelineEnabled() {
-		return runTracedEngine(pool, key, label, cfgFP, ref, sim)
+		run()
+		return
 	}
 	sp := obs.StartSpan("point", label)
 	start := time.Now()
-	r := runTracedEngine(pool, key, label, cfgFP, ref, sim)
+	run()
 	pointWall.Observe(uint64(time.Since(start).Microseconds()))
 	sp.End()
-	return r
 }
 
 // runTracedEngine is runTraced's engine body (see runTraced for the
 // contract).
 func runTracedEngine(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
-	if TraceModeNow() == TraceOff || key == "" {
+	// Without a trace directory no later call could read a recording,
+	// so a single point runs direct.
+	if TraceModeNow() == TraceOff || key == "" || traceDirNow() == "" {
 		if traceDebug && key == "" {
 			fmt.Fprintf(os.Stderr, "TRACEDBG untraceable %s\n", label)
 		}
@@ -759,23 +704,50 @@ func runTracedEngine(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64
 			}
 			return runDirect(pool, label, ref, sim)
 		}
-		ch, leader := enterRecording(key)
-		if leader {
-			return recordPoint(pool, key, label, cfgFP, ref, sim)
+		var r cpu.Report
+		if recordOnce(key, func() { r, _ = recordPoint(pool, key, label, cfgFP, ref, sim) }) {
+			return r
 		}
-		// Another worker is recording this key right now — the
-		// single-flight at the heart of sweep sharing. Wait for it,
-		// then loop back to replay its stream.
-		<-ch
+		// Another worker recorded this key meanwhile — the single-flight
+		// at the heart of sweep sharing. Loop back to replay its file.
 	}
 }
 
+// recordOnce single-flights the recordings of one key: the first worker
+// to get here becomes the key's recording leader and runs record, and a
+// later one waits for the leader to finish and returns false, to look
+// the key up again instead of recording the same stream twice.
+func recordOnce(key string, record func()) bool {
+	traceEngine.mu.Lock()
+	ch, busy := traceEngine.inflight[key]
+	if !busy {
+		ch = make(chan struct{})
+		traceEngine.inflight[key] = ch
+	}
+	traceEngine.mu.Unlock()
+	if busy {
+		<-ch
+		return false
+	}
+	// Leadership is released, waking the waiters, however the recording
+	// ends — including the verifySum panic path.
+	defer func() {
+		traceEngine.mu.Lock()
+		if traceEngine.inflight[key] == ch {
+			delete(traceEngine.inflight, key)
+		}
+		traceEngine.mu.Unlock()
+		close(ch)
+	}()
+	record()
+	return true
+}
+
 // recordPoint runs one point directly with a recorder attached and
-// stores the captured stream. The caller holds the key's recording
-// leadership, released (waking the waiters) however the recording ends
-// — including the verifySum panic path.
-func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
-	defer exitRecording(key)
+// persists the captured stream when a trace directory is set. It
+// returns the run's report and the recording — nil when the recording
+// aborted, which marks the key dead.
+func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) (cpu.Report, *traceEntry) {
 	rsp := obs.StartSpan("record", label)
 	m := pool.Get()
 	rec := trace.NewRecorder(maxTraceOps)
@@ -790,10 +762,11 @@ func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, si
 	r := m.Report()
 	harvest(m)
 	pool.Put(m)
+	var e *traceEntry
 	if t, ok := rec.Take(); ok {
-		e := &traceEntry{ops: t.Ops, sum: got, src: cfgFP,
+		e = &traceEntry{ops: t.Ops, sum: got, src: cfgFP,
 			reps: map[string]cpu.Report{cfgFP: r}}
-		storeTrace(key, e)
+		persistTrace(key, e)
 		traceRecords.Add(1)
 		traceBytesRecorded.Add(entryWireBytes(key, e))
 	} else {
@@ -806,5 +779,5 @@ func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, si
 		traceEngine.mu.Unlock()
 	}
 	rsp.End()
-	return r
+	return r, e
 }

@@ -128,12 +128,29 @@ func TestTraceEquivalenceKernels(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadReplays pins the end-to-end engine behaviour: the
-// first RunWorkload of a point records, the second replays, and both
-// report identically.
-func TestRunWorkloadReplays(t *testing.T) {
+// useTraceDir gives a test a fresh engine over its own trace directory,
+// the only store a single point replays from, and restores the default
+// engine (trace on, no directory) afterwards.
+func useTraceDir(t testing.TB) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
 	ResetTraces()
-	t.Cleanup(ResetTraces)
+	t.Cleanup(func() {
+		SetTraceDir("")
+		SetTraceMode(TraceOn)
+		ResetTraces()
+	})
+	return dir
+}
+
+// TestRunWorkloadReplays pins the end-to-end engine behaviour with a
+// trace directory: the first RunWorkload of a point records, the second
+// replays, and both report identically.
+func TestRunWorkloadReplays(t *testing.T) {
+	useTraceDir(t)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 600, Seed: 17}
 
@@ -147,6 +164,64 @@ func TestRunWorkloadReplays(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Errorf("replayed report diverged\nfirst:  %v\nsecond: %v", r1, r2)
+	}
+}
+
+// TestNoTraceDirKeepsNothing pins the engine's contract without a trace
+// directory: nothing outlives a call. A single point runs direct, again
+// on a repeat. A fan-out group records on its first config and charges
+// the other three from that recording, and an identical second group
+// records again.
+func TestNoTraceDirKeepsNothing(t *testing.T) {
+	ResetTraces()
+	t.Cleanup(func() {
+		SetTraceMode(TraceOn)
+		ResetTraces()
+	})
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 600, Seed: 19}
+	s := ct.Linear{}
+	geos, _ := geoConfigGroups()
+
+	SetTraceMode(TraceOff)
+	wantPoint := RunWorkload(w, p, s, 0)
+	wantGroup := make([]cpu.Report, len(geos))
+	for i, cfg := range geos {
+		wantGroup[i] = RunWorkloadOn(cfg, w, p, s)
+	}
+	SetTraceMode(TraceOn)
+
+	for run := 1; run <= 2; run++ {
+		if got := RunWorkload(w, p, s, 0); got != wantPoint {
+			t.Errorf("point run %d diverged from trace-off\nwant: %v\ngot:  %v", run, wantPoint, got)
+		}
+	}
+	if rec, rep, _ := TraceStats(); rec != 0 || rep != 0 {
+		t.Errorf("single point without a trace directory: records=%d replays=%d, want 0/0", rec, rep)
+	}
+
+	// counts reads the counters a group call is judged by.
+	counts := func() [5]uint64 {
+		rec, rep, _ := TraceStats()
+		shared, _ := TraceShareStats()
+		fanouts, passes, _ := TraceFanoutStats()
+		return [5]uint64{rec, rep, shared, fanouts, passes}
+	}
+	for call := 1; call <= 2; call++ {
+		before := counts()
+		got := RunWorkloadFanout(geos, w, p, s)
+		for i := range geos {
+			if got[i] != wantGroup[i] {
+				t.Errorf("group call %d: config %d diverged from direct\nwant: %v\ngot:  %v", call, i, wantGroup[i], got[i])
+			}
+		}
+		delta := counts()
+		for i := range delta {
+			delta[i] -= before[i]
+		}
+		if want := [5]uint64{1, 3, 3, 1, 1}; delta != want {
+			t.Errorf("group call %d: records, replays, shared, fan-outs, decode passes = %v, want %v", call, delta, want)
+		}
 	}
 }
 
@@ -169,10 +244,12 @@ func TestUntraceableStrategiesBypass(t *testing.T) {
 	}
 }
 
-// TestCorruptTraceFallsBack corrupts a stored entry in every way replay
+// TestCorruptTraceFallsBack corrupts a stored trace in every way replay
 // verification can catch — wrong expected report, wrong checksum, a
 // mangled op stream — and checks each silently re-records instead of
-// returning a wrong table cell.
+// returning a wrong table cell. Each corruption is written back as a
+// well-formed file, so it is the replay's verification that catches
+// it, not the CRC.
 func TestCorruptTraceFallsBack(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 23}
@@ -198,17 +275,27 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			ResetTraces()
-			t.Cleanup(ResetTraces)
+			dir := useTraceDir(t)
 			want := RunWorkload(w, p, s, 1)
 
-			traceEngine.mu.Lock()
-			e := traceEngine.entries[key]
-			traceEngine.mu.Unlock()
-			if e == nil {
-				t.Fatal("no entry stored for the expected key")
+			path := traceFilePath(dir, key)
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("no trace stored for the expected key: %v", err)
 			}
+			fkey, src, meta, tags, ops, err := trace.Decode(buf)
+			if err != nil || fkey != key || len(meta) != 1 {
+				t.Fatalf("stored trace does not decode as the key's: key ok=%v, meta %v, err %v", fkey == key, meta, err)
+			}
+			e := &traceEntry{ops: ops, sum: meta[0], src: src, reps: repsFromTags(tags)}
 			corrupt(e)
+			tags = make(map[string][]uint64, len(e.reps))
+			for fp, r := range e.reps {
+				tags[fp] = packReport(r)
+			}
+			if err := os.WriteFile(path, trace.Encode(key, e.src, []uint64{e.sum}, tags, e.ops), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
 			got := RunWorkload(w, p, s, 1)
 			if got != want {
@@ -227,8 +314,7 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 
 // TestTracePersistence round-trips a trace through the on-disk store:
 // a fresh process image (simulated by ResetTraces) replays from the
-// file without keeping it in memory, and a corrupted file is silently
-// re-recorded.
+// file, and a corrupted file is silently re-recorded.
 func TestTracePersistence(t *testing.T) {
 	dir := t.TempDir()
 	if err := SetTraceDir(dir); err != nil {
@@ -258,14 +344,6 @@ func TestTracePersistence(t *testing.T) {
 	}
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 1 {
 		t.Errorf("disk-served run: records=%d replays=%d, want 0/1", rec, rep)
-	}
-	// Memory holds only this process's recordings: the file-served
-	// stream is gone once its replay is done.
-	traceEngine.mu.RLock()
-	e := traceEngine.entries[key]
-	traceEngine.mu.RUnlock()
-	if e != nil {
-		t.Error("disk-served replay left an entry in the in-memory store")
 	}
 
 	// Corrupt the file: the load must miss and the point re-record.
