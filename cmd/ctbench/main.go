@@ -10,8 +10,8 @@
 //	ctbench -list             # list experiment IDs
 //	ctbench -parallel 0       # 0 (the default) = one worker per CPU
 //	                          # (runtime.GOMAXPROCS); 1 = serial; N>1 =
-//	                          # exactly N workers. Tables are
-//	                          # byte-identical at every setting.
+//	                          # N workers, capped at one per CPU. Tables
+//	                          # are byte-identical at every setting.
 //	ctbench -cache rw         # content-addressed result cache:
 //	                          # off (default) = always simulate,
 //	                          # rw = serve hits + store fresh results,
@@ -195,7 +195,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id, comma-separated list, or 'all'")
 	quick := flag.Bool("quick", false, "use shrunken problem sizes")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial)")
+	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial; at most one per CPU)")
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
 	traceMode := flag.String("trace", "on", "trace-replay engine: on or off")
@@ -426,9 +426,11 @@ func main() {
 
 	// -parallel 0 means "use every CPU": the tables are byte-identical
 	// at any worker count, so there is no reason to default to serial.
+	// More workers than CPUs never run (RunAll clamps to GOMAXPROCS), so
+	// the count is capped here, where the summary line and -json read it.
 	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cpus := runtime.GOMAXPROCS(0); workers <= 0 || workers > cpus {
+		workers = cpus
 	}
 
 	opts := harness.Options{Quick: *quick, Parallel: workers, Cache: store, Manifest: manifest}

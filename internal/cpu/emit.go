@@ -11,17 +11,6 @@ func (m *Machine) NoteDSSpan(skipped, total int) {
 	m.DS.Spans++
 }
 
-// noteProbe books a CT-probe outcome (see Counters.CTProbeHits). The
-// direct-execution sites and their replay twins call it identically, so
-// the trace-equivalence invariant on Counters holds.
-func (m *Machine) noteProbe(hit bool) {
-	if hit {
-		m.C.CTProbeHits++
-	} else {
-		m.C.CTProbeMisses++
-	}
-}
-
 // EmitMetrics enumerates every statistic the machine and its memory
 // system collected, as flat dotted names — the harvest hook the harness
 // feeds into the observability registry (m.EmitMetrics(obs.Add)) after

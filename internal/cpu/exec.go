@@ -61,11 +61,11 @@ func (m *Machine) ExecTrace(ops []trace.Op) {
 		case trace.KRMW:
 			m.execRMW(op, fast)
 		case trace.KCTLoad:
-			m.replayCTLoad(memp.Addr(op.Addr))
+			m.ctLoadHdr(memp.Addr(op.Addr))
 		case trace.KCTStore:
-			m.replayCTStore(memp.Addr(op.Addr))
+			m.ctStoreHdr(memp.Addr(op.Addr))
 		case trace.KMacroStoreHdr:
-			m.replayMacroStoreHdr(memp.Addr(op.Addr))
+			m.macroStoreHdr(memp.Addr(op.Addr))
 		case trace.KScratchCopy:
 			n := op.Arg
 			m.retire(int(2 * n))
@@ -178,53 +178,4 @@ func (m *Machine) execRMW(op *trace.Op, fast bool) {
 		m.access(addr, lf|cache.FlagWrite)
 		addr += memp.Addr(op.Stride)
 	}
-}
-
-// replayCTLoad re-executes a CTLoad (or MacroCTLoad) header: identical
-// BIA and cache side effects to CTLoadW, minus the data movement (which
-// has no stat effect).
-func (m *Machine) replayCTLoad(addr memp.Addr) {
-	m.retire(1)
-	m.C.CTLoads++
-	m.BIA.LookupOrInstall(addr)
-	hit, cyc := m.Hier.CTProbeLoad(m.cfg.BIALevel, addr)
-	m.noteProbe(hit)
-	if m.BIA.Latency() > cyc {
-		cyc = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cyc)
-}
-
-// replayCTStore re-executes a CTStore header.
-func (m *Machine) replayCTStore(addr memp.Addr) {
-	m.retire(1)
-	m.C.CTStores++
-	m.BIA.LookupOrInstall(addr)
-	wrote, cyc := m.Hier.CTProbeStore(m.cfg.BIALevel, addr)
-	m.noteProbe(wrote)
-	if m.BIA.Latency() > cyc {
-		cyc = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cyc)
-}
-
-// replayMacroStoreHdr re-executes a MacroCTStore header: one retired
-// macro-op, an internal CTLoad probe, then a CTStore probe.
-func (m *Machine) replayMacroStoreHdr(addr memp.Addr) {
-	m.retire(1)
-	m.C.CTStores++
-	m.BIA.LookupOrInstall(addr)
-	hitLd, cycLd := m.Hier.CTProbeLoad(m.cfg.BIALevel, addr)
-	m.noteProbe(hitLd)
-	if m.BIA.Latency() > cycLd {
-		cycLd = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cycLd)
-	m.BIA.LookupOrInstall(addr)
-	wrote, cycSt := m.Hier.CTProbeStore(m.cfg.BIALevel, addr)
-	m.noteProbe(wrote)
-	if m.BIA.Latency() > cycSt {
-		cycSt = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cycSt)
 }

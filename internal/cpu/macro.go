@@ -41,15 +41,7 @@ func (m *Machine) MacroCTLoad(pageBase, addr memp.Addr, bitmask uint64, w Width)
 		// The macro-op header's accounting is exactly a CTLoad header's.
 		m.rec.CTLoad(uint64(addrToRead))
 	}
-	m.retire(1) // the macro-op itself
-	m.C.CTLoads++
-	existence, _ := m.BIA.LookupOrInstall(addrToRead)
-	hit, cyc := m.Hier.CTProbeLoad(m.cfg.BIALevel, addrToRead)
-	m.noteProbe(hit)
-	if m.BIA.Latency() > cyc {
-		cyc = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cyc)
+	existence, hit := m.ctLoadHdr(addrToRead) // the macro-op itself
 	if hit {
 		data = m.readW(addrToRead, w)
 	}
@@ -80,34 +72,18 @@ func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint6
 	if m.rec != nil {
 		m.rec.MacroStoreHdr(uint64(addrToWrite))
 	}
-	m.retire(1)
-	m.C.CTStores++
 
-	// Internal CTLoad (Alg. 3 line 7).
-	_, _ = m.BIA.LookupOrInstall(addrToWrite)
-	hitLd, cycLd := m.Hier.CTProbeLoad(m.cfg.BIALevel, addrToWrite)
-	m.noteProbe(hitLd)
-	if m.BIA.Latency() > cycLd {
-		cycLd = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cycLd)
-	var ldData uint64
+	// Internal CTLoad, then CTStore (Alg. 3 lines 7 and 9). The probes
+	// move no data, so the stored word is chosen after both: v on the
+	// target's own page, else what the CTLoad read (zero on its miss).
+	hitLd, dirtiness, wrote := m.macroStoreHdr(addrToWrite)
+	var stTmp uint64
 	if hitLd {
-		ldData = m.readW(addrToWrite, w)
+		stTmp = m.readW(addrToWrite, w)
 	}
-	stTmp := ldData
 	if memp.SamePage(addr, pageBase) {
 		stTmp = v
 	}
-
-	// Internal CTStore (Alg. 3 line 9).
-	_, dirtiness := m.BIA.LookupOrInstall(addrToWrite)
-	wrote, cycSt := m.Hier.CTProbeStore(m.cfg.BIALevel, addrToWrite)
-	m.noteProbe(wrote)
-	if m.BIA.Latency() > cycSt {
-		cycSt = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cycSt)
 	if wrote {
 		m.writeW(addrToWrite, stTmp, w)
 	}

@@ -95,15 +95,7 @@ func (m *Machine) CTLoadW(addr memp.Addr, w Width) (data uint64, existence uint6
 	if m.rec != nil {
 		m.rec.CTLoad(uint64(addr))
 	}
-	m.retire(1)
-	m.C.CTLoads++
-	existence, _ = m.BIA.LookupOrInstall(addr)
-	hit, cyc := m.Hier.CTProbeLoad(m.cfg.BIALevel, addr)
-	m.noteProbe(hit)
-	if m.BIA.Latency() > cyc {
-		cyc = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cyc)
+	existence, hit := m.ctLoadHdr(addr)
 	if hit {
 		data = m.readW(addr, w)
 	}
@@ -119,17 +111,65 @@ func (m *Machine) CTStoreW(addr memp.Addr, v uint64, w Width) (dirtiness uint64)
 	if m.rec != nil {
 		m.rec.CTStore(uint64(addr))
 	}
-	m.retire(1)
-	m.C.CTStores++
-	_, dirtiness = m.BIA.LookupOrInstall(addr)
-	wrote, cyc := m.Hier.CTProbeStore(m.cfg.BIALevel, addr)
-	m.noteProbe(wrote)
-	if m.BIA.Latency() > cyc {
-		cyc = m.BIA.Latency()
-	}
-	m.C.Cycles += uint64(cyc)
+	dirtiness, wrote := m.ctStoreHdr(addr)
 	if wrote {
 		m.writeW(addr, v, w)
 	}
 	return dirtiness
+}
+
+// The CT headers below are a CT instruction's whole effect on the
+// machine's statistics, BIA and caches. Direct execution and ExecTrace
+// both call them, so a replay matches the direct run bit for bit; the
+// data movement, which no statistic sees, stays with the direct callers.
+
+// ctLoadHdr charges a CTLoad (or MacroCTLoad) header at addr: one
+// retired micro-op and a CTLoad probe. It returns the BIA's existence
+// bitmap and whether the probe hit.
+func (m *Machine) ctLoadHdr(addr memp.Addr) (existence uint64, hit bool) {
+	m.retire(1)
+	m.C.CTLoads++
+	existence, _, hit = m.ctProbe(addr, false)
+	return existence, hit
+}
+
+// ctStoreHdr charges a CTStore header at addr: one retired micro-op and
+// a CTStore probe. It returns the BIA's dirtiness bitmap and whether the
+// probe wrote.
+func (m *Machine) ctStoreHdr(addr memp.Addr) (dirtiness uint64, wrote bool) {
+	m.retire(1)
+	m.C.CTStores++
+	_, dirtiness, wrote = m.ctProbe(addr, true)
+	return dirtiness, wrote
+}
+
+// macroStoreHdr charges a MacroCTStore header at addr: one retired
+// macro-op, its internal CTLoad probe, then its CTStore probe.
+func (m *Machine) macroStoreHdr(addr memp.Addr) (hitLd bool, dirtiness uint64, wrote bool) {
+	m.retire(1)
+	m.C.CTStores++
+	_, _, hitLd = m.ctProbe(addr, false)
+	_, dirtiness, wrote = m.ctProbe(addr, true)
+	return hitLd, dirtiness, wrote
+}
+
+// ctProbe is one CT probe at addr: the BIA lookup (installing the
+// page's entry on a miss), the hierarchy's CTLoad or CTStore probe at
+// the BIA's level, the probe's outcome (see Counters.CTProbeHits), and
+// the larger of the probe's and the BIA's latency.
+func (m *Machine) ctProbe(addr memp.Addr, store bool) (existence, dirtiness uint64, hit bool) {
+	existence, dirtiness = m.BIA.LookupOrInstall(addr)
+	var cyc int
+	if store {
+		hit, cyc = m.Hier.CTProbeStore(m.cfg.BIALevel, addr)
+	} else {
+		hit, cyc = m.Hier.CTProbeLoad(m.cfg.BIALevel, addr)
+	}
+	if hit {
+		m.C.CTProbeHits++
+	} else {
+		m.C.CTProbeMisses++
+	}
+	m.C.Cycles += uint64(max(cyc, m.BIA.Latency()))
+	return existence, dirtiness, hit
 }

@@ -48,7 +48,7 @@ import (
 
 // Fault is the typed panic/error value an injected fault surfaces as.
 // Transient faults model recoverable conditions (I/O hiccups, corrupt
-// replay state) that the harness retries through its degraded path;
+// replay state) that the harness absorbs and retries;
 // permanent ones (injected worker panics) fail their point outright.
 type Fault struct {
 	Point     string

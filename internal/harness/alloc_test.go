@@ -12,11 +12,13 @@ import (
 // runWorkloadAllocBudget bounds the allocations of one pooled
 // RunWorkload call that replays its point from a trace file (file read,
 // decode, machine from pool, replay, verification, report). Measured at
-// 36 allocs/op: opening, reading and decoding the file, the workload's
-// own input setup and the replay group's machine and report slices; the
-// access path allocates nothing. The budget leaves headroom for small
-// workload-side changes but fails loudly if pooling regresses (a machine
-// rebuild alone is thousands of allocations).
+// 52 allocs/op: opening, reading and decoding the file, the workload's
+// own input setup, the config fingerprint that finds the machine's pool
+// (11), and the group of one's pool, fingerprint, key and report
+// slices and closures; the access path allocates nothing. The budget
+// leaves headroom for small workload-side changes but fails loudly if
+// pooling regresses (a machine rebuild alone is thousands of
+// allocations).
 const runWorkloadAllocBudget = 64
 
 // measureRunWorkloadAllocs primes one point into a fresh trace

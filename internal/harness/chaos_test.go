@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/faultinject"
+	"ctbia/internal/obs"
 	"ctbia/internal/resultcache"
 	"ctbia/internal/workloads"
 )
@@ -99,6 +101,43 @@ func TestChaosWorkerPanicIsolation(t *testing.T) {
 	}
 }
 
+// ctPanics is a histogram whose software-CT run panics at one size.
+type ctPanics struct {
+	workloads.Histogram
+	size int
+}
+
+func (w ctPanics) Run(m *cpu.Machine, s ct.Strategy, p workloads.Params) uint64 {
+	if p.Size == w.size && s.Name() == "ct" {
+		panic("injected ct failure")
+	}
+	return w.Histogram.Run(m, s, p)
+}
+
+// A Fig. 7 row is four runs spread over the workers: one panicking run
+// fails its own row, naming the strategy, and every other row renders
+// as in a clean panel, at any worker count.
+func TestChaosStrategyPanicFailsItsRow(t *testing.T) {
+	chaosSetup(t)
+	sizes := []int{200, 300, 400}
+	clean := fig7("fig7x", workloads.Histogram{}, sizes, sizes)(Options{Parallel: 1})
+	for _, par := range []int{1, 2, 16} {
+		got := fig7("fig7x", ctPanics{size: 300}, sizes, sizes)(Options{Parallel: par})
+		if len(got.Failures) != 1 {
+			t.Fatalf("parallel %d: %d failures, want 1: %v", par, len(got.Failures), got.Failures)
+		}
+		if pe := got.Failures[0]; pe.Point != "hist_300" || pe.Strategy != "ct" || pe.Experiment != "fig7x" {
+			t.Errorf("parallel %d: failure located at %q/%q/%q, want fig7x/hist_300/ct", par, pe.Experiment, pe.Point, pe.Strategy)
+		}
+		want := [][]string{clean.Rows[0], {"hist_300", "FAILED", "FAILED", "FAILED"}, clean.Rows[2]}
+		for i := range want {
+			if strings.Join(got.Rows[i], "|") != strings.Join(want[i], "|") {
+				t.Errorf("parallel %d: row %d = %v, want %v", par, i, got.Rows[i], want[i])
+			}
+		}
+	}
+}
+
 // A corrupted trace file on disk — real flipped bytes, not a mock — is
 // a silent miss: the point re-records and reports exactly the clean
 // numbers.
@@ -138,8 +177,8 @@ func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
 	}
 }
 
-// An injected transient replay fault is retried through the degraded
-// direct path: same numbers, one booked retry, no quarantine yet.
+// An injected transient replay fault is retried at once by re-recording
+// the point: same numbers, one booked retry, no quarantine yet.
 func TestChaosTransientReplayRetries(t *testing.T) {
 	chaosSetup(t)
 	if err := SetTraceDir(t.TempDir()); err != nil {
@@ -150,11 +189,11 @@ func TestChaosTransientReplayRetries(t *testing.T) {
 
 	clean := RunWorkload(w, p, ct.BIA{}, 1) // records
 	arm(t, "trace.replay@1:histogram/bia")
-	got := RunWorkload(w, p, ct.BIA{}, 1) // replay faults, retries direct
+	got := RunWorkload(w, p, ct.BIA{}, 1) // replay faults, re-records
 	faultinject.Disarm()
 
 	if got != clean {
-		t.Errorf("degraded retry report %+v, want %+v", got, clean)
+		t.Errorf("retry report %+v, want %+v", got, clean)
 	}
 	retries, quarantined := TraceFaultStats()
 	if retries != 1 || quarantined != 0 {
@@ -205,6 +244,68 @@ func TestChaosRepeatOffenderQuarantined(t *testing.T) {
 	}
 	if after, _, _ := TraceStats(); after != before {
 		t.Errorf("quarantined key must not re-record (records %d -> %d)", before, after)
+	}
+}
+
+// A replay fault inside a fan-out group drops the stream and re-records
+// on the first unserved config, whose recording serves the rest of the
+// group; under a fault on every replay the key is quarantined after
+// quarantineAfter recordings and the last config runs direct. With or
+// without a trace directory, every report equals direct execution and
+// each config is one simulation point, whichever path served it.
+func TestChaosGroupReplayFault(t *testing.T) {
+	chaosSetup(t)
+	defer obsReset()
+	cfgs, _ := geoConfigGroups()
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 500, Seed: 1}
+	s := ct.Linear{}
+	SetTraceMode(TraceOff)
+	want := RunWorkloadFanout(cfgs, w, p, s)
+	SetTraceMode(TraceOn)
+
+	for _, c := range []struct {
+		name, spec string
+		dir        bool
+		// records, replays, rerecords, fan-out passes, decode passes,
+		// retries, quarantined keys
+		want [7]uint64
+	}{
+		{"nodir/once", "trace.replay@1", false, [7]uint64{2, 2, 0, 1, 1, 1, 0}},
+		{"nodir/every", "trace.replay", false, [7]uint64{3, 0, 0, 0, 0, 3, 1}},
+		{"dir/once", "trace.replay@1", true, [7]uint64{2, 2, 1, 1, 1, 1, 0}},
+		{"dir/every", "trace.replay", true, [7]uint64{3, 0, 3, 0, 0, 3, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := ""
+			if c.dir {
+				dir = t.TempDir()
+			}
+			if err := SetTraceDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			ResetTraces()
+			obsReset()
+			obs.Arm()
+			arm(t, c.spec)
+			got := RunWorkloadFanout(cfgs, w, p, s)
+			faultinject.Disarm()
+			if points := obs.ProgressPoints(); points != uint64(len(cfgs)) {
+				t.Errorf("booked %d points for a %d-config group", points, len(cfgs))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("config %d: report %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			var n [7]uint64
+			n[0], n[1], n[2] = TraceStats()
+			n[3], n[4], _ = TraceFanoutStats()
+			n[5], n[6] = TraceFaultStats()
+			if n != c.want {
+				t.Errorf("records/replays/rerecords/fan-outs/decode passes/retries/quarantined = %v, want %v", n, c.want)
+			}
+		})
 	}
 }
 

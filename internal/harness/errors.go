@@ -21,8 +21,8 @@ type PointError struct {
 	// Point labels the failing data point ("hist_4000"); empty for
 	// experiment-level failures.
 	Point string
-	// Strategy names the failing strategy when the point fans out per
-	// strategy (runAllStrategies).
+	// Strategy names the failing strategy when the point is measured as
+	// one run per strategy (a Fig. 7 row).
 	Strategy string
 	// Err is the underlying cause.
 	Err error

@@ -7,6 +7,7 @@ import (
 	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/ctcrypto"
+	"ctbia/internal/obs"
 	"ctbia/internal/workloads"
 )
 
@@ -165,11 +166,25 @@ func runMotivation(o Options) *Table {
 	return t
 }
 
-// fig7 builds the runner for one Fig. 7 panel. The per-size points are
-// independent (each builds four fresh machines), so they fan out across
-// o.Parallel workers; rows are collected in index order, keeping the
-// table byte-identical to the serial run. A panicking point worker is
-// recovered into a FAILED row; the other sizes still measure.
+// fig7Runs are the four runs behind one Fig. 7 point: the insecure
+// baseline, the BIA in L1d and in L2, and software CT.
+var fig7Runs = []struct {
+	name  string
+	s     ct.Strategy
+	level int
+}{
+	{"insecure", ct.Direct{}, 0},
+	{"bia@1", ct.BIA{}, 1},
+	{"bia@2", ct.BIA{}, 2},
+	{"ct", ct.Linear{}, 0},
+}
+
+// fig7 builds the runner for one Fig. 7 panel. Every (size, strategy)
+// run is independent (each draws a cold machine), so all of them fan
+// out across o.Parallel workers; a row is built from its size's runs in
+// index order, keeping the table byte-identical to the serial run. A
+// panicking run is recovered into a FAILED row for its size, and the
+// other runs still measure.
 func fig7(id string, w workloads.Workload, sizes, quick []int) func(Options) *Table {
 	return func(o Options) *Table {
 		ss := sizes
@@ -179,21 +194,31 @@ func fig7(id string, w workloads.Workload, sizes, quick []int) func(Options) *Ta
 		t := &Table{ID: id,
 			Title:   fmt.Sprintf("%s execution-time overhead vs insecure baseline", w.Name()),
 			Headers: []string{"workload", "L1d", "L2", "CT"}}
-		rows := make([][]string, len(ss))
-		errs := forEachIndexed(len(ss), o.Parallel, func(i int) {
-			p := workloads.Params{Size: ss[i], Seed: 1}
-			r := runAllStrategies(w, p, o.parallel())
-			rows[i] = []string{fmt.Sprintf("%s_%d", shortName(w.Name()), ss[i]),
-				ratio(r.biaL1.Cycles, r.insecure.Cycles),
-				ratio(r.biaL2.Cycles, r.insecure.Cycles),
-				ratio(r.linear.Cycles, r.insecure.Cycles)}
+		n := len(fig7Runs)
+		reps := make([]cpu.Report, len(ss)*n)
+		errs := forEachIndexed(len(reps), o.Parallel, func(i int) {
+			run := fig7Runs[i%n]
+			sp := obs.StartSpan("strategy", run.name)
+			defer sp.End()
+			reps[i] = RunWorkload(w, workloads.Params{Size: ss[i/n], Seed: 1}, run.s, run.level)
 		})
-		for i, row := range rows {
-			if errs != nil && errs[i] != nil {
-				t.Fail(fmt.Sprintf("%s_%d", shortName(w.Name()), ss[i]), errs[i])
-				continue
+	rows:
+		for j, size := range ss {
+			label := fmt.Sprintf("%s_%d", shortName(w.Name()), size)
+			for k := j * n; errs != nil && k < (j+1)*n; k++ {
+				if pe := errs[k]; pe != nil {
+					if pe.Strategy == "" {
+						pe.Strategy = fig7Runs[k%n].name
+					}
+					t.Fail(label, pe)
+					continue rows
+				}
 			}
-			t.AddRow(row...)
+			r := reps[j*n : (j+1)*n]
+			t.AddRow(label,
+				ratio(r[1].Cycles, r[0].Cycles),
+				ratio(r[2].Cycles, r[0].Cycles),
+				ratio(r[3].Cycles, r[0].Cycles))
 		}
 		return t
 	}

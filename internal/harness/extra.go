@@ -92,41 +92,6 @@ func smallCacheConfig(biaLevel int) cpu.Config {
 	}
 }
 
-// smallPools recycles the small-hierarchy machines like tablePools
-// does for the Table 1 ones (index = BIALevel).
-var smallPools = func() [4]*cpu.Pool {
-	var pools [4]*cpu.Pool
-	for lvl := range pools {
-		pools[lvl] = cpu.NewPool(smallCacheConfig(lvl))
-	}
-	return pools
-}()
-
-// smallPoolFP mirrors tablePoolFP for the small-hierarchy machines:
-// the different fingerprint keeps their traces disjoint from the
-// Table 1 ones even for identical (workload, params, strategy) points.
-var smallPoolFP = func() [4]string {
-	var fps [4]string
-	for lvl := range fps {
-		fps[lvl] = smallCacheConfig(lvl).Fingerprint()
-	}
-	return fps
-}()
-
-// runSmall is RunWorkload on the small-hierarchy machines, sharing the
-// trace engine: BIA-family points stay disjoint from the Table 1 ones
-// via the config fingerprint in their keys, while the pure strategies
-// replay the same shared recording both machine families use (the
-// per-config report anchors keep verification separate).
-func runSmall(w workloads.Workload, p workloads.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(smallPools[biaLevel],
-		workloadTraceKey(w, p, s, biaLevel, smallPoolFP[biaLevel]),
-		w.Name()+"/"+s.Name(),
-		smallPoolFP[biaLevel],
-		func() uint64 { return w.Reference(p) },
-		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
-}
-
 func runThreshold(o Options) *Table {
 	// DS of 256000 ints = 1 MB — 8x the small machine's LLC, so the
 	// cyclic fetchset sweeps get almost no reuse: the cached path pays
@@ -145,10 +110,11 @@ func runThreshold(o Options) *Table {
 	}
 	p := workloads.Params{Size: size, Seed: 1, Ops: queries}
 	w := workloads.BinarySearch{}
-	ins := runSmall(w, p, ct.Direct{}, 0)
+	ins := RunWorkloadOn(smallCacheConfig(0), w, p, ct.Direct{})
 	t := &Table{ID: "threshold",
 		Title:   fmt.Sprintf("binarysearch_%d on an 8KB/32KB/128KB hierarchy (DS %d KB > LLC): Sec. 6.5 threshold", size, size*4>>10),
 		Headers: []string{"strategy", "overhead", "cycles", "fills+evictions (L1d)", "DRAM accesses"}}
+	pool, _ := poolFor(smallCacheConfig(1))
 	for _, c := range []struct {
 		name string
 		s    ct.Strategy
@@ -156,7 +122,7 @@ func runThreshold(o Options) *Table {
 		{"bia (no threshold)", ct.BIA{}},
 		{"bia threshold=32", ct.BIA{Threshold: 32}},
 	} {
-		m := smallPools[1].Get()
+		m := pool.Get()
 		if got := w.Run(m, c.s, p); got != w.Reference(p) {
 			// A corrupted sub-run costs its row, not the experiment;
 			// the machine is abandoned rather than pooled.
@@ -167,7 +133,7 @@ func runThreshold(o Options) *Table {
 		l1 := m.Hier.Level(1).Stats
 		t.AddRow(c.name, ratio(r.Cycles, ins.Cycles), count(r.Cycles),
 			count(l1.Fills+l1.Evictions), count(r.DRAM))
-		smallPools[1].Put(m)
+		pool.Put(m)
 	}
 	t.Notes = append(t.Notes,
 		"the threshold path wins on latency (no L1/L2/LLC probe stack before DRAM) and eliminates the fill/eviction churn entirely")

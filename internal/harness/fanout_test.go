@@ -19,8 +19,8 @@ import (
 // replay served.
 
 // geoStrategies mirrors runGeoSweep's strategy set: the pure strategies
-// fan out over one shared key; BIA keys per config and serves the group
-// through the per-config path.
+// fan out over one shared key; BIA keys per config, so each of its
+// configs is a group of one.
 var geoStrategies = []struct {
 	s   ct.Strategy
 	bia bool

@@ -82,7 +82,7 @@ func geoSweepWorkloads(quick bool) []struct {
 // runGeoSweep measures the sweep grouped for fan-out: one group per
 // (workload, strategy), each group charging every geometry of the
 // ladder from a single decode pass of the shared stream (the BIA
-// groups key per config inside the group and run point by point). The
+// family keys per config, so each of its configs is a group of one). The
 // table is assembled geometry-major, and every report is bit-identical
 // to direct execution (the equivalence tests pin the rendered bytes),
 // so the grouping changes wall time and decode passes only.

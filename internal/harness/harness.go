@@ -111,9 +111,6 @@ type Options struct {
 	Manifest *Manifest
 }
 
-// parallel reports whether fan-out is enabled.
-func (o Options) parallel() bool { return o.Parallel > 1 }
-
 // Experiment is one reproducible table/figure.
 type Experiment struct {
 	ID    string

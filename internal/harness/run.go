@@ -13,50 +13,17 @@ import (
 	"ctbia/internal/workloads"
 )
 
-// tablePools recycles the Table 1 machines that RunWorkload/RunKernel
-// burn through, one pool per BIA placement (index = BIALevel, 0 = no
-// BIA). Building such a machine allocates ~9 MB of cache metadata;
-// before pooling, `ctbench -exp all` built 200+ of them and spent a
-// large fraction of its wall time allocating and collecting that
-// churn. Reset restores cold state bit-identically (see the
-// reset-equivalence test), so pooling never changes a table cell.
-var tablePools = func() [4]*cpu.Pool {
-	var pools [4]*cpu.Pool
-	for lvl := range pools {
-		cfg := cpu.DefaultConfig()
-		cfg.BIALevel = lvl
-		pools[lvl] = cpu.NewPool(cfg)
-	}
-	return pools
-}()
-
-// tablePoolFP precomputes each Table 1 pool's config fingerprint so
-// trace keys don't rebuild it per run.
-var tablePoolFP = func() [4]string {
-	var fps [4]string
-	for lvl := range fps {
-		cfg := cpu.DefaultConfig()
-		cfg.BIALevel = lvl
-		fps[lvl] = cfg.Fingerprint()
-	}
-	return fps
-}()
-
-// poolReg extends the Table 1 pools to arbitrary geometries: one pool
-// per config fingerprint, built on first use. Geometry-sweep
-// experiments run every point through here so each distinct machine
-// shape is pooled exactly like the Table 1 shapes (seeded below so the
-// defaults share their pools with RunWorkload/RunKernel).
+// poolReg holds one machine pool per config fingerprint, built on
+// first use; every simulation point draws its machine from here.
+// Building a Table 1 machine allocates ~9 MB of cache metadata; before
+// pooling, `ctbench -exp all` built 200+ of them and spent a large
+// fraction of its wall time allocating and collecting that churn. Reset
+// restores cold state bit-identically (see the reset-equivalence test),
+// so pooling never changes a table cell.
 var poolReg = struct {
 	sync.Mutex
 	pools map[string]*cpu.Pool
-}{pools: func() map[string]*cpu.Pool {
-	m := make(map[string]*cpu.Pool, len(tablePools))
-	for lvl, p := range tablePools {
-		m[tablePoolFP[lvl]] = p
-	}
-	return m
-}()}
+}{pools: make(map[string]*cpu.Pool)}
 
 // poolFor returns the machine pool and config fingerprint for cfg,
 // creating the pool on first use.
@@ -72,135 +39,37 @@ func poolFor(cfg cpu.Config) (*cpu.Pool, string) {
 	return p, fp
 }
 
-// MachineFor builds a Table 1 machine with the BIA at the given level
-// (0 = no BIA, for the insecure and software-CT runs). The machine is
-// always freshly constructed — experiments that subscribe telemetry or
-// otherwise hold on to machine state use this; the pooled fast path is
-// internal to RunWorkload/RunKernel.
-func MachineFor(biaLevel int) *cpu.Machine {
+// tableConfig is the Table 1 machine config with the BIA at the given
+// level (0 = no BIA, for the insecure and software-CT runs).
+func tableConfig(biaLevel int) cpu.Config {
 	cfg := cpu.DefaultConfig()
 	cfg.BIALevel = biaLevel
-	return cpu.New(cfg)
+	return cfg
 }
+
+// MachineFor builds a Table 1 machine with the BIA at the given level.
+// The machine is always freshly constructed — experiments that subscribe
+// telemetry or otherwise hold on to machine state use this; the pooled
+// fast path is internal to RunWorkload/RunKernel.
+func MachineFor(biaLevel int) *cpu.Machine { return cpu.New(tableConfig(biaLevel)) }
 
 // RunWorkload executes one workload under one strategy on a cold
-// Table 1 machine drawn from the per-placement pool, verifies the
-// result against the pure-Go reference (an experiment with a wrong
-// answer must never be reported), and returns the machine's report.
-// Runs go through the trace engine (see trace.go): the first execution
-// of a point records its operation stream, repeats replay it through
-// the batched interpreter and re-verify against the reference.
+// Table 1 machine drawn from its config's pool, verifies the result
+// against the pure-Go reference (an experiment with a wrong answer must
+// never be reported), and returns the machine's report. The point is a
+// group of one in the trace engine (see runGroup).
 func RunWorkload(w workloads.Workload, p workloads.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(tablePools[biaLevel],
-		workloadTraceKey(w, p, s, biaLevel, tablePoolFP[biaLevel]),
-		w.Name()+"/"+s.Name(),
-		tablePoolFP[biaLevel],
-		func() uint64 { return w.Reference(p) },
-		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
+	return RunWorkloadOn(tableConfig(biaLevel), w, p, s)
 }
 
-// RunWorkloadOn is RunWorkload for an arbitrary machine config — the
-// entry point of the geometry-sweep experiments. Share-eligible
-// strategies (insecure, software-CT) replay one recording across every
-// config passed here; the BIA family keys per config as usual.
+// RunWorkloadOn is RunWorkload for an arbitrary machine config.
 func RunWorkloadOn(cfg cpu.Config, w workloads.Workload, p workloads.Params, s ct.Strategy) cpu.Report {
-	pool, fp := poolFor(cfg)
-	return runTraced(pool,
-		workloadTraceKey(w, p, s, cfg.BIALevel, fp),
-		w.Name()+"/"+s.Name(),
-		fp,
-		func() uint64 { return w.Reference(p) },
-		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
+	return RunWorkloadFanout([]cpu.Config{cfg}, w, p, s)[0]
 }
 
 // RunKernel is RunWorkload for the crypto kernels.
 func RunKernel(k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(tablePools[biaLevel],
-		kernelTraceKey(k, p, s, biaLevel, tablePoolFP[biaLevel]),
-		k.Name()+"/"+s.Name(),
-		tablePoolFP[biaLevel],
-		func() uint64 { return k.Reference(p) },
-		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) })
-}
-
-// RunKernelOn is RunWorkloadOn for the crypto kernels.
-func RunKernelOn(cfg cpu.Config, k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy) cpu.Report {
-	pool, fp := poolFor(cfg)
-	return runTraced(pool,
-		kernelTraceKey(k, p, s, cfg.BIALevel, fp),
-		k.Name()+"/"+s.Name(),
-		fp,
-		func() uint64 { return k.Reference(p) },
-		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) })
-}
-
-// strategyRuns couples the paper's three compared configurations.
-type strategyRuns struct {
-	insecure cpu.Report
-	biaL1    cpu.Report
-	biaL2    cpu.Report
-	linear   cpu.Report
-}
-
-// runAllStrategies measures one workload/size point under the four
-// compared configurations. Each run builds its own machine with its own
-// seeded RNGs, so when parallel is true the four fan out across
-// goroutines with no shared state and bit-identical results.
-//
-// A panicking strategy run is recovered into a PointError; the other
-// three strategies still complete (their traces and pool state stay
-// warm for a retry) and the first failure is re-panicked for the
-// caller's per-point recovery to turn into a FAILED row.
-func runAllStrategies(w workloads.Workload, p workloads.Params, parallel bool) strategyRuns {
-	var r strategyRuns
-	jobs := []struct {
-		name string
-		fn   func()
-	}{
-		{"insecure", func() { r.insecure = RunWorkload(w, p, ct.Direct{}, 0) }},
-		{"bia@1", func() { r.biaL1 = RunWorkload(w, p, ct.BIA{}, 1) }},
-		{"bia@2", func() { r.biaL2 = RunWorkload(w, p, ct.BIA{}, 2) }},
-		{"ct", func() { r.linear = RunWorkload(w, p, ct.Linear{}, 0) }},
-	}
-	var mu sync.Mutex
-	var firstErr *PointError
-	run := func(name string, fn func()) {
-		sp := obs.StartSpan("strategy", name)
-		defer sp.End()
-		defer func() {
-			if rec := recover(); rec != nil {
-				pe := toPointError(rec)
-				if pe.Strategy == "" {
-					pe.Strategy = name
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = pe
-				}
-				mu.Unlock()
-			}
-		}()
-		fn()
-	}
-	if !parallel {
-		for _, job := range jobs {
-			run(job.name, job.fn)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, job := range jobs {
-			wg.Add(1)
-			go func(name string, fn func()) {
-				defer wg.Done()
-				run(name, fn)
-			}(job.name, job.fn)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		panic(firstErr)
-	}
-	return r
+	return RunKernelFanout([]cpu.Config{tableConfig(biaLevel)}, k, p, s)[0]
 }
 
 // forEachIndexed runs fn(0..n-1) on up to `workers` goroutines. Results

@@ -260,7 +260,7 @@ func TestV1TraceFileRerecords(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 9}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
+	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
 
 	SetTraceMode(TraceOff)
 	want := RunWorkload(w, p, s, 0)

@@ -20,10 +20,12 @@ import (
 	"ctbia/internal/workloads"
 )
 
-// The trace-replay engine behind RunWorkload/RunKernel and the fan-out
-// entry points: a recorded operation stream of a point is replayed
-// through the batched interpreter instead of re-running the workload
-// front end.
+// The trace-replay engine behind every simulation point: a recorded
+// operation stream of a point is replayed through the batched
+// interpreter instead of re-running the workload front end. Every
+// point enters it the same way, as a group of machine configs that
+// share one trace key (fanout.go), and runGroup is its one
+// orchestrator.
 //
 // Keying is the whole trick. For the pure strategies (insecure,
 // software-CT, its vector variant) the dynamic op/address stream is a
@@ -48,16 +50,16 @@ import (
 // Every replay is a fan-out group: one stored stream charged to one
 // machine per config — a single point is a group of one. Replay runs
 // only where it pays, so a stream comes from one of two places. A
-// fan-out group (fanout.go) records on its first config and charges
-// the others from that recording, which lives for that one call. With
-// a trace directory, the key's file is the store: a point records and
+// group of two or more records on its first config and charges the
+// others from that recording, which lives for that one call. With a
+// trace directory, the key's file is the store: a point records and
 // persists its stream once, and every later lookup, in this process or
 // another, reads the file whole, checks and decodes it, replays it and
 // keeps nothing. A file larger than any recording can write is refused
 // unread, and one that does not decode (corrupt, truncated, or in an
 // older wire format) is a miss; either way the point re-records over
 // it. Without a directory the engine keeps nothing between calls and a
-// single point runs direct: a recording that no later call can read
+// group of one runs direct: a recording that nothing can read again
 // costs more than it saves.
 
 // TraceMode selects how RunWorkload/RunKernel use the trace engine.
@@ -114,10 +116,11 @@ type traceEntry struct {
 // before aborting is the engine's only overhead over a plain run.
 const maxTraceOps = 1 << 20
 
-// traceDebug (env CTBIA_TRACE_DEBUG) logs, per run, why a point did not
-// replay: untraceable (impure strategy), dead (recording aborted — with
-// the record/event counts that tripped the compression gate or the
-// cap), or a repeated direct run of a dead key. This is how encoding
+// traceDebug (env CTBIA_TRACE_DEBUG) logs why a group's points did not
+// replay: untraceable (impure strategy), aborted (the recording that
+// marks a key dead, with the record/event counts that tripped the
+// compression gate or the cap), deadrun (a direct run of a dead key),
+// quarantined, and each transient replay failure. This is how encoding
 // gaps show up: a compressible pattern the recorder doesn't fuse yet
 // appears here as a high-event abort.
 var traceDebug = os.Getenv("CTBIA_TRACE_DEBUG") != ""
@@ -176,10 +179,10 @@ var (
 )
 
 // quarantineAfter is how many transient trace-layer failures of one
-// key the engine absorbs, each followed at once by a degraded
-// (direct-simulation) retry, before it bypasses the key for good.
-// Nothing is waited for: the retry re-runs a deterministic simulation,
-// which no delay can change.
+// key the engine absorbs, each followed at once by a retry that
+// re-records the key on the first unserved config, before it bypasses
+// the key for good. Nothing is waited for: the retry re-runs a
+// deterministic simulation, which no delay can change.
 const quarantineAfter = 3
 
 // SetTraceMode switches the engine's mode (default TraceOn).
@@ -262,8 +265,8 @@ func TraceFanoutStats() (fanoutReplays, decodePasses, bytesAvoided uint64) {
 }
 
 // TraceFaultStats returns the fault-tolerance counters since the last
-// ResetTraces: degraded retries after transient replay failures, and
-// keys quarantined for repeat offenses.
+// ResetTraces: retries after transient replay failures, and keys
+// quarantined for repeat offenses.
 func TraceFaultStats() (retries, quarantined uint64) {
 	traceEngine.mu.RLock()
 	q := uint64(len(traceEngine.quarantined))
@@ -302,7 +305,7 @@ func isDead(key string) bool {
 }
 
 // noteTransient books one transient trace-layer failure for key,
-// quarantining repeat offenders, before the caller's degraded retry.
+// quarantining repeat offenders, before the caller's retry.
 func noteTransient(key, label string, err error) {
 	traceRetries.Add(1)
 	traceEngine.mu.Lock()
@@ -470,7 +473,7 @@ func persistTrace(key string, e *traceEntry) {
 // dropTrace removes a stale entry's file, if there is a trace
 // directory, so it cannot be re-loaded and fail again; the next lookup
 // of the key misses and re-records it. Without a directory the entry
-// was the caller's own recording, and its unserved configs run direct.
+// was the caller's own recording, and nothing else holds it.
 func dropTrace(key string) {
 	if dir := traceDirNow(); dir != "" {
 		os.Remove(traceFilePath(dir, key))
@@ -515,9 +518,8 @@ func verifySum(label string, got, want uint64) {
 	}
 }
 
-// runDirect simulates one point with no trace-engine involvement (the
-// degraded path). On a verification panic the machine is abandoned
-// rather than pooled.
+// runDirect simulates one point with no trace-engine involvement. On a
+// verification panic the machine is abandoned rather than pooled.
 func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
 	sp := obs.StartSpan("direct", label)
 	m := pool.Get()
@@ -540,7 +542,7 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 //
 // A panic in the replay layer (an injected fault, or a corrupt decoded
 // stream crashing the batched interpreter) is recovered into err so the
-// caller can retry through the degraded path. ok=false with err=nil
+// caller can book it and retry by re-recording. ok=false with err=nil
 // means the entry is merely stale (checksum or anchor mismatch) —
 // re-record, no retry accounting. The checksum is checked before any
 // machine is charged, and machines go back to their pools only after
@@ -609,7 +611,7 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 		dropTrace(key)
 		if err != nil {
 			// Transient replay failure: book it, quarantining repeat
-			// offenders, before the degraded retry.
+			// offenders, before the caller's retry.
 			noteTransient(key, label, err)
 		}
 		return nil, false
@@ -632,31 +634,97 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 	return reps, true
 }
 
-// runTraced executes one simulation point through the trace engine:
-// with a trace directory, a stored stream whose checksum and per-config
-// report re-verify is replayed on a pooled machine, and otherwise the
-// workload runs for real and records its stream for later lookups;
-// every other point runs direct. cfgFP is the fingerprint of the
-// machine config every machine in pool is built from — the identity
-// report anchors are keyed by.
+// runGroup is the trace engine's one orchestrator. It serves one trace
+// key for a group of pooled machines — pools[i] builds machines of the
+// config fps[i] fingerprints, the identity report anchors are keyed by
+// — writing one report per config into out.
 //
-// Fault tolerance: a transient replay failure (injected fault, crashing
-// interpreter) is retried at once through the degraded direct path;
-// keys that keep failing are quarantined — bypassing the engine
-// entirely — and reported via QuarantinedPoints.
+// A recording is made only when something can read it again: the rest
+// of the group, or the key's file in a trace directory. So with trace
+// off, for an untraceable, quarantined or dead key, and for a group of
+// one without a directory, every config runs direct. Otherwise one loop
+// serves the group: look the key up; on a miss, record the first
+// unserved config under the key's single-flight (a worker that finds
+// the key being recorded looks it up again); replay the rest from the
+// stored or fresh stream. A stale or transiently failing stream is
+// dropped and booked by tryReplay, and the loop re-records without
+// looking the key up again; a key that keeps failing is quarantined
+// (see QuarantinedPoints). The loop stops when every config is served
+// or the key is quarantined or dead, and any config still unserved
+// runs direct.
 //
-// Every single-point simulation run, whatever engine path it takes,
-// passes through runTraced exactly once, inside observePoint.
-func runTraced(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) (r cpu.Report) {
-	observePoint(label, func() { r = runTracedEngine(pool, key, label, cfgFP, ref, sim) })
-	return r
+// Every config served is one simulation point. A group of one is
+// observed as a whole, lookup, decode and replay included; in a larger
+// group a recording or a direct run is its config's observed point and
+// a replay pass books one point per config it serves.
+func runGroup(out []cpu.Report, pools []*cpu.Pool, fps []string, key, label string, ref func() uint64, sim func(m *cpu.Machine) uint64) {
+	whole := len(pools) == 1
+	point := func(run func()) {
+		if whole {
+			run()
+		} else {
+			observePoint(label, run)
+		}
+	}
+	serve := func() {
+		i := 0 // out[:i] is served
+		traced := key != "" && TraceModeNow() == TraceOn
+		var e *traceEntry
+		for lookup := true; traced && i < len(pools) && !isQuarantined(key) && !isDead(key); {
+			if lookup {
+				e, lookup = lookupTrace(key), false
+			}
+			if e == nil {
+				if len(pools)-i == 1 && traceDirNow() == "" {
+					break // nothing could read a recording
+				}
+				if !recordOnce(key, func() { point(func() { out[i], e = recordPoint(pools[i], key, label, fps[i], ref, sim) }) }) {
+					lookup = true // another worker recorded the key: look it up again
+					continue
+				}
+				i++
+				if e == nil || i == len(pools) {
+					continue // aborted (the key is dead now), or nothing left to replay
+				}
+			}
+			if reps, ok := tryReplay(pools[i:], fps[i:], key, label, e, ref); ok {
+				copy(out[i:], reps)
+				if !whole {
+					for range reps {
+						obs.NotePoint()
+					}
+				}
+				i = len(pools)
+			}
+			// A failed replay re-records at once: the stale file may still
+			// be there (dropTrace cannot always remove it), and looking
+			// it up again would replay it again.
+			e = nil
+		}
+		if traceDebug && i < len(pools) {
+			switch {
+			case key == "":
+				fmt.Fprintf(os.Stderr, "TRACEDBG untraceable %s\n", label)
+			case traced && isQuarantined(key):
+				fmt.Fprintf(os.Stderr, "TRACEDBG quarantined %s\n", label)
+			case traced && isDead(key):
+				fmt.Fprintf(os.Stderr, "TRACEDBG deadrun %s\n", label)
+			}
+		}
+		for ; i < len(pools); i++ {
+			point(func() { out[i] = runDirect(pools[i], label, ref, sim) })
+		}
+	}
+	if whole {
+		observePoint(label, serve)
+	} else {
+		serve()
+	}
 }
 
 // observePoint is the observability layer's per-point anchor: it counts
 // one simulation point, opens its "point" span and distributes its wall
-// time. runTraced wraps every single point in it and runFanout the
-// recording that serves a group's first config. Disarmed, the wrapper
-// costs three atomic loads.
+// time. Disarmed, the wrapper costs three atomic loads.
 func observePoint(label string, run func()) {
 	obs.NotePoint()
 	if !obs.Enabled() && !obs.TimelineEnabled() {
@@ -668,49 +736,6 @@ func observePoint(label string, run func()) {
 	run()
 	pointWall.Observe(uint64(time.Since(start).Microseconds()))
 	sp.End()
-}
-
-// runTracedEngine is runTraced's engine body (see runTraced for the
-// contract).
-func runTracedEngine(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
-	// Without a trace directory no later call could read a recording,
-	// so a single point runs direct.
-	if TraceModeNow() == TraceOff || key == "" || traceDirNow() == "" {
-		if traceDebug && key == "" {
-			fmt.Fprintf(os.Stderr, "TRACEDBG untraceable %s\n", label)
-		}
-		return runDirect(pool, label, ref, sim)
-	}
-
-	if isQuarantined(key) {
-		if traceDebug {
-			fmt.Fprintf(os.Stderr, "TRACEDBG quarantined %s\n", label)
-		}
-		return runDirect(pool, label, ref, sim)
-	}
-
-	for {
-		if e := lookupTrace(key); e != nil {
-			if reps, ok := tryReplay([]*cpu.Pool{pool}, []string{cfgFP}, key, label, e, ref); ok {
-				return reps[0]
-			}
-		}
-		// A failed replay may have quarantined the key; a dead key
-		// (recording aborted, here or in the leader we waited on) will
-		// never replay. Both degrade to direct simulation.
-		if isQuarantined(key) || isDead(key) {
-			if traceDebug {
-				fmt.Fprintf(os.Stderr, "TRACEDBG deadrun %s\n", label)
-			}
-			return runDirect(pool, label, ref, sim)
-		}
-		var r cpu.Report
-		if recordOnce(key, func() { r, _ = recordPoint(pool, key, label, cfgFP, ref, sim) }) {
-			return r
-		}
-		// Another worker recorded this key meanwhile — the single-flight
-		// at the heart of sweep sharing. Loop back to replay its file.
-	}
 }
 
 // recordOnce single-flights the recordings of one key: the first worker

@@ -254,7 +254,7 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 23}
 	s := ct.BIA{}
-	key := workloadTraceKey(w, p, s, 1, tablePoolFP[1])
+	key := workloadTraceKey(w, p, s, 1, tableConfig(1).Fingerprint())
 	if key == "" {
 		t.Fatal("expected a traceable point")
 	}
@@ -277,25 +277,7 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := useTraceDir(t)
 			want := RunWorkload(w, p, s, 1)
-
-			path := traceFilePath(dir, key)
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("no trace stored for the expected key: %v", err)
-			}
-			fkey, src, meta, tags, ops, err := trace.Decode(buf)
-			if err != nil || fkey != key || len(meta) != 1 {
-				t.Fatalf("stored trace does not decode as the key's: key ok=%v, meta %v, err %v", fkey == key, meta, err)
-			}
-			e := &traceEntry{ops: ops, sum: meta[0], src: src, reps: repsFromTags(tags)}
-			corrupt(e)
-			tags = make(map[string][]uint64, len(e.reps))
-			for fp, r := range e.reps {
-				tags[fp] = packReport(r)
-			}
-			if err := os.WriteFile(path, trace.Encode(key, e.src, []uint64{e.sum}, tags, e.ops), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewriteTrace(t, dir, key, corrupt)
 
 			got := RunWorkload(w, p, s, 1)
 			if got != want {
@@ -309,6 +291,72 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 				t.Errorf("post-fallback replay diverged: %v vs %v", got, want)
 			}
 		})
+	}
+}
+
+// rewriteTrace decodes the key's file in dir, applies edit to it and
+// writes it back as a well-formed file.
+func rewriteTrace(t *testing.T, dir, key string, edit func(e *traceEntry)) {
+	t.Helper()
+	path := traceFilePath(dir, key)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no trace stored for the expected key: %v", err)
+	}
+	fkey, src, meta, tags, ops, err := trace.Decode(buf)
+	if err != nil || fkey != key || len(meta) != 1 {
+		t.Fatalf("stored trace does not decode as the key's: key ok=%v, meta %v, err %v", fkey == key, meta, err)
+	}
+	e := &traceEntry{ops: ops, sum: meta[0], src: src, reps: repsFromTags(tags)}
+	edit(e)
+	tags = make(map[string][]uint64, len(e.reps))
+	for fp, r := range e.reps {
+		tags[fp] = packReport(r)
+	}
+	if err := os.WriteFile(path, trace.Encode(key, e.src, []uint64{e.sum}, tags, e.ops), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptTraceInReadOnlyDir plants a stale report anchor in a trace
+// file the engine cannot remove, because its directory is read-only.
+// The point must re-record once and return the trace-off report instead
+// of looking the key up, and replaying the same stale file, forever.
+func TestCorruptTraceInReadOnlyDir(t *testing.T) {
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 400, Seed: 23}
+	s := ct.BIA{}
+	key := workloadTraceKey(w, p, s, 1, tableConfig(1).Fingerprint())
+	dir := useTraceDir(t)
+	SetTraceMode(TraceOff)
+	want := RunWorkload(w, p, s, 1)
+	SetTraceMode(TraceOn)
+	RunWorkload(w, p, s, 1) // records the key's file
+	rewriteTrace(t, dir, key, func(e *traceEntry) {
+		for fp, r := range e.reps {
+			r.Cycles++
+			e.reps[fp] = r
+		}
+	})
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o755) })
+	if f, err := os.CreateTemp(dir, "probe-*"); err == nil {
+		f.Close()
+		os.Remove(f.Name())
+		t.Skip("directory permissions do not bind this user (CAP_DAC_OVERRIDE)")
+	}
+	ResetTraces()
+
+	if got := RunWorkload(w, p, s, 1); got != want {
+		t.Errorf("stale trace leaked into a report\nwant: %v\ngot:  %v", want, got)
+	}
+	if rec, rep, rerec := TraceStats(); rec != 1 || rep != 0 || rerec != 1 {
+		t.Errorf("records/replays/rerecords = %d/%d/%d, want 1/0/1", rec, rep, rerec)
+	}
+	if _, err := os.Stat(traceFilePath(dir, key)); err != nil {
+		t.Errorf("the stale file should have outlived its drop: %v", err)
 	}
 }
 
@@ -329,7 +377,7 @@ func TestTracePersistence(t *testing.T) {
 	w := workloads.BinarySearch{}
 	p := workloads.Params{Size: 500, Seed: 31, Ops: 6}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
+	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
 
 	want := RunWorkload(w, p, s, 0)
 	path := traceFilePath(dir, key)
@@ -379,7 +427,7 @@ func TestOversizedTraceFileIsMiss(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 29}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tablePoolFP[0])
+	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
 
 	SetTraceMode(TraceOff)
 	want := RunWorkload(w, p, s, 0) // also warms the machine pool

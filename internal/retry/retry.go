@@ -2,9 +2,9 @@
 // exponential delays with optional jitter, context-aware sleeping, and
 // a Do loop for idempotent operations. The fleet worker's coordinator
 // reconnect and its result uploads run through here, so "how we back
-// off" is defined once. The trace engine's degraded retries do not
-// back off: they re-run a deterministic simulation, which no wait can
-// change.
+// off" is defined once. The trace engine's retries after a replay
+// fault do not back off: they re-record a deterministic simulation,
+// which no wait can change.
 //
 // The policy is deliberately tiny: attempt counting and the decision of
 // *what* is retryable stay with the caller (the fleet worker retries
