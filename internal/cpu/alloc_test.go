@@ -35,6 +35,8 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "Store64", testing.AllocsPerRun(5000, func() { m.Store64(addr(), i) }))
 	assertZeroAllocs(t, "CTLoad64", testing.AllocsPerRun(5000, func() { m.CTLoad64(addr()) }))
 	assertZeroAllocs(t, "CTStore64", testing.AllocsPerRun(5000, func() { m.CTStore64(addr(), i) }))
+	assertZeroAllocs(t, "SweepLoad", testing.AllocsPerRun(500, func() { m.SweepLoad(addr(), memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming) }))
+	assertZeroAllocs(t, "SweepRMW", testing.AllocsPerRun(500, func() { m.SweepRMW(addr(), memp.LineSize, 64, 7, ModeNoLRU|ModeStreaming) }))
 	assertZeroAllocs(t, "Hier.Access", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), 0) }))
 	assertZeroAllocs(t, "Hier.Access(write)", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), cache.FlagWrite) }))
 }

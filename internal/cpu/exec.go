@@ -7,23 +7,24 @@ import (
 )
 
 // This file is the machine side of the trace-replay engine: recording
-// hooks are in the primitive ops (Op, OpStream, access, the CT headers,
-// WarmRegion, ResetStats, the scratchpad ops); ExecTrace re-executes a
-// captured stream against a cold machine with bit-identical effects on
-// every counter, cache level, BIA table and subscribed listener — the
-// harness's trace-equivalence tests enforce this for every workload ×
-// strategy.
+// hooks are in the primitive ops (Op, OpStream, access, the sweeps, the
+// CT headers, WarmRegion, ResetStats, the scratchpad ops); ExecTrace
+// re-executes a captured stream against a cold machine with
+// bit-identical effects on every counter, cache level, BIA table and
+// subscribed listener — the harness's trace-equivalence tests enforce
+// this for every workload × strategy.
 //
 // Replay has two regimes. With a listener that wants per-access
-// events subscribed (attacker telemetry), every access re-enters the
-// ordinary access() path so event emission is reproduced exactly.
+// events subscribed (attacker telemetry), every access takes the
+// per-access path so event emission is reproduced exactly.
 // Otherwise — the insecure and software-CT configurations, and since
 // the batch paths grew a run-record snoop port also BIA-attached
 // machines — whole runs go through Hierarchy.AccessBatch: one flat
 // loop, the start-level probe inlined, no Result construction, no
 // per-access event-filter checks, and the per-iteration bookkeeping
 // (retire, load/store counts, streaming-hit cycle parity) applied in
-// closed form per run rather than per access.
+// closed form per run rather than per access. Direct execution's DS
+// sweeps (sweep.go) charge through the same two run functions.
 
 // SetRecorder attaches (or, with nil, detaches) a trace recorder. Every
 // stat-relevant primitive executed while attached is appended to r.
@@ -57,9 +58,11 @@ func (m *Machine) ExecTrace(ops []trace.Op) {
 			m.execPre(op, 1)
 			m.access(memp.Addr(op.Addr), cache.Flags(op.Flags))
 		case trace.KRun:
-			m.execRun(op, fast)
+			m.execPre(op, int(op.Arg))
+			m.execRun(memp.Addr(op.Addr), op.Stride, int(op.Arg), cache.Flags(op.Flags), fast)
 		case trace.KRMW:
-			m.execRMW(op, fast)
+			m.execPre(op, int(op.Arg))
+			m.execRMW(memp.Addr(op.Addr), op.Stride, int(op.Arg), cache.Flags(op.Flags), fast)
 		case trace.KCTLoad:
 			m.ctLoadHdr(memp.Addr(op.Addr))
 		case trace.KCTStore:
@@ -131,12 +134,11 @@ func (m *Machine) chargeBatch(startHits, missCycles int, streaming bool) {
 	m.C.Cycles += uint64(missCycles)
 }
 
-// execRun replays a KRun record: Arg equally-strided accesses with the
-// fused per-iteration pre-ops.
-func (m *Machine) execRun(op *trace.Op, fast bool) {
-	n := int(op.Arg)
-	m.execPre(op, n)
-	flags := cache.Flags(op.Flags)
+// execRun charges n accesses at base, base+stride, ... with flags: a
+// KRun record's accesses, or a direct sweep's loads (SweepLoad). With
+// fast set and neither an uncached nor a bypass flag it is one
+// AccessBatch; otherwise the per-access loop. Neither branch records.
+func (m *Machine) execRun(base memp.Addr, stride int64, n int, flags cache.Flags, fast bool) {
 	if batchable(fast, flags) {
 		streaming := flags&flagStreaming != 0
 		f := flags &^ flagStreaming
@@ -146,36 +148,34 @@ func (m *Machine) execRun(op *trace.Op, fast bool) {
 		} else {
 			m.C.Loads += uint64(n)
 		}
-		hits, miss := m.Hier.AccessBatch(memp.Addr(op.Addr), op.Stride, n, f)
+		hits, miss := m.Hier.AccessBatch(base, stride, n, f)
 		m.chargeBatch(hits, miss, streaming)
 		return
 	}
-	addr := memp.Addr(op.Addr)
+	addr := base
 	for k := 0; k < n; k++ {
-		m.access(addr, flags)
-		addr += memp.Addr(op.Stride)
+		m.demand(addr, flags)
+		addr += memp.Addr(stride)
 	}
 }
 
-// execRMW replays a KRMW record: Arg load+store pairs.
-func (m *Machine) execRMW(op *trace.Op, fast bool) {
-	n := int(op.Arg)
-	m.execPre(op, n)
-	lf := cache.Flags(op.Flags)
+// execRMW charges n load+store pairs at base, base+stride, ...: a KRMW
+// record's pairs, or a direct sweep's (SweepRMW). Branches as execRun.
+func (m *Machine) execRMW(base memp.Addr, stride int64, n int, lf cache.Flags, fast bool) {
 	if batchable(fast, lf) {
 		streaming := lf&flagStreaming != 0
 		f := lf &^ flagStreaming
 		m.retire(2 * n)
 		m.C.Loads += uint64(n)
 		m.C.Stores += uint64(n)
-		hits, miss := m.Hier.AccessBatchRMW(memp.Addr(op.Addr), op.Stride, n, f)
+		hits, miss := m.Hier.AccessBatchRMW(base, stride, n, f)
 		m.chargeBatch(hits, miss, streaming)
 		return
 	}
-	addr := memp.Addr(op.Addr)
+	addr := base
 	for k := 0; k < n; k++ {
-		m.access(addr, lf)
-		m.access(addr, lf|cache.FlagWrite)
-		addr += memp.Addr(op.Stride)
+		m.demand(addr, lf)
+		m.demand(addr, lf|cache.FlagWrite)
+		addr += memp.Addr(stride)
 	}
 }

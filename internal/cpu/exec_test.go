@@ -89,3 +89,37 @@ func BenchmarkExecBatch(b *testing.B) {
 		b.Fatalf("batched replay allocates: %.1f allocs/op, budget is 0", allocs)
 	}
 }
+
+// sweepLines is the DS the sweep benchmarks cover: 32 KiB, resident in
+// the Table 1 L1 after the first pass, like most of the paper suite's
+// DSs; the L1 hits are what the batch path charges in closed form.
+const sweepLines = 512
+
+// BenchmarkSweepPrimitive charges a linearized store's sweep the way the
+// strategies do, one SweepRMW call; BenchmarkSweepScalar runs the
+// per-line loop it replaced over the same lines. Both fail on an
+// allocation.
+func BenchmarkSweepPrimitive(b *testing.B) {
+	benchSweep(b, func(m *Machine) {
+		m.SweepRMW(0, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
+	})
+}
+
+func BenchmarkSweepScalar(b *testing.B) {
+	benchSweep(b, func(m *Machine) {
+		scalarSweep(m, sweepCall{stride: memp.LineSize, n: sweepLines, pre: 7, mode: ModeNoLRU | ModeStreaming, rmw: true})
+	})
+}
+
+func benchSweep(b *testing.B, sweep func(*Machine)) {
+	m := New(noBIAConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		sweep(m)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(20, func() { sweep(m) }); allocs != 0 {
+		b.Fatalf("sweep allocates: %.1f allocs/op, budget is 0", allocs)
+	}
+}

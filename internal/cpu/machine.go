@@ -331,9 +331,14 @@ func (m *Machine) OpStream(n int) {
 	if m.rec != nil && n > 0 {
 		m.rec.OpStream(n)
 	}
+	m.streamOps(n)
+}
+
+// streamOps is OpStream's accounting without the recorder hook.
+func (m *Machine) streamOps(n int) {
 	m.retire(n)
 	// opSlop is non-negative, so / and % of the power-of-two issue
-	// width reduce to shift and mask (this runs once per sweep line).
+	// width reduce to shift and mask.
 	m.opSlop += n
 	m.C.Cycles += uint64(m.opSlop >> streamIssueShift)
 	m.opSlop &= streamIssueWidth - 1
@@ -344,10 +349,16 @@ func (m *Machine) OpStream(n int) {
 // dual-port throughput (two per cycle) instead of their latency —
 // out-of-order execution fully pipelines a linearization sweep; misses
 // always pay their full latency.
-func (m *Machine) access(addr memp.Addr, flags cache.Flags) cache.Result {
+func (m *Machine) access(addr memp.Addr, flags cache.Flags) {
 	if m.rec != nil {
 		m.rec.Access(uint64(addr), uint32(flags))
 	}
+	m.demand(addr, flags)
+}
+
+// demand is access without the recorder hook: the charging half, which
+// the scalar branch of a run shares.
+func (m *Machine) demand(addr memp.Addr, flags cache.Flags) {
 	m.retire(1)
 	start := 1
 	if flags&flagBypassToBIA != 0 {
@@ -368,7 +379,6 @@ func (m *Machine) access(addr memp.Addr, flags cache.Flags) cache.Result {
 	} else {
 		m.C.Loads++
 	}
-	return r
 }
 
 // flagBypassToBIA is a machine-internal flag: route the access to the

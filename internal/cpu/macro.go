@@ -29,7 +29,7 @@ import (
 // result says so). Misses in the DS are fetched exactly like the
 // software algorithm — same footprint, same security argument.
 func (m *Machine) MacroCTLoad(pageBase, addr memp.Addr, bitmask uint64, w Width) (data uint64, inPage bool) {
-	w.check()
+	w.Check()
 	if m.BIA == nil {
 		panic("cpu: MacroCTLoad on a machine without BIA")
 	}
@@ -43,28 +43,33 @@ func (m *Machine) MacroCTLoad(pageBase, addr memp.Addr, bitmask uint64, w Width)
 	}
 	existence, hit := m.ctLoadHdr(addrToRead) // the macro-op itself
 	if hit {
-		data = m.readW(addrToRead, w)
+		data = m.ReadW(addrToRead, w)
 	}
 	tofetch := bitmask &^ existence
 	m.NoteDSSpan(bits.OnesCount64(bitmask)-bits.OnesCount64(tofetch), bits.OnesCount64(bitmask))
 	// Micro-coded fetch loop: memory traffic identical to Alg. 2
-	// lines 8-11; sequencing cost folded into the streaming model.
-	for tf := tofetch; tf != 0; tf &= tf - 1 {
-		slot := uint(bits.TrailingZeros64(tf))
-		a := memp.GenAddr(pageBase, slot, addr)
-		tmp := m.LoadModeW(a, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
-		if a == addrToRead {
-			data = tmp
+	// lines 8-11; sequencing cost folded into the streaming model. The
+	// fetched run covering addrToRead supplies the data.
+	for tf := tofetch; tf != 0; {
+		slot, n, run := SlotRun(tf)
+		tf &^= run
+		m.SweepLoad(memp.GenAddr(pageBase, slot, addr), memp.LineSize, n, 0, macroFetchMode)
+		if run&(1<<addrToRead.LineInPage()) != 0 {
+			data = m.ReadW(addrToRead, w)
 		}
 	}
 	return data, memp.SamePage(addr, pageBase)
 }
 
+// macroFetchMode is how the micro-coded loops touch the DS: the software
+// algorithms' fetch mode.
+const macroFetchMode = ModeNoLRU | ModeBypassToBIA | ModeStreaming
+
 // MacroCTStore performs Algorithm 3 for one page span: the CTLoad-
 // before-CTStore corruption guard, the conditional CTStore, and the
 // read-modify-write of the non-dirty DS lines, all as one operation.
 func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint64, w Width) {
-	w.check()
+	w.Check()
 	if m.BIA == nil {
 		panic("cpu: MacroCTStore on a machine without BIA")
 	}
@@ -79,25 +84,25 @@ func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint6
 	hitLd, dirtiness, wrote := m.macroStoreHdr(addrToWrite)
 	var stTmp uint64
 	if hitLd {
-		stTmp = m.readW(addrToWrite, w)
+		stTmp = m.ReadW(addrToWrite, w)
 	}
 	if memp.SamePage(addr, pageBase) {
 		stTmp = v
 	}
 	if wrote {
-		m.writeW(addrToWrite, stTmp, w)
+		m.WriteW(addrToWrite, stTmp, w)
 	}
 
-	// Micro-coded RMW loop (Alg. 3 lines 12-15).
+	// Micro-coded RMW loop (Alg. 3 lines 12-15): v lands only if a
+	// run writes back addr's own line.
 	tofetch := bitmask &^ dirtiness
 	m.NoteDSSpan(bits.OnesCount64(bitmask)-bits.OnesCount64(tofetch), bits.OnesCount64(bitmask))
-	for tf := tofetch; tf != 0; tf &= tf - 1 {
-		slot := uint(bits.TrailingZeros64(tf))
-		a := memp.GenAddr(pageBase, slot, addr)
-		tmp := m.LoadModeW(a, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
-		if a == addr {
-			tmp = v
+	for tf := tofetch; tf != 0; {
+		slot, n, run := SlotRun(tf)
+		tf &^= run
+		m.SweepRMW(memp.GenAddr(pageBase, slot, addr), memp.LineSize, n, 0, macroFetchMode)
+		if memp.SamePage(addr, pageBase) && run&(1<<addr.LineInPage()) != 0 {
+			m.WriteW(addr, v, w)
 		}
-		m.StoreModeW(a, tmp, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
 	}
 }

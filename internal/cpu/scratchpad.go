@@ -75,7 +75,7 @@ func (m *Machine) CopyIn(sp *Scratchpad, base memp.Addr, size uint64) {
 // invisible to the cache hierarchy (no events, no state), so it cannot
 // leak to a cache-observing attacker.
 func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
-	w.check()
+	w.Check()
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
 	}
@@ -85,12 +85,12 @@ func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
 	m.retire(1)
 	m.C.Loads++
 	m.C.Cycles += uint64(sp.latency)
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // ScratchStore writes width w at addr in the scratchpad.
 func (m *Machine) ScratchStore(sp *Scratchpad, addr memp.Addr, v uint64, w Width) {
-	w.check()
+	w.Check()
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
 	}
@@ -100,5 +100,5 @@ func (m *Machine) ScratchStore(sp *Scratchpad, addr memp.Addr, v uint64, w Width
 	m.retire(1)
 	m.C.Stores++
 	m.C.Cycles += uint64(sp.latency)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }

@@ -23,7 +23,10 @@ const (
 	W64 Width = 8
 )
 
-func (w Width) check() {
+// Check panics on a width other than 1, 2, 4 or 8. Every accessor
+// checks before it charges anything; the DS sweeps take no width, so the
+// strategies driving them call Check first.
+func (w Width) Check() {
 	switch w {
 	case W8, W16, W32, W64:
 	default:
@@ -31,7 +34,10 @@ func (w Width) check() {
 	}
 }
 
-func (m *Machine) readW(addr memp.Addr, w Width) uint64 {
+// ReadW returns the w-wide word at addr from backing memory, charging
+// and recording nothing: the data movement of an access whose cost was
+// charged on its own, such as the one word a DS sweep selects.
+func (m *Machine) ReadW(addr memp.Addr, w Width) uint64 {
 	switch w {
 	case W8:
 		return uint64(m.Mem.Read8(addr))
@@ -44,7 +50,9 @@ func (m *Machine) readW(addr memp.Addr, w Width) uint64 {
 	}
 }
 
-func (m *Machine) writeW(addr memp.Addr, v uint64, w Width) {
+// WriteW stores the w-wide word v at addr in backing memory, charging
+// and recording nothing (see ReadW).
+func (m *Machine) WriteW(addr memp.Addr, v uint64, w Width) {
 	switch w {
 	case W8:
 		m.Mem.Write8(addr, byte(v))
@@ -59,36 +67,36 @@ func (m *Machine) writeW(addr memp.Addr, v uint64, w Width) {
 
 // LoadW performs a normal load of the given width.
 func (m *Machine) LoadW(addr memp.Addr, w Width) uint64 {
-	w.check()
+	w.Check()
 	m.access(addr, 0)
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // StoreW performs a normal store of the given width.
 func (m *Machine) StoreW(addr memp.Addr, v uint64, w Width) {
-	w.check()
+	w.Check()
 	m.access(addr, m.modeFlags(0)|writeFlag)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }
 
 // LoadModeW is LoadW with access-mode control (the protected runtime's
 // follow-up DS accesses use NoLRU and, for lower-level BIAs, bypass).
 func (m *Machine) LoadModeW(addr memp.Addr, w Width, mode AccessMode) uint64 {
-	w.check()
+	w.Check()
 	m.access(addr, m.modeFlags(mode))
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // StoreModeW is StoreW with access-mode control.
 func (m *Machine) StoreModeW(addr memp.Addr, v uint64, w Width, mode AccessMode) {
-	w.check()
+	w.Check()
 	m.access(addr, m.modeFlags(mode)|writeFlag)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }
 
 // CTLoadW is CTLoad64 at the given data width.
 func (m *Machine) CTLoadW(addr memp.Addr, w Width) (data uint64, existence uint64) {
-	w.check()
+	w.Check()
 	if m.BIA == nil {
 		panic("cpu: CTLoad on a machine without BIA")
 	}
@@ -97,14 +105,14 @@ func (m *Machine) CTLoadW(addr memp.Addr, w Width) (data uint64, existence uint6
 	}
 	existence, hit := m.ctLoadHdr(addr)
 	if hit {
-		data = m.readW(addr, w)
+		data = m.ReadW(addr, w)
 	}
 	return data, existence
 }
 
 // CTStoreW is CTStore64 at the given data width.
 func (m *Machine) CTStoreW(addr memp.Addr, v uint64, w Width) (dirtiness uint64) {
-	w.check()
+	w.Check()
 	if m.BIA == nil {
 		panic("cpu: CTStore on a machine without BIA")
 	}
@@ -113,7 +121,7 @@ func (m *Machine) CTStoreW(addr memp.Addr, v uint64, w Width) (dirtiness uint64)
 	}
 	dirtiness, wrote := m.ctStoreHdr(addr)
 	if wrote {
-		m.writeW(addr, v, w)
+		m.WriteW(addr, v, w)
 	}
 	return dirtiness
 }

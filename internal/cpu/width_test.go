@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ctbia/internal/bia"
 	"ctbia/internal/memp"
 )
 
@@ -28,14 +29,35 @@ func TestWidthRoundTrips(t *testing.T) {
 	}
 }
 
+// TestInvalidWidthPanics: every accessor that takes a width rejects a
+// bad one before it charges anything (the strategies, which drive
+// width-less sweeps, have the same test in internal/ct).
 func TestInvalidWidthPanics(t *testing.T) {
-	m := New(smallConfig())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("width 3 must panic")
-		}
-	}()
-	m.LoadW(0x10000, Width(3))
+	const a = memp.Addr(0x10000)
+	bad := Width(3)
+	for name, f := range map[string]func(m *Machine){
+		"LoadW":        func(m *Machine) { m.LoadW(a, bad) },
+		"StoreW":       func(m *Machine) { m.StoreW(a, 1, bad) },
+		"LoadModeW":    func(m *Machine) { m.LoadModeW(a, bad, ModeStreaming) },
+		"StoreModeW":   func(m *Machine) { m.StoreModeW(a, 1, bad, ModeStreaming) },
+		"CTLoadW":      func(m *Machine) { m.CTLoadW(a, bad) },
+		"CTStoreW":     func(m *Machine) { m.CTStoreW(a, 1, bad) },
+		"MacroCTLoad":  func(m *Machine) { m.MacroCTLoad(a, a, 1, bad) },
+		"MacroCTStore": func(m *Machine) { m.MacroCTStore(a, a, 1, 1, bad) },
+	} {
+		m := New(smallConfig())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: width 3 must panic", name)
+				}
+				if m.C != (Counters{}) || m.Report() != (Report{}) || m.BIA.Stats != (bia.Stats{}) {
+					t.Errorf("%s: the rejected access charged %+v", name, m.Report())
+				}
+			}()
+			f(m)
+		}()
+	}
 }
 
 func TestOpStreamAccounting(t *testing.T) {

@@ -74,10 +74,22 @@ func geom(m *cpu.Machine) (shift int, offMask memp.Addr) {
 	return shift, memp.Addr(1)<<uint(shift) - 1
 }
 
+// mode returns the fetch loop's access mode for a span's fetchset:
+// uncached past the Sec. 6.5 threshold.
+func (s BIA) mode(tofetch uint64) cpu.AccessMode {
+	if s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold {
+		return fetchMode | cpu.ModeUncached
+	}
+	return fetchMode
+}
+
 // Load implements Strategy with the paper's Algorithm 2.
 func (s BIA) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
+	w.Check()
 	shift, offMask := geom(m)
+	// The slot of addr_to_read's line in every span.
+	slot := uint((addr & offMask) >> memp.LineShift)
 	var ret uint64
 	for _, span := range ds.SpansAt(shift) {
 		// Line 4: addr_to_read = chunk | ld_addr[M-1:0].
@@ -90,20 +102,16 @@ func (s BIA) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint6
 		tofetch := span.Mask &^ existence
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
-		// Lines 8-11: fetch the lines the cache does not hold.
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, addr)
-			m.OpStream(opsFetchIter)
-			var tmp uint64
-			if uncached {
-				tmp = m.LoadModeW(a, w, fetchMode|cpu.ModeUncached)
-			} else {
-				tmp = m.LoadModeW(a, w, fetchMode)
-			}
-			if a == addrToRead { // line 11 cmov
-				data = tmp
+		// Lines 8-11: fetch the lines the cache does not hold, one sweep
+		// per run of them; the run holding addr_to_read supplies the
+		// data (line 11's cmov).
+		mode := s.mode(tofetch)
+		for tf := tofetch; tf != 0; {
+			first, n, run := cpu.SlotRun(tf)
+			tf &^= run
+			m.SweepLoad(memp.GenAddrAt(span.Base, first, addr), memp.LineSize, n, opsFetchIter, mode)
+			if run&(1<<slot) != 0 {
+				data = m.ReadW(addrToRead, w)
 			}
 		}
 		// Line 12: keep this span's data iff the target is here.
@@ -123,7 +131,9 @@ func (s BIA) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint6
 // nothing and the fetchset read-modify-write completes the store.
 func (s BIA) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
+	w.Check()
 	shift, offMask := geom(m)
+	slot := uint((addr & offMask) >> memp.LineShift)
 	for _, span := range ds.SpansAt(shift) {
 		// Line 5: addr_to_write = chunk | st_addr[M-1:0].
 		addrToWrite := span.Base | (addr & offMask)
@@ -133,8 +143,9 @@ func (s BIA) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.W
 		s.hook(HookAfterCTLoad, span.Base)
 		// Line 8: st_data_tmp = (st_addr in span) ? st_data : ld_data.
 		m.Op(opsSelect)
+		inSpan := addr&^offMask == span.Base
 		stTmp := ldData
-		if addr&^offMask == span.Base {
+		if inSpan {
 			stTmp = v
 		}
 		// Line 9: CTStore returns the dirtiness bitmap.
@@ -144,22 +155,18 @@ func (s BIA) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.W
 		tofetch := span.Mask &^ dirtiness
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
 		// Lines 12-15: read-modify-write every non-dirty DS line of
-		// the page, blending the new value in at the target.
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, addr)
-			m.OpStream(opsFetchStoreIter)
-			mode := cpu.AccessMode(fetchMode)
-			if uncached {
-				mode |= cpu.ModeUncached
+		// the page, one sweep per run of them. Each line gets its own
+		// word back except the target, which the line 14 cmov blends v
+		// into.
+		mode := s.mode(tofetch)
+		for tf := tofetch; tf != 0; {
+			first, n, run := cpu.SlotRun(tf)
+			tf &^= run
+			m.SweepRMW(memp.GenAddrAt(span.Base, first, addr), memp.LineSize, n, opsFetchStoreIter, mode)
+			if inSpan && run&(1<<slot) != 0 {
+				m.WriteW(addr, v, w)
 			}
-			tmp := m.LoadModeW(a, w, mode)
-			if a == addr { // line 14 cmov
-				tmp = v
-			}
-			m.StoreModeW(a, tmp, w, mode)
 		}
 	}
 }
@@ -179,16 +186,11 @@ func (s BIA) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines i
 		tofetch := span.Mask &^ existence
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, blockAddr)
-			m.OpStream(opsFetchIter)
-			if uncached {
-				m.LoadModeW(a, cpu.W64, fetchMode|cpu.ModeUncached)
-			} else {
-				m.LoadModeW(a, cpu.W64, fetchMode)
-			}
+		mode := s.mode(tofetch)
+		for tf := tofetch; tf != 0; {
+			first, n, run := cpu.SlotRun(tf)
+			tf &^= run
+			m.SweepLoad(memp.GenAddrAt(span.Base, first, blockAddr), memp.LineSize, n, opsFetchIter, mode)
 		}
 		// Oblivious extraction of the block lines overlapping this
 		// span (wide blends; no extra memory traffic — the lines were

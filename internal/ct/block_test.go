@@ -34,6 +34,24 @@ func TestLoadBlockFunctionalEquivalence(t *testing.T) {
 					tc.s.Name(), m.BIALevel(), blk.off, blk.nLines)
 			}
 		}
+
+		// A gapped DS: blocks at the start of every run, up to 4 lines.
+		greg := m.Alloc.Alloc("gapped", 5*memp.PageSize/2)
+		gds := gappedSet(greg)
+		graw := make([]byte, greg.Size)
+		for i := range graw {
+			graw[i] = byte(i * 17)
+		}
+		m.Mem.Write(greg.Base, graw)
+		for _, r := range gds.runs {
+			n := min(r.n, 4)
+			off := uint64(r.base - greg.Base)
+			got := tc.s.LoadBlock(m, gds, r.base, n)
+			if !bytes.Equal(got, graw[off:off+uint64(n*memp.LineSize)]) {
+				t.Errorf("%s(biaL%d): gapped LoadBlock(%v,%d) wrong bytes",
+					tc.s.Name(), m.BIALevel(), r.base, n)
+			}
+		}
 	}
 }
 
@@ -72,11 +90,26 @@ func TestLoadBlockFootprints(t *testing.T) {
 }
 
 func TestLoadBlockTraceIndependence(t *testing.T) {
-	// Two different secret block addresses → identical visible traces.
-	run := func(strat Strategy, biaLevel int, blockLine int) string {
+	// Two different secret block addresses → identical visible traces,
+	// on a contiguous DS and on a gapped one (whose blocks of 4 lines
+	// lie in its runs of 4 or more).
+	run := func(strat Strategy, biaLevel int, blockLine int, gapped bool) string {
 		m := cpu.New(testConfig(biaLevel))
 		rec := &traceRecorder{}
 		m.Hier.Subscribe(rec)
+		if gapped {
+			ds := gappedSet(m.Alloc.Alloc("matrix", 5*memp.PageSize/2))
+			var blocks []memp.Addr
+			for _, r := range ds.runs {
+				for j := 0; j+4 <= r.n; j++ {
+					blocks = append(blocks, r.base+memp.Addr(j*memp.LineSize))
+				}
+			}
+			for i := 0; i < 6; i++ {
+				strat.LoadBlock(m, ds, blocks[(blockLine+i*7)%len(blocks)], 4)
+			}
+			return rec.key()
+		}
 		reg := m.Alloc.Alloc("matrix", memp.PageSize)
 		ds := FromRegion(reg)
 		for i := 0; i < 6; i++ {
@@ -93,8 +126,10 @@ func TestLoadBlockTraceIndependence(t *testing.T) {
 		{"linear-vec", LinearVec{}, 0},
 		{"bia", BIA{}, 1},
 	} {
-		if run(c.strat, c.biaLevel, 3) != run(c.strat, c.biaLevel, 41) {
-			t.Errorf("%s: LoadBlock trace depends on block address", c.name)
+		for _, gapped := range []bool{false, true} {
+			if run(c.strat, c.biaLevel, 3, gapped) != run(c.strat, c.biaLevel, 41, gapped) {
+				t.Errorf("%s (gapped=%v): LoadBlock trace depends on block address", c.name, gapped)
+			}
 		}
 	}
 }

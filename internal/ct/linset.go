@@ -36,8 +36,16 @@ func (p PageSpan) Lines() int { return bits.OnesCount64(p.Mask) }
 type LinSet struct {
 	name    string
 	lines   []memp.Addr // line-aligned, ascending, unique
+	runs    []lineRun   // maximal runs of consecutive lines, ascending
 	pages   []PageSpan  // ascending by base
 	spansAt map[int][]PageSpan
+}
+
+// lineRun is a maximal run of consecutive DS lines, lines[first:first+n]
+// starting at base: one sweep of a linearized access.
+type lineRun struct {
+	base     memp.Addr
+	first, n int
 }
 
 // NewContiguous builds the common case: the DS of an access into a
@@ -75,14 +83,20 @@ func FromLines(name string, lines []memp.Addr) *LinSet {
 	sort.Slice(norm, func(i, j int) bool { return norm[i] < norm[j] })
 
 	var pages []PageSpan
-	for _, la := range norm {
+	var runs []lineRun
+	for i, la := range norm {
 		pb := la.Page()
 		if len(pages) == 0 || pages[len(pages)-1].Base != pb {
 			pages = append(pages, PageSpan{Base: pb})
 		}
 		pages[len(pages)-1].Mask |= uint64(1) << la.LineInPage()
+		if i > 0 && norm[i-1]+memp.LineSize == la {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, lineRun{base: la, first: i, n: 1})
+		}
 	}
-	return &LinSet{name: name, lines: norm, pages: pages}
+	return &LinSet{name: name, lines: norm, runs: runs, pages: pages}
 }
 
 // FromRegion builds the DS covering an allocator region.

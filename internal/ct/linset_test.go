@@ -1,6 +1,7 @@
 package ct
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,59 @@ func TestMaskMatchesLinesProperty(t *testing.T) {
 		return count == ds.NumLines()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// requireRunsCoverLines checks the sweep decomposition of ds: its runs
+// enumerate Lines() exactly and in order, each run's first index is
+// where its lines start in Lines(), and no two runs could be one.
+func requireRunsCoverLines(t *testing.T, ds *LinSet) {
+	t.Helper()
+	lines := ds.Lines()
+	next := 0
+	for k, r := range ds.runs {
+		if r.first != next || r.n <= 0 {
+			t.Fatalf("%s: run %d = %+v, want first index %d", ds.Name(), k, r, next)
+		}
+		for j := 0; j < r.n; j++ {
+			if want := r.base + memp.Addr(j*memp.LineSize); lines[r.first+j] != want {
+				t.Fatalf("%s: run %d line %d = %v, want %v", ds.Name(), k, j, lines[r.first+j], want)
+			}
+		}
+		if k > 0 && lines[r.first-1]+memp.LineSize == r.base {
+			t.Fatalf("%s: runs %d and %d are contiguous", ds.Name(), k-1, k)
+		}
+		next += r.n
+	}
+	if next != len(lines) {
+		t.Fatalf("%s: runs cover %d of %d lines", ds.Name(), next, len(lines))
+	}
+}
+
+func TestLinSetRuns(t *testing.T) {
+	ds := FromLines("g", []memp.Addr{0x1fc0, 0x1000, 0x1040, 0x2000, 0x1080, 0x10c8, 0x1200, 0x1f80})
+	requireRunsCoverLines(t, ds)
+	want := []lineRun{{0x1000, 0, 4}, {0x1200, 4, 1}, {0x1f80, 5, 3}}
+	if !slices.Equal(ds.runs, want) {
+		t.Fatalf("runs = %+v, want %+v", ds.runs, want)
+	}
+	if got := NewContiguous("c", 0x1800, 3*memp.PageSize).runs; len(got) != 1 || got[0].n != 3*64 {
+		t.Fatalf("a contiguous set is one run, got %+v", got)
+	}
+	requireRunsCoverLines(t, gappedSet(memp.Region{Name: "g", Base: 0x10000, Size: 5 * memp.PageSize / 2}))
+	f := func(raw []uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		lines := make([]memp.Addr, len(raw))
+		for i, r := range raw {
+			lines[i] = memp.Addr(r%512) * memp.LineSize
+		}
+		requireRunsCoverLines(t, FromLines("p", lines))
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -23,6 +23,7 @@ func (BIAMacro) NeedsBIA() bool { return true }
 // Load implements Strategy via MacroCTLoad per page span.
 func (BIAMacro) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
+	w.Check()
 	var ret uint64
 	for _, span := range ds.Pages() {
 		m.Op(opsSelect) // per-span macro-op dispatch + result select
@@ -37,6 +38,7 @@ func (BIAMacro) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) ui
 // Store implements Strategy via MacroCTStore per page span.
 func (BIAMacro) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
+	w.Check()
 	for _, span := range ds.Pages() {
 		m.Op(opsSelect)
 		m.MacroCTStore(span.Base, addr, span.Mask, v, w)

@@ -34,25 +34,50 @@ func TestMacroFunctionalEquivalence(t *testing.T) {
 	if len(blk) != 3*memp.LineSize {
 		t.Fatalf("block len = %d", len(blk))
 	}
+
+	// A gapped DS: loads see the words, stores land only at the target.
+	greg := m.Alloc.Alloc("gapped", 5*memp.PageSize/2)
+	gds := gappedSet(greg)
+	ref := fillWords(m, greg)
+	words := gds.NumLines() * memp.LineSize / 4
+	for _, k := range []int{0, 17, 63, 64, words / 2, words - 1} {
+		addr := setWord(gds, k)
+		if got := uint32(s.Load(m, gds, addr, cpu.W32)); got != ref[(addr-greg.Base)/4] {
+			t.Fatalf("gapped macro load at %v = %#x, want %#x", addr, got, ref[(addr-greg.Base)/4])
+		}
+		s.Store(m, gds, addr, uint64(k), cpu.W32)
+		ref[(addr-greg.Base)/4] = uint32(k)
+	}
+	for i, want := range ref {
+		if got := m.Mem.Read32(greg.Base + memp.Addr(4*i)); got != want {
+			t.Fatalf("gapped macro store: word %d = %#x, want %#x", i, got, want)
+		}
+	}
 }
 
 func TestMacroSameFootprintAsBIA(t *testing.T) {
 	// The macro strategy must generate the same attacker-visible trace
 	// as the software BIA strategy — same algorithm, same footprint.
-	run := func(s Strategy) string {
+	run := func(s Strategy, gapped bool) string {
 		m := cpu.New(testConfig(1))
 		rec := &traceRecorder{}
 		m.Hier.Subscribe(rec)
-		reg := m.Alloc.Alloc("t", memp.PageSize)
-		ds := FromRegion(reg)
+		var ds *LinSet
+		if gapped {
+			ds = gappedSet(m.Alloc.Alloc("t", 5*memp.PageSize/2))
+		} else {
+			ds = FromRegion(m.Alloc.Alloc("t", memp.PageSize))
+		}
 		for i := 0; i < 8; i++ {
-			s.Load(m, ds, reg.Base+memp.Addr(i*260), cpu.W32)
-			s.Store(m, ds, reg.Base+memp.Addr(i*516), uint64(i), cpu.W32)
+			s.Load(m, ds, setWord(ds, i*65), cpu.W32)
+			s.Store(m, ds, setWord(ds, i*129), uint64(i), cpu.W32)
 		}
 		return rec.key()
 	}
-	if run(BIA{}) != run(BIAMacro{}) {
-		t.Fatal("macro-op footprint differs from the software algorithm")
+	for _, gapped := range []bool{false, true} {
+		if run(BIA{}, gapped) != run(BIAMacro{}, gapped) {
+			t.Fatalf("macro-op footprint differs from the software algorithm (gapped=%v)", gapped)
+		}
 	}
 }
 
@@ -75,22 +100,28 @@ func TestMacroFewerInstructionsThanSoftwareBIA(t *testing.T) {
 }
 
 func TestMacroTraceIndependence(t *testing.T) {
-	run := func(secret int) string {
+	run := func(secret int, gapped bool) string {
 		m := cpu.New(testConfig(1))
 		rec := &traceRecorder{}
 		m.Hier.Subscribe(rec)
-		reg := m.Alloc.Alloc("t", memp.PageSize)
-		ds := FromRegion(reg)
+		var ds *LinSet
+		if gapped {
+			ds = gappedSet(m.Alloc.Alloc("t", 5*memp.PageSize/2))
+		} else {
+			ds = FromRegion(m.Alloc.Alloc("t", memp.PageSize))
+		}
 		for i := 0; i < 6; i++ {
-			idx := (secret + 37*i) % int(reg.Size/4)
+			idx := secret + 37*i
 			s := BIAMacro{}
-			s.Load(m, ds, reg.Base+memp.Addr(4*idx), cpu.W32)
-			s.Store(m, ds, reg.Base+memp.Addr(4*((idx*7)%int(reg.Size/4))), 9, cpu.W32)
+			s.Load(m, ds, setWord(ds, idx), cpu.W32)
+			s.Store(m, ds, setWord(ds, idx*7), 9, cpu.W32)
 		}
 		return rec.key()
 	}
-	if run(5) != run(777) {
-		t.Fatal("macro strategy leaks")
+	for _, gapped := range []bool{false, true} {
+		if run(5, gapped) != run(777, gapped) {
+			t.Fatalf("macro strategy leaks (gapped=%v)", gapped)
+		}
 	}
 }
 

@@ -33,9 +33,8 @@ func (Preload) Name() string { return "preload" }
 func (Preload) NeedsBIA() bool { return false }
 
 func (s Preload) preload(m *cpu.Machine, ds *LinSet) {
-	for _, la := range ds.Lines() {
-		m.OpStream(2)
-		m.LoadModeW(la, cpu.W64, cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base, memp.LineSize, r.n, 2, cpu.ModeStreaming)
 	}
 	if s.Hook != nil {
 		s.Hook(HookBeforeFetch, 0)
@@ -48,6 +47,7 @@ func (s Preload) preload(m *cpu.Machine, ds *LinSet) {
 // the miss refills the line — a visible, secret-dependent footprint.
 func (s Preload) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
+	w.Check()
 	s.preload(m, ds)
 	m.Op(opsDirect)
 	return m.LoadW(addr, w)
@@ -56,6 +56,7 @@ func (s Preload) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) u
 // Store implements Strategy.
 func (s Preload) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
+	w.Check()
 	s.preload(m, ds)
 	m.Op(opsDirect)
 	m.StoreW(addr, v, w)
@@ -107,6 +108,7 @@ func (s *ScratchpadStrategy) ensure(m *cpu.Machine, ds *LinSet) {
 // Load implements Strategy.
 func (s *ScratchpadStrategy) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
+	w.Check()
 	s.ensure(m, ds)
 	m.Op(opsDirect)
 	return m.ScratchLoad(s.sp, addr, w)
@@ -115,6 +117,7 @@ func (s *ScratchpadStrategy) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w 
 // Store implements Strategy.
 func (s *ScratchpadStrategy) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
+	w.Check()
 	s.ensure(m, ds)
 	m.Op(opsDirect)
 	m.ScratchStore(s.sp, addr, v, w)

@@ -3,6 +3,7 @@ package ct
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,31 +26,31 @@ func (r *traceRecorder) CacheEvent(ev cache.Event) {
 }
 
 func (r *traceRecorder) key() string {
-	s := ""
+	var b strings.Builder
 	for _, ev := range r.events {
-		s += fmt.Sprintf("%d:%v:%v:%v:%v;", ev.Level, ev.Kind, ev.Line, ev.Write, ev.Dirty)
+		fmt.Fprintf(&b, "%d:%v:%v:%v:%v;", ev.Level, ev.Kind, ev.Line, ev.Write, ev.Dirty)
 	}
-	return s
+	return b.String()
 }
 
 // protectedTrace runs a scripted sequence of protected accesses whose
-// target indices come from secrets, and returns the attacker-visible
-// trace. Each run builds an identical fresh machine.
-func protectedTrace(t *testing.T, strat Strategy, biaLevel int, secrets []int, stores bool) string {
+// target words come from secrets, and returns the attacker-visible
+// trace. Each run builds an identical fresh machine. The DS is two
+// whole pages, or with gapped a gapped set over two and a half.
+func protectedTrace(t *testing.T, strat Strategy, biaLevel int, secrets []int, stores, gapped bool) string {
 	t.Helper()
 	cfg := testConfig(biaLevel)
 	m := cpu.New(cfg)
 	rec := &traceRecorder{}
 	m.Hier.Subscribe(rec)
-	reg := m.Alloc.Alloc("tab", 2*memp.PageSize)
-	ds := FromRegion(reg)
-	n := int(reg.Size / 4)
+	var ds *LinSet
+	if gapped {
+		ds = gappedSet(m.Alloc.Alloc("tab", 5*memp.PageSize/2))
+	} else {
+		ds = FromRegion(m.Alloc.Alloc("tab", 2*memp.PageSize))
+	}
 	for step, sec := range secrets {
-		idx := sec % n
-		if idx < 0 {
-			idx += n
-		}
-		addr := reg.Base + memp.Addr(4*idx)
+		addr := setWord(ds, sec)
 		if stores && step%2 == 1 {
 			strat.Store(m, ds, addr, uint64(step), cpu.W32)
 		} else {
@@ -78,24 +79,30 @@ func TestProtectedTraceIndependence(t *testing.T) {
 		{"bia-thresh", BIA{Threshold: 4}, 1},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			f := func(seedA, seedB int64) bool {
-				mk := func(seed int64) []int {
-					rng := rand.New(rand.NewSource(seed))
-					out := make([]int, 24)
-					for i := range out {
-						out[i] = rng.Intn(1 << 20)
+		for _, gapped := range []bool{false, true} {
+			name := c.name
+			if gapped {
+				name += "/gapped"
+			}
+			t.Run(name, func(t *testing.T) {
+				f := func(seedA, seedB int64) bool {
+					mk := func(seed int64) []int {
+						rng := rand.New(rand.NewSource(seed))
+						out := make([]int, 24)
+						for i := range out {
+							out[i] = rng.Intn(1 << 20)
+						}
+						return out
 					}
-					return out
+					ta := protectedTrace(t, c.strat, c.biaLevel, mk(seedA), true, gapped)
+					tb := protectedTrace(t, c.strat, c.biaLevel, mk(seedB), true, gapped)
+					return ta == tb
 				}
-				ta := protectedTrace(t, c.strat, c.biaLevel, mk(seedA), true)
-				tb := protectedTrace(t, c.strat, c.biaLevel, mk(seedB), true)
-				return ta == tb
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-				t.Error(err)
-			}
-		})
+				if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 
@@ -103,8 +110,8 @@ func TestProtectedTraceIndependence(t *testing.T) {
 // strategy's trace DOES depend on the secret, so a passing
 // trace-independence test is meaningful.
 func TestInsecureTraceLeaks(t *testing.T) {
-	ta := protectedTrace(t, Direct{}, 0, []int{1, 100, 7}, false)
-	tb := protectedTrace(t, Direct{}, 0, []int{900, 3, 512}, false)
+	ta := protectedTrace(t, Direct{}, 0, []int{1, 100, 7}, false, false)
+	tb := protectedTrace(t, Direct{}, 0, []int{900, 3, 512}, false, false)
 	if ta == tb {
 		t.Fatal("insecure traces should differ for different secrets")
 	}

@@ -85,12 +85,14 @@ func (Direct) NeedsBIA() bool { return false }
 
 // Load implements Strategy.
 func (Direct) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
+	w.Check()
 	m.Op(opsDirect)
 	return m.LoadW(addr, w)
 }
 
 // Store implements Strategy.
 func (Direct) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
+	w.Check()
 	m.Op(opsDirect)
 	m.StoreW(addr, v, w)
 }
@@ -106,38 +108,34 @@ func (Linear) Name() string { return "ct" }
 // NeedsBIA implements Strategy.
 func (Linear) NeedsBIA() bool { return false }
 
-// Load implements Strategy.
+// sweepMode is how the software-CT sweeps touch the DS: without
+// replacement-state updates, pipelined.
+const sweepMode = cpu.ModeNoLRU | cpu.ModeStreaming
+
+// Load implements Strategy: one sweep per run of consecutive DS lines.
+// The cmov keeps the target line's word, which then moves uncharged.
 func (Linear) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
+	w.Check()
 	off := memp.Addr(addr.Offset())
-	var ret uint64
-	for _, la := range ds.Lines() {
-		a := la + off
-		m.OpStream(opsLinearIter)
-		v := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		if a == addr { // constant-time select, cost in opsLinearIter
-			ret = v
-		}
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base+off, memp.LineSize, r.n, opsLinearIter, sweepMode)
 	}
-	return ret
+	return m.ReadW(addr, w)
 }
 
 // Store implements Strategy: every DS line is read and written back,
 // with the new value blended in at the target only, so every line ends
-// up dirty regardless of the secret.
+// up dirty regardless of the secret. The other lines get their own word
+// back, so only the target's word changes.
 func (Linear) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
+	w.Check()
 	off := memp.Addr(addr.Offset())
-	for _, la := range ds.Lines() {
-		a := la + off
-		m.OpStream(opsLinearStoreIter)
-		old := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		nv := old
-		if a == addr {
-			nv = v
-		}
-		m.StoreModeW(a, nv, w, cpu.ModeNoLRU|cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepRMW(r.base+off, memp.LineSize, r.n, opsLinearStoreIter, sweepMode)
 	}
+	m.WriteW(addr, v, w)
 }
 
 // LinearVec is the AVX2-accelerated linearization the paper's
@@ -153,41 +151,45 @@ func (LinearVec) Name() string { return "ct-avx" }
 // NeedsBIA implements Strategy.
 func (LinearVec) NeedsBIA() bool { return false }
 
+// vecSweep charges a vectorized sweep over the DS at line offset off:
+// one bundle of ALU ops before every fourth DS line, counted over
+// ds.Lines(), and each line's access (a load+store pair when rmw). A
+// run of consecutive lines is swept a bundle at a time, so the ops land
+// between the accesses where the vector loop issues them.
+func vecSweep(m *cpu.Machine, ds *LinSet, off memp.Addr, bundle int, rmw bool) {
+	for _, r := range ds.runs {
+		end := r.first + r.n
+		for i := r.first; i < end; {
+			next := min(i&^3+4, end)
+			if i&3 == 0 {
+				m.OpStream(bundle)
+			}
+			base := r.base + memp.Addr((i-r.first)*memp.LineSize) + off
+			if rmw {
+				m.SweepRMW(base, memp.LineSize, next-i, 0, sweepMode)
+			} else {
+				m.SweepLoad(base, memp.LineSize, next-i, 0, sweepMode)
+			}
+			i = next
+		}
+	}
+}
+
 // Load implements Strategy.
 func (LinearVec) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
-	off := memp.Addr(addr.Offset())
-	var ret uint64
-	lines := ds.Lines()
-	for i, la := range lines {
-		a := la + off
-		if i%4 == 0 { // one vector bundle per 4 lines
-			m.OpStream(4 * opsVecIterPerLine)
-		}
-		v := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		if a == addr {
-			ret = v
-		}
-	}
-	return ret
+	w.Check()
+	vecSweep(m, ds, memp.Addr(addr.Offset()), 4*opsVecIterPerLine, false)
+	return m.ReadW(addr, w)
 }
 
 // Store implements Strategy.
 func (LinearVec) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
-	off := memp.Addr(addr.Offset())
-	for i, la := range ds.Lines() {
-		a := la + off
-		if i%4 == 0 {
-			m.OpStream(4*opsVecIterPerLine + 2) // gather + blend + scatter bundle
-		}
-		old := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		nv := old
-		if a == addr {
-			nv = v
-		}
-		m.StoreModeW(a, nv, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-	}
+	w.Check()
+	// Per bundle: gather + blend + scatter.
+	vecSweep(m, ds, memp.Addr(addr.Offset()), 4*opsVecIterPerLine+2, true)
+	m.WriteW(addr, v, w)
 }
 
 // checkBlock validates LoadBlock arguments: line alignment and full DS
@@ -228,9 +230,8 @@ func (Direct) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines 
 // with a wide blend capturing the lines that belong to the block.
 func (Linear) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	for _, la := range ds.Lines() {
-		m.OpStream(opsBlockIter)
-		m.LoadModeW(la, cpu.W64, cpu.ModeNoLRU|cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base, memp.LineSize, r.n, opsBlockIter, sweepMode)
 	}
 	return readBlock(m, blockAddr, nLines)
 }
@@ -238,12 +239,7 @@ func (Linear) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines 
 // LoadBlock implements Strategy: the vectorized sweep.
 func (LinearVec) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	for i, la := range ds.Lines() {
-		if i%4 == 0 {
-			m.OpStream(4 * opsBlockVecIter)
-		}
-		m.LoadModeW(la, cpu.W64, cpu.ModeNoLRU|cpu.ModeStreaming)
-	}
+	vecSweep(m, ds, 0, 4*opsBlockVecIter, false)
 	return readBlock(m, blockAddr, nLines)
 }
 

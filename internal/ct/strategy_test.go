@@ -1,6 +1,7 @@
 package ct
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -60,8 +61,47 @@ func TestStrategyMetadata(t *testing.T) {
 	}
 }
 
+// gappedSet is the DS with holes the functional, footprint and
+// trace-independence tests run beside the contiguous one: lines of reg
+// with gaps of one and two lines, runs of one to seven lines (so vector
+// bundles straddle gaps), a run across a page boundary, and partial
+// first and last pages.
+func gappedSet(reg memp.Region) *LinSet {
+	var lines []memp.Addr
+	for i := 1; i < int(reg.Size/memp.LineSize)-1; i++ {
+		if i%9 == 4 || i%9 == 5 || i%23 == 11 {
+			continue
+		}
+		lines = append(lines, reg.Base+memp.Addr(i*memp.LineSize))
+	}
+	return FromLines("gapped", lines)
+}
+
+// setWord maps k onto the k-th 4-byte word of ds (modulo its size),
+// counting through Lines() in order; on a contiguous page-aligned set
+// that is base+4k.
+func setWord(ds *LinSet, k int) memp.Addr {
+	k %= ds.NumLines() * memp.LineSize / 4
+	if k < 0 {
+		k += ds.NumLines() * memp.LineSize / 4
+	}
+	return ds.Lines()[k/(memp.LineSize/4)] + memp.Addr(4*(k%(memp.LineSize/4)))
+}
+
+// fillWords writes a distinct value to every 4-byte word of reg with
+// plain memory writes and returns them.
+func fillWords(m *cpu.Machine, reg memp.Region) []uint32 {
+	ref := make([]uint32, reg.Size/4)
+	for i := range ref {
+		ref[i] = uint32(i * 2654435761)
+		m.Mem.Write32(reg.Base+memp.Addr(4*i), ref[i])
+	}
+	return ref
+}
+
 // TestLoadFunctionalEquivalence: every strategy returns exactly what a
-// direct memory read would, for every element of a multi-page DS.
+// direct memory read would, for every element of a multi-page DS, and
+// for elements of a gapped one.
 func TestLoadFunctionalEquivalence(t *testing.T) {
 	for _, tc := range allStrategies() {
 		m := tc.m
@@ -81,11 +121,25 @@ func TestLoadFunctionalEquivalence(t *testing.T) {
 					tc.s.Name(), m.BIALevel(), i, got, want)
 			}
 		}
+
+		greg := m.Alloc.Alloc("gapped", 5*memp.PageSize/2)
+		gds := gappedSet(greg)
+		fillWords(m, greg)
+		words := gds.NumLines() * memp.LineSize / 4
+		for _, k := range []int{0, 1, 17, 63, 64, 70, words / 2, words - 17, words - 1} {
+			addr := setWord(gds, k)
+			want := m.Mem.Read32(addr)
+			if got := uint32(tc.s.Load(m, gds, addr, cpu.W32)); got != want {
+				t.Errorf("%s(biaL%d): gapped Load at %v = %#x, want %#x",
+					tc.s.Name(), m.BIALevel(), addr, got, want)
+			}
+		}
 	}
 }
 
 // TestStoreFunctionalEquivalence: stores land at the target and nowhere
-// else, for every strategy, across repeated stores.
+// else, for every strategy, across repeated stores, on a contiguous and
+// a gapped DS (whose holes must keep their contents too).
 func TestStoreFunctionalEquivalence(t *testing.T) {
 	for _, tc := range allStrategies() {
 		m := tc.m
@@ -104,6 +158,22 @@ func TestStoreFunctionalEquivalence(t *testing.T) {
 			if got := m.Mem.Read32(reg.Base + memp.Addr(4*i)); got != ref[i] {
 				t.Fatalf("%s(biaL%d): slot %d = %#x, want %#x",
 					tc.s.Name(), m.BIALevel(), i, got, ref[i])
+			}
+		}
+
+		greg := m.Alloc.Alloc("gapped", 5*memp.PageSize/2)
+		gds := gappedSet(greg)
+		gref := fillWords(m, greg)
+		for step := 0; step < 40; step++ {
+			addr := setWord(gds, rng.Intn(1<<20))
+			v := rng.Uint32()
+			gref[(addr-greg.Base)/4] = v
+			tc.s.Store(m, gds, addr, uint64(v), cpu.W32)
+		}
+		for i, want := range gref {
+			if got := m.Mem.Read32(greg.Base + memp.Addr(4*i)); got != want {
+				t.Fatalf("%s(biaL%d): gapped slot %d = %#x, want %#x",
+					tc.s.Name(), m.BIALevel(), i, got, want)
 			}
 		}
 	}
@@ -166,6 +236,95 @@ func TestLinearTouchesWholeSet(t *testing.T) {
 	Linear{}.Store(m, ds, reg.Base+4, 1, cpu.W32)
 	if got := m.Report().L1DRefs - before; got != 128 { // RMW per line
 		t.Fatalf("Linear store issued %d refs, want 128", got)
+	}
+}
+
+// TestBIAFetchPatterns runs Alg. 2/3 and their macro-ops on one-page
+// DSs whose fetch set is all 64 lines (one run), every other line
+// (32 runs) and a single line: each fetches exactly those lines, and the
+// data comes out right whether or not the target's line was fetched.
+func TestBIAFetchPatterns(t *testing.T) {
+	for _, pattern := range []uint64{^uint64(0), 0x5555555555555555, 1 << 29} {
+		for _, s := range []Strategy{BIA{}, BIAMacro{}} {
+			for _, store := range []bool{false, true} {
+				for _, slot := range []uint{29, 30} {
+					m := cpu.New(testConfig(1))
+					reg := m.Alloc.Alloc("t", memp.PageSize)
+					ds := FromRegion(reg)
+					ref := fillWords(m, reg)
+					// Install the page's BIA entry, then make every line
+					// outside the pattern present (dirty, for Alg. 3) so
+					// the bitmap leaves exactly the pattern to fetch.
+					m.CTLoadW(reg.Base, cpu.W32)
+					for l := uint(0); l < memp.LinesPerPage; l++ {
+						if pattern&(1<<l) == 0 {
+							a := memp.LineOf(reg.Base, l)
+							m.Store64(a, m.Mem.Read64(a))
+						}
+					}
+					target := memp.LineOf(reg.Base, slot) + 12
+					before, ds0 := m.Report(), m.DS
+					fetches := uint64(bits.OnesCount64(pattern))
+					wantRefs := 1 + fetches
+					if store {
+						s.Store(m, ds, target, 0xfeed, cpu.W32)
+						ref[(target-reg.Base)/4] = 0xfeed
+						wantRefs = 2 + 2*fetches
+					} else if got := uint32(s.Load(m, ds, target, cpu.W32)); got != ref[(target-reg.Base)/4] {
+						t.Errorf("%s pattern %#x slot %d: Load = %#x, want %#x", s.Name(), pattern, slot, got, ref[(target-reg.Base)/4])
+					}
+					if refs := m.Report().L1DRefs - before.L1DRefs; refs != wantRefs {
+						t.Errorf("%s pattern %#x store=%v: %d L1 refs, want %d", s.Name(), pattern, store, refs, wantRefs)
+					}
+					if skipped := m.DS.LinesSkipped - ds0.LinesSkipped; skipped != 64-fetches {
+						t.Errorf("%s pattern %#x store=%v: skipped %d lines, want %d", s.Name(), pattern, store, skipped, 64-fetches)
+					}
+					for i, want := range ref {
+						if got := m.Mem.Read32(reg.Base + memp.Addr(4*i)); got != want {
+							t.Fatalf("%s pattern %#x slot %d store=%v: word %d = %#x, want %#x", s.Name(), pattern, slot, store, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInvalidWidthPanics: every strategy rejects a bad width before it
+// charges anything, so the machine's counters are untouched.
+func TestInvalidWidthPanics(t *testing.T) {
+	strategies := []func(*cpu.Machine) Strategy{
+		func(*cpu.Machine) Strategy { return Direct{} },
+		func(*cpu.Machine) Strategy { return Linear{} },
+		func(*cpu.Machine) Strategy { return LinearVec{} },
+		func(*cpu.Machine) Strategy { return BIA{} },
+		func(*cpu.Machine) Strategy { return BIA{Threshold: 4} },
+		func(*cpu.Machine) Strategy { return BIAMacro{} },
+		func(*cpu.Machine) Strategy { return Preload{} },
+		func(m *cpu.Machine) Strategy { return NewScratchpadStrategy(m.NewScratchpad(memp.PageSize, 1)) },
+	}
+	for _, mk := range strategies {
+		for _, store := range []bool{false, true} {
+			m := cpu.New(testConfig(1))
+			s := mk(m)
+			reg := m.Alloc.Alloc("t", memp.PageSize)
+			ds := FromRegion(reg)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s store=%v: width 3 must panic", s.Name(), store)
+					}
+					if m.C != (cpu.Counters{}) || m.Report() != (cpu.Report{}) || m.BIA.Stats != (bia.Stats{}) || m.DS != (cpu.DSStats{}) {
+						t.Errorf("%s store=%v: the rejected access charged %+v", s.Name(), store, m.Report())
+					}
+				}()
+				if store {
+					s.Store(m, ds, reg.Base+4, 1, cpu.Width(3))
+				} else {
+					s.Load(m, ds, reg.Base+4, cpu.Width(3))
+				}
+			}()
+		}
 	}
 }
 
