@@ -16,25 +16,22 @@
 //	                          # off (default) = always simulate,
 //	                          # rw = serve hits + store fresh results,
 //	                          # ro = serve hits, never write,
-//	                          # clear = empty the cache (results and
-//	                          # traces) and exit. A rw cache also prunes
-//	                          # entries from older simulator versions at
-//	                          # startup.
+//	                          # clear = empty the cache and exit. A rw
+//	                          # cache also prunes entries from older
+//	                          # simulator versions at startup. The cache
+//	                          # holds results only, never traces
 //	ctbench -cachedir DIR     # cache location (default
 //	                          # ~/.cache/ctbia/results)
-//	ctbench -trace off        # trace-replay engine: on (default) =
-//	                          # a grouped sweep such as geosweep records
-//	                          # each shared stream on one machine config
-//	                          # and replays it through the batched
-//	                          # interpreter on the others, and with a
-//	                          # trace directory every traceable point
-//	                          # records once and replays from its file;
-//	                          # off = always simulate from scratch
-//	ctbench -tracedir DIR     # persist traces to DIR (default: the
-//	                          # traces/ subdirectory of the cache dir
-//	                          # when -cache rw, else none: without a
-//	                          # directory a single point runs direct);
-//	                          # a fresh DIR is primed by the first run
+//	ctbench -tracedir DIR     # trace-replay engine: every traceable
+//	                          # point records its operation stream into
+//	                          # DIR once and replays it through the
+//	                          # batched interpreter from then on, in
+//	                          # this run and later ones (a geometry
+//	                          # sweep records each shared stream on one
+//	                          # machine config and replays it on the
+//	                          # others); a fresh DIR is primed by the
+//	                          # first run. Without -tracedir (the
+//	                          # default) every point runs direct
 //	ctbench -resume           # with -cache rw: consult the manifest
 //	                          # journal from a previous (possibly
 //	                          # crashed or partially failed) run and
@@ -150,7 +147,6 @@ type jsonReport struct {
 	CacheMode      string  `json:"cache_mode"`
 	CacheHits      int     `json:"cache_hits"`
 	CacheDir       string  `json:"cache_dir,omitempty"`
-	TraceMode      string  `json:"trace_mode"`
 	TraceRecords   uint64  `json:"trace_records"`
 	TraceReplays   uint64  `json:"trace_replays"`
 	// TraceSharedReplays counts replays served from a recording made
@@ -198,8 +194,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial; at most one per CPU)")
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
-	traceMode := flag.String("trace", "on", "trace-replay engine: on or off")
-	traceDir := flag.String("tracedir", "", "trace persistence directory (default <cachedir>/traces when -cache rw)")
+	traceDir := flag.String("tracedir", "", "trace-replay directory: every traceable point records into it once and replays from it (default none: every point runs direct)")
 	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
@@ -298,10 +293,6 @@ func main() {
 	if err != nil {
 		usageErr("%v", err)
 	}
-	tmode, err := harness.ParseTraceMode(*traceMode)
-	if err != nil {
-		usageErr("%v", err)
-	}
 	if *resume && mode != resultcache.ReadWrite {
 		usageErr("-resume needs -cache rw: the result cache is what lets completed experiments be skipped")
 	}
@@ -322,9 +313,6 @@ func main() {
 		}
 	}
 	if *traceDir != "" {
-		if tmode == harness.TraceOff {
-			usageErr("-tracedir is meaningless with -trace off")
-		}
 		if err := resultcache.EnsureWritable(*traceDir); err != nil {
 			usageErr("-tracedir: %v", err)
 		}
@@ -339,18 +327,8 @@ func main() {
 	if store.Pruned() > 0 {
 		fmt.Fprintf(os.Stderr, "ctbench: pruned %d stale cache entries (simulator version changed)\n", store.Pruned())
 	}
-	harness.SetTraceMode(tmode)
-	// Persist traces next to the result cache when it is writable, or
-	// wherever -tracedir points; otherwise only fan-out groups replay,
-	// each from its own recording.
-	tdir := *traceDir
-	if tdir == "" && store.Mode() == resultcache.ReadWrite {
-		tdir = filepath.Join(store.Dir(), resultcache.TracesSubdir)
-	}
-	if tmode != harness.TraceOff && tdir != "" {
-		if err := harness.SetTraceDir(tdir); err != nil {
-			fatal(err)
-		}
+	if err := harness.SetTraceDir(*traceDir); err != nil {
+		fatal(err)
 	}
 
 	// Observability. The instrumented layers cost one atomic load per
@@ -507,9 +485,9 @@ func main() {
 	traceRecs, traceReps, _ := harness.TraceStats()
 	sharedReps, _ := harness.TraceShareStats()
 	fanouts, decodePasses, _ := harness.TraceFanoutStats()
-	fmt.Printf("total: %d experiments, %d machines (%d built, %d reused), %d cache hits, %d traces recorded, %d replayed (%d shared across configs, %d fan-out passes, %d decode passes), %v wall (parallel=%d, cache=%s, trace=%s)\n",
+	fmt.Printf("total: %d experiments, %d machines (%d built, %d reused), %d cache hits, %d traces recorded, %d replayed (%d shared across configs, %d fan-out passes, %d decode passes), %v wall (parallel=%d, cache=%s)\n",
 		len(results), built+reused, built, reused, cacheHits, traceRecs, traceReps, sharedReps, fanouts, decodePasses,
-		wall.Round(time.Millisecond), workers, mode, tmode)
+		wall.Round(time.Millisecond), workers, mode)
 	var fleetReport *fleet.FleetReport
 	if fleetStats != nil {
 		s := fleetStats.Map()
@@ -598,7 +576,6 @@ func main() {
 			CacheMode:          mode.String(),
 			CacheHits:          cacheHits,
 			CacheDir:           store.Dir(),
-			TraceMode:          tmode.String(),
 			TraceRecords:       traceRecs,
 			TraceReplays:       traceReps,
 			TraceSharedReplays: sharedReps,

@@ -20,16 +20,14 @@ import (
 // run, and a resumed sweep finishes.
 
 // chaosSetup gives each chaos test a clean, self-restoring engine:
-// fresh counters, no persistence, trace mode on, and fault injection
-// disarmed afterwards.
+// fresh counters, no trace directory, and fault injection disarmed
+// afterwards.
 func chaosSetup(t *testing.T) {
 	t.Helper()
 	ResetTraces()
-	SetTraceMode(TraceOn)
 	t.Cleanup(func() {
 		faultinject.Disarm()
 		SetTraceDir("")
-		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
 }
@@ -247,12 +245,12 @@ func TestChaosRepeatOffenderQuarantined(t *testing.T) {
 	}
 }
 
-// A replay fault inside a fan-out group drops the stream and re-records
-// on the first unserved config, whose recording serves the rest of the
-// group; under a fault on every replay the key is quarantined after
-// quarantineAfter recordings and the last config runs direct. With or
-// without a trace directory, every report equals direct execution and
-// each config is one simulation point, whichever path served it.
+// A replay fault inside a fan-out group over a trace directory drops
+// the stream and re-records on the first unserved config, whose
+// recording serves the rest of the group; under a fault on every replay
+// the key is quarantined after quarantineAfter recordings and the last
+// config runs direct. Every report equals direct execution and each
+// config is one simulation point, whichever path served it.
 func TestChaosGroupReplayFault(t *testing.T) {
 	chaosSetup(t)
 	defer obsReset()
@@ -260,28 +258,19 @@ func TestChaosGroupReplayFault(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 500, Seed: 1}
 	s := ct.Linear{}
-	SetTraceMode(TraceOff)
-	want := RunWorkloadFanout(cfgs, w, p, s)
-	SetTraceMode(TraceOn)
+	want := RunWorkloadFanout(cfgs, w, p, s) // no directory yet: direct
 
 	for _, c := range []struct {
 		name, spec string
-		dir        bool
 		// records, replays, rerecords, fan-out passes, decode passes,
 		// retries, quarantined keys
 		want [7]uint64
 	}{
-		{"nodir/once", "trace.replay@1", false, [7]uint64{2, 2, 0, 1, 1, 1, 0}},
-		{"nodir/every", "trace.replay", false, [7]uint64{3, 0, 0, 0, 0, 3, 1}},
-		{"dir/once", "trace.replay@1", true, [7]uint64{2, 2, 1, 1, 1, 1, 0}},
-		{"dir/every", "trace.replay", true, [7]uint64{3, 0, 3, 0, 0, 3, 1}},
+		{"dir/once", "trace.replay@1", [7]uint64{2, 2, 1, 1, 1, 1, 0}},
+		{"dir/every", "trace.replay", [7]uint64{3, 0, 3, 0, 0, 3, 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := ""
-			if c.dir {
-				dir = t.TempDir()
-			}
-			if err := SetTraceDir(dir); err != nil {
+			if err := SetTraceDir(t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
 			ResetTraces()
@@ -309,27 +298,15 @@ func TestChaosGroupReplayFault(t *testing.T) {
 	}
 }
 
-// Degraded-mode equivalence: with the trace engine force-disabled, and
-// separately with faults killing every trace read/write and cache read,
-// the full experiment tables stay byte-identical and nothing fails.
+// Degraded-mode equivalence: with faults killing every trace read and
+// write over a trace directory, and every cache read, the full
+// experiment tables stay byte-identical to a direct run (no trace
+// directory) and nothing fails.
 func TestChaosDegradedModeEquivalence(t *testing.T) {
 	chaosSetup(t)
 	exps := chaosExps(t)
 	o := Options{Quick: true, Parallel: 2}
 	clean := renderAll(RunAll(exps, o))
-
-	ResetTraces()
-	SetTraceMode(TraceOff)
-	off := RunAll(exps, o)
-	SetTraceMode(TraceOn)
-	for i, r := range off {
-		if r.Failed() {
-			t.Fatalf("trace-off run failed: %v", r.Err)
-		}
-		if got := r.Table.Render(); got != clean[i] {
-			t.Errorf("%s: trace-off table differs:\n%s\nwant:\n%s", r.Experiment.ID, got, clean[i])
-		}
-	}
 
 	ResetTraces()
 	if err := SetTraceDir(t.TempDir()); err != nil {

@@ -26,6 +26,27 @@ import (
 // Deprecated: kept only so existing callers compile.
 func SetTraceFanout(bool) {}
 
+// TraceMode is the argument of SetTraceMode, which does nothing: the
+// trace directory (SetTraceDir) is the engine's one switch.
+//
+// Deprecated: kept only so existing callers compile.
+type TraceMode int
+
+// The two TraceMode values SetTraceMode ignores.
+//
+// Deprecated: kept only so existing callers compile.
+const (
+	TraceOn TraceMode = iota
+	TraceOff
+)
+
+// SetTraceMode does nothing. Without a trace directory every point runs
+// direct; with one, every traceable point records into it and replays
+// from it.
+//
+// Deprecated: kept only so existing callers compile.
+func SetTraceMode(TraceMode) {}
+
 // RunWorkloadFanout runs one (workload, params, strategy) point across
 // a group of machine configs, returning one report per config in input
 // order, each identical to a direct run on that config.

@@ -45,16 +45,14 @@ func geoConfigGroups() (pure, bia []cpu.Config) {
 
 // TestFanoutEquivalenceGeoSweep checks every geometry × strategy of the
 // geosweep grid over a trace directory: fan-out groups must return
-// exactly the reports direct (trace-off) execution produces, and a warm
+// exactly the reports direct execution (no directory) produces, and a warm
 // sweep must perform one decode pass per distinct trace key — shared
 // keys fan out (one pass serves four geometries), BIA keys replay per
 // config.
 func TestFanoutEquivalenceGeoSweep(t *testing.T) {
-	useTraceDir(t)
 	pureCfgs, biaCfgs := geoConfigGroups()
 	wls := geoSweepWorkloads(true)
 
-	SetTraceMode(TraceOff)
 	direct := make(map[int][]cpu.Report)
 	for wi, wl := range wls {
 		for si, st := range geoStrategies {
@@ -70,8 +68,7 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 		}
 	}
 
-	SetTraceMode(TraceOn)
-	ResetTraces()
+	useTraceDir(t)
 	sweep := func() {
 		for wi, wl := range wls {
 			for si, st := range geoStrategies {
@@ -117,24 +114,21 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 }
 
 // TestFanoutGeoSweepTableByteIdentical is the table-level pin: the
-// geosweep experiment rendered with tracing off and with warm fan-out
-// replay must be byte-identical, and the warm sweep must actually fan
-// out.
+// geosweep experiment rendered direct (no trace directory) and with
+// warm fan-out replay must be byte-identical, and the warm sweep must
+// actually fan out.
 func TestFanoutGeoSweepTableByteIdentical(t *testing.T) {
-	useTraceDir(t)
 	o := Options{Quick: true, Parallel: 1}
-	SetTraceMode(TraceOff)
-	off := runGeoSweep(o).Render()
+	direct := runGeoSweep(o).Render()
 
-	SetTraceMode(TraceOn)
-	ResetTraces()
+	useTraceDir(t)
 	runGeoSweep(o) // cold
 	fanoutsBefore, _, _ := TraceFanoutStats()
 	fanned := runGeoSweep(o).Render()
 	fanouts, _, _ := TraceFanoutStats()
 
-	if fanned != off {
-		t.Errorf("fan-out warm table diverged from trace-off\noff:\n%s\nfan-out:\n%s", off, fanned)
+	if fanned != direct {
+		t.Errorf("fan-out warm table diverged from direct\ndirect:\n%s\nfan-out:\n%s", direct, fanned)
 	}
 	if fanouts == fanoutsBefore {
 		t.Error("fan-out sweep booked no fan-out passes — did the groups fall back?")
@@ -181,7 +175,6 @@ func TestFanoutParallelSweep(t *testing.T) {
 func TestReplayChunkSources(t *testing.T) {
 	t.Cleanup(func() {
 		SetTraceDir("")
-		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
 	geos, _ := geoConfigGroups()
@@ -190,12 +183,10 @@ func TestReplayChunkSources(t *testing.T) {
 	s := ct.Linear{}
 	key := workloadTraceKey(w, p, s, 0, "")
 
-	SetTraceMode(TraceOff)
-	want := make([]cpu.Report, len(geos))
+	want := make([]cpu.Report, len(geos)) // no directory yet: direct
 	for i, cfg := range geos {
 		want[i] = RunWorkloadOn(cfg, w, p, s)
 	}
-	SetTraceMode(TraceOn)
 	// counts reads the engine counters each stage is judged by.
 	counts := func() (rec, reps, rerec, fanouts, passes uint64) {
 		rec, reps, rerec = TraceStats()

@@ -11,8 +11,8 @@ import (
 // The geometry-sweep experiment: one workload/strategy point measured
 // across several machine geometries. This is the sweep shape trace
 // sharing exists for — the pure strategies' op/address streams are
-// machine-independent, so with tracing on the whole sweep performs one
-// recording per (workload, params, strategy) and replays that single
+// machine-independent, so with a trace directory the whole sweep makes
+// one recording per (workload, params, strategy) and replays that single
 // stream against every geometry, re-verified per config (checksum on
 // every replay, report anchors per fingerprint). The BIA rows key per
 // geometry as always, since CTLoad's bitmap reads make their streams

@@ -44,17 +44,16 @@ func TestSharedKeyExcludesGeometry(t *testing.T) {
 }
 
 // TestSharedTraceSweepEquivalence is the sweep-level equivalence
-// check: a multi-geometry sweep of single points with tracing on and a
-// trace directory must (a) produce reports identical to direct
-// execution for every geometry × workload × strategy, and (b) perform
-// exactly one recording per (workload, params, strategy), serving every
-// other geometry by shared replay.
+// check: a multi-geometry sweep of single points over a trace directory
+// must (a) produce reports identical to direct execution for every
+// geometry × workload × strategy, and (b) perform exactly one recording
+// per (workload, params, strategy), serving every other geometry by
+// shared replay.
 func TestSharedTraceSweepEquivalence(t *testing.T) {
-	useTraceDir(t)
 	geos := GeoSweepGeometries()
 	wls := geoSweepWorkloads(true)
 
-	SetTraceMode(TraceOff)
+	ResetTraces()
 	var direct []cpu.Report
 	for _, g := range geos {
 		for _, wl := range wls {
@@ -64,11 +63,10 @@ func TestSharedTraceSweepEquivalence(t *testing.T) {
 		}
 	}
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 0 {
-		t.Fatalf("TraceOff sweep touched the engine: records=%d replays=%d", rec, rep)
+		t.Fatalf("sweep without a trace directory touched the engine: records=%d replays=%d", rec, rep)
 	}
 
-	SetTraceMode(TraceOn)
-	ResetTraces()
+	useTraceDir(t)
 	i := 0
 	for _, g := range geos {
 		for _, wl := range wls {
@@ -105,23 +103,20 @@ func TestSharedTraceSweepEquivalence(t *testing.T) {
 }
 
 // TestGeoSweepTableByteIdentical runs the geometry-sweep experiment
-// with the engine off, cold (record + replay) and warm (all replay)
-// and requires byte-identical rendered tables — the tentpole's
+// direct (no trace directory), cold (record + replay) and warm (all
+// replay) and requires byte-identical rendered tables — the tentpole's
 // correctness bar.
 func TestGeoSweepTableByteIdentical(t *testing.T) {
-	useTraceDir(t)
 	o := Options{Quick: true, Parallel: 1}
-	SetTraceMode(TraceOff)
-	off := runGeoSweep(o).Render()
-	SetTraceMode(TraceOn)
-	ResetTraces()
+	direct := runGeoSweep(o).Render()
+	useTraceDir(t)
 	cold := runGeoSweep(o).Render()
 	warm := runGeoSweep(o).Render()
-	if cold != off {
-		t.Errorf("cold traced table diverged from trace-off\noff:\n%s\ncold:\n%s", off, cold)
+	if cold != direct {
+		t.Errorf("cold traced table diverged from direct\ndirect:\n%s\ncold:\n%s", direct, cold)
 	}
-	if warm != off {
-		t.Errorf("warm traced table diverged from trace-off\noff:\n%s\nwarm:\n%s", off, warm)
+	if warm != direct {
+		t.Errorf("warm traced table diverged from direct\ndirect:\n%s\nwarm:\n%s", direct, warm)
 	}
 	if rec, rep, _ := TraceStats(); rec == 0 || rep == 0 {
 		t.Errorf("traced sweep did not exercise both paths: records=%d replays=%d", rec, rep)
@@ -166,22 +161,13 @@ func TestSingleFlightRecording(t *testing.T) {
 // report and the anchor reaches the key's file — in the engine that
 // recorded the stream or in a fresh one.
 func TestSharedAnchorPersists(t *testing.T) {
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		SetTraceDir("")
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
-	ResetTraces()
-
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 13}
 	s := ct.Linear{}
 	geos := GeoSweepGeometries()
 	cfgA, cfgB, cfgC := geos[0].Config, geos[1].Config, geos[2].Config
+	wantC := RunWorkloadOn(cfgC, w, p, s) // no directory yet: direct
+	dir := useTraceDir(t)
 	key := workloadTraceKey(w, p, s, 0, cfgA.Fingerprint())
 	// The engine keeps no entry, so the anchors are read off the file
 	// itself.
@@ -204,10 +190,6 @@ func TestSharedAnchorPersists(t *testing.T) {
 			}
 		}
 	}
-
-	SetTraceMode(TraceOff)
-	wantC := RunWorkloadOn(cfgC, w, p, s)
-	SetTraceMode(TraceOn)
 
 	RunWorkloadOn(cfgA, w, p, s) // records, anchored under cfgA
 	wantB := RunWorkloadOn(cfgB, w, p, s)
@@ -251,24 +233,13 @@ func TestSharedAnchorPersists(t *testing.T) {
 // records once, reports exactly what direct execution does, and the
 // recording writes a v2 file over the old one.
 func TestV1TraceFileRerecords(t *testing.T) {
-	dir := t.TempDir()
-	t.Cleanup(func() {
-		SetTraceDir("")
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 9}
 	s := ct.Linear{}
 	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
 
-	SetTraceMode(TraceOff)
-	want := RunWorkload(w, p, s, 0)
-	SetTraceMode(TraceOn)
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	ResetTraces()
+	want := RunWorkload(w, p, s, 0) // no directory yet: direct
+	dir := useTraceDir(t)
 
 	v1 := append([]byte("CTRT"), make([]byte, 8)...)
 	binary.LittleEndian.PutUint32(v1[4:], 1) // version 1

@@ -48,53 +48,16 @@ import (
 // hooks, the stateful scratchpad strategy) are never traced.
 //
 // Every replay is a fan-out group: one stored stream charged to one
-// machine per config — a single point is a group of one. Replay runs
-// only where it pays, so a stream comes from one of two places. A
-// group of two or more records on its first config and charges the
-// others from that recording, which lives for that one call. With a
-// trace directory, the key's file is the store: a point records and
-// persists its stream once, and every later lookup, in this process or
-// another, reads the file whole, checks and decodes it, replays it and
-// keeps nothing. A file larger than any recording can write is refused
-// unread, and one that does not decode (corrupt, truncated, or in an
-// older wire format) is a miss; either way the point re-records over
-// it. Without a directory the engine keeps nothing between calls and a
-// group of one runs direct: a recording that nothing can read again
-// costs more than it saves.
-
-// TraceMode selects how RunWorkload/RunKernel use the trace engine.
-type TraceMode int
-
-// Trace modes. The zero value is TraceOn: tracing is the default.
-const (
-	// TraceOn replays within fan-out groups and, with a trace
-	// directory, from the directory's files.
-	TraceOn TraceMode = iota
-	// TraceOff disables the engine entirely.
-	TraceOff
-)
-
-// ParseTraceMode maps the -trace flag values onto a TraceMode.
-func ParseTraceMode(s string) (TraceMode, error) {
-	switch s {
-	case "on":
-		return TraceOn, nil
-	case "off":
-		return TraceOff, nil
-	}
-	return TraceOff, fmt.Errorf("harness: unknown trace mode %q (want on or off)", s)
-}
-
-// String names the mode.
-func (m TraceMode) String() string {
-	switch m {
-	case TraceOn:
-		return "on"
-	case TraceOff:
-		return "off"
-	}
-	return fmt.Sprintf("TraceMode(%d)", int(m))
-}
+// machine per config — a single point is a group of one. The trace
+// directory is the engine's one switch. Without one, every point runs
+// direct and the engine records, replays and keeps nothing. With one,
+// the key's file is the store: a point records and persists its stream
+// once, the rest of its group replays that recording, and every later
+// lookup, in this process or another, reads the file whole, checks and
+// decodes it, replays it and keeps nothing. A file larger than any
+// recording can write is refused unread, and one that does not decode
+// (corrupt, truncated, or in an older wire format) is a miss; either
+// way the point re-records over it.
 
 // traceEntry is one stored stream with its verification anchors. An
 // entry belongs to one call — a recording to the call that made it, a
@@ -126,9 +89,8 @@ const maxTraceOps = 1 << 20
 var traceDebug = os.Getenv("CTBIA_TRACE_DEBUG") != ""
 
 var traceEngine = struct {
-	mu   sync.RWMutex
-	mode TraceMode
-	dir  string // "" = no persistence
+	mu  sync.RWMutex
+	dir string // "" = no trace directory: every point runs direct
 	// inflight single-flights the recordings of a key: the first worker
 	// to miss the key becomes its recording leader, later workers block
 	// on the channel and re-try the lookup when it closes. Without
@@ -185,20 +147,6 @@ var (
 // deterministic simulation, which no delay can change.
 const quarantineAfter = 3
 
-// SetTraceMode switches the engine's mode (default TraceOn).
-func SetTraceMode(m TraceMode) {
-	traceEngine.mu.Lock()
-	traceEngine.mode = m
-	traceEngine.mu.Unlock()
-}
-
-// TraceModeNow returns the engine's current mode.
-func TraceModeNow() TraceMode {
-	traceEngine.mu.RLock()
-	defer traceEngine.mu.RUnlock()
-	return traceEngine.mode
-}
-
 // traceDirNow returns the engine's trace directory ("" = none).
 func traceDirNow() string {
 	traceEngine.mu.RLock()
@@ -206,9 +154,11 @@ func traceDirNow() string {
 	return traceEngine.dir
 }
 
-// SetTraceDir sets the directory traces persist to ("" disables
-// persistence, the default). The directory is created eagerly so a
-// misconfigured path surfaces here, not as silently-unsaved traces.
+// SetTraceDir sets the trace directory, the engine's one switch: with
+// one, every traceable point records into it once and replays from it;
+// with "" (the default) every point runs direct. The directory is
+// created eagerly so a misconfigured path surfaces here, not as
+// silently-unsaved traces.
 func SetTraceDir(dir string) error {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -406,16 +356,12 @@ func repsFromTags(tags map[string][]uint64) map[string]cpu.Report {
 }
 
 // lookupTrace finds a stored stream: the key's file in the trace
-// directory, read whole, validated (CRCs, embedded key) and decoded.
-// The entry lives as long as the replay that asked for it. Without a
-// directory there is nothing to find. Anything unreadable — larger than
-// any recording writes, corrupt, truncated, or in an older wire format
-// — is a miss, and the recording that follows writes over it.
-func lookupTrace(key string) *traceEntry {
-	dir := traceDirNow()
-	if dir == "" {
-		return nil
-	}
+// directory dir, read whole, validated (CRCs, embedded key) and
+// decoded. The entry lives as long as the replay that asked for it.
+// Anything unreadable — larger than any recording writes, corrupt,
+// truncated, or in an older wire format — is a miss, and the recording
+// that follows writes over it.
+func lookupTrace(dir, key string) *traceEntry {
 	if faultinject.Should("trace.read", key) {
 		return nil // injected read failure: a persisted trace is just a miss
 	}
@@ -445,12 +391,8 @@ func lookupTrace(key string) *traceEntry {
 }
 
 // persistTrace writes an entry to its key's file in the trace
-// directory, if one is set (best-effort, temp file + rename).
-func persistTrace(key string, e *traceEntry) {
-	dir := traceDirNow()
-	if dir == "" {
-		return
-	}
+// directory dir (best-effort, temp file + rename).
+func persistTrace(dir, key string, e *traceEntry) {
 	if faultinject.Should("trace.write", key) {
 		return // injected write failure: persistence is best-effort anyway
 	}
@@ -470,15 +412,12 @@ func persistTrace(key string, e *traceEntry) {
 	}
 }
 
-// dropTrace removes a stale entry's file, if there is a trace
-// directory, so it cannot be re-loaded and fail again; the next lookup
-// of the key misses and re-records it. Without a directory the entry
-// was the caller's own recording, and nothing else holds it.
-func dropTrace(key string) {
-	if dir := traceDirNow(); dir != "" {
-		os.Remove(traceFilePath(dir, key))
-		traceRerecords.Add(1)
-	}
+// dropTrace removes a stale entry's file from the trace directory dir
+// so it cannot be re-loaded and fail again; the next lookup of the key
+// misses and re-records it.
+func dropTrace(dir, key string) {
+	os.Remove(traceFilePath(dir, key))
+	traceRerecords.Add(1)
 }
 
 // entryWireBytes computes the v2 wire size of an entry as persisted —
@@ -537,8 +476,7 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 // config. Verification is per config: replaying under an anchored
 // fingerprint must reproduce that anchor bit-exactly, and the first
 // replay under a new geometry anchors its report (re-persisting the
-// entry's file, when persistence is on, so the anchor survives the
-// process).
+// entry's file in dir, so the anchor survives the process).
 //
 // A panic in the replay layer (an injected fault, or a corrupt decoded
 // stream crashing the batched interpreter) is recovered into err so the
@@ -548,7 +486,7 @@ func runDirect(pool *cpu.Pool, label string, ref func() uint64, sim func(m *cpu.
 // machine is charged, and machines go back to their pools only after
 // the whole group verified: a machine charged with a mismatched stream
 // may hold arbitrary state, so any failure abandons them all.
-func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, refSum uint64) (out []cpu.Report, ok bool, err error) {
+func replayTrace(pools []*cpu.Pool, fps []string, dir, key, label string, e *traceEntry, refSum uint64) (out []cpu.Report, ok bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if f, isFault := rec.(*faultinject.Fault); isFault && !f.Transient {
@@ -588,7 +526,7 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 		pools[i].Put(m)
 	}
 	if newAnchor {
-		persistTrace(key, e)
+		persistTrace(dir, key, e)
 	}
 	return out, true, nil
 }
@@ -598,17 +536,17 @@ func replayTrace(pools []*cpu.Pool, fps []string, key, label string, e *traceEnt
 // (the latter also booked towards quarantine) so the caller falls back
 // to recording. The fan-out counters book groups of two or more
 // machines only: a group of one decodes nothing it could share.
-func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry, ref func() uint64) ([]cpu.Report, bool) {
+func tryReplay(pools []*cpu.Pool, fps []string, dir, key, label string, e *traceEntry, ref func() uint64) ([]cpu.Report, bool) {
 	span := "replay"
 	if len(pools) > 1 {
 		span = "fanout"
 	}
 	rsp := obs.StartSpan(span, label)
-	reps, ok, err := replayTrace(pools, fps, key, label, e, ref())
+	reps, ok, err := replayTrace(pools, fps, dir, key, label, e, ref())
 	rsp.End()
 	if !ok {
 		// Stale or corrupt: forget it and let the caller re-record.
-		dropTrace(key)
+		dropTrace(dir, key)
 		if err != nil {
 			// Transient replay failure: book it, quarantining repeat
 			// offenders, before the caller's retry.
@@ -639,19 +577,17 @@ func tryReplay(pools []*cpu.Pool, fps []string, key, label string, e *traceEntry
 // config fps[i] fingerprints, the identity report anchors are keyed by
 // — writing one report per config into out.
 //
-// A recording is made only when something can read it again: the rest
-// of the group, or the key's file in a trace directory. So with trace
-// off, for an untraceable, quarantined or dead key, and for a group of
-// one without a directory, every config runs direct. Otherwise one loop
-// serves the group: look the key up; on a miss, record the first
-// unserved config under the key's single-flight (a worker that finds
-// the key being recorded looks it up again); replay the rest from the
-// stored or fresh stream. A stale or transiently failing stream is
-// dropped and booked by tryReplay, and the loop re-records without
-// looking the key up again; a key that keeps failing is quarantined
-// (see QuarantinedPoints). The loop stops when every config is served
-// or the key is quarantined or dead, and any config still unserved
-// runs direct.
+// Without a trace directory, and for an untraceable, quarantined or
+// dead key, every config runs direct. Otherwise one loop serves the
+// group: look the key up; on a miss, record the first unserved config
+// under the key's single-flight (a worker that finds the key being
+// recorded looks it up again); replay the rest from the stored or fresh
+// stream. A stale or transiently failing stream is dropped and booked
+// by tryReplay, and the loop re-records without looking the key up
+// again; a key that keeps failing is quarantined (see
+// QuarantinedPoints). The loop stops when every config is served or the
+// key is quarantined or dead, and any config still unserved runs
+// direct.
 //
 // Every config served is one simulation point. A group of one is
 // observed as a whole, lookup, decode and replay included; in a larger
@@ -668,17 +604,15 @@ func runGroup(out []cpu.Report, pools []*cpu.Pool, fps []string, key, label stri
 	}
 	serve := func() {
 		i := 0 // out[:i] is served
-		traced := key != "" && TraceModeNow() == TraceOn
+		dir := traceDirNow()
+		traced := key != "" && dir != ""
 		var e *traceEntry
 		for lookup := true; traced && i < len(pools) && !isQuarantined(key) && !isDead(key); {
 			if lookup {
-				e, lookup = lookupTrace(key), false
+				e, lookup = lookupTrace(dir, key), false
 			}
 			if e == nil {
-				if len(pools)-i == 1 && traceDirNow() == "" {
-					break // nothing could read a recording
-				}
-				if !recordOnce(key, func() { point(func() { out[i], e = recordPoint(pools[i], key, label, fps[i], ref, sim) }) }) {
+				if !recordOnce(key, func() { point(func() { out[i], e = recordPoint(pools[i], dir, key, label, fps[i], ref, sim) }) }) {
 					lookup = true // another worker recorded the key: look it up again
 					continue
 				}
@@ -687,7 +621,7 @@ func runGroup(out []cpu.Report, pools []*cpu.Pool, fps []string, key, label stri
 					continue // aborted (the key is dead now), or nothing left to replay
 				}
 			}
-			if reps, ok := tryReplay(pools[i:], fps[i:], key, label, e, ref); ok {
+			if reps, ok := tryReplay(pools[i:], fps[i:], dir, key, label, e, ref); ok {
 				copy(out[i:], reps)
 				if !whole {
 					for range reps {
@@ -769,10 +703,10 @@ func recordOnce(key string, record func()) bool {
 }
 
 // recordPoint runs one point directly with a recorder attached and
-// persists the captured stream when a trace directory is set. It
-// returns the run's report and the recording — nil when the recording
-// aborted, which marks the key dead.
-func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) (cpu.Report, *traceEntry) {
+// persists the captured stream to the trace directory dir. It returns
+// the run's report and the recording — nil when the recording aborted,
+// which marks the key dead.
+func recordPoint(pool *cpu.Pool, dir, key, label, cfgFP string, ref func() uint64, sim func(m *cpu.Machine) uint64) (cpu.Report, *traceEntry) {
 	rsp := obs.StartSpan("record", label)
 	m := pool.Get()
 	rec := trace.NewRecorder(maxTraceOps)
@@ -791,7 +725,7 @@ func recordPoint(pool *cpu.Pool, key, label, cfgFP string, ref func() uint64, si
 	if t, ok := rec.Take(); ok {
 		e = &traceEntry{ops: t.Ops, sum: got, src: cfgFP,
 			reps: map[string]cpu.Report{cfgFP: r}}
-		persistTrace(key, e)
+		persistTrace(dir, key, e)
 		traceRecords.Add(1)
 		traceBytesRecorded.Add(entryWireBytes(key, e))
 	} else {

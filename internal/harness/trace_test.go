@@ -129,8 +129,8 @@ func TestTraceEquivalenceKernels(t *testing.T) {
 }
 
 // useTraceDir gives a test a fresh engine over its own trace directory,
-// the only store a single point replays from, and restores the default
-// engine (trace on, no directory) afterwards.
+// the engine's one switch and only store, and restores the default
+// engine (no directory: every point runs direct) afterwards.
 func useTraceDir(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -140,7 +140,6 @@ func useTraceDir(t testing.TB) string {
 	ResetTraces()
 	t.Cleanup(func() {
 		SetTraceDir("")
-		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
 	return dir
@@ -168,45 +167,38 @@ func TestRunWorkloadReplays(t *testing.T) {
 }
 
 // TestNoTraceDirKeepsNothing pins the engine's contract without a trace
-// directory: nothing outlives a call. A single point runs direct, again
-// on a repeat. A fan-out group records on its first config and charges
-// the other three from that recording, and an identical second group
-// records again.
+// directory: every point runs direct, and the engine records, replays
+// and keeps nothing. A single point run twice, and a fan-out group over
+// the four geosweep geometries called twice, each report what a direct
+// run on each config does and book no engine counter.
 func TestNoTraceDirKeepsNothing(t *testing.T) {
 	ResetTraces()
-	t.Cleanup(func() {
-		SetTraceMode(TraceOn)
-		ResetTraces()
-	})
+	t.Cleanup(ResetTraces)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 600, Seed: 19}
 	s := ct.Linear{}
 	geos, _ := geoConfigGroups()
 
-	SetTraceMode(TraceOff)
-	wantPoint := RunWorkload(w, p, s, 0)
-	wantGroup := make([]cpu.Report, len(geos))
-	for i, cfg := range geos {
-		wantGroup[i] = RunWorkloadOn(cfg, w, p, s)
-	}
-	SetTraceMode(TraceOn)
-
-	for run := 1; run <= 2; run++ {
-		if got := RunWorkload(w, p, s, 0); got != wantPoint {
-			t.Errorf("point run %d diverged from trace-off\nwant: %v\ngot:  %v", run, wantPoint, got)
-		}
-	}
-	if rec, rep, _ := TraceStats(); rec != 0 || rep != 0 {
-		t.Errorf("single point without a trace directory: records=%d replays=%d, want 0/0", rec, rep)
-	}
-
-	// counts reads the counters a group call is judged by.
+	// counts reads the counters each call is judged by: records,
+	// replays, shared replays, fan-out passes and decode passes.
 	counts := func() [5]uint64 {
 		rec, rep, _ := TraceStats()
 		shared, _ := TraceShareStats()
 		fanouts, passes, _ := TraceFanoutStats()
 		return [5]uint64{rec, rep, shared, fanouts, passes}
 	}
+	wantPoint := RunWorkload(w, p, s, 0)
+	if got := RunWorkload(w, p, s, 0); got != wantPoint {
+		t.Errorf("repeated point diverged\nwant: %v\ngot:  %v", wantPoint, got)
+	}
+	wantGroup := make([]cpu.Report, len(geos))
+	for i, cfg := range geos {
+		wantGroup[i] = RunWorkloadOn(cfg, w, p, s)
+	}
+	if c := counts(); c != ([5]uint64{}) {
+		t.Errorf("single points: records, replays, shared, fan-outs, decode passes = %v, want all 0", c)
+	}
+
 	for call := 1; call <= 2; call++ {
 		before := counts()
 		got := RunWorkloadFanout(geos, w, p, s)
@@ -219,8 +211,8 @@ func TestNoTraceDirKeepsNothing(t *testing.T) {
 		for i := range delta {
 			delta[i] -= before[i]
 		}
-		if want := [5]uint64{1, 3, 3, 1, 1}; delta != want {
-			t.Errorf("group call %d: records, replays, shared, fan-outs, decode passes = %v, want %v", call, delta, want)
+		if delta != ([5]uint64{}) {
+			t.Errorf("group call %d: records, replays, shared, fan-outs, decode passes = %v, want all 0", call, delta)
 		}
 	}
 }
@@ -320,17 +312,15 @@ func rewriteTrace(t *testing.T, dir, key string, edit func(e *traceEntry)) {
 
 // TestCorruptTraceInReadOnlyDir plants a stale report anchor in a trace
 // file the engine cannot remove, because its directory is read-only.
-// The point must re-record once and return the trace-off report instead
+// The point must re-record once and return the direct report instead
 // of looking the key up, and replaying the same stale file, forever.
 func TestCorruptTraceInReadOnlyDir(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 23}
 	s := ct.BIA{}
 	key := workloadTraceKey(w, p, s, 1, tableConfig(1).Fingerprint())
+	want := RunWorkload(w, p, s, 1) // no directory yet: direct
 	dir := useTraceDir(t)
-	SetTraceMode(TraceOff)
-	want := RunWorkload(w, p, s, 1)
-	SetTraceMode(TraceOn)
 	RunWorkload(w, p, s, 1) // records the key's file
 	rewriteTrace(t, dir, key, func(e *traceEntry) {
 		for fp, r := range e.reps {
@@ -421,7 +411,6 @@ func TestOversizedTraceFileIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	t.Cleanup(func() {
 		SetTraceDir("")
-		SetTraceMode(TraceOn)
 		ResetTraces()
 	})
 	w := workloads.Histogram{}
@@ -429,9 +418,7 @@ func TestOversizedTraceFileIsMiss(t *testing.T) {
 	s := ct.Linear{}
 	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
 
-	SetTraceMode(TraceOff)
-	want := RunWorkload(w, p, s, 0) // also warms the machine pool
-	SetTraceMode(TraceOn)
+	want := RunWorkload(w, p, s, 0) // direct; also warms the machine pool
 	if err := SetTraceDir(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -89,6 +92,48 @@ func TestMergeFlatDoubleApplicationDoubles(t *testing.T) {
 	MergeFlat(snap)
 	if v := Snapshot()["twice"]; v != 6 {
 		t.Fatalf("twice = %d, want 6 (MergeFlat must stay a plain fold)", v)
+	}
+}
+
+// TestMergeFlatPastFullNameTable merges one snapshot of 70,000 new
+// names, as one fleet upload can carry, into a registry whose name table
+// holds at most 65,536. The merge returns, counting only the names that
+// fit; a new name added after it is dropped, and a name interned before
+// it still counts. The table is process-wide and never shrinks, so the
+// test runs in a re-executed child process.
+func TestMergeFlatPastFullNameTable(t *testing.T) {
+	const childEnv = "OBS_FULL_NAME_TABLE_CHILD"
+	if os.Getenv(childEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMergeFlatPastFullNameTable$")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		return
+	}
+	Arm()
+	Add("kept", 1)
+	nameTab.mu.RLock()
+	free := countChunks*countChunkSize - len(nameTab.list)
+	nameTab.mu.RUnlock()
+	upload := make(map[string]uint64, 70000)
+	for i := 0; i < 70000; i++ {
+		upload[fmt.Sprintf("upload.%d", i)] = 1
+	}
+	if n := MergeFlat(upload); n != free {
+		t.Fatalf("MergeFlat folded %d entries, want the %d whose names fit", n, free)
+	}
+	if id := Intern("after.full"); id != -1 {
+		t.Fatalf("Intern of a new name on a full table = %d, want -1", id)
+	}
+	Add("after.full", 5)
+	Add("kept", 2)
+	snap := Snapshot()
+	if v, ok := snap["after.full"]; ok {
+		t.Errorf("a new name on a full table was counted: after.full = %d", v)
+	}
+	if v := snap["kept"]; v != 3 {
+		t.Errorf("kept = %d, want 3 (an existing name must still count)", v)
 	}
 }
 

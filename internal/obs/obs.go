@@ -56,8 +56,8 @@ func Enabled() bool { return armed.Load() }
 // ID is the dense handle of an interned metric name. Resolve it once
 // at registration time (Intern) and use it on every AddID — the map
 // lookup happens exactly once per name, not once per update. The zero
-// value is a valid ID (the first interned name); negative IDs are
-// ignored by AddID.
+// value is a valid ID (the first interned name); a negative ID (Intern's
+// answer once the table is full) is ignored by AddID.
 type ID int32
 
 // nameTab interns metric names to dense IDs.
@@ -68,8 +68,10 @@ var nameTab = struct {
 }{ids: make(map[string]ID)}
 
 // Intern registers name and returns its dense ID (the existing ID when
-// the name is already known). Safe for concurrent use; the read path is
-// an RLock + map hit.
+// the name is already known), or -1 when the name is new and the table
+// already holds its 65,536 names: a name past the cap is dropped, never
+// counted, so no input can crash the registry. Safe for concurrent use;
+// the read path is an RLock + map hit.
 func Intern(name string) ID {
 	nameTab.mu.RLock()
 	id, ok := nameTab.ids[name]
@@ -84,7 +86,7 @@ func Intern(name string) ID {
 	}
 	id = ID(len(nameTab.list))
 	if int(id) >= countChunks*countChunkSize {
-		panic(fmt.Sprintf("obs: more than %d interned metric names", countChunks*countChunkSize))
+		return -1
 	}
 	nameTab.ids[name] = id
 	nameTab.list = append(nameTab.list, name)
@@ -129,14 +131,17 @@ func AddID(id ID, v uint64) {
 }
 
 // Add increments the named counter by v. Disarmed it is a single atomic
-// load; armed it also pays one name interning (RLock + map hit). The
-// signature matches cpu.Machine.EmitMetrics's emit callback, so a whole
-// machine harvests with m.EmitMetrics(obs.Add).
+// load; armed it also pays one name interning (RLock + map hit), and a
+// name the full table cannot take is dropped. The signature matches
+// cpu.Machine.EmitMetrics's emit callback, so a whole machine harvests
+// with m.EmitMetrics(obs.Add).
 func Add(name string, v uint64) {
 	if !armed.Load() {
 		return
 	}
-	counter(Intern(name)).Add(v)
+	if id := Intern(name); id >= 0 {
+		counter(id).Add(v)
+	}
 }
 
 // histBuckets is the bucket count of a power-of-two histogram: bucket
@@ -451,7 +456,8 @@ func decodeBuckets(snap map[string]uint64, h *Histogram, dst *[histBuckets]uint6
 // (it is a pull-side merge, not a hot-path probe); idempotence is the
 // caller's job — the fleet coordinator merges each accepted unit's
 // delta exactly once. Returns the number of entries folded in
-// (counting a histogram decomposition as one).
+// (counting a histogram decomposition as one); a plain entry whose name
+// the full name table cannot take is skipped and not counted.
 func MergeFlat(snap map[string]uint64) int {
 	if len(snap) == 0 {
 		return 0
@@ -492,7 +498,11 @@ func MergeFlat(snap map[string]uint64) int {
 		if v == 0 {
 			continue
 		}
-		counter(Intern(name)).Add(v)
+		id := Intern(name)
+		if id < 0 {
+			continue
+		}
+		counter(id).Add(v)
 		merged++
 	}
 	return merged

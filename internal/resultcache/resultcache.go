@@ -115,11 +115,11 @@ const versionMarker = "VERSION"
 //
 // salt is the caller's version salt (harness.SimVersionSalt for
 // ctbench). A read-write store compares it against the directory's
-// version marker and, on mismatch, prunes every stored entry — result
-// JSON and persisted traces alike — before writing the new marker.
-// Entries keyed under an old salt could never be *served* again (the
-// salt is hashed into every key), so pruning is purely hygiene: it
-// stops dead files accumulating forever. Pass "" to skip the check.
+// version marker and, on mismatch, prunes every stored entry before
+// writing the new marker. Entries keyed under an old salt could never
+// be *served* again (the salt is hashed into every key), so pruning is
+// purely hygiene: it stops dead files accumulating forever. Pass "" to
+// skip the check.
 func Open(dir string, mode Mode, salt string) (*Store, error) {
 	if mode == Off {
 		return nil, nil
@@ -158,19 +158,13 @@ func pruneStale(dir, salt string) int {
 	return n
 }
 
-// TracesSubdir is the conventional subdirectory of a result directory
-// where the harness persists recorded traces; pruning and Clear cover
-// it so stale traces die with the results they were recorded alongside.
-const TracesSubdir = "traces"
-
-// clearEntries removes every result and trace file under dir,
-// returning how many went. Unremovable files are skipped — the next
-// prune retries them.
+// clearEntries removes every result entry under dir, quarantined ones
+// included, returning how many went. Unremovable files are skipped —
+// the next prune retries them.
 func clearEntries(dir string) int {
 	n := 0
 	for _, pat := range []string{
 		filepath.Join(dir, "*.json"),
-		filepath.Join(dir, TracesSubdir, "*.trace"),
 		filepath.Join(dir, QuarantineSubdir, "*.json.bad"),
 	} {
 		matches, _ := filepath.Glob(pat)
@@ -192,9 +186,8 @@ func (s *Store) Pruned() int {
 	return s.pruned
 }
 
-// Clear removes every entry (results and traces) from a read-write
-// store, keeping the version marker, and returns how many were
-// removed.
+// Clear removes every entry from a read-write store, keeping the
+// version marker, and returns how many were removed.
 func (s *Store) Clear() (int, error) {
 	if s == nil {
 		return 0, nil

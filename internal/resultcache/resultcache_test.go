@@ -184,8 +184,8 @@ func TestOpenOffIsNil(t *testing.T) {
 }
 
 // TestSaltPrune pins the startup hygiene: a read-write store opened
-// with a new salt removes entries (results and traces) written under
-// the old one, and a same-salt reopen leaves everything alone.
+// with a new salt removes entries written under the old one, and a
+// same-salt reopen leaves everything alone.
 func TestSaltPrune(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, ReadWrite, "sim-v1")
@@ -199,14 +199,6 @@ func TestSaltPrune(t *testing.T) {
 	if err := s.Save(key, payload{Name: "keep"}); err != nil {
 		t.Fatal(err)
 	}
-	tdir := filepath.Join(dir, TracesSubdir)
-	if err := os.MkdirAll(tdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	tfile := filepath.Join(tdir, "abc123.trace")
-	if err := os.WriteFile(tfile, []byte("trace"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	// Same salt: nothing pruned, the entry still serves.
 	s2, err := Open(dir, ReadWrite, "sim-v1")
@@ -218,19 +210,16 @@ func TestSaltPrune(t *testing.T) {
 		t.Errorf("same-salt reopen pruned %d / lost the entry", s2.Pruned())
 	}
 
-	// New salt: both the result and the trace must go.
+	// New salt: the result must go.
 	s3, err := Open(dir, ReadWrite, "sim-v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Pruned() != 2 {
-		t.Errorf("salt bump pruned %d entries, want 2", s3.Pruned())
+	if s3.Pruned() != 1 {
+		t.Errorf("salt bump pruned %d entries, want 1", s3.Pruned())
 	}
 	if s3.Load(key, &got) {
 		t.Error("stale entry survived the salt bump")
-	}
-	if _, err := os.Stat(tfile); !os.IsNotExist(err) {
-		t.Errorf("stale trace survived the salt bump (stat err: %v)", err)
 	}
 }
 
