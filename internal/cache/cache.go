@@ -135,10 +135,38 @@ type Cache struct {
 	rngUsed   bool
 	pinnedAll uint64 // count of pinned lines (PLcache comparison)
 
+	// gen counts departures of valid lines: setTag bumps it when it
+	// overwrites a valid tag (an eviction, a flush, a back-invalidation)
+	// and Reset bumps it when it scrubs. While it stands still no line
+	// has left, and as a line turns clean only by leaving, no dirty
+	// line has turned clean either.
+	gen uint64
+	// run is the last line-stride batch in which every access hit (see
+	// AccessBatch): its lines were all resident at generation run.gen.
+	run residentRun
+
 	// SliceTraffic counts per-slice demand accesses when sliced.
 	SliceTraffic []uint64
 
 	Stats Stats
+}
+
+// residentRun is a run of n consecutive lines from first that were all
+// resident at generation gen, and all dirty if dirty.
+type residentRun struct {
+	first memp.Addr
+	n     int
+	gen   uint64
+	dirty bool
+}
+
+// resident reports whether the n lines from first are the remembered
+// run and no valid line has left since it was remembered, so every one
+// of them is still resident; a write also needs them all dirty, so that
+// no dirty bit would move.
+func (c *Cache) resident(first memp.Addr, n int, write bool) bool {
+	r := &c.run
+	return n > 0 && first == r.first && n == r.n && r.gen == c.gen && (r.dirty || !write)
 }
 
 // NewCache builds a cache from cfg, validating the geometry.
@@ -247,7 +275,8 @@ func (c *Cache) find(a memp.Addr) (int, int) {
 const noTag = ^memp.Addr(0)
 
 // setTag records la as way w of set s's identity (noTag to invalidate)
-// and keeps the per-set valid count in step.
+// and keeps the per-set valid count and the departure generation in
+// step.
 func (c *Cache) setTag(s, w int, la memp.Addr) {
 	i := s*c.cfg.Ways + w
 	old := c.tags[i]
@@ -256,7 +285,10 @@ func (c *Cache) setTag(s, w int, la memp.Addr) {
 		if la != noTag {
 			c.validCnt[s]++
 		}
-	} else if la == noTag {
+		return
+	}
+	c.gen++
+	if la == noTag {
 		c.validCnt[s]--
 	}
 }
@@ -450,8 +482,10 @@ func (c *Cache) ResetStats() { c.Stats = Stats{} }
 // ever consulted for valid lines (find goes through the tag array and
 // the policy only compares stamps of lines filled since), so skipping
 // them keeps Reset proportional to the touched footprint, not the
-// 16 MiB LLC geometry.
+// 16 MiB LLC geometry. The scrub bypasses setTag, so Reset bumps the
+// departure generation itself, which forgets the remembered run.
 func (c *Cache) Reset() {
+	c.gen++
 	for s := 0; s < c.sets; s++ {
 		if c.validCnt[s] == 0 {
 			continue

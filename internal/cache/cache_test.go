@@ -474,3 +474,89 @@ func TestEventKindString(t *testing.T) {
 		t.Error("unknown kind")
 	}
 }
+
+// TestRememberedRun pins the L1's memory of its last all-hit line-stride
+// batch: remembered after a batch in which every access hit, charged in
+// closed form when repeated, and forgotten once any valid line leaves
+// the L1 — by eviction, back-invalidation, Flush or Reset — but not by a
+// fill into a free way, an access that leaves the L1 alone or ResetStats.
+func TestRememberedRun(t *testing.T) {
+	const n = 4
+	base := memp.Addr(0x40000) // lines in L1 sets 0..3 and L2 sets 0..3
+	remembered := func(h *Hierarchy) bool { return h.Level(1).resident(base, n, false) }
+	warm := func(inclusive bool) *Hierarchy {
+		h := tiny()
+		h.Inclusive = inclusive
+		h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+		if remembered(h) {
+			t.Fatal("a batch that missed was remembered")
+		}
+		h.AccessBatch(base+8, memp.LineSize, n, FlagNoLRU)
+		if !remembered(h) {
+			t.Fatal("an all-hit batch was not remembered")
+		}
+		return h
+	}
+
+	h := warm(false)
+	c1 := h.Level(1)
+	if c1.resident(base, n-1, false) || c1.resident(base+memp.LineSize, n, false) {
+		t.Fatal("only the remembered run itself may count as resident")
+	}
+	if c1.resident(base, n, true) {
+		t.Fatal("a clean run must not serve a write in closed form")
+	}
+	before, snap := c1.Stats, h.SnapshotLevel(1)
+	if hits, miss := h.AccessBatch(base, memp.LineSize, n, FlagNoLRU); hits != n || miss != 0 {
+		t.Fatalf("repeat = %d hits, %d miss cycles; want %d, 0", hits, miss, n)
+	}
+	if c1.Stats.Accesses != before.Accesses+n || c1.Stats.Hits != before.Hits+n || c1.Stats.Misses != before.Misses {
+		t.Fatalf("repeat charged %+v after %+v", c1.Stats, before)
+	}
+	if !h.SnapshotLevel(1).Equal(snap) {
+		t.Fatal("a closed-form repeat changed the L1")
+	}
+	if hits, _ := h.AccessBatchRMW(base, memp.LineSize, n, FlagNoLRU); hits != 2*n || !c1.resident(base, n, true) {
+		t.Fatal("an all-hit read-modify-write batch must leave the run remembered dirty")
+	}
+	h.ResetStats()
+	s := c1.SetOf(base)
+	h.Access(addrForSet(c1, s, 1), 0) // fills set s's free way
+	if !remembered(h) {
+		t.Fatal("ResetStats or a fill into a free way forgot the run")
+	}
+	h.Access(addrForSet(c1, s, 2), 0) // evicts from set s
+	if remembered(h) {
+		t.Fatal("an eviction from the L1 did not forget the run")
+	}
+
+	h = warm(false)
+	h.Flush(base + 4*memp.LineSize) // not cached: nothing leaves
+	if !remembered(h) {
+		t.Fatal("flushing an uncached line forgot the run")
+	}
+	h.Flush(base + 2*memp.LineSize)
+	if remembered(h) {
+		t.Fatal("a Flush did not forget the run")
+	}
+
+	for _, inclusive := range []bool{false, true} {
+		h = warm(inclusive)
+		c2 := h.Level(2)
+		for k := 1; k <= c2.Ways(); k++ {
+			h.AccessFrom(2, addrForSet(c2, c2.SetOf(base), k), 0)
+		}
+		if p, _ := c2.Lookup(base); p {
+			t.Fatal("precondition: the run's first line left the L2")
+		}
+		if remembered(h) == inclusive {
+			t.Fatalf("inclusive=%v: an L2 eviction left the run remembered=%v", inclusive, remembered(h))
+		}
+	}
+
+	h = warm(false)
+	h.Reset()
+	if remembered(h) {
+		t.Fatal("Reset did not forget the run")
+	}
+}

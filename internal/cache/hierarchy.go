@@ -333,11 +333,23 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 // its line group re-probes next iteration (the fill can be dropped by
 // a pinned-full set), which keeps the event and cycle sequence
 // bit-identical to the scalar loop.
+//
+// A line-stride batch in which every access hits is remembered by the
+// L1 (Cache.run). A repeat of it is charged in closed form, without
+// probing its lines, when the lines are all still resident (and dirty,
+// for a write; see Cache.resident) and quietL1 holds: then every access
+// hits and changes nothing but the L1's access and hit counts.
 func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
+	if stride == memp.LineSize && c.resident(base.Line(), n, write) && h.quietL1(flags) {
+		c.Stats.Accesses += uint64(n)
+		c.Stats.Hits += uint64(n)
+		return n, 0
+	}
 	noLRU := flags&FlagNoLRU != 0
 	snoop := h.snoopsAt(1)
+	allDirty := true
 	addr := base
 	for k := 0; k < n; {
 		la := addr.Line()
@@ -375,11 +387,23 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 		} else if write {
 			ln.dirty = true
 		}
+		allDirty = allDirty && ln.dirty
 		l1Hits += g
 		k += g
 		addr += memp.Addr(stride * int64(g))
 	}
+	if l1Hits == n && stride == memp.LineSize && n > 0 { // every access hit
+		c.run = residentRun{first: base.Line(), n: n, gen: c.gen, dirty: allDirty}
+	}
 	return l1Hits, missCycles
+}
+
+// quietL1 reports whether an L1 hit under flags changes nothing but
+// the L1's access and hit counts: with FlagNoLRU a hit touches no stamp
+// and no clock, with nobody snooping the L1 no event is due, and with
+// the L1 unsliced no per-slice count is due.
+func (h *Hierarchy) quietL1(flags Flags) bool {
+	return flags&FlagNoLRU != 0 && !h.snoopsAt(1) && h.levels[0].SliceTraffic == nil
 }
 
 // AccessBatchRMW performs n load+store pairs: per iteration a load at
@@ -394,9 +418,15 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 // charges a whole run of resident pairs (a found line cannot leave the
 // set between its own load and store, so the pair hits as a unit),
 // while a pair whose load misses runs scalar — including the store
-// re-probe, because a pinned-full set can drop the fill.
+// re-probe, because a pinned-full set can drop the fill. A line-stride
+// batch of all hits is remembered and repeated as AccessBatch's is.
 func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
+	if stride == memp.LineSize && c.resident(base.Line(), n, true) && h.quietL1(flags) {
+		c.Stats.Accesses += uint64(2 * n)
+		c.Stats.Hits += uint64(2 * n)
+		return 2 * n, 0
+	}
 	noLRU := flags&FlagNoLRU != 0
 	snoop := h.snoopsAt(1)
 	addr := base
@@ -468,6 +498,9 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 		l1Hits += 2 * g
 		k += g
 		addr += memp.Addr(stride * int64(g))
+	}
+	if l1Hits == 2*n && stride == memp.LineSize && n > 0 { // every access hit
+		c.run = residentRun{first: base.Line(), n: n, gen: c.gen, dirty: true}
 	}
 	return l1Hits, missCycles
 }

@@ -37,8 +37,23 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "CTStore64", testing.AllocsPerRun(5000, func() { m.CTStore64(addr(), i) }))
 	assertZeroAllocs(t, "SweepLoad", testing.AllocsPerRun(500, func() { m.SweepLoad(addr(), memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming) }))
 	assertZeroAllocs(t, "SweepRMW", testing.AllocsPerRun(500, func() { m.SweepRMW(addr(), memp.LineSize, 64, 7, ModeNoLRU|ModeStreaming) }))
+	assertZeroAllocs(t, "SweepVec", testing.AllocsPerRun(500, func() { m.SweepVec(addr(), 3, 64, 4, 12, ModeNoLRU|ModeStreaming, true) }))
 	assertZeroAllocs(t, "Hier.Access", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), 0) }))
 	assertZeroAllocs(t, "Hier.Access(write)", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), cache.FlagWrite) }))
+
+	// Without a BIA nothing snoops the L1, so a repeated resident run is
+	// charged from the L1's remembered run, and alternating between two
+	// resident runs remembers a new one every call.
+	nb := New(noBIAConfig())
+	const runLines = 64
+	assertZeroAllocs(t, "SweepRMW(remembered run)", testing.AllocsPerRun(500, func() {
+		nb.SweepRMW(0, memp.LineSize, runLines, 7, ModeNoLRU|ModeStreaming)
+	}))
+	var other memp.Addr
+	assertZeroAllocs(t, "SweepVec(remembering a run)", testing.AllocsPerRun(500, func() {
+		other ^= runLines * memp.LineSize
+		nb.SweepVec(other, 0, runLines, 4, 12, ModeNoLRU|ModeStreaming, false)
+	}))
 }
 
 func TestMachineResetZeroAllocs(t *testing.T) {

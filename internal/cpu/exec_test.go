@@ -96,12 +96,24 @@ func BenchmarkExecBatch(b *testing.B) {
 const sweepLines = 512
 
 // BenchmarkSweepPrimitive charges a linearized store's sweep the way the
-// strategies do, one SweepRMW call; BenchmarkSweepScalar runs the
-// per-line loop it replaced over the same lines. Both fail on an
-// allocation.
+// strategies do, one SweepRMW call, over the same resident run every
+// time: from the second repeat on, the L1's remembered run charges it
+// in closed form. BenchmarkSweepAlternating alternates between two
+// resident runs that together fill the L1, which a one-run memory never
+// serves, so it times the per-line all-hit path. BenchmarkSweepScalar
+// runs the per-line loop the primitive replaced over the same lines.
+// All fail on an allocation.
 func BenchmarkSweepPrimitive(b *testing.B) {
 	benchSweep(b, func(m *Machine) {
 		m.SweepRMW(0, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
+	})
+}
+
+func BenchmarkSweepAlternating(b *testing.B) {
+	var base memp.Addr
+	benchSweep(b, func(m *Machine) {
+		base ^= sweepLines * memp.LineSize
+		m.SweepRMW(base, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
 	})
 }
 

@@ -20,20 +20,26 @@ import (
 // plus LoadModeW/StoreModeW per iteration, and every observable must
 // match.
 
-// sweepCall is one sweep of the script.
+// sweepCall is one sweep of the script. With lanes set it is a vector
+// sweep (SweepVec): pre ops once per lanes lines, before each line whose
+// index counted from first is a multiple of lanes.
 type sweepCall struct {
-	base   memp.Addr
-	stride int64
-	n, pre int
-	mode   AccessMode
-	rmw    bool
+	base         memp.Addr
+	stride       int64
+	n, pre       int
+	mode         AccessMode
+	rmw          bool
+	first, lanes int
 }
 
 // primitiveSweep runs c through the primitives.
 func primitiveSweep(m *Machine, c sweepCall) {
-	if c.rmw {
+	switch {
+	case c.lanes > 0:
+		m.SweepVec(c.base, c.first, c.n, c.lanes, c.pre, c.mode, c.rmw)
+	case c.rmw:
 		m.SweepRMW(c.base, c.stride, c.n, c.pre, c.mode)
-	} else {
+	default:
 		m.SweepLoad(c.base, c.stride, c.n, c.pre, c.mode)
 	}
 }
@@ -43,7 +49,9 @@ func primitiveSweep(m *Machine, c sweepCall) {
 func scalarSweep(m *Machine, c sweepCall) {
 	addr := c.base
 	for k := 0; k < c.n; k++ {
-		m.OpStream(c.pre)
+		if c.lanes == 0 || (c.first+k)%c.lanes == 0 {
+			m.OpStream(c.pre)
+		}
 		v := m.LoadModeW(addr, W64, c.mode)
 		if c.rmw {
 			m.StoreModeW(addr, v, W64, c.mode)
@@ -81,33 +89,136 @@ func (l *eventLog) WantsEvent(k cache.EventKind) bool { return k != cache.EvAcce
 // BIA sees whole pages.
 const sweepRegion = memp.Addr(0x40000)
 
+// scriptLine is line i of sweepRegion. Line i sits in set i%4 of the
+// tiny L1 and, as sweepRegion is 8-line aligned, in set i%8 of its L2.
+func scriptLine(i int) memp.Addr { return sweepRegion + memp.Addr(i*memp.LineSize) }
+
+// scriptStep is one step of a twin script: a sweep, or, when do is set,
+// an action both twins take alike.
+type scriptStep struct {
+	call sweepCall
+	do   func(m *Machine)
+}
+
 // sweepScript is the script both twins run: sweeps of every length and
 // mode the strategies issue, a per-iteration op count past PreN's
-// uint16, and plain accesses between them that dirty and evict lines.
-// Read-modify-write sweeps run without LRU updates, like every store
-// sweep in the strategies (see SweepRMW).
-func sweepScript(modes []AccessMode) []sweepCall {
-	var calls []sweepCall
+// uint16, and plain accesses between them that dirty and evict lines;
+// then repeatScript's runs. It starts and ends with the same resident
+// run, so a run the L1 remembers at the end of one pass meets the start
+// of the next. Read-modify-write sweeps run without LRU updates, like
+// every store sweep in the strategies (see SweepRMW).
+func sweepScript(modes []AccessMode, logs map[*Machine]*eventLog) []scriptStep {
+	whole := scriptStep{call: sweepCall{base: sweepRegion, stride: memp.LineSize, n: 8, pre: 6, mode: modes[0]}}
+	steps := []scriptStep{whole}
 	pres := []int{0, 6, 7, 12, 1 << 17}
 	for i, mode := range modes {
-		for j, n := range []int{1, 3, 17, 64, 5} {
+		for j, n := range []int{1, 3, 17, 64, 5, 17} {
 			off := memp.Addr(8 * ((i + j) % 8))
-			calls = append(calls, sweepCall{
+			c := sweepCall{
 				base:   sweepRegion + memp.Addr((i*5+j)*3*memp.LineSize) + off,
 				stride: memp.LineSize,
 				n:      n,
 				pre:    pres[(i+j)%len(pres)],
 				mode:   mode,
 				rmw:    j%2 == 1 && mode&ModeNoLRU != 0,
-			})
+			}
+			if j == 5 {
+				c.first, c.lanes, c.rmw = i+j, 4, mode&ModeNoLRU != 0
+			}
+			ci := len(steps) / 3
+			steps = append(steps,
+				scriptStep{do: func(m *Machine) {
+					if m.BIA != nil {
+						// Install the page's entry so the sweep's snoops land.
+						m.CTLoad64(c.base)
+					}
+				}},
+				scriptStep{call: c},
+				scriptStep{do: func(m *Machine) {
+					m.Store64(sweepRegion+memp.Addr((7*ci%97)*memp.LineSize), uint64(ci))
+					m.Load64(sweepRegion + memp.Addr((11*ci%89)*memp.LineSize))
+				}})
 		}
 	}
-	return calls
+	steps = append(steps, repeatScript(modes, logs)...)
+	// A NoLRU sweep can evict its own earlier lines, so the run settles
+	// in the L1 only by its third pass.
+	return append(steps, whole, whole, whole)
+}
+
+// repeatScript repeats runs the tiny L1 holds, so the L1's remembered
+// run serves them: back to back, and across each event that may end a
+// line's residency or the closed form's other conditions. The scenario
+// decides which events do: a fill into the pinned-full set is dropped,
+// and an L2 eviction reaches the L1 only when the hierarchy is
+// inclusive. A listener subscribed for one sweep logs to logs[m].
+func repeatScript(modes []AccessMode, logs map[*Machine]*eventLog) []scriptStep {
+	subscribe := func(m *Machine) {
+		if logs[m] == nil {
+			logs[m] = &eventLog{}
+		}
+		m.Hier.Subscribe(logs[m])
+	}
+	unsubscribe := func(m *Machine) { m.Hier.TruncateListeners(m.Hier.ListenerCount() - 1) }
+	seps := []func(m *Machine){
+		func(*Machine) {}, // back to back
+		func(m *Machine) { m.Load64(scriptLine(9)) },
+		func(m *Machine) { m.Load64(scriptLine(8)) }, // L1 set 0
+		func(m *Machine) { m.Hier.Flush(scriptLine(2)) },
+		func(m *Machine) { m.Hier.PrefetchLine(scriptLine(10)) },
+		func(m *Machine) {
+			// Overfill line 0's L2 set behind the L1's back.
+			for k := 1; k <= 8; k++ {
+				m.Hier.AccessFrom(2, scriptLine(8*k), 0)
+			}
+		},
+		func(m *Machine) { m.ResetStats() },
+	}
+	var steps []scriptStep
+	for _, mode := range modes {
+		runs := []sweepCall{
+			{base: scriptLine(0), n: 8, pre: 6},                          // the whole L1
+			{base: scriptLine(4) + 24, n: 3, pre: 7, rmw: true},          // part of it
+			{base: scriptLine(1) + 8, n: 5, pre: 14, first: 3, lanes: 4}, // a vector sweep
+			{base: scriptLine(1) + 8, n: 5, pre: 16, first: 3, lanes: 4, rmw: true},
+		}
+		for _, r := range runs {
+			r.stride, r.mode = memp.LineSize, mode
+			if r.rmw && mode&ModeNoLRU == 0 {
+				continue
+			}
+			run := scriptStep{call: r}
+			for _, sep := range seps {
+				steps = append(steps, run, run, scriptStep{do: sep}, run, run)
+			}
+			steps = append(steps, run, run, scriptStep{do: subscribe}, run,
+				scriptStep{do: unsubscribe}, run, run)
+		}
+		if mode&ModeNoLRU == 0 {
+			continue
+		}
+		// A load sweep leaves a clean resident run, which the store
+		// sweep over it must dirty line by line.
+		for _, lanes := range []int{0, 4} {
+			clean := sweepCall{base: scriptLine(12), stride: memp.LineSize, n: 4, pre: 6, mode: mode, lanes: lanes}
+			dirty := clean
+			dirty.rmw = true
+			steps = append(steps,
+				scriptStep{do: func(m *Machine) {
+					for i := 12; i < 16; i++ {
+						m.Hier.Flush(scriptLine(i))
+					}
+				}},
+				scriptStep{call: clean}, scriptStep{call: clean}, scriptStep{call: dirty},
+				scriptStep{call: dirty}, scriptStep{call: clean})
+		}
+	}
+	return steps
 }
 
 // runScript drives m through the script with sweep, returning what the
 // attached recorder took (nil without one).
-func runScript(m *Machine, sweep func(*Machine, sweepCall), calls []sweepCall, oddParity, record bool) []trace.Op {
+func runScript(m *Machine, sweep func(*Machine, sweepCall), steps []scriptStep, oddParity, record bool) []trace.Op {
 	var rec *trace.Recorder
 	if record {
 		rec = trace.NewRecorder(0)
@@ -118,14 +229,12 @@ func runScript(m *Machine, sweep func(*Machine, sweepCall), calls []sweepCall, o
 		m.Load64(sweepRegion)
 		m.LoadModeW(sweepRegion, W64, ModeStreaming)
 	}
-	for i, c := range calls {
-		if m.BIA != nil {
-			// Install the page's entry so the sweep's snoops land.
-			m.CTLoad64(c.base)
+	for _, st := range steps {
+		if st.do != nil {
+			st.do(m)
+		} else {
+			sweep(m, st.call)
 		}
-		sweep(m, c)
-		m.Store64(sweepRegion+memp.Addr((7*i%97)*memp.LineSize), uint64(i))
-		m.Load64(sweepRegion + memp.Addr((11*i%89)*memp.LineSize))
 	}
 	if rec == nil {
 		return nil
@@ -155,6 +264,9 @@ func requireSameMachine(t *testing.T, label string, a, b *Machine) {
 	for i := 1; i <= a.Hier.Levels(); i++ {
 		if sa, sb := a.Hier.Level(i).Stats, b.Hier.Level(i).Stats; sa != sb {
 			t.Fatalf("%s: L%d stats %+v, want %+v", label, i, sa, sb)
+		}
+		if sa, sb := a.Hier.Level(i).SliceTraffic, b.Hier.Level(i).SliceTraffic; !slices.Equal(sa, sb) {
+			t.Fatalf("%s: L%d slice traffic %v, want %v", label, i, sa, sb)
 		}
 		if !a.Hier.SnapshotLevel(i).Equal(b.Hier.SnapshotLevel(i)) {
 			t.Fatalf("%s: L%d contents differ", label, i)
@@ -195,7 +307,8 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 		name  string
 		cfg   func() Config
 		modes []AccessMode
-		// setup runs on both twins after construction.
+		// setup runs on both twins after construction and after each
+		// Reset.
 		setup func(m *Machine)
 		// log, when non-nil, makes a fresh listener per twin.
 		log func() *eventLog
@@ -208,6 +321,7 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 		{name: "fifo", cfg: func() Config { return tinyConfig(cache.FIFO) }, modes: streaming},
 		{name: "random", cfg: func() Config { return tinyConfig(cache.Random) }, modes: streaming},
 		{name: "inclusive", cfg: func() Config { c := tinyConfig(cache.LRU); c.Inclusive = true; return c }, modes: streaming},
+		{name: "sliced", cfg: func() Config { c := tinyConfig(cache.LRU); c.Levels[0].Slices = 2; return c }, modes: streaming},
 		{name: "pinned-full", cfg: func() Config { return tinyConfig(cache.LRU) }, modes: streaming,
 			setup: func(m *Machine) {
 				// Pin both ways of the L1 set the sweeps start in, so
@@ -232,32 +346,49 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 			log: func() *eventLog { return &eventLog{wantAccess: true} }},
 	}
 	for _, sc := range scenarios {
-		calls := sweepScript(sc.modes)
+		logs := map[*Machine]*eventLog{}
+		steps := sweepScript(sc.modes, logs)
 		for _, odd := range []bool{false, true} {
 			for _, record := range []bool{false, true} {
-				label := fmt.Sprintf("%s/odd=%v/record=%v", sc.name, odd, record)
 				a, b := New(sc.cfg()), New(sc.cfg())
 				var la, lb *eventLog
 				if sc.log != nil {
 					la, lb = sc.log(), sc.log()
-					a.Hier.Subscribe(la)
-					b.Hier.Subscribe(lb)
 				}
-				if sc.setup != nil {
-					sc.setup(a)
-					sc.setup(b)
+				prepare := func(m *Machine, l *eventLog) {
+					if l != nil {
+						m.Hier.Subscribe(l)
+					}
+					if sc.setup != nil {
+						sc.setup(m)
+					}
 				}
-				if a.Hier.BatchSafe() == (la != nil && la.wantAccess) {
-					t.Fatalf("%s: BatchSafe = %v", label, a.Hier.BatchSafe())
-				}
-				opsA := runScript(a, primitiveSweep, calls, odd, record)
-				opsB := runScript(b, scalarSweep, calls, odd, record)
-				requireSameMachine(t, label, a, b)
-				if !slices.Equal(opsA, opsB) {
-					t.Fatalf("%s: recorded %d ops, want the scalar loop's %d", label, len(opsA), len(opsB))
-				}
-				if la != nil && !slices.Equal(la.events, lb.events) {
-					t.Fatalf("%s: %d events, want the scalar loop's %d", label, len(la.events), len(lb.events))
+				// The script runs twice, the twins Reset in between:
+				// the run the L1 remembers at the end of the first pass
+				// must not outlive the Reset.
+				for pass := 1; pass <= 2; pass++ {
+					label := fmt.Sprintf("%s/odd=%v/record=%v/pass %d", sc.name, odd, record, pass)
+					if pass > 1 {
+						a.Reset()
+						b.Reset()
+					}
+					prepare(a, la)
+					prepare(b, lb)
+					if a.Hier.BatchSafe() == (la != nil && la.wantAccess) {
+						t.Fatalf("%s: BatchSafe = %v", label, a.Hier.BatchSafe())
+					}
+					opsA := runScript(a, primitiveSweep, steps, odd, record)
+					opsB := runScript(b, scalarSweep, steps, odd, record)
+					requireSameMachine(t, label, a, b)
+					if !slices.Equal(opsA, opsB) {
+						t.Fatalf("%s: recorded %d ops, want the scalar loop's %d", label, len(opsA), len(opsB))
+					}
+					if la != nil && !slices.Equal(la.events, lb.events) {
+						t.Fatalf("%s: %d events, want the scalar loop's %d", label, len(la.events), len(lb.events))
+					}
+					if ta, tb := logs[a], logs[b]; !slices.Equal(ta.events, tb.events) {
+						t.Fatalf("%s: subscribed listener saw %d events, want the scalar loop's %d", label, len(ta.events), len(tb.events))
+					}
 				}
 			}
 		}

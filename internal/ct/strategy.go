@@ -151,27 +151,16 @@ func (LinearVec) Name() string { return "ct-avx" }
 // NeedsBIA implements Strategy.
 func (LinearVec) NeedsBIA() bool { return false }
 
+// vecLanes is the vector loops' width: one AVX2 bundle per four lines.
+const vecLanes = 4
+
 // vecSweep charges a vectorized sweep over the DS at line offset off:
 // one bundle of ALU ops before every fourth DS line, counted over
-// ds.Lines(), and each line's access (a load+store pair when rmw). A
-// run of consecutive lines is swept a bundle at a time, so the ops land
-// between the accesses where the vector loop issues them.
+// ds.Lines(), and each line's access (a load+store pair when rmw), one
+// SweepVec per run of consecutive lines.
 func vecSweep(m *cpu.Machine, ds *LinSet, off memp.Addr, bundle int, rmw bool) {
 	for _, r := range ds.runs {
-		end := r.first + r.n
-		for i := r.first; i < end; {
-			next := min(i&^3+4, end)
-			if i&3 == 0 {
-				m.OpStream(bundle)
-			}
-			base := r.base + memp.Addr((i-r.first)*memp.LineSize) + off
-			if rmw {
-				m.SweepRMW(base, memp.LineSize, next-i, 0, sweepMode)
-			} else {
-				m.SweepLoad(base, memp.LineSize, next-i, 0, sweepMode)
-			}
-			i = next
-		}
+		m.SweepVec(r.base+off, r.first, r.n, vecLanes, bundle, sweepMode, rmw)
 	}
 }
 
@@ -179,7 +168,7 @@ func vecSweep(m *cpu.Machine, ds *LinSet, off memp.Addr, bundle int, rmw bool) {
 func (LinearVec) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
 	w.Check()
-	vecSweep(m, ds, memp.Addr(addr.Offset()), 4*opsVecIterPerLine, false)
+	vecSweep(m, ds, memp.Addr(addr.Offset()), vecLanes*opsVecIterPerLine, false)
 	return m.ReadW(addr, w)
 }
 
@@ -188,7 +177,7 @@ func (LinearVec) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w c
 	ds.mustContain(addr)
 	w.Check()
 	// Per bundle: gather + blend + scatter.
-	vecSweep(m, ds, memp.Addr(addr.Offset()), 4*opsVecIterPerLine+2, true)
+	vecSweep(m, ds, memp.Addr(addr.Offset()), vecLanes*opsVecIterPerLine+2, true)
 	m.WriteW(addr, v, w)
 }
 
@@ -239,7 +228,7 @@ func (Linear) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines 
 // LoadBlock implements Strategy: the vectorized sweep.
 func (LinearVec) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	vecSweep(m, ds, 0, 4*opsBlockVecIter, false)
+	vecSweep(m, ds, 0, vecLanes*opsBlockVecIter, false)
 	return readBlock(m, blockAddr, nLines)
 }
 

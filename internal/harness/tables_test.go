@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+
+	"ctbia/internal/obs"
 )
 
 // TestTablesMatchTestdata pins every cell of every table across
@@ -30,27 +34,91 @@ func TestTablesMatchTestdata(t *testing.T) {
 			if !tc.quick && testing.Short() {
 				t.Skip("paper-scale tables need the full-scale run")
 			}
-			want, err := os.ReadFile("testdata/tables_" + tc.name + ".txt")
-			if err != nil {
-				t.Fatal(err)
-			}
 			var b strings.Builder
 			for _, r := range RunAll(nil, Options{Quick: tc.quick, Parallel: runtime.GOMAXPROCS(0)}) {
 				b.WriteString(r.Table.Render())
 				b.WriteString("\n")
 			}
-			got := b.String()
-			if got == string(want) {
-				return
+			requireTestdata(t, "testdata/tables_"+tc.name+".txt", b.String())
+		})
+	}
+}
+
+// TestSimCountsMatchTestdata pins every count the simulated machines
+// keep, as TestTablesMatchTestdata pins the cells: a speed-up of the
+// simulator must leave them all unchanged, including the ones no table
+// prints. The testdata files hold the nonzero cpu.*, cache.*, bia.* and
+// mem.dram_* registry totals of a serial run, one "name value" line
+// each, sorted; host-side and schedule-dependent names (mem.page_*,
+// harness.*, trace.*, cpu.machines_*) are left out. They are made from
+// ctbench's -json metrics:
+//
+//	ctbench -quick -exp all -parallel 1 -json r.json >/dev/null
+//	python3 -c 'import json,sys; m=json.load(open("r.json"))["metrics"]; [print(k, m[k]) for k in sorted(m) if k.startswith(("cpu.", "cache.", "bia.", "mem.dram_")) and not k.startswith("cpu.machines_") and m[k]]' > testdata/counts_quick.txt
+//
+// The paper-scale run is skipped under -short.
+func TestSimCountsMatchTestdata(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		quick bool
+	}{
+		{"quick", true},
+		{"paper", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.quick && testing.Short() {
+				t.Skip("paper-scale counts need the full-scale run")
 			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) || i < len(wl); i++ {
-				if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
-					t.Fatalf("tables differ from testdata/tables_%s.txt at line %d:\ngot  %q\nwant %q",
-						tc.name, i+1, lineAt(gl, i), lineAt(wl, i))
+			defer obsReset()
+			obsReset()
+			obs.Arm()
+			RunAll(nil, Options{Quick: tc.quick, Parallel: 1})
+			snap := obs.Snapshot()
+			var names []string
+			for name, v := range snap {
+				if simCount(name) && v != 0 {
+					names = append(names, name)
 				}
 			}
+			sort.Strings(names)
+			var b strings.Builder
+			for _, name := range names {
+				fmt.Fprintf(&b, "%s %d\n", name, snap[name])
+			}
+			requireTestdata(t, "testdata/counts_"+tc.name+".txt", b.String())
 		})
+	}
+}
+
+// simCount reports whether a registry name is a simulated count.
+func simCount(name string) bool {
+	if strings.HasPrefix(name, "cpu.machines_") {
+		return false
+	}
+	for _, p := range []string{"cpu.", "cache.", "bia.", "mem.dram_"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// requireTestdata fails at the first line where got differs from the
+// testdata file.
+func requireTestdata(t *testing.T, file, got string) {
+	t.Helper()
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("output differs from %s at line %d:\ngot  %q\nwant %q", file, i+1, lineAt(gl, i), lineAt(wl, i))
+		}
 	}
 }
 
@@ -58,5 +126,5 @@ func lineAt(lines []string, i int) string {
 	if i < len(lines) {
 		return lines[i]
 	}
-	return "<end of tables>"
+	return "<end of output>"
 }
