@@ -251,6 +251,32 @@ func (t *Table) CacheEvent(ev cache.Event) {
 	}
 }
 
+// CacheRun implements cache.RunListener: the effect of mult EvHit
+// events with Dirty set on each of the n lines from first, one chunk
+// at a time. A chunk with an entry gets the run's lines ORed into both
+// bitmaps and lines×mult snoops; a chunk without one gets nothing, as
+// each of its events would.
+func (t *Table) CacheRun(level int, first memp.Addr, n, mult int) {
+	if level != t.level {
+		return
+	}
+	shift := uint(t.shift - memp.LineShift) // log2 of lines per chunk
+	li := first.LineIndex()
+	end := li + uint64(n)
+	for li < end {
+		chunk := li >> shift
+		next := (chunk + 1) << shift
+		k := min(end, next) - li
+		if e := t.find(chunk); e != nil {
+			mask := ^uint64(0) >> (64 - k) << (li & (1<<shift - 1))
+			e.exist |= mask
+			e.dirty |= mask
+			t.Stats.Snoops += k * uint64(mult)
+		}
+		li = next
+	}
+}
+
 // LookupOrInstall is the BIA side of CTLoad/CTStore: it returns the
 // existence and dirtiness bitmaps for the page containing addr,
 // installing a zero-initialized entry on miss ("an entry is allocated

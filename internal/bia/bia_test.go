@@ -254,3 +254,71 @@ func TestPagesListsTrackedEntries(t *testing.T) {
 		t.Fatalf("Pages = %v", pages)
 	}
 }
+
+// TestCacheRunMatchesHitEvents holds the run port to its definition: a
+// CacheRun of n lines with mult has the effect of mult dirty EvHit
+// events on each line, over chunks with and without an entry and runs
+// that cross chunk boundaries, at page and at sub-page granularity; a
+// run for another level changes nothing.
+func TestCacheRunMatchesHitEvents(t *testing.T) {
+	for _, shift := range []int{12, 9} {
+		mk := func() *Table {
+			h := cache.NewHierarchy(100,
+				cache.Config{Name: "L1d", Size: 4096, Ways: 2, Latency: 2},
+				cache.Config{Name: "L2", Size: 16384, Ways: 4, Latency: 15},
+			)
+			b := New(Config{Entries: 8, Ways: 2, Latency: 1, ChunkShift: shift})
+			b.AttachTo(h, 1)
+			return b
+		}
+		run, ref := mk(), mk()
+		chunk := memp.Addr(1) << uint(shift)
+		lines := int(chunk / memp.LineSize)
+		base := memp.Addr(0x40000)
+		for _, b := range []*Table{run, ref} {
+			for _, c := range []memp.Addr{0, 2, 3} { // chunk 1 has no entry
+				b.LookupOrInstall(base + c*chunk)
+				// Some bits already set, one of them clean.
+				b.CacheEvent(cache.Event{Level: 1, Kind: cache.EvFill, Line: base + c*chunk + 2*memp.LineSize})
+				b.CacheEvent(cache.Event{Level: 1, Kind: cache.EvDirty, Line: base + c*chunk + 5*memp.LineSize})
+			}
+		}
+		for _, r := range []struct {
+			first memp.Addr
+			n     int
+			mult  int
+		}{
+			{base + memp.LineSize, 3, 1},                       // inside chunk 0
+			{base + chunk - 2*memp.LineSize, 4, 2},             // chunk 0 into chunk 1
+			{base + chunk + memp.LineSize, 2, 1},               // chunk 1 alone
+			{base + 3*chunk - memp.LineSize, lines + 1, 2},     // chunk 2 over all of chunk 3
+			{base, 4 * lines, 1},                               // every chunk, whole
+			{base + 2*chunk + 7*memp.LineSize, lines - 7, 3},   // to chunk 2's end
+			{base + 4*chunk, 2, 1},                             // past the entries
+			{base + 3*chunk + (chunk - memp.LineSize), 1, 1},   // chunk 3's last line
+			{base + 2*chunk + 3*memp.LineSize, 2*lines - 3, 2}, // chunk 2's tail, chunk 3
+		} {
+			before := run.Stats
+			run.CacheRun(2, r.first, r.n, r.mult)
+			if run.Stats != before {
+				t.Fatalf("shift %d: a run for level 2 changed the stats", shift)
+			}
+			run.CacheRun(1, r.first, r.n, r.mult)
+			for i := 0; i < r.n; i++ {
+				for j := 0; j < r.mult; j++ {
+					ref.CacheEvent(cache.Event{Level: 1, Kind: cache.EvHit, Line: r.first + memp.Addr(i*memp.LineSize), Dirty: true})
+				}
+			}
+			if run.Stats != ref.Stats {
+				t.Fatalf("shift %d, run %+v: stats %+v, want %+v", shift, r, run.Stats, ref.Stats)
+			}
+			for c := memp.Addr(0); c < 5; c++ {
+				e1, d1, ok1 := run.Peek(base + c*chunk)
+				e2, d2, ok2 := ref.Peek(base + c*chunk)
+				if e1 != e2 || d1 != d2 || ok1 != ok2 {
+					t.Fatalf("shift %d, run %+v, chunk %d: %#x/%#x/%v, want %#x/%#x/%v", shift, r, c, e1, d1, ok1, e2, d2, ok2)
+				}
+			}
+		}
+	}
+}

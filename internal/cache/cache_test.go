@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"ctbia/internal/memp"
@@ -388,6 +389,38 @@ func TestFullyPinnedSetDropsFills(t *testing.T) {
 	}
 }
 
+// TestPinLeavesWithTheLine checks that a pinned line's departure takes
+// its pin with it: a flush, and an inclusive back-invalidation, leave
+// the pinned count at 0, and re-pinning the refilled line counts once.
+func TestPinLeavesWithTheLine(t *testing.T) {
+	h := tiny()
+	h.Inclusive = true
+	c1, c2 := h.Level(1), h.Level(2)
+	a := addrForSet(c1, 0, 0)
+	h.Access(a, 0)
+	c1.Pin(a)
+	h.Flush(a)
+	if got := c1.PinnedLines(); got != 0 {
+		t.Fatalf("PinnedLines after Pin+Flush = %d, want 0", got)
+	}
+	h.Access(a, 0)
+	c1.Pin(a)
+	if got := c1.PinnedLines(); got != 1 {
+		t.Fatalf("PinnedLines after re-pinning = %d, want 1", got)
+	}
+	// Overfill a's L2 set behind the L1's back: inclusion evicts it from
+	// the L1, pin or no pin.
+	for k := 1; k <= c2.Ways(); k++ {
+		h.AccessFrom(2, addrForSet(c2, c2.SetOf(a), k), 0)
+	}
+	if p, _ := c1.Lookup(a); p {
+		t.Fatal("precondition: the back-invalidation removed the pinned line")
+	}
+	if got := c1.PinnedLines(); got != 0 {
+		t.Fatalf("PinnedLines after a back-invalidation = %d, want 0", got)
+	}
+}
+
 func TestSlicedCacheRoutesBySliceHash(t *testing.T) {
 	h := NewHierarchy(50, Config{
 		Name: "LLC", Size: 4096, Ways: 2, Latency: 10,
@@ -475,69 +508,112 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-// TestRememberedRun pins the L1's memory of its last all-hit line-stride
-// batch: remembered after a batch in which every access hit, charged in
-// closed form when repeated, and forgotten once any valid line leaves
-// the L1 — by eviction, back-invalidation, Flush or Reset — but not by a
-// fill into a free way, an access that leaves the L1 alone or ResetStats.
-func TestRememberedRun(t *testing.T) {
+// runLog is a RunListener that logs what it is sent.
+type runLog struct {
+	events []Event
+	runs   [][4]int // level, first line index, n, mult
+}
+
+func (l *runLog) CacheEvent(ev Event) { l.events = append(l.events, ev) }
+
+func (l *runLog) CacheRun(level int, first memp.Addr, n, mult int) {
+	l.runs = append(l.runs, [4]int{level, int(first.LineIndex()), n, mult})
+}
+
+// TestResidencyMemo pins the L1's residency memo: a line-stride batch
+// notes its hits page by page, a later batch whose lines it covers at
+// the current generation is charged in closed form, and any line that
+// leaves the L1 — by eviction, back-invalidation, Flush or Reset —
+// forgets it, while ResetStats or a fill into a free way does not.
+func TestResidencyMemo(t *testing.T) {
 	const n = 4
 	base := memp.Addr(0x40000) // lines in L1 sets 0..3 and L2 sets 0..3
-	remembered := func(h *Hierarchy) bool { return h.Level(1).resident(base, n, false) }
+	line := func(k int) memp.Addr { return base + memp.Addr(k*memp.LineSize) }
+	covered := func(h *Hierarchy, k, m int, dirty bool) bool { return h.Level(1).covered(line(k), m, dirty) }
 	warm := func(inclusive bool) *Hierarchy {
 		h := tiny()
 		h.Inclusive = inclusive
 		h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
-		if remembered(h) {
-			t.Fatal("a batch that missed was remembered")
+		if covered(h, 0, 1, false) {
+			t.Fatal("a miss was noted as resident")
 		}
 		h.AccessBatch(base+8, memp.LineSize, n, FlagNoLRU)
-		if !remembered(h) {
-			t.Fatal("an all-hit batch was not remembered")
+		if !covered(h, 0, n, false) {
+			t.Fatal("an all-hit batch was not noted")
 		}
 		return h
 	}
 
 	h := warm(false)
 	c1 := h.Level(1)
-	if c1.resident(base, n-1, false) || c1.resident(base+memp.LineSize, n, false) {
-		t.Fatal("only the remembered run itself may count as resident")
+	if !covered(h, 1, 2, false) || !covered(h, 3, 1, false) {
+		t.Fatal("a sub-run of a noted run is not covered")
 	}
-	if c1.resident(base, n, true) {
-		t.Fatal("a clean run must not serve a write in closed form")
+	if covered(h, 0, n+1, false) || covered(h, -1, 2, false) {
+		t.Fatal("a line never seen is covered")
+	}
+	if covered(h, 0, 1, true) {
+		t.Fatal("a clean line is covered for a write")
 	}
 	before, snap := c1.Stats, h.SnapshotLevel(1)
-	if hits, miss := h.AccessBatch(base, memp.LineSize, n, FlagNoLRU); hits != n || miss != 0 {
-		t.Fatalf("repeat = %d hits, %d miss cycles; want %d, 0", hits, miss, n)
+	if hits, miss := h.AccessBatch(line(1), memp.LineSize, 2, FlagNoLRU); hits != 2 || miss != 0 {
+		t.Fatalf("covered sub-run = %d hits, %d miss cycles; want 2, 0", hits, miss)
 	}
-	if c1.Stats.Accesses != before.Accesses+n || c1.Stats.Hits != before.Hits+n || c1.Stats.Misses != before.Misses {
-		t.Fatalf("repeat charged %+v after %+v", c1.Stats, before)
+	if c1.Stats.Accesses != before.Accesses+2 || c1.Stats.Hits != before.Hits+2 || c1.Stats.Misses != before.Misses {
+		t.Fatalf("closed form charged %+v after %+v", c1.Stats, before)
 	}
 	if !h.SnapshotLevel(1).Equal(snap) {
-		t.Fatal("a closed-form repeat changed the L1")
+		t.Fatal("a closed-form batch changed the L1")
 	}
-	if hits, _ := h.AccessBatchRMW(base, memp.LineSize, n, FlagNoLRU); hits != 2*n || !c1.resident(base, n, true) {
-		t.Fatal("an all-hit read-modify-write batch must leave the run remembered dirty")
+
+	// A snooped load of clean lines goes event by event; a write dirties
+	// them line by line and notes them dirty, after which a snooped load
+	// is one run.
+	rl := &runLog{}
+	h.Subscribe(rl)
+	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+	if len(rl.runs) != 0 || len(rl.events) != n {
+		t.Fatalf("snooped load of clean lines: %d runs, %d events; want 0, %d", len(rl.runs), len(rl.events), n)
 	}
+	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU|FlagWrite)
+	if !covered(h, 0, n, true) || len(rl.runs) != 0 {
+		t.Fatal("a write over clean lines must dirty them one by one and note them dirty")
+	}
+	rl.events = nil
+	h.AccessBatch(line(1), memp.LineSize, 3, FlagNoLRU)
+	h.AccessBatchRMW(base, memp.LineSize, 2, FlagNoLRU)
+	want := [][4]int{{1, int(line(1).LineIndex()), 3, 1}, {1, int(base.LineIndex()), 2, 2}}
+	if len(rl.events) != 0 || !slices.Equal(rl.runs, want) {
+		t.Fatalf("covered snooped batches: %d events, runs %v; want 0, %v", len(rl.events), rl.runs, want)
+	}
+	// A plain listener on the L1 keeps every batch on the per-event path.
+	plain := &eventLogger{}
+	h.Subscribe(plain)
+	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+	if len(rl.runs) != 2 || len(plain.events) != n {
+		t.Fatalf("with a plain listener: %d runs, %d plain events; want 2, %d", len(rl.runs), len(plain.events), n)
+	}
+	h.TruncateListeners(0)
+
 	h.ResetStats()
 	s := c1.SetOf(base)
 	h.Access(addrForSet(c1, s, 1), 0) // fills set s's free way
-	if !remembered(h) {
-		t.Fatal("ResetStats or a fill into a free way forgot the run")
+	if !covered(h, 0, n, true) {
+		t.Fatal("ResetStats or a fill into a free way forgot the memo")
 	}
 	h.Access(addrForSet(c1, s, 2), 0) // evicts from set s
-	if remembered(h) {
-		t.Fatal("an eviction from the L1 did not forget the run")
+	if covered(h, 1, 1, false) {
+		t.Fatal("an eviction from the L1 did not forget the memo")
 	}
 
 	h = warm(false)
-	h.Flush(base + 4*memp.LineSize) // not cached: nothing leaves
-	if !remembered(h) {
-		t.Fatal("flushing an uncached line forgot the run")
+	h.Flush(line(n)) // not cached: nothing leaves
+	if !covered(h, 0, n, false) {
+		t.Fatal("flushing an uncached line forgot the memo")
 	}
-	h.Flush(base + 2*memp.LineSize)
-	if remembered(h) {
-		t.Fatal("a Flush did not forget the run")
+	h.Flush(line(2))
+	if covered(h, 0, 1, false) {
+		t.Fatal("a Flush did not forget the memo")
 	}
 
 	for _, inclusive := range []bool{false, true} {
@@ -549,14 +625,48 @@ func TestRememberedRun(t *testing.T) {
 		if p, _ := c2.Lookup(base); p {
 			t.Fatal("precondition: the run's first line left the L2")
 		}
-		if remembered(h) == inclusive {
-			t.Fatalf("inclusive=%v: an L2 eviction left the run remembered=%v", inclusive, remembered(h))
+		if covered(h, 1, 1, false) == inclusive {
+			t.Fatalf("inclusive=%v: an L2 eviction left the memo covered=%v", inclusive, !inclusive)
 		}
 	}
 
 	h = warm(false)
 	h.Reset()
-	if remembered(h) {
-		t.Fatal("Reset did not forget the run")
+	if covered(h, 0, 1, false) {
+		t.Fatal("Reset did not forget the memo")
+	}
+
+	// Hits noted before a miss in the same call must not survive the
+	// departure the miss causes: line n maps to line 0's set, which a
+	// fill of line 2n has made full, so its fill evicts line 0.
+	h = warm(false)
+	c1 = h.Level(1)
+	h.Access(line(2*n), 0)
+	h.AccessBatch(base, memp.LineSize, n+1, FlagNoLRU)
+	if p, _ := c1.Lookup(base); p {
+		t.Fatal("precondition: the miss evicted line 0")
+	}
+	if covered(h, 0, 1, false) || covered(h, 1, 1, false) {
+		t.Fatal("hits noted before an evicting miss outlived it")
+	}
+
+	// A page whose memo slot another page takes over is forgotten,
+	// though none of its lines left.
+	h = warm(false)
+	c1 = h.Level(1)
+	other := base + memoSlots*memp.PageSize
+	h.AccessBatch(other, memp.LineSize, 2, FlagNoLRU)
+	gen := c1.gen
+	h.AccessBatch(other, memp.LineSize, 2, FlagNoLRU)
+	if c1.gen != gen || !c1.covered(other, 2, false) {
+		t.Fatal("precondition: the colliding page's lines hit without a departure")
+	}
+	if covered(h, 0, 1, false) {
+		t.Fatal("a colliding page did not take the memo slot over")
 	}
 }
+
+// eventLogger is a plain listener that logs every event.
+type eventLogger struct{ events []Event }
+
+func (l *eventLogger) CacheEvent(ev Event) { l.events = append(l.events, ev) }

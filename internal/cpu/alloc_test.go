@@ -41,18 +41,23 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "Hier.Access", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), 0) }))
 	assertZeroAllocs(t, "Hier.Access(write)", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), cache.FlagWrite) }))
 
-	// Without a BIA nothing snoops the L1, so a repeated resident run is
-	// charged from the L1's remembered run, and alternating between two
-	// resident runs remembers a new one every call.
+	// A resident run the L1's residency memo covers is charged in closed
+	// form: without a BIA silently, with one at the L1 through its run
+	// port. A sweep under an LRU-updating mode takes the per-line path
+	// and notes its hits in the memo.
 	nb := New(noBIAConfig())
 	const runLines = 64
-	assertZeroAllocs(t, "SweepRMW(remembered run)", testing.AllocsPerRun(500, func() {
+	assertZeroAllocs(t, "SweepRMW(closed form)", testing.AllocsPerRun(500, func() {
 		nb.SweepRMW(0, memp.LineSize, runLines, 7, ModeNoLRU|ModeStreaming)
 	}))
+	m.CTLoad64(0)
+	assertZeroAllocs(t, "SweepRMW(snooped closed form)", testing.AllocsPerRun(500, func() {
+		m.SweepRMW(0, memp.LineSize, runLines, 7, ModeNoLRU|ModeStreaming)
+	}))
 	var other memp.Addr
-	assertZeroAllocs(t, "SweepVec(remembering a run)", testing.AllocsPerRun(500, func() {
+	assertZeroAllocs(t, "SweepVec(recording pass)", testing.AllocsPerRun(500, func() {
 		other ^= runLines * memp.LineSize
-		nb.SweepVec(other, 0, runLines, 4, 12, ModeNoLRU|ModeStreaming, false)
+		nb.SweepVec(other, 0, runLines, 4, 12, ModeStreaming, false)
 	}))
 }
 

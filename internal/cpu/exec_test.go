@@ -97,34 +97,55 @@ const sweepLines = 512
 
 // BenchmarkSweepPrimitive charges a linearized store's sweep the way the
 // strategies do, one SweepRMW call, over the same resident run every
-// time: from the second repeat on, the L1's remembered run charges it
-// in closed form. BenchmarkSweepAlternating alternates between two
-// resident runs that together fill the L1, which a one-run memory never
-// serves, so it times the per-line all-hit path. BenchmarkSweepScalar
-// runs the per-line loop the primitive replaced over the same lines.
-// All fail on an allocation.
+// time: from the second repeat on, the L1's residency memo charges it
+// in closed form, checking one memo slot per page (8 here).
+// BenchmarkSweepAlternating alternates between two resident runs that
+// together fill the L1 under a mode that updates LRU state, which the
+// closed form never serves, so it times the per-line all-hit path and
+// its memo recording. BenchmarkSweepSnooped is Alg. 3's fetch loop on a
+// BIA-in-L1 machine: dirty resident runs split around a target line
+// that moves every call, charged in closed form with the BIA taking
+// each run in one call. BenchmarkSweepScalar runs the per-line loop the
+// primitive replaced over the same lines. All fail on an allocation.
 func BenchmarkSweepPrimitive(b *testing.B) {
-	benchSweep(b, func(m *Machine) {
+	benchSweep(b, noBIAConfig(), func(m *Machine) {
 		m.SweepRMW(0, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
 	})
 }
 
 func BenchmarkSweepAlternating(b *testing.B) {
 	var base memp.Addr
-	benchSweep(b, func(m *Machine) {
+	benchSweep(b, noBIAConfig(), func(m *Machine) {
 		base ^= sweepLines * memp.LineSize
-		m.SweepRMW(base, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
+		m.SweepRMW(base, memp.LineSize, sweepLines, 7, ModeStreaming)
+	})
+}
+
+func BenchmarkSweepSnooped(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.BIALevel = 1
+	target := 0
+	benchSweep(b, cfg, func(m *Machine) {
+		if m.C.CTLoads == 0 {
+			// Install the DS pages' BIA entries, so the runs' hits land.
+			for p := 0; p < sweepLines*memp.LineSize; p += memp.PageSize {
+				m.CTLoad64(memp.Addr(p))
+			}
+		}
+		target = (target + 1) % sweepLines
+		m.SweepRMW(0, memp.LineSize, target, 7, ModeNoLRU|ModeStreaming)
+		m.SweepRMW(memp.Addr((target+1)*memp.LineSize), memp.LineSize, sweepLines-target-1, 7, ModeNoLRU|ModeStreaming)
 	})
 }
 
 func BenchmarkSweepScalar(b *testing.B) {
-	benchSweep(b, func(m *Machine) {
+	benchSweep(b, noBIAConfig(), func(m *Machine) {
 		scalarSweep(m, sweepCall{stride: memp.LineSize, n: sweepLines, pre: 7, mode: ModeNoLRU | ModeStreaming, rmw: true})
 	})
 }
 
-func benchSweep(b *testing.B, sweep func(*Machine)) {
-	m := New(noBIAConfig())
+func benchSweep(b *testing.B, cfg Config, sweep func(*Machine)) {
+	m := New(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
