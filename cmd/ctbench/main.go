@@ -19,7 +19,11 @@
 //	                          # clear = empty the cache and exit. A rw
 //	                          # cache also prunes entries from older
 //	                          # simulator versions at startup. The cache
-//	                          # holds results only, never traces
+//	                          # holds results only, never traces. A
+//	                          # failed experiment is never cached, so a
+//	                          # re-run with the same -cache rw -cachedir
+//	                          # simulates exactly the failed and missing
+//	                          # experiments
 //	ctbench -cachedir DIR     # cache location (default
 //	                          # ~/.cache/ctbia/results)
 //	ctbench -tracedir DIR     # trace-replay engine: every traceable
@@ -32,19 +36,15 @@
 //	                          # others); a fresh DIR is primed by the
 //	                          # first run. Without -tracedir (the
 //	                          # default) every point runs direct
-//	ctbench -resume           # with -cache rw: consult the manifest
-//	                          # journal from a previous (possibly
-//	                          # crashed or partially failed) run and
-//	                          # re-run only missing or failed
-//	                          # experiments; completed ones are served
-//	                          # from the cache
-//	ctbench -faults SPEC      # arm deterministic fault injection (same
-//	                          # grammar as the CTBIA_FAULTS env var),
+//	ctbench -faults SPEC      # arm deterministic fault injection
+//	                          # (grammar in package faultinject),
 //	                          # e.g. 'seed=1; worker.panic@1' — chaos
 //	                          # testing only
-//	ctbench -json out.json    # machine-readable results: per-experiment
-//	                          # wall time, machine counts, cache hits
-//	                          # and table rows
+//	ctbench -json out.json    # the run record: per experiment its
+//	                          # result-cache key, wall time, machine
+//	                          # counts, cached/failed status, errors,
+//	                          # metrics and table rows, plus the run's
+//	                          # provenance
 //	ctbench -timeline t.json  # arm the observability layer and write a
 //	                          # Chrome trace-event timeline of every
 //	                          # harness phase (open in Perfetto or
@@ -67,9 +67,8 @@
 //	                          # totals; falls back to
 //	                          # in-process execution if no worker joins
 //	                          # (or all of them die), so the sweep
-//	                          # always finishes. Composes with -cache,
-//	                          # -resume and -json exactly like a local
-//	                          # run
+//	                          # always finishes. Composes with -cache
+//	                          # and -json exactly like a local run
 //	ctbench -worker URL       # join the coordinator at URL, lease work
 //	                          # units, execute them and upload tables
 //	                          # until the sweep is done. -quick is
@@ -96,7 +95,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -112,8 +110,12 @@ import (
 
 // jsonExperiment is one experiment's record in the -json report.
 type jsonExperiment struct {
-	ID       string     `json:"id"`
-	Title    string     `json:"title"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	// Key is the experiment's result-cache key (harness.CacheKey),
+	// present under every -cache mode: the entry a cached result came
+	// from, or the one a clean -cache rw result was saved to.
+	Key      string     `json:"key"`
 	WallMS   float64    `json:"wall_ms"`
 	Machines uint64     `json:"machines"`
 	Cached   bool       `json:"cached,omitempty"`
@@ -195,9 +197,8 @@ func main() {
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
 	traceDir := flag.String("tracedir", "", "trace-replay directory: every traceable point records into it once and replays from it (default none: every point runs direct)")
-	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
-	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
+	jsonOut := flag.String("json", "", "write the run record: per experiment its cache key, status, errors, metrics, wall time and table rows")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline of harness phases to this file (open in Perfetto or chrome://tracing)")
 	listen := flag.String("listen", "", "serve live introspection on this address during the run (/metrics, /metrics.json, /progress, /debug/vars, /debug/pprof)")
 	serve := flag.String("serve", "", "coordinate a distributed sweep on this address: shard experiments into leased work units for -worker processes, merging their tables (falls back to in-process execution if no worker joins)")
@@ -209,9 +210,9 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// The flag line feeds the provenance stamp in the manifest and -json
-	// report (flag.Visit walks set flags in lexical order, so the line
-	// is deterministic for a given invocation).
+	// The flag line feeds the provenance stamp in the -json report
+	// (flag.Visit walks set flags in lexical order, so the line is
+	// deterministic for a given invocation).
 	var setFlags []string
 	flag.Visit(func(f *flag.Flag) {
 		setFlags = append(setFlags, "-"+f.Name+"="+f.Value.String())
@@ -255,15 +256,12 @@ func main() {
 	}
 	if *workerURL != "" {
 		// A worker executes what it is told and uploads; selection,
-		// caching, journaling and reporting all live on the coordinator.
+		// caching and reporting all live on the coordinator.
 		if *exp != "all" {
 			usageErr("-worker ignores -exp: the coordinator decides what runs")
 		}
 		if *cacheMode != "off" {
 			usageErr("-worker does not take -cache: the coordinator owns the result cache")
-		}
-		if *resume {
-			usageErr("-worker does not take -resume: resuming happens on the coordinator")
 		}
 		if *jsonOut != "" {
 			usageErr("-worker does not produce reports: run -json on the coordinator")
@@ -292,9 +290,6 @@ func main() {
 	mode, err := resultcache.ParseMode(*cacheMode)
 	if err != nil {
 		usageErr("%v", err)
-	}
-	if *resume && mode != resultcache.ReadWrite {
-		usageErr("-resume needs -cache rw: the result cache is what lets completed experiments be skipped")
 	}
 	if *faults != "" {
 		inj, err := faultinject.Parse(*faults)
@@ -363,34 +358,6 @@ func main() {
 		stopProgress = obs.StartProgress(os.Stderr, 2*time.Second)
 	}
 
-	// A writable cache gets a manifest journal alongside it: every
-	// experiment outcome lands there as it completes, so a crashed or
-	// partially failed sweep can be finished with -resume.
-	var manifest *harness.Manifest
-	if store.Mode() == resultcache.ReadWrite {
-		mpath := filepath.Join(store.Dir(), harness.ManifestName)
-		if *resume {
-			m, stale, err := harness.LoadManifest(mpath, *quick)
-			if err != nil {
-				usageErr("-resume: %v", err)
-			}
-			if stale {
-				fmt.Fprintln(os.Stderr, "ctbench: manifest is stale (different simulator version or -quick setting); re-running everything")
-			} else {
-				okN, failedN := m.Summary()
-				fmt.Fprintf(os.Stderr, "ctbench: resuming: %d experiments previously ok, %d failed; failed and missing ones re-run\n", okN, failedN)
-			}
-			manifest = m
-		} else {
-			manifest = harness.NewManifest(mpath, *quick)
-		}
-	}
-	// Stamp the journal with the producing run's provenance and expose
-	// its commit accounting as a metrics source (both nil-safe when no
-	// manifest is in play).
-	manifest.SetProvenance(harness.NewProvenance(flagLine))
-	obs.RegisterSource(manifest.EmitMetrics)
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -411,11 +378,11 @@ func main() {
 		workers = cpus
 	}
 
-	opts := harness.Options{Quick: *quick, Parallel: workers, Cache: store, Manifest: manifest}
+	opts := harness.Options{Quick: *quick, Parallel: workers, Cache: store}
 
 	// Worker mode: lease units from the coordinator, execute, upload,
 	// repeat until the sweep is done. The coordinator owns selection,
-	// scale, cache and journal; this process only simulates.
+	// scale and cache; this process only simulates.
 	if *workerURL != "" {
 		w := fleet.NewWorker(fleet.WorkerConfig{
 			URL:  *workerURL,
@@ -558,8 +525,8 @@ func main() {
 		for _, pe := range failures {
 			fmt.Fprintf(os.Stderr, "  %v\n", pe)
 		}
-		if manifest != nil {
-			fmt.Fprintln(os.Stderr, "ctbench: re-run with -resume to retry only the failed experiments")
+		if mode == resultcache.ReadWrite {
+			fmt.Fprintln(os.Stderr, "ctbench: re-run with the same -cache rw -cachedir to retry only the failed experiments")
 		}
 	}
 
@@ -594,6 +561,7 @@ func main() {
 			je := jsonExperiment{
 				ID:       r.Experiment.ID,
 				Title:    r.Experiment.Title,
+				Key:      harness.CacheKey(r.Experiment, opts),
 				WallMS:   float64(r.Wall.Microseconds()) / 1000,
 				Machines: r.Machines,
 				Cached:   r.Cached,

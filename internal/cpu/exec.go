@@ -8,11 +8,12 @@ import (
 
 // This file is the machine side of the trace-replay engine: recording
 // hooks are in the primitive ops (Op, OpStream, access, the sweeps, the
-// CT headers, WarmRegion, ResetStats, the scratchpad ops); ExecTrace
-// re-executes a captured stream against a cold machine with
-// bit-identical effects on every counter, cache level, BIA table and
-// subscribed listener — the harness's trace-equivalence tests enforce
-// this for every workload × strategy.
+// CT headers, WarmRegion, ResetStats; the scratchpad ops refuse to run
+// while a recorder is attached); ExecTrace re-executes a captured
+// stream against a cold machine with bit-identical effects on every
+// counter, cache level, BIA table and subscribed listener — the
+// harness's trace-equivalence tests enforce this for every workload ×
+// strategy.
 //
 // Replay has two regimes. With a listener that wants per-access
 // events subscribed (attacker telemetry), every access takes the
@@ -69,20 +70,6 @@ func (m *Machine) ExecTrace(ops []trace.Op) {
 			m.ctStoreHdr(memp.Addr(op.Addr))
 		case trace.KMacroStoreHdr:
 			m.macroStoreHdr(memp.Addr(op.Addr))
-		case trace.KScratchCopy:
-			n := op.Arg
-			m.retire(int(2 * n))
-			m.C.Loads += n
-			m.Hier.Stats.DRAMReads += n
-			m.C.Cycles += n * uint64(m.Hier.DRAMLatency()+int(op.Flags))
-		case trace.KScratchLoad:
-			m.retire(int(op.Arg))
-			m.C.Loads += op.Arg
-			m.C.Cycles += op.Arg * uint64(op.Flags)
-		case trace.KScratchStore:
-			m.retire(int(op.Arg))
-			m.C.Stores += op.Arg
-			m.C.Cycles += op.Arg * uint64(op.Flags)
 		case trace.KWarm:
 			m.WarmRegion(memp.Addr(op.Addr), op.Arg)
 		case trace.KReset:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ctbia/internal/memp"
+	"ctbia/internal/trace"
 )
 
 func TestMacroCTLoadSemantics(t *testing.T) {
@@ -113,6 +114,40 @@ func TestScratchpadDirect(t *testing.T) {
 		}
 	}()
 	m.NewScratchpad(0, 1)
+}
+
+// The trace format has no scratchpad operations, so every scratchpad op
+// refuses to run while a recorder is attached instead of leaving a
+// recording that silently misses its cost. Detached, they run again.
+func TestScratchpadRefusesRecorder(t *testing.T) {
+	m := New(smallConfig())
+	sp := m.NewScratchpad(4096, 3)
+	reg := m.Alloc.Alloc("t", 256)
+	m.CopyIn(sp, reg.Base, reg.Size)
+	ops := map[string]func(){
+		"CopyIn":       func() { m.CopyIn(sp, reg.Base, reg.Size) },
+		"ScratchLoad":  func() { m.ScratchLoad(sp, reg.Base, W32) },
+		"ScratchStore": func() { m.ScratchStore(sp, reg.Base, 1, W32) },
+	}
+	m.SetRecorder(trace.NewRecorder(0))
+	c0 := m.C
+	for name, op := range ops {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s ran with a recorder attached", name)
+				}
+			}()
+			op()
+		}()
+	}
+	if m.C != c0 {
+		t.Errorf("refused scratchpad ops charged the machine: %+v, want %+v", m.C, c0)
+	}
+	m.SetRecorder(nil)
+	for _, op := range ops {
+		op()
+	}
 }
 
 func TestStoreModeW(t *testing.T) {

@@ -3,10 +3,10 @@ package cpu
 import "sync"
 
 // Pool recycles Machines of one configuration. Building a Table 1
-// machine allocates ~9 MB of cache metadata and costs more than many
-// of the kernels it then simulates; an experiment sweep that builds
-// four machines per data point therefore spends a large share of its
-// wall time in allocation and GC. A Pool turns those builds into
+// machine allocates about 5.0 MB of cache metadata and costs more than
+// many of the kernels it then simulates; an experiment sweep that
+// builds four machines per data point therefore spends a large share of
+// its wall time in allocation and GC. A Pool turns those builds into
 // Resets, which touch only the footprint the previous run actually
 // dirtied.
 //

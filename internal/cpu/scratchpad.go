@@ -39,12 +39,23 @@ func (sp *Scratchpad) Used() int { return sp.used }
 // Holds reports whether addr's line is resident.
 func (sp *Scratchpad) Holds(addr memp.Addr) bool { return sp.loaded[addr.Line()] }
 
+// noRecorder panics when a trace recorder is attached: the trace format
+// has no scratchpad operations, so a recording that ran one would
+// silently miss its cost.
+func (m *Machine) noRecorder(op string) {
+	if m.rec != nil {
+		panic("cpu: " + op + " on a machine with a recorder attached (scratchpad ops are not traceable)")
+	}
+}
+
 // CopyIn stages [base, base+size) into the scratchpad: one DRAM read
 // plus one scratchpad write per line, charged to the machine. The copy
 // pattern is the full region, independent of any secret. Exceeding the
 // capacity panics — a scratchpad cannot spill, which is exactly its
-// limitation versus the BIA.
+// limitation versus the BIA. Like every scratchpad op it panics while
+// a recorder is attached.
 func (m *Machine) CopyIn(sp *Scratchpad, base memp.Addr, size uint64) {
+	m.noRecorder("CopyIn")
 	if size == 0 {
 		return
 	}
@@ -59,9 +70,6 @@ func (m *Machine) CopyIn(sp *Scratchpad, base memp.Addr, size uint64) {
 		}
 		sp.loaded[la] = true
 		sp.used += memp.LineSize
-		if m.rec != nil {
-			m.rec.ScratchCopy(sp.latency)
-		}
 		// DRAM fetch (uncached: the scratchpad path does not touch
 		// the cache hierarchy) + scratchpad write.
 		m.retire(2)
@@ -75,12 +83,10 @@ func (m *Machine) CopyIn(sp *Scratchpad, base memp.Addr, size uint64) {
 // invisible to the cache hierarchy (no events, no state), so it cannot
 // leak to a cache-observing attacker.
 func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
+	m.noRecorder("ScratchLoad")
 	w.Check()
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
-	}
-	if m.rec != nil {
-		m.rec.ScratchLoad(sp.latency)
 	}
 	m.retire(1)
 	m.C.Loads++
@@ -90,12 +96,10 @@ func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
 
 // ScratchStore writes width w at addr in the scratchpad.
 func (m *Machine) ScratchStore(sp *Scratchpad, addr memp.Addr, v uint64, w Width) {
+	m.noRecorder("ScratchStore")
 	w.Check()
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
-	}
-	if m.rec != nil {
-		m.rec.ScratchStore(sp.latency)
 	}
 	m.retire(1)
 	m.C.Stores++

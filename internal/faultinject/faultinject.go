@@ -1,8 +1,9 @@
 // Package faultinject is a deterministic, seed-driven fault injector
-// for the experiment engine's chaos tests. It is armed explicitly
-// (Arm/Parse) or via the CTBIA_FAULTS environment variable and costs a
-// single atomic load per probe when disarmed, so production runs pay
-// nothing for the hooks compiled into the harness and result cache.
+// for the experiment engine's chaos tests. It is armed only
+// explicitly — Parse a specification, then Arm it, as ctbench's -faults
+// flag does — and costs a single atomic load per probe when disarmed,
+// so production runs pay nothing for the hooks compiled into the
+// harness and result cache.
 //
 // A fault specification is a semicolon- (or comma-) separated list of
 // clauses:
@@ -33,14 +34,13 @@
 //	fleet.worker.stall    stall a worker past its lease deadline
 //	fleet.worker.kill     kill a worker mid-unit (no submission, ever)
 //
-// Example: CTBIA_FAULTS='seed=7;trace.corrupt@2;worker.panic@1:fig7a'
+// Example: ctbench -faults 'seed=7;trace.corrupt@2;worker.panic@1:fig7a'
 // corrupts the second trace file read and panics the fig7a worker, both
 // reproducibly.
 package faultinject
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -155,17 +155,6 @@ func pointNames() []string {
 
 // armed holds the active injector; nil means every probe is a no-op.
 var armed atomic.Pointer[Injector]
-
-func init() {
-	if spec := os.Getenv("CTBIA_FAULTS"); spec != "" {
-		inj, err := Parse(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "CTBIA_FAULTS:", err)
-			os.Exit(2)
-		}
-		armed.Store(inj)
-	}
-}
 
 // Arm makes inj the active fault plan (nil disarms).
 func Arm(inj *Injector) { armed.Store(inj) }

@@ -255,11 +255,11 @@ func (c *Coordinator) Stats() *Stats { return &c.stats }
 // return; Close is for abandoning a coordinator that never ran.
 func (c *Coordinator) Close() error { return c.srv.Close() }
 
-// Run executes the sweep: cached units are served first (so -resume
-// behaves identically to a local run), then the endpoint opens for
-// workers while the liveness scanner re-queues expired leases, retires
-// silent workers and falls back to in-process draining when the fleet
-// cannot make progress. Results come back in input order, tables
+// Run executes the sweep: cached units are served first (so a re-run
+// over the same cache skips what a local run would), then the endpoint
+// opens for workers while the liveness scanner re-queues expired
+// leases, retires silent workers and falls back to in-process draining
+// when the fleet cannot make progress. Results come back in input order, tables
 // byte-identical to a local RunAll of the same experiments.
 func (c *Coordinator) Run(ctx context.Context) ([]harness.Result, error) {
 	defer c.srv.Close()
@@ -512,7 +512,7 @@ func (c *Coordinator) accept(idx int, res harness.Result, from string) (dup bool
 }
 
 // retire counts one done unit out of the open set; the last one ends
-// the sweep. Callers retire a unit only once its outcome is on disk, so
+// the sweep. Callers retire a unit only once Commit has booked it, so
 // Run cannot return while another accept is still writing.
 func (c *Coordinator) retire() {
 	c.mu.Lock()
@@ -713,7 +713,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	usable := req.Table.UsableFor(exp.ID)
 	if req.Failed {
 		// Table.Failures doesn't survive JSON: rebuild the worker's first
-		// failure so the journal and the CLI print the worker's own line.
+		// failure so the CLI and -json print the worker's own line.
 		// A missing or unusable table (null, another experiment's) must
 		// never be served under this unit: it becomes the placeholder.
 		line := "worker reported failure"

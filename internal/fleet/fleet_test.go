@@ -2,9 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -385,22 +382,18 @@ func TestSaltMismatchRefused(t *testing.T) {
 	}
 }
 
-// Distributed runs share the local runs' cache and journal: a second
+// Distributed runs share the local runs' result cache: a second
 // coordinator over the same store serves everything from cache before
-// the endpoint even opens, and the manifest marks every unit done
-// under its key — the contract `-resume` is built on.
+// the endpoint even opens — the contract a re-run with the same
+// -cache rw -cachedir is built on.
 func TestCacheAndManifestResume(t *testing.T) {
-	dir := t.TempDir()
-	store, err := resultcache.Open(dir, resultcache.ReadWrite, harness.SimVersionSalt)
+	store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite, harness.SimVersionSalt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	exps := testExps(t, "config", "table2")
 	want := serialBaseline(t, exps)
-	mpath := filepath.Join(dir, "manifest.json")
-	manifest := harness.NewManifest(mpath, true)
-	opts := harness.Options{Quick: true, Parallel: 1, Cache: store, Manifest: manifest}
+	opts := harness.Options{Quick: true, Parallel: 1, Cache: store}
 	cfg := testCfg()
 	cfg.JoinWait = 50 * time.Millisecond
 
@@ -411,17 +404,6 @@ func TestCacheAndManifestResume(t *testing.T) {
 	results := startRun(t, co)()
 	if got := renderAll(results); got != want {
 		t.Fatalf("first run tables differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	manifest.Close()
-
-	loaded, stale, err := harness.LoadManifest(mpath, true)
-	if err != nil || stale {
-		t.Fatalf("LoadManifest: err %v, stale %v", err, stale)
-	}
-	for _, e := range exps {
-		if !loaded.Done(e.ID, harness.CacheKey(e, opts)) {
-			t.Errorf("manifest does not mark %s done under its key", e.ID)
-		}
 	}
 
 	co2, err := NewCoordinator(cfg, exps, opts)
@@ -441,7 +423,7 @@ func TestCacheAndManifestResume(t *testing.T) {
 	}
 	for _, r := range results2 {
 		if !r.Cached {
-			t.Errorf("%s not marked cached on the resumed run", r.Experiment.ID)
+			t.Errorf("%s not marked cached on the re-run", r.Experiment.ID)
 		}
 	}
 }
@@ -462,39 +444,33 @@ func TestStatsEmitMetrics(t *testing.T) {
 	}
 }
 
-// journalRow is the part of one manifest entry that must not depend on
-// where the experiment ran.
-type journalRow struct {
-	Status, Key, Error string
-	Wall, Metrics      bool
+// resultRow is the part of one experiment's Result — what ctbench
+// writes to -json — that must not depend on where the experiment ran.
+type resultRow struct {
+	Failed, Cached bool
+	Error          string
+	Wall, Metrics  bool
 }
 
-// readJournal loads a manifest file's entries as journalRows.
-func readJournal(t *testing.T, path string) map[string]journalRow {
-	t.Helper()
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var data struct {
-		Entries map[string]harness.ManifestEntry `json:"entries"`
-	}
-	if err := json.Unmarshal(buf, &data); err != nil {
-		t.Fatal(err)
-	}
-	rows := make(map[string]journalRow, len(data.Entries))
-	for id, e := range data.Entries {
-		rows[id] = journalRow{e.Status, e.Key, e.Error, e.WallMS > 0, len(e.Metrics) > 0}
+// rowsOf keys results' rows by experiment id.
+func rowsOf(results []harness.Result) map[string]resultRow {
+	rows := make(map[string]resultRow, len(results))
+	for _, r := range results {
+		row := resultRow{Failed: r.Failed(), Cached: r.Cached, Wall: r.Wall > 0, Metrics: len(r.Metrics) > 0}
+		if fs := harness.Failures([]harness.Result{r}); len(fs) > 0 {
+			row.Error = firstLine(fs[0].Error())
+		}
+		rows[r.Experiment.ID] = row
 	}
 	return rows
 }
 
-// One injected worker panic journals one line, whichever path ran the
-// experiment: RunAll, the coordinator's in-process drain, or a remote
-// worker. A second pass over each cache journals its hits alike.
+// One injected worker panic yields one error line, whichever path ran
+// the experiment: RunAll, the coordinator's in-process drain, or a
+// remote worker. A second pass over each cache serves its hits alike.
 func TestJournalSameLocalDrainAndRemote(t *testing.T) {
 	obsReset(t)
-	obs.Arm() // so the journal carries per-experiment metrics
+	obs.Arm() // so results carry per-experiment metrics
 	exps := testExps(t, "fig2", "config")
 	ways := []struct {
 		name string
@@ -530,40 +506,37 @@ func TestJournalSameLocalDrainAndRemote(t *testing.T) {
 			return results
 		}},
 	}
-	journals := make([][2]map[string]journalRow, len(ways))
+	rows := make([][2]map[string]resultRow, len(ways))
 	for i, way := range ways {
-		dir := t.TempDir()
-		store, err := resultcache.Open(dir, resultcache.ReadWrite, harness.SimVersionSalt)
+		store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite, harness.SimVersionSalt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpath := filepath.Join(dir, harness.ManifestName)
 		for pass := 0; pass < 2; pass++ {
 			if pass == 0 {
 				arm(t, "seed=1;worker.panic:fig2")
 			} else {
 				faultinject.Disarm()
 			}
-			o := harness.Options{Quick: true, Parallel: 1, Cache: store, Manifest: harness.NewManifest(mpath, true)}
-			results := way.run(o)
+			results := way.run(harness.Options{Quick: true, Parallel: 1, Cache: store})
 			if got := results[0].Failed(); got != (pass == 0) {
 				t.Fatalf("%s pass %d: fig2 failed = %v", way.name, pass, got)
 			}
 			if results[1].Cached != (pass == 1) {
 				t.Fatalf("%s pass %d: config cached = %v", way.name, pass, results[1].Cached)
 			}
-			journals[i][pass] = readJournal(t, mpath)
+			rows[i][pass] = rowsOf(results)
 		}
 	}
 	want := `point failed [fig2]: faultinject: injected permanent fault at worker.panic (key "fig2")`
-	if got := journals[0][0]["fig2"].Error; got != want {
-		t.Errorf("local journal error = %q, want %q", got, want)
+	if got := rows[0][0]["fig2"].Error; got != want {
+		t.Errorf("local error line = %q, want %q", got, want)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := 1; i < len(ways); i++ {
 			for _, e := range exps {
-				if got, ref := journals[i][pass][e.ID], journals[0][pass][e.ID]; got != ref {
-					t.Errorf("pass %d %s: %s journaled %+v, local %+v", pass, e.ID, ways[i].name, got, ref)
+				if got, ref := rows[i][pass][e.ID], rows[0][pass][e.ID]; got != ref {
+					t.Errorf("pass %d %s: %s returned %+v, local %+v", pass, e.ID, ways[i].name, got, ref)
 				}
 			}
 		}
@@ -572,13 +545,10 @@ func TestJournalSameLocalDrainAndRemote(t *testing.T) {
 
 // A failed upload's table is validated like a clean one's: another
 // experiment's table is never served under this unit. The result
-// becomes the FAILED placeholder carrying the worker's error line, and
-// the journal records that line once.
+// becomes the FAILED placeholder carrying the worker's error line.
 func TestFailedUploadTableValidated(t *testing.T) {
 	exps := testExps(t, "config")
-	dir := t.TempDir()
-	mpath := filepath.Join(dir, harness.ManifestName)
-	opts := harness.Options{Quick: true, Parallel: 1, Manifest: harness.NewManifest(mpath, true)}
+	opts := harness.Options{Quick: true, Parallel: 1}
 	cfg := testCfg()
 	cfg.JoinWait = time.Hour
 	cfg.IdleGrace = time.Hour
@@ -610,8 +580,5 @@ func TestFailedUploadTableValidated(t *testing.T) {
 	}
 	if res.Err == nil || res.Err.Error() != line {
 		t.Errorf("result error = %v, want %q", res.Err, line)
-	}
-	if got := readJournal(t, mpath)["config"]; got.Status != "failed" || got.Error != line {
-		t.Errorf("journal = %+v, want failed with %q", got, line)
 	}
 }

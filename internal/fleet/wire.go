@@ -9,9 +9,9 @@
 // determinism: every experiment produces byte-identical tables
 // wherever it runs, so the coordinator accepts the first result for a
 // unit and counts any later copy as a dedup hit. Accepted results
-// funnel through the same content-addressed result cache and manifest
-// journal as a local RunAll, so `ctbench -resume` behaves
-// identically for distributed and local sweeps.
+// funnel through the same content-addressed result cache as a local
+// RunAll, so a re-run over that cache skips the same experiments for
+// distributed and local sweeps.
 //
 // Failure handling: workers heartbeat; a worker silent for three
 // intervals is presumed dead and its leases re-queue immediately,

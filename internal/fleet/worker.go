@@ -45,8 +45,8 @@ type WorkerConfig struct {
 	// across the fleet — the coordinator keys liveness on them.
 	ID string
 	// Opts are the execution options for leased units. Quick is
-	// overridden by the coordinator's hello; Cache and Manifest are
-	// forced nil (the coordinator owns the sinks).
+	// overridden by the coordinator's hello; Cache is forced nil (the
+	// coordinator owns the result cache).
 	Opts harness.Options
 	// Stall is how long a fleet.worker.stall fault wedges the worker
 	// before submitting (default 1.5x the coordinator's lease TTL —
@@ -115,8 +115,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	}
 	opts := w.cfg.Opts
 	opts.Quick = hello.Quick // the coordinator's scale wins: mixed sizes would corrupt the sweep
-	opts.Cache = nil         // the coordinator owns the result sinks;
-	opts.Manifest = nil      // a worker only ever uploads
+	opts.Cache = nil         // the coordinator owns the result cache
 	stall := w.cfg.Stall
 	if stall <= 0 {
 		stall = time.Duration(hello.LeaseTTLMS) * time.Millisecond * 3 / 2

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ctbia/internal/resultcache"
@@ -194,4 +198,51 @@ func FuzzCachedTable(f *testing.F) {
 			t.Fatalf("a miss left its entry at the key's path (stat err %v)", err)
 		}
 	})
+}
+
+// checkSinksUnderContention saves items results to the cache from
+// workers concurrent goroutines — the shared-sink traffic of a parallel
+// sweep — and checks that nothing is lost or folded away: one cache
+// write per item, each readable back.
+func checkSinksUnderContention(t *testing.T, workers int) {
+	t.Helper()
+	const items = 192
+	store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return resultcache.Key("contention", fmt.Sprint(i)) }
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < items; i = int(next.Add(1)) - 1 {
+				if err := store.Save(key(i), []int{i, 2 * i}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if _, _, writes := store.Stats(); writes != items {
+		t.Errorf("cache writes = %d, want %d", writes, items)
+	}
+	for i := 0; i < items; i++ {
+		var got []int
+		if !store.Load(key(i), &got) || len(got) != 2 || got[0] != i || got[1] != 2*i {
+			t.Fatalf("item %d reloaded as %v", i, got)
+		}
+	}
+}
+
+func TestSinksUnderContention(t *testing.T) {
+	checkSinksUnderContention(t, runtime.GOMAXPROCS(0))
+}
+
+// At 4x oversubscription workers contend hardest for the store.
+func TestSinksUnderContentionHighWorkers(t *testing.T) {
+	checkSinksUnderContention(t, 4*runtime.GOMAXPROCS(0))
 }

@@ -17,7 +17,7 @@ import (
 // The chaos tier: every injected failure — a panicking worker, a
 // corrupted trace or cache file, a flaky replay — must cost exactly the
 // point it hits. Surviving points render byte-identically to a clean
-// run, and a resumed sweep finishes.
+// run, and a re-run over the same result cache finishes the sweep.
 
 // chaosSetup gives each chaos test a clean, self-restoring engine:
 // fresh counters, no trace directory, and fault injection disarmed
@@ -332,59 +332,43 @@ func TestChaosDegradedModeEquivalence(t *testing.T) {
 	}
 }
 
-// The resume flow end to end: a sweep with one injected panic journals
-// the failure, a second run with the same cache and manifest re-runs
-// only the failed experiment, and the finished sweep matches a clean
-// one.
+// The re-run flow end to end: a sweep with one injected panic caches
+// only its survivor, so a second run over the same store serves the
+// survivor from the cache, simulates only the failed experiment again,
+// and the finished sweep matches a clean one.
 func TestChaosResumeCompletesSweep(t *testing.T) {
 	chaosSetup(t)
 	exps := chaosExps(t)
 	clean := renderAll(RunAll(exps, Options{Quick: true, Parallel: 2}))
 
-	dir := t.TempDir()
-	store, err := resultcache.Open(dir, resultcache.ReadWrite, SimVersionSalt)
+	store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite, SimVersionSalt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpath := filepath.Join(dir, ManifestName)
+	o := Options{Quick: true, Parallel: 2, Cache: store}
 
 	ResetTraces()
 	arm(t, "worker.panic@1:relatedwork")
-	first := RunAll(exps, Options{Quick: true, Parallel: 2, Cache: store, Manifest: NewManifest(mpath, true)})
+	first := RunAll(exps, o)
 	faultinject.Disarm()
 	if !first[1].Failed() || first[0].Failed() {
 		t.Fatalf("want only relatedwork failed: %v", Failures(first))
 	}
 
-	// "New process": reload the journal as ctbench -resume does.
-	m, stale, err := LoadManifest(mpath, true)
-	if err != nil || stale {
-		t.Fatalf("LoadManifest: stale=%v err=%v", stale, err)
-	}
-	if okN, failedN := m.Summary(); okN != 1 || failedN != 1 {
-		t.Fatalf("manifest summary ok=%d failed=%d, want 1/1", okN, failedN)
-	}
-	if e, ok := m.Entry("relatedwork"); !ok || e.Status != "failed" || e.Error == "" {
-		t.Fatalf("failed entry not journaled: %+v ok=%v", e, ok)
-	}
-
-	second := RunAll(exps, Options{Quick: true, Parallel: 2, Cache: store, Manifest: m})
+	second := RunAll(exps, o)
 	if !second[0].Cached {
-		t.Errorf("previously-ok fig2 should be served from the cache on resume")
+		t.Errorf("previously-ok fig2 should be served from the cache on the re-run")
 	}
-	if second[1].Cached {
-		t.Errorf("failed relatedwork must not have been cached")
+	if second[1].Cached || second[1].Machines == 0 {
+		t.Errorf("failed relatedwork must simulate again: cached=%v machines=%d", second[1].Cached, second[1].Machines)
 	}
 	for i, r := range second {
 		if r.Failed() {
-			t.Fatalf("resume run failed: %v", r.Err)
+			t.Fatalf("re-run failed: %v", r.Err)
 		}
 		if got := r.Table.Render(); got != clean[i] {
-			t.Errorf("%s: resumed table differs:\n%s\nwant:\n%s", r.Experiment.ID, got, clean[i])
+			t.Errorf("%s: re-run table differs:\n%s\nwant:\n%s", r.Experiment.ID, got, clean[i])
 		}
-	}
-	if okN, failedN := m.Summary(); okN != 2 || failedN != 0 {
-		t.Errorf("post-resume summary ok=%d failed=%d, want 2/0", okN, failedN)
 	}
 }
 
@@ -415,50 +399,5 @@ func TestChaosGarbageJSONCacheEntry(t *testing.T) {
 	}
 	if got, want := again[0].Table.Render(), clean[0].Table.Render(); got != want {
 		t.Errorf("recomputed table differs:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// Manifest mechanics: journal entries survive the write/load round
-// trip, and incompatible journals come back stale instead of poisoning
-// a resume.
-func TestManifestRoundTripAndStaleness(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ManifestName)
-
-	if _, _, err := LoadManifest(path, true); err == nil {
-		t.Fatalf("loading a missing manifest must error (nothing to resume)")
-	}
-
-	m := NewManifest(path, true)
-	m.Record("fig2", ManifestEntry{Status: "ok", Key: "k1", WallMS: 1.5})
-	m.Record("fig9", ManifestEntry{Status: "failed", Key: "k2", Error: "boom"})
-
-	got, stale, err := LoadManifest(path, true)
-	if err != nil || stale {
-		t.Fatalf("round trip: stale=%v err=%v", stale, err)
-	}
-	if !got.Done("fig2", "k1") {
-		t.Errorf("fig2/k1 should be done")
-	}
-	if got.Done("fig2", "other-key") {
-		t.Errorf("a different cache key must not count as done")
-	}
-	if got.Done("fig9", "k2") {
-		t.Errorf("a failed entry must not count as done")
-	}
-	if e, ok := got.Entry("fig2"); !ok || e.Completed == "" {
-		t.Errorf("entries must carry completion timestamps: %+v", e)
-	}
-
-	// Quick-flag mismatch: the journal is stale, not an error.
-	if _, stale, err := LoadManifest(path, false); err != nil || !stale {
-		t.Errorf("quick mismatch: stale=%v err=%v, want stale", stale, err)
-	}
-	// A torn/corrupt journal is stale, not fatal.
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, stale, err := LoadManifest(path, true); err != nil || !stale {
-		t.Errorf("corrupt journal: stale=%v err=%v, want stale", stale, err)
 	}
 }

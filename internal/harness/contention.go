@@ -49,8 +49,6 @@ func runContention(o Options) *Table {
 			for k := 0; k < flushes; k++ {
 				m.Hier.Flush(reg.Base + memp.Addr(rng.Intn(tableLines)*memp.LineSize))
 			}
-			victim := m.Report().Cycles
-			_ = victim
 			idx := rng.Intn(tableLines * memp.LineSize / 4)
 			s.Load(m, ds, reg.Base+memp.Addr(4*idx), cpu.W32)
 		}

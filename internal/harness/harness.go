@@ -101,13 +101,14 @@ type Options struct {
 	// Cache, when non-nil, serves experiments from the
 	// content-addressed result store and persists fresh results to it
 	// (subject to the store's mode). See Lookup, Commit and CacheKey.
+	// It is the one skip mechanism: a failed experiment is never
+	// cached, so a re-run over the same store simulates exactly the
+	// failed and missing experiments.
 	Cache *resultcache.Store
-	// Manifest, when non-nil, journals each experiment's outcome for
-	// checkpoint-resume (see Manifest). Completed experiments land in
-	// it as "ok" with their cache key; failures as "failed". A
-	// `ctbench -resume` run loads the previous journal and lets the
-	// result cache serve the completed entries, so only missing and
-	// failed experiments simulate.
+	// Manifest is ignored: the result cache alone decides what a
+	// re-run skips.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Manifest *Manifest
 }
 

@@ -123,8 +123,8 @@ func noteWorkerBusy(slot int, d time.Duration) {
 
 // Provenance stamps where a sweep's numbers came from: toolchain,
 // scheduling width, the Table 1 configuration hash, and the flag line
-// the run was invoked with. It lands in manifest.json and the -json
-// header so resumed and cached sweeps stay attributable.
+// the run was invoked with. It lands in the -json header so cached
+// sweeps stay attributable.
 type Provenance struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

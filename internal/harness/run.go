@@ -15,11 +15,11 @@ import (
 
 // poolReg holds one machine pool per config fingerprint, built on
 // first use; every simulation point draws its machine from here.
-// Building a Table 1 machine allocates ~9 MB of cache metadata; before
-// pooling, `ctbench -exp all` built 200+ of them and spent a large
-// fraction of its wall time allocating and collecting that churn. Reset
-// restores cold state bit-identically (see the reset-equivalence test),
-// so pooling never changes a table cell.
+// Building a Table 1 machine allocates about 5.0 MB of cache metadata;
+// before pooling, `ctbench -exp all` built 200+ of them and spent a
+// large fraction of its wall time allocating and collecting that churn.
+// Reset restores cold state bit-identically (see the reset-equivalence
+// test), so pooling never changes a table cell.
 var poolReg = struct {
 	sync.Mutex
 	pools map[string]*cpu.Pool
@@ -198,7 +198,7 @@ func machineUses() uint64 { return cpu.MachinesBuilt() + cpu.MachinesReset() }
 // Lookup serves it from o.Cache when a usable table is stored under its
 // identity key (simulator version salt, experiment ID, Quick flag,
 // Table 1 config fingerprint, strategy set); otherwise RunOne executes
-// it and Commit caches and journals the outcome. o.Parallel is
+// it and Commit caches a clean outcome. o.Parallel is
 // deliberately not part of the key: parallelism never changes a table
 // cell, so serial and parallel runs share cache entries.
 func RunAll(exps []Experiment, o Options) []Result {
@@ -238,9 +238,9 @@ func (o Options) clamped() Options {
 
 // Lookup serves e from o.Cache. A usable stored table comes back as a
 // cached Result, with the lookup's wall time and (when obs is armed)
-// metric delta, journaled "ok" and booked as progress. A table that
-// decodes but is unusable (garbage JSON body, wrong experiment) is
-// quarantined so it cannot re-fail every run, and counts as a miss.
+// metric delta, booked as progress. A table that decodes but is
+// unusable (garbage JSON body, wrong experiment) is quarantined so it
+// cannot re-fail every run, and counts as a miss.
 func Lookup(e Experiment, o Options) (Result, bool) {
 	if o.Cache == nil {
 		return Result{}, false
@@ -260,30 +260,20 @@ func Lookup(e Experiment, o Options) (Result, bool) {
 		return Result{}, false
 	}
 	res := Result{Experiment: e, Table: t, Wall: time.Since(start), Cached: true, Metrics: obsDelta(obsBefore)}
-	o.Manifest.Record(e.ID, ManifestEntry{Status: "ok", Key: key, WallMS: wallMS(res), Metrics: res.Metrics})
 	obs.ProgressExpDone(true, false)
 	return res, true
 }
 
 // Commit books one executed experiment's outcome, wherever it ran. A
-// failed result is journaled "failed" under the first line of its first
-// failure and never cached, so -resume re-runs it; a clean one is saved
-// to o.Cache (best-effort: a failed write costs the next run a
-// recompute), then journaled "ok".
+// clean result is saved to o.Cache (best-effort: a failed write costs
+// the next run a recompute); a failed one is never cached, so a re-run
+// over the same store simulates it again.
 func Commit(e Experiment, o Options, res Result) {
-	entry := ManifestEntry{Status: "ok", Key: CacheKey(e, o), WallMS: wallMS(res), Metrics: res.Metrics}
-	if res.Failed() {
-		entry.Status = "failed"
-		entry.Error = firstLine(Failures([]Result{res})[0].Error())
-	} else if o.Cache != nil {
-		_ = o.Cache.Save(entry.Key, res.Table)
+	if !res.Failed() && o.Cache != nil {
+		_ = o.Cache.Save(CacheKey(e, o), res.Table)
 	}
-	o.Manifest.Record(e.ID, entry)
 	obs.ProgressExpDone(false, res.Failed())
 }
-
-// wallMS is a result's wall time in the journal's unit.
-func wallMS(res Result) float64 { return float64(res.Wall.Microseconds()) / 1000 }
 
 // UsableFor validates a deserialized table before serving it as
 // experiment id's result: JSON from the result cache or a fleet
@@ -303,7 +293,7 @@ func (t *Table) UsableFor(id string) bool {
 }
 
 // RunOne executes a single experiment with panic isolation and no
-// cache or manifest interaction — the one executor behind RunAll, the
+// cache interaction — the one executor behind RunAll, the
 // fleet coordinator's in-process drain and a fleet worker's units. An
 // experiment-level panic comes back as a FailedResult.
 func RunOne(e Experiment, o Options) (res Result) {

@@ -361,9 +361,10 @@ func appendQuantiles(snap map[string]uint64) {
 
 // Delta subtracts a prior snapshot from a later one, dropping zero and
 // regressed entries — the per-experiment attribution the harness
-// journals into manifest.json. With concurrent experiments the windows
-// overlap, so per-experiment deltas are approximate there (exactly
-// like the machine-count attribution); run-level totals stay exact.
+// returns in each Result and ctbench writes to -json. With concurrent
+// experiments the windows overlap, so per-experiment deltas are
+// approximate there (exactly like the machine-count attribution);
+// run-level totals stay exact.
 //
 // Registered histograms get special handling: their exported le_*
 // buckets are cumulative, and naively subtracting cumulative keys does

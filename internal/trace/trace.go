@@ -64,13 +64,14 @@ const (
 	// macro-op performing an internal CTLoad probe then a CTStore
 	// probe.
 	KMacroStoreHdr
-	// KScratchCopy is Arg scratchpad staging copies (one DRAM read +
-	// one scratchpad write each); Flags holds the scratchpad latency.
-	KScratchCopy
-	// KScratchLoad is Arg scratchpad reads; Flags holds the latency.
-	KScratchLoad
-	// KScratchStore is Arg scratchpad writes; Flags holds the latency.
-	KScratchStore
+	// kReserved is the first of three reserved wire values (8-10).
+	// They once held scratchpad operations, which no recording can
+	// contain: a machine refuses scratchpad ops while a recorder is
+	// attached. Decode rejects them; they stay reserved so KWarm and
+	// KReset keep their wire values.
+	kReserved
+	_
+	_
 	// KWarm is Machine.WarmRegion(Addr, Arg).
 	KWarm
 	// KReset is Machine.ResetStats.
@@ -78,6 +79,10 @@ const (
 
 	kindCount
 )
+
+// live reports whether k is a kind a recording can contain: below
+// kindCount and not reserved.
+func (k Kind) live() bool { return k < kindCount && (k < kReserved || k >= KWarm) }
 
 // Pre-op classes for Op.Pre.
 const (
@@ -101,13 +106,13 @@ const writeBit uint32 = 1
 type Op struct {
 	// Addr is the (base) address of the operation.
 	Addr uint64
-	// Arg is a count: ALU instructions, run length, lines, or a region
-	// size for KWarm.
+	// Arg is a count: ALU instructions or run length, or a region size
+	// for KWarm.
 	Arg uint64
 	// Stride is the per-iteration address increment of run kinds.
 	Stride int64
 	// Flags carries the machine-level access flags (including the
-	// machine-internal bypass/streaming bits) or a scratchpad latency.
+	// machine-internal bypass/streaming bits).
 	Flags uint32
 	// Kind discriminates the record.
 	Kind Kind
@@ -397,33 +402,6 @@ func (r *Recorder) CTStore(addr uint64) { r.single(Op{Kind: KCTStore, Addr: addr
 // MacroStoreHdr records a MacroCTStore header at addr.
 func (r *Recorder) MacroStoreHdr(addr uint64) { r.single(Op{Kind: KMacroStoreHdr, Addr: addr}) }
 
-// scratch records one scratchpad operation of the given kind, fusing
-// consecutive same-latency repetitions.
-func (r *Recorder) scratch(k Kind, latency int) {
-	if r.aborted {
-		return
-	}
-	r.events++
-	if r.pend == PreNone {
-		if n := len(r.ops); n > 0 {
-			if t := &r.ops[n-1]; t.Kind == k && t.Flags == uint32(latency) {
-				t.Arg++
-				return
-			}
-		}
-	}
-	r.single(Op{Kind: k, Arg: 1, Flags: uint32(latency)})
-}
-
-// ScratchCopy records one scratchpad staging copy.
-func (r *Recorder) ScratchCopy(latency int) { r.scratch(KScratchCopy, latency) }
-
-// ScratchLoad records one scratchpad read.
-func (r *Recorder) ScratchLoad(latency int) { r.scratch(KScratchLoad, latency) }
-
-// ScratchStore records one scratchpad write.
-func (r *Recorder) ScratchStore(latency int) { r.scratch(KScratchStore, latency) }
-
 // Warm records a WarmRegion call.
 func (r *Recorder) Warm(base, size uint64) { r.single(Op{Kind: KWarm, Addr: base, Arg: size}) }
 
@@ -626,10 +604,11 @@ func (c *cursor) words() []uint64 {
 }
 
 // Decode parses an Encode'd buffer in place, verifying the header
-// bounds and CRC, every chunk's CRC and op kinds, and that the buffer
-// ends exactly after the last chunk. Every count is checked against the
-// bytes present before it sizes an allocation, so what Decode allocates
-// stays proportional to len(buf); every failure wraps ErrCorrupt.
+// bounds and CRC, every chunk's CRC, that every op's kind is live
+// (known and not reserved), and that the buffer ends exactly after the
+// last chunk. Every count is checked against the bytes present before
+// it sizes an allocation, so what Decode allocates stays proportional
+// to len(buf); every failure wraps ErrCorrupt.
 func Decode(buf []byte) (key, src string, meta []uint64, tags map[string][]uint64, ops []Op, err error) {
 	fail := func(err error) (string, string, []uint64, map[string][]uint64, []Op, error) {
 		return "", "", nil, nil, nil, err
@@ -676,7 +655,7 @@ func Decode(buf []byte) (key, src string, meta []uint64, tags map[string][]uint6
 		}
 		for i := 0; i < len(chunk); i += opWireSize {
 			op := decodeOp(chunk[i:])
-			if op.Kind >= kindCount {
+			if !op.Kind.live() {
 				return fail(fmt.Errorf("%w (kind)", ErrCorrupt))
 			}
 			ops = append(ops, op)

@@ -118,21 +118,6 @@ func TestLimitAborts(t *testing.T) {
 	}
 }
 
-func TestScratchFusion(t *testing.T) {
-	r := NewRecorder(0)
-	for i := 0; i < 10; i++ {
-		r.ScratchLoad(4)
-	}
-	r.ScratchStore(4)
-	tr, _ := r.Take()
-	if len(tr.Ops) != 2 {
-		t.Fatalf("scratch ops compressed to %d records, want 2: %+v", len(tr.Ops), tr.Ops)
-	}
-	if tr.Ops[0].Kind != KScratchLoad || tr.Ops[0].Arg != 10 || tr.Ops[0].Flags != 4 {
-		t.Errorf("scratch load record wrong: %+v", tr.Ops[0])
-	}
-}
-
 // TestEncodeDecodeRoundTrip round-trips a recorded stream and one
 // spanning several chunks, the last of them partial.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -246,10 +231,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // small on purpose: one multi-chunk encoding is over 128 KiB, which
 // slows the fuzzer by orders of magnitude.
 func FuzzDecode(f *testing.F) {
+	var kinds []Kind
+	for k := Kind(0); k < kindCount; k++ {
+		if k.live() {
+			kinds = append(kinds, k)
+		}
+	}
 	for _, n := range []int{0, 1, 12, 40} {
 		ops := make([]Op, n)
 		for i := range ops {
-			ops[i] = Op{Kind: Kind(i) % kindCount, Addr: uint64(i * 64), Arg: uint64(i), Stride: 64,
+			ops[i] = Op{Kind: kinds[i%len(kinds)], Addr: uint64(i * 64), Arg: uint64(i), Stride: 64,
 				Flags: uint32(i % 3), Pre: uint8(i % 3), PreN: uint16(i)}
 		}
 		f.Add(Encode("key", "src", []uint64{uint64(n)}, map[string][]uint64{"fp": {1, 2, 3}}, ops))
@@ -274,6 +265,26 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("accepted trace decodes differently after a re-encode")
 		}
 	})
+}
+
+// TestDecodeRejectsReservedKinds pins the retired scratchpad kinds'
+// wire values: 8-10 stay reserved, so KWarm and KReset keep 11 and 12,
+// and a file holding a reserved value (or one past the last kind) is
+// ErrCorrupt like any other undecodable file.
+func TestDecodeRejectsReservedKinds(t *testing.T) {
+	if KWarm != 11 || KReset != 12 {
+		t.Fatalf("KWarm, KReset = %d, %d; their wire values are 11 and 12", KWarm, KReset)
+	}
+	ok := []Op{{Kind: KWarm, Addr: 64, Arg: 4096}, {Kind: KReset}}
+	if _, _, _, _, _, err := Decode(Encode("k", "s", nil, nil, ok)); err != nil {
+		t.Fatalf("live kinds rejected: %v", err)
+	}
+	for _, k := range []Kind{8, 9, 10, kindCount, 255} {
+		buf := Encode("k", "s", nil, nil, []Op{{Kind: KOps, Arg: 1}, {Kind: k, Arg: 1}})
+		if _, _, _, _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("kind %d decoded with %v, want ErrCorrupt", k, err)
+		}
+	}
 }
 
 // TestDecodeRejectsV1 pins that a v1-era file is just an undecodable
