@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"ctbia/internal/attacker"
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/harness"
 	"ctbia/internal/memp"
@@ -18,7 +19,9 @@ import (
 )
 
 func traceFor(w workloads.Workload, strat ct.Strategy, biaLevel int, p workloads.Params) string {
-	m := harness.MachineFor(biaLevel)
+	cfg := cpu.DefaultConfig()
+	cfg.BIALevel = biaLevel
+	m := cpu.New(cfg)
 	tr := attacker.NewTrace(m.Hier)
 	got := w.Run(m, strat, p)
 	if want := w.Reference(p); got != want {
@@ -114,7 +117,9 @@ func main() {
 	}
 	// Prime+Probe demo summary.
 	fmt.Println("\n== Prime+Probe against one secret-dependent access ==")
-	m := harness.MachineFor(0)
+	cfg := cpu.DefaultConfig()
+	cfg.BIALevel = 0
+	m := cpu.New(cfg)
 	victim := m.Alloc.Alloc("victim", 4096)
 	pp := attacker.NewPrimeProbe(m.Hier, 1, m.Alloc)
 	pp.Prime()

@@ -17,16 +17,14 @@ import "sync"
 // (one machine per goroutine, as ever).
 type Pool struct {
 	cfg Config
-	p   sync.Pool
 
-	// spare strongly holds one idle machine. sync.Pool's contents are
-	// released at every GC, so a sweep that revisits a configuration
-	// after enough allocation churn (a geometry sweep touching many
-	// pools, a warm replay run after a cold recording run) would
-	// rebuild its machine from scratch each round — for a Table 1
-	// machine that single build outweighs the point it simulates. One
-	// pinned spare caps the serial-path rebuild rate at zero while
-	// leaving overflow machines (parallel sweeps) collectable.
+	// spare is the one idle machine the pool keeps, held strongly so a
+	// serial sweep never rebuilds, whatever the GC does. A machine put
+	// back while spare is taken (the second of two concurrent users of
+	// a config) is left to the GC: a sweep whose machines are all pooled
+	// allocates little, so GCs are rare, and an overflow machine kept
+	// between them would count in the live heap, which the GC's heap
+	// target doubles.
 	mu    sync.Mutex
 	spare *Machine
 }
@@ -37,29 +35,25 @@ func NewPool(cfg Config) *Pool { return &Pool{cfg: cfg} }
 // Config returns the configuration the pool's machines are built with.
 func (p *Pool) Config() Config { return p.cfg }
 
-// Get returns a cold machine: a recycled one after Reset, or a freshly
-// built one when the pool is empty.
+// Get returns a cold machine: the recycled spare after Reset, or a
+// freshly built one when the spare is in use.
 func (p *Pool) Get() *Machine {
 	p.mu.Lock()
 	m := p.spare
 	p.spare = nil
 	p.mu.Unlock()
-	if m != nil {
-		m.Reset()
-		return m
+	if m == nil {
+		return New(p.cfg)
 	}
-	if v := p.p.Get(); v != nil {
-		m := v.(*Machine)
-		m.Reset()
-		return m
-	}
-	return New(p.cfg)
+	m.Reset()
+	return m
 }
 
-// Put returns a machine to the pool. The machine must have been built
-// with the pool's configuration; its state need not be clean (Get
-// resets on the way out). Putting a machine while any of its state is
-// still referenced elsewhere is a data race, exactly like freeing it.
+// Put returns a machine to the pool, which keeps it as its spare unless
+// it already holds one. The machine must have been built with the
+// pool's configuration; its state need not be clean (Get resets on the
+// way out). Putting a machine while any of its state is still
+// referenced elsewhere is a data race, exactly like freeing it.
 func (p *Pool) Put(m *Machine) {
 	if m == nil {
 		return
@@ -67,9 +61,6 @@ func (p *Pool) Put(m *Machine) {
 	p.mu.Lock()
 	if p.spare == nil {
 		p.spare = m
-		p.mu.Unlock()
-		return
 	}
 	p.mu.Unlock()
-	p.p.Put(m)
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"ctbia/internal/memp"
@@ -47,4 +48,29 @@ func TestPoolConfigIsolation(t *testing.T) {
 		t.Error("no-BIA pool handed out a machine with a BIA")
 	}
 	p0.Put(m)
+}
+
+// TestPoolKeepsOneSpare pins what a pool holds: its one spare survives
+// a GC, so a serial reuser never rebuilds, and a second machine put
+// back while the spare is held is dropped, so the next Get after the
+// spare builds again.
+func TestPoolKeepsOneSpare(t *testing.T) {
+	p := NewPool(DefaultConfig())
+	a, b := p.Get(), p.Get()
+	p.Put(a)
+	p.Put(b)
+	runtime.GC()
+	built := MachinesBuilt()
+	if got := p.Get(); got != a {
+		t.Error("Get after a GC did not return the spare")
+	}
+	if MachinesBuilt() != built {
+		t.Error("Get rebuilt while the pool held a spare")
+	}
+	if got := p.Get(); got == b {
+		t.Error("pool kept a second machine beside its spare")
+	}
+	if MachinesBuilt() != built+1 {
+		t.Errorf("second Get built %d machines, want 1", MachinesBuilt()-built)
+	}
 }

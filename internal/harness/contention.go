@@ -35,39 +35,43 @@ func runContention(o Options) *Table {
 
 	// perOp runs `ops` protected loads at pseudo-random in-DS targets,
 	// with `flushes` random DS lines evicted by the co-runner before
-	// each op, and returns average cycles per protected load.
+	// each op, and returns average cycles per protected load. The DS is
+	// never written, so every load reads zero: the point's checksum is
+	// the OR of the loaded values and its reference is 0.
 	perOp := func(s ct.Strategy, biaLevel, flushes int) float64 {
-		m := MachineFor(biaLevel)
-		reg := m.Alloc.Alloc("table", uint64(tableLines*memp.LineSize))
-		ds := ct.FromRegion(reg)
-		m.WarmRegion(reg.Base, reg.Size)
-		// Converge the BIA (if any) before measuring.
-		s.Load(m, ds, reg.Base, cpu.W32)
-		m.ResetStats()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < ops; i++ {
-			for k := 0; k < flushes; k++ {
-				m.Hier.Flush(reg.Base + memp.Addr(rng.Intn(tableLines)*memp.LineSize))
-			}
-			idx := rng.Intn(tableLines * memp.LineSize / 4)
-			s.Load(m, ds, reg.Base+memp.Addr(4*idx), cpu.W32)
-		}
+		r := runPoint(tableConfig(biaLevel), fmt.Sprintf("contention/%s/%d", s.Name(), flushes),
+			func() uint64 { return 0 },
+			func(m *cpu.Machine) uint64 {
+				reg := m.Alloc.Alloc("table", uint64(tableLines*memp.LineSize))
+				ds := ct.FromRegion(reg)
+				m.WarmRegion(reg.Base, reg.Size)
+				// Converge the BIA (if any) before measuring.
+				sum := s.Load(m, ds, reg.Base, cpu.W32)
+				m.ResetStats()
+				rng := rand.New(rand.NewSource(7))
+				for i := 0; i < ops; i++ {
+					for k := 0; k < flushes; k++ {
+						m.Hier.Flush(reg.Base + memp.Addr(rng.Intn(tableLines)*memp.LineSize))
+					}
+					idx := rng.Intn(tableLines * memp.LineSize / 4)
+					sum |= s.Load(m, ds, reg.Base+memp.Addr(4*idx), cpu.W32)
+				}
+				return sum
+			})
 		// Subtract nothing: flushes are untimed co-runner work; only
 		// the victim's loads accumulate cycles.
-		return float64(m.Report().Cycles) / float64(ops)
+		return float64(r.Cycles) / float64(ops)
 	}
 
 	t := &Table{ID: "contention",
 		Title:   fmt.Sprintf("cycles per protected load (%d-line DS) vs co-runner evictions per op", tableLines),
 		Headers: []string{"evictions/op", "bia cyc/op", "ct cyc/op", "bia advantage"}}
-	for _, flushes := range []int{0, 4, 16, 64, 256} {
-		biaC := perOp(ct.BIA{}, 1, flushes)
-		linC := perOp(ct.Linear{}, 0, flushes)
-		t.AddRow(fmt.Sprintf("%d", flushes),
-			fmt.Sprintf("%.0f", biaC),
-			fmt.Sprintf("%.0f", linC),
-			fmt.Sprintf("%.2fx", linC/biaC))
-	}
+	flushes := []int{0, 4, 16, 64, 256}
+	t.addRows(o.Parallel, sprintEach("%d", flushes), func(i int) []string {
+		biaC := perOp(ct.BIA{}, 1, flushes[i])
+		linC := perOp(ct.Linear{}, 0, flushes[i])
+		return []string{fmt.Sprintf("%.0f", biaC), fmt.Sprintf("%.0f", linC), fmt.Sprintf("%.2fx", linC/biaC)}
+	})
 	t.Notes = append(t.Notes,
 		"the co-runner's own accesses are untimed; only the victim's protected loads accumulate cycles",
 		"security is unaffected by contention (trace-independence tests cover interference)")

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"ctbia/internal/attacker"
 	"ctbia/internal/cache"
@@ -26,8 +27,10 @@ func init() {
 	})
 }
 
-func crossCoreMachine(biaLevel int) *cpu.Machine {
-	return cpu.New(cpu.Config{
+// crossCoreConfig is a small inclusive hierarchy whose 512-set LLC is
+// the attacker's target, with the BIA at biaLevel (0 = none).
+func crossCoreConfig(biaLevel int) cpu.Config {
+	return cpu.Config{
 		Levels: []cache.Config{
 			{Name: "L1d", Size: 8 << 10, Ways: 2, Latency: 2},
 			{Name: "L2", Size: 32 << 10, Ways: 4, Latency: 15},
@@ -37,7 +40,7 @@ func crossCoreMachine(biaLevel int) *cpu.Machine {
 		BIA:         cpu.DefaultConfig().BIA,
 		BIALevel:    biaLevel,
 		Inclusive:   true,
-	})
+	}
 }
 
 func runCrossCore(o Options) *Table {
@@ -45,49 +48,45 @@ func runCrossCore(o Options) *Table {
 		Title:   "cross-core Prime+Probe (inclusive LLC) against one secret-indexed lookup",
 		Headers: []string{"victim", "secret", "victim LLC set", "attacker hot sets", "recovered"}}
 
-	attack := func(biaLevel, secretLine int) (victimSet int, hot []int) {
-		m := crossCoreMachine(biaLevel)
-		victim := m.Alloc.Alloc("victim", 2*memp.PageSize)
-		pp := attacker.NewCrossCorePrimeProbe(m.Hier, m.Alloc)
-		pp.Prime()
-		addr := victim.Base + memp.Addr(secretLine*memp.LineSize)
-		if biaLevel == 0 {
-			m.Load32(addr)
-		} else {
-			ct.BIA{}.Load(m, ct.FromRegion(victim), addr, cpu.W32)
-		}
-		return pp.SetOfVictim(addr), pp.HotSets(pp.Probe())
+	// attack primes the LLC, lets the victim make one load of its
+	// secret line (insecure at biaLevel 0, else through the BIA) and
+	// probes. It returns the victim line's LLC set, the probe times and
+	// the sets the attacker finds hot. The victim region is never
+	// written, so the load reads zero and the point's reference is 0.
+	attack := func(biaLevel, secretLine int) (victimSet int, probe, hot []int) {
+		runPoint(crossCoreConfig(biaLevel), fmt.Sprintf("crosscore/L%d/line %d", biaLevel, secretLine),
+			func() uint64 { return 0 },
+			func(m *cpu.Machine) uint64 {
+				victim := m.Alloc.Alloc("victim", 2*memp.PageSize)
+				pp := attacker.NewCrossCorePrimeProbe(m.Hier, m.Alloc)
+				pp.Prime()
+				addr := victim.Base + memp.Addr(secretLine*memp.LineSize)
+				var v uint64
+				if biaLevel == 0 {
+					v = uint64(m.Load32(addr))
+				} else {
+					v = ct.BIA{}.Load(m, ct.FromRegion(victim), addr, cpu.W32)
+				}
+				victimSet, probe = pp.SetOfVictim(addr), pp.Probe()
+				hot = pp.HotSets(probe)
+				return v
+			})
+		return victimSet, probe, hot
 	}
 
-	for _, secret := range []int{17, 99} {
-		vs, hot := attack(0, secret)
-		recovered := false
-		for _, s := range hot {
-			if s == vs {
-				recovered = true
-			}
-		}
-		t.AddRow("insecure", fmt.Sprintf("line %d", secret), fmt.Sprintf("%d", vs),
-			fmt.Sprintf("%v", hot), fmt.Sprintf("%v", recovered))
-	}
+	secrets := []int{17, 99}
+	t.addRows(o.Parallel, []string{"insecure", "insecure"}, func(i int) []string {
+		vs, _, hot := attack(0, secrets[i])
+		return []string{fmt.Sprintf("line %d", secrets[i]), fmt.Sprintf("%d", vs),
+			fmt.Sprintf("%v", hot), fmt.Sprintf("%v", slices.Contains(hot, vs))}
+	})
 	// Protected victim: the probe vector must be identical across
 	// secrets (no per-set comparison can distinguish them).
-	probeFor := func(secret int) []int {
-		m := crossCoreMachine(1)
-		victim := m.Alloc.Alloc("victim", 2*memp.PageSize)
-		pp := attacker.NewCrossCorePrimeProbe(m.Hier, m.Alloc)
-		pp.Prime()
-		ct.BIA{}.Load(m, ct.FromRegion(victim), victim.Base+memp.Addr(secret*memp.LineSize), cpu.W32)
-		return pp.Probe()
-	}
-	pa, pb := probeFor(17), probeFor(99)
-	same := len(pa) == len(pb)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			same = false
-		}
-	}
-	t.AddRow("bia", "line 17 vs 99", "—", fmt.Sprintf("probe vectors identical: %v", same), "false")
+	t.addRows(o.Parallel, []string{"bia"}, func(int) []string {
+		_, pa, _ := attack(1, secrets[0])
+		_, pb, _ := attack(1, secrets[1])
+		return []string{"line 17 vs 99", "—", fmt.Sprintf("probe vectors identical: %v", slices.Equal(pa, pb)), "false"}
+	})
 	t.Notes = append(t.Notes,
 		"inclusive LLC: the attacker's priming back-invalidates the victim's private caches, so the insecure victim leaks even across cores; the BIA victim's footprint is secret-independent and the attack learns nothing")
 	return t

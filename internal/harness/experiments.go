@@ -118,24 +118,15 @@ func runFig2(o Options) *Table {
 	t := &Table{ID: "fig2", Title: "Histogram CT overhead vs input size",
 		Headers: []string{"size", "DS lines", "secure", "secure with avx"}}
 	w := workloads.Histogram{}
-	rows := make([][]string, len(sizes))
-	errs := forEachIndexed(len(sizes), o.Parallel, func(i int) {
+	t.addRows(o.Parallel, sprintEach("hist_%d", sizes), func(i int) []string {
 		p := workloads.Params{Size: sizes[i], Seed: 1}
 		ins := RunWorkload(w, p, ct.Direct{}, 0)
 		lin := RunWorkload(w, p, ct.Linear{}, 0)
 		vec := RunWorkload(w, p, ct.LinearVec{}, 0)
-		rows[i] = []string{fmt.Sprintf("hist_%d", sizes[i]),
-			fmt.Sprintf("%d", w.DSLines(p)),
+		return []string{fmt.Sprintf("%d", w.DSLines(p)),
 			ratio(lin.Cycles, ins.Cycles),
 			ratio(vec.Cycles, ins.Cycles)}
 	})
-	for i, row := range rows {
-		if errs != nil && errs[i] != nil {
-			t.Fail(fmt.Sprintf("hist_%d", sizes[i]), errs[i])
-			continue
-		}
-		t.AddRow(row...)
-	}
 	t.Notes = append(t.Notes, "overhead = cycles / insecure cycles; grows ~linearly with DS size as in the paper")
 	return t
 }
@@ -292,59 +283,50 @@ func runFig10(o Options) *Table {
 		size, samples = 500, 4
 	}
 	const window = 6
-	// The paper instruments the cache the victim's demand traffic
-	// lands in; with warm-start kernels that is the L1d (128 sets in
-	// the Table 1 machine — the paper's 2048-set view is its L2).
-	countsFor := func(strat ct.Strategy, biaLevel int, seed int64) ([]uint64, int) {
-		m := MachineFor(biaLevel)
-		sc := attacker.NewSetCounter(m.Hier, 1)
-		w := workloads.Histogram{}
-		w.Run(m, strat, workloads.Params{Size: size, Seed: seed})
-		out := m.Alloc.MustRegion("out")
-		base := m.Hier.Level(1).SetOf(out.Base)
-		return sc.Range(base, base+window), base
-	}
 	t := &Table{ID: "fig10",
 		Title: fmt.Sprintf("L1d per-set access counts, hist_%d, %d random secrets", size, samples)}
+	w := workloads.Histogram{}
 	var base int
-	var insRows, biaRows [][]uint64
-	for s := 0; s < samples; s++ {
-		ic, b := countsFor(ct.Direct{}, 0, int64(100+s))
-		bc, _ := countsFor(ct.BIA{}, 1, int64(100+s))
-		base = b
-		insRows = append(insRows, ic)
-		biaRows = append(biaRows, bc)
+	for _, v := range []struct {
+		name, who string
+		s         ct.Strategy
+		biaLevel  int
+		leak      bool
+	}{{"insecure", "insecure", ct.Direct{}, 0, true}, {"bia", "protected", ct.BIA{}, 1, false}} {
+		var first []uint64
+		differ := false
+		for s := 0; s < samples; s++ {
+			p := workloads.Params{Size: size, Seed: int64(100 + s)}
+			var counts []uint64
+			// The paper instruments the cache the victim's demand traffic
+			// lands in; with warm-start kernels that is the L1d (128 sets in
+			// the Table 1 machine — the paper's 2048-set view is its L2).
+			runPoint(tableConfig(v.biaLevel), fmt.Sprintf("fig10/%s/%d", v.name, p.Seed),
+				func() uint64 { return w.Reference(p) },
+				func(m *cpu.Machine) uint64 {
+					sc := attacker.NewSetCounter(m.Hier, 1)
+					sum := w.Run(m, v.s, p)
+					base = m.Hier.Level(1).SetOf(m.Alloc.MustRegion("out").Base)
+					counts = sc.Range(base, base+window)
+					return sum
+				})
+			if s == 0 {
+				first = counts
+			}
+			differ = differ || !attacker.Equal(counts, first)
+			row := []string{fmt.Sprintf("%s #%d", v.name, s+1)}
+			for _, c := range counts {
+				row = append(row, count(c))
+			}
+			t.AddRow(row...)
+		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s counts differ across secrets: %v (leak expected: %v)", v.who, differ, v.leak))
 	}
 	t.Headers = []string{"sample"}
 	for i := 0; i < window; i++ {
 		t.Headers = append(t.Headers, fmt.Sprintf("set %d", base+i))
 	}
-	for s := 0; s < samples; s++ {
-		row := []string{fmt.Sprintf("insecure #%d", s+1)}
-		for _, c := range insRows[s] {
-			row = append(row, count(c))
-		}
-		t.AddRow(row...)
-	}
-	for s := 0; s < samples; s++ {
-		row := []string{fmt.Sprintf("bia #%d", s+1)}
-		for _, c := range biaRows[s] {
-			row = append(row, count(c))
-		}
-		t.AddRow(row...)
-	}
-	insLeak, biaLeak := false, false
-	for s := 1; s < samples; s++ {
-		if !attacker.Equal(insRows[s], insRows[0]) {
-			insLeak = true
-		}
-		if !attacker.Equal(biaRows[s], biaRows[0]) {
-			biaLeak = true
-		}
-	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("insecure counts differ across secrets: %v (leak expected: true)", insLeak),
-		fmt.Sprintf("protected counts differ across secrets: %v (leak expected: false)", biaLeak),
 		"window = the first 6 L1d sets of the out array (our address map differs from the paper's sets 320-325)")
 	return t
 }

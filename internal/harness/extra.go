@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"ctbia/internal/attacker"
 	"ctbia/internal/bia"
@@ -114,27 +115,19 @@ func runThreshold(o Options) *Table {
 	t := &Table{ID: "threshold",
 		Title:   fmt.Sprintf("binarysearch_%d on an 8KB/32KB/128KB hierarchy (DS %d KB > LLC): Sec. 6.5 threshold", size, size*4>>10),
 		Headers: []string{"strategy", "overhead", "cycles", "fills+evictions (L1d)", "DRAM accesses"}}
-	pool, _ := poolFor(smallCacheConfig(1))
-	for _, c := range []struct {
-		name string
-		s    ct.Strategy
-	}{
-		{"bia (no threshold)", ct.BIA{}},
-		{"bia threshold=32", ct.BIA{Threshold: 32}},
-	} {
-		m := pool.Get()
-		if got := w.Run(m, c.s, p); got != w.Reference(p) {
-			// A corrupted sub-run costs its row, not the experiment;
-			// the machine is abandoned rather than pooled.
-			t.Fail(c.name, fmt.Errorf("harness: threshold run corrupted results (checksum %#x, want %#x)", got, w.Reference(p)))
-			continue
-		}
-		r := m.Report()
-		l1 := m.Hier.Level(1).Stats
-		t.AddRow(c.name, ratio(r.Cycles, ins.Cycles), count(r.Cycles),
-			count(l1.Fills+l1.Evictions), count(r.DRAM))
-		pool.Put(m)
-	}
+	strats := []ct.Strategy{ct.BIA{}, ct.BIA{Threshold: 32}}
+	t.addRows(o.Parallel, []string{"bia (no threshold)", "bia threshold=32"}, func(i int) []string {
+		var l1 cache.Stats
+		r := runPoint(smallCacheConfig(1), "threshold/"+strats[i].Name(),
+			func() uint64 { return w.Reference(p) },
+			func(m *cpu.Machine) uint64 {
+				sum := w.Run(m, strats[i], p)
+				l1 = m.Hier.Level(1).Stats
+				return sum
+			})
+		return []string{ratio(r.Cycles, ins.Cycles), count(r.Cycles),
+			count(l1.Fills + l1.Evictions), count(r.DRAM)}
+	})
 	t.Notes = append(t.Notes,
 		"the threshold path wins on latency (no L1/L2/LLC probe stack before DRAM) and eliminates the fill/eviction churn entirely")
 	return t
@@ -151,31 +144,23 @@ func runBIASize(o Options) *Table {
 	t := &Table{ID: "biasize",
 		Title:   fmt.Sprintf("histogram_%d overhead vs BIA capacity", size),
 		Headers: []string{"BIA entries", "overhead", "BIA hit rate"}}
-	for _, entries := range []int{2, 4, 8, 16, 64} {
-		cfg := cpu.DefaultConfig()
-		cfg.BIALevel = 1
-		cfg.BIA = bia.Config{Entries: entries, Ways: minInt(entries, 4), Latency: 1}
-		m := cpu.New(cfg)
-		got := w.Run(m, ct.BIA{}, p)
-		if got != w.Reference(p) {
-			t.Fail(fmt.Sprintf("%d", entries),
-				fmt.Errorf("harness: biasize run corrupted results (checksum %#x, want %#x)", got, w.Reference(p)))
-			continue
-		}
+	entries := []int{2, 4, 8, 16, 64}
+	t.addRows(o.Parallel, sprintEach("%d", entries), func(i int) []string {
+		cfg := tableConfig(1)
+		cfg.BIA = bia.Config{Entries: entries[i], Ways: min(entries[i], 4), Latency: 1}
 		hitRate := "n/a"
-		if l := m.BIA.Stats.Lookups; l > 0 {
-			hitRate = fmt.Sprintf("%.1f%%", 100*float64(m.BIA.Stats.Hits)/float64(l))
-		}
-		t.AddRow(fmt.Sprintf("%d", entries), ratio(m.Report().Cycles, ins.Cycles), hitRate)
-	}
+		r := runPoint(cfg, fmt.Sprintf("biasize/%d", entries[i]),
+			func() uint64 { return w.Reference(p) },
+			func(m *cpu.Machine) uint64 {
+				sum := w.Run(m, ct.BIA{}, p)
+				if l := m.BIA.Stats.Lookups; l > 0 {
+					hitRate = fmt.Sprintf("%.1f%%", 100*float64(m.BIA.Stats.Hits)/float64(l))
+				}
+				return sum
+			})
+		return []string{ratio(r.Cycles, ins.Cycles), hitRate}
+	})
 	return t
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // runPinning compares PLcache-style preload+lock against the BIA on two
@@ -210,48 +195,45 @@ func runPinning(o Options) *Table {
 	w := workloads.Histogram{}
 	ins := RunWorkload(w, p, ct.Direct{}, 0)
 
+	// victim runs the histogram under s on a Table 1 machine at
+	// biaLevel that prepare has readied, then the bystander on the same
+	// machine. The bystander's accesses go straight to the hierarchy and
+	// cost the victim no cycles.
+	victim := func(label string, biaLevel int, s ct.Strategy, prepare func(m *cpu.Machine)) []string {
+		var missRate float64
+		r := runPoint(tableConfig(biaLevel), label,
+			func() uint64 { return w.Reference(p) },
+			func(m *cpu.Machine) uint64 {
+				prepare(m)
+				sum := w.Run(m, s, p)
+				missRate = bystander(m)
+				return sum
+			})
+		return []string{ratio(r.Cycles, ins.Cycles), fmt.Sprintf("%.1f%%", missRate)}
+	}
 	// PLcache model: preload the DS and pin it in L1, then run the
 	// *insecure* access pattern (pinned lines can never miss, so the
 	// address sequence is hidden from eviction-based attackers — but
 	// note the paper's caveat: dirty/LRU metadata still leaks, and the
-	// pins squat on the cache).
-	mPin := MachineFor(0)
-	pinRun := func() (cpu.Report, error) {
-		got := w.Run(mPin, ct.Direct{}, p)
-		if got != w.Reference(p) {
-			return cpu.Report{}, fmt.Errorf("harness: pinning run corrupted results (checksum %#x, want %#x)", got, w.Reference(p))
+	// pins squat on the cache). Run allocates its regions itself, so a
+	// first run learns where "out" lands; Reset then restores the cold
+	// machine, whose next run allocates the same addresses.
+	pin := func(m *cpu.Machine) {
+		w.Run(m, ct.Direct{}, p)
+		outReg := m.Alloc.MustRegion("out")
+		m.Reset()
+		for off := uint64(0); off < outReg.Size; off += memp.LineSize {
+			a := outReg.Base + memp.Addr(off)
+			m.Hier.Access(a, 0)
+			m.Hier.Level(1).Pin(a)
 		}
-		return mPin.Report(), nil
 	}
-	// Pre-allocate and pin the out array: regions are allocated inside
-	// Run, so pin right after it starts is impossible; instead pin the
-	// region by address math — Run allocates "in" then "out".
-	// Simpler and equivalent: run once to learn the layout, then build
-	// a fresh machine, warm+pin, and run again.
-	layout := MachineFor(0)
-	w.Run(layout, ct.Direct{}, p)
-	outReg := layout.Alloc.MustRegion("out")
-	for off := uint64(0); off < outReg.Size; off += memp.LineSize {
-		a := outReg.Base + memp.Addr(off)
-		mPin.Hier.Access(a, 0)
-		mPin.Hier.Level(1).Pin(a)
-	}
-	if rPin, err := pinRun(); err != nil {
-		t.Fail("PLcache (preload+pin)", err)
-	} else {
-		t.AddRow("PLcache (preload+pin)", ratio(rPin.Cycles, ins.Cycles),
-			fmt.Sprintf("%.1f%%", bystander(mPin)))
-	}
-
-	mBIA := MachineFor(1)
-	gotBIA := w.Run(mBIA, ct.BIA{}, p)
-	if gotBIA != w.Reference(p) {
-		t.Fail("BIA (L1d)", fmt.Errorf("harness: pinning/bia run corrupted results (checksum %#x, want %#x)", gotBIA, w.Reference(p)))
-	} else {
-		rBIA := mBIA.Report()
-		t.AddRow("BIA (L1d)", ratio(rBIA.Cycles, ins.Cycles),
-			fmt.Sprintf("%.1f%%", bystander(mBIA)))
-	}
+	t.addRows(o.Parallel, []string{"PLcache (preload+pin)", "BIA (L1d)"}, func(i int) []string {
+		if i == 0 {
+			return victim("pinning/plcache", 0, ct.Direct{}, pin)
+		}
+		return victim("pinning/bia", 1, ct.BIA{}, func(*cpu.Machine) {})
+	})
 	t.Notes = append(t.Notes,
 		"PLcache leaves replacement/dirty metadata observable and cannot release its pins across context switches (Sec. 6.1); the miss-rate column shows its fairness cost")
 	return t
@@ -278,43 +260,39 @@ func runLLCBIA(o Options) *Table {
 	if o.Quick {
 		size = 800
 	}
-	traffic := func(lsHash int, seed int64) ([]uint64, error) {
-		mGran, ok := bia.LLCPlacement(lsHash)
-		if !ok {
-			panic("harness: infeasible placement requested")
-		}
-		cfg := cpu.DefaultConfig()
-		cfg.Levels[2].Slices = 4
-		cfg.Levels[2].SliceHash = func(a memp.Addr) int { return int((uint64(a) >> uint(lsHash)) & 3) }
-		cfg.BIALevel = 3
-		cfg.BIA.ChunkShift = mGran
-		m := cpu.New(cfg)
-		w := workloads.Histogram{}
-		p := workloads.Params{Size: size, Seed: seed}
-		if got := w.Run(m, ct.BIA{}, p); got != w.Reference(p) {
-			return nil, fmt.Errorf("harness: llcbia run corrupted results (checksum %#x, want %#x)", got, w.Reference(p))
-		}
-		out := make([]uint64, 4)
-		copy(out, m.Hier.LLC().SliceTraffic)
-		return out, nil
-	}
+	w := workloads.Histogram{}
 	for _, lsHash := range []int{12, 9} {
 		mGran, _ := bia.LLCPlacement(lsHash)
-		a, errA := traffic(lsHash, 1)
-		b, errB := traffic(lsHash, 2)
-		if errA != nil || errB != nil {
-			err := errA
-			if err == nil {
-				err = errB
-			}
-			t.Fail(fmt.Sprintf("LS_Hash=%d traffic", lsHash), err)
-			continue
+		var traffic [2][]uint64
+		name := fmt.Sprintf("LS_Hash=%d (M=%d) traffic secret ", lsHash, mGran)
+		if t.addRows(o.Parallel, []string{name + "A", name + "B"}, func(i int) []string {
+			p := workloads.Params{Size: size, Seed: int64(i + 1)}
+			runPoint(slicedLLCConfig(lsHash, mGran), fmt.Sprintf("llcbia/LS_Hash=%d/%d", lsHash, p.Seed),
+				func() uint64 { return w.Reference(p) },
+				func(m *cpu.Machine) uint64 {
+					sum := w.Run(m, ct.BIA{}, p)
+					traffic[i] = slices.Clone(m.Hier.LLC().SliceTraffic)
+					return sum
+				})
+			return []string{fmt.Sprintf("%v", traffic[i])}
+		}) {
+			t.AddRow(fmt.Sprintf("LS_Hash=%d identical", lsHash), fmt.Sprintf("%v", attacker.Equal(traffic[0], traffic[1])))
 		}
-		t.AddRow(fmt.Sprintf("LS_Hash=%d (M=%d) traffic secret A", lsHash, mGran), fmt.Sprintf("%v", a))
-		t.AddRow(fmt.Sprintf("LS_Hash=%d (M=%d) traffic secret B", lsHash, mGran), fmt.Sprintf("%v", b))
-		t.AddRow(fmt.Sprintf("LS_Hash=%d identical", lsHash), fmt.Sprintf("%v", attacker.Equal(a, b)))
 	}
 	return t
+}
+
+// slicedLLCConfig is the Table 1 machine with a 4-slice LLC hashed at
+// address bit lsHash and the BIA in the LLC at granularity mGran.
+// Fingerprint cannot see the SliceHash function, so pools tell llcbia's
+// two configs apart by mGran alone (12 and 9).
+func slicedLLCConfig(lsHash, mGran int) cpu.Config {
+	cfg := cpu.DefaultConfig()
+	cfg.Levels[2].Slices = 4
+	cfg.Levels[2].SliceHash = func(a memp.Addr) int { return int((uint64(a) >> uint(lsHash)) & 3) }
+	cfg.BIALevel = 3
+	cfg.BIA.ChunkShift = mGran
+	return cfg
 }
 
 func runReplacement(o Options) *Table {
@@ -332,18 +310,20 @@ func runReplacement(o Options) *Table {
 	t := &Table{ID: "replacement",
 		Title:   fmt.Sprintf("histogram_%d on the small hierarchy under different L1d replacement policies", size),
 		Headers: []string{"policy", "bia cycles", "L1d miss rate"}}
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random} {
+	policies := []cache.Policy{cache.LRU, cache.FIFO, cache.Random}
+	t.addRows(o.Parallel, sprintEach("%v", policies), func(i int) []string {
 		cfg := smallCacheConfig(1)
-		cfg.Levels[0].Policy = pol
-		m := cpu.New(cfg)
-		if got := w.Run(m, ct.BIA{}, p); got != w.Reference(p) {
-			t.Fail(pol.String(), fmt.Errorf("harness: replacement run corrupted results (checksum %#x, want %#x)", got, w.Reference(p)))
-			continue
-		}
-		s := m.Hier.Level(1).Stats
-		t.AddRow(pol.String(), count(m.Report().Cycles),
-			fmt.Sprintf("%.1f%%", 100*float64(s.Misses)/float64(s.Accesses)))
-	}
+		cfg.Levels[0].Policy = policies[i]
+		var l1 cache.Stats
+		r := runPoint(cfg, fmt.Sprintf("replacement/%v", policies[i]),
+			func() uint64 { return w.Reference(p) },
+			func(m *cpu.Machine) uint64 {
+				sum := w.Run(m, ct.BIA{}, p)
+				l1 = m.Hier.Level(1).Stats
+				return sum
+			})
+		return []string{count(r.Cycles), fmt.Sprintf("%.1f%%", 100*float64(l1.Misses)/float64(l1.Accesses))}
+	})
 	t.Notes = append(t.Notes,
 		"LRU and FIFO coincide exactly on a cyclic sweep (classic result); Random avoids pathological self-eviction")
 	return t

@@ -65,6 +65,17 @@ func RunKernelFanout(cfgs []cpu.Config, k ctcrypto.Kernel, p ctcrypto.Params, s 
 		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) })
 }
 
+// runPoint runs sim on one cold machine of cfg as a group of one with
+// no trace key, so the engine always runs it direct: the machine comes
+// from cfg's pool, sim's checksum is checked against ref, and the
+// machine is harvested and observed like any other point. It is how an
+// ablation that reads more of the machine than its report simulates:
+// sim runs the program, copies out the extra state its table prints
+// and returns the program's checksum.
+func runPoint(cfg cpu.Config, label string, ref func() uint64, sim func(m *cpu.Machine) uint64) cpu.Report {
+	return runGroups([]cpu.Config{cfg}, label, func(int, string) string { return "" }, ref, sim)[0]
+}
+
 // runGroups draws each config's machine pool, splits cfgs into runs of
 // consecutive configs with the same trace key (keyOf maps a config's
 // BIA level and fingerprint to it) and serves each run as one group.

@@ -220,6 +220,15 @@ func ratio(a, b uint64) string {
 	return fmt.Sprintf("%.2fx", float64(a)/float64(b))
 }
 
+// sprintEach formats each of xs with format, for row labels.
+func sprintEach[T any](format string, xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
+	}
+	return out
+}
+
 // count formats an integer with thousands separators.
 func count(v uint64) string {
 	s := fmt.Sprintf("%d", v)

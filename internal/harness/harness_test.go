@@ -139,6 +139,38 @@ func TestRunWorkloadValidatesChecksums(t *testing.T) {
 	RunWorkload(workloads.Histogram{}, workloads.Params{Size: 200, Seed: 1}, corrupting{}, 0)
 }
 
+// TestAddRowsFailsOnlyTheBadRow: an ablation row whose point returns a
+// wrong checksum is a FAILED row naming the point, and the rows beside
+// it still measure.
+func TestAddRowsFailsOnlyTheBadRow(t *testing.T) {
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 200, Seed: 1}
+	strats := []ct.Strategy{ct.Direct{}, corrupting{}, ct.Linear{}}
+	for _, workers := range []int{1, 3} {
+		tb := &Table{ID: "rows", Headers: []string{"strategy", "cycles"}}
+		ok := tb.addRows(workers, []string{"direct", "corrupting", "linear"}, func(i int) []string {
+			r := runPoint(smallCacheConfig(0), "rows/"+strats[i].Name(),
+				func() uint64 { return w.Reference(p) },
+				func(m *cpu.Machine) uint64 { return w.Run(m, strats[i], p) })
+			return []string{count(r.Cycles)}
+		})
+		if ok || len(tb.Rows) != 3 || len(tb.Failures) != 1 {
+			t.Fatalf("workers=%d: ok=%v, %d rows, %d failures; want false, 3, 1", workers, ok, len(tb.Rows), len(tb.Failures))
+		}
+		if got := tb.Rows[1]; got[0] != "corrupting" || got[1] != "FAILED" {
+			t.Errorf("workers=%d: bad row %v, want [corrupting FAILED]", workers, got)
+		}
+		if pe := tb.Failures[0]; pe.Point != "rows/corrupting" || !strings.Contains(pe.Error(), "checksum") {
+			t.Errorf("workers=%d: failure %q at point %q", workers, pe.Error(), pe.Point)
+		}
+		for _, i := range []int{0, 2} {
+			if tb.Rows[i][1] == "FAILED" {
+				t.Errorf("workers=%d: row %v failed beside the bad one", workers, tb.Rows[i])
+			}
+		}
+	}
+}
+
 // corrupting is a deliberately wrong strategy for the validation test:
 // every load is off by one.
 type corrupting struct{ ct.Direct }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/obs"
 	"ctbia/internal/workloads"
@@ -162,6 +164,28 @@ func TestRunAllJournalsMetricsAndProvenance(t *testing.T) {
 	}
 	if points == 0 {
 		t.Fatal("no simulation points booked")
+	}
+}
+
+// TestOneMachineLifecycle pins that every experiment simulates through
+// runGroup: each machine comes from a pool, so a repeat of a serial
+// sweep builds none, even after a GC, and each is harvested and
+// observed, so every experiment that simulates books instructions and
+// points.
+func TestOneMachineLifecycle(t *testing.T) {
+	defer obsReset()
+	obsReset()
+	obs.Arm()
+	for _, r := range RunAll(nil, Options{Quick: true, Parallel: 1}) {
+		if id := r.Experiment.ID; id != "config" && id != "table2" && (r.Metrics["cpu.insts"] == 0 || r.Points == 0) {
+			t.Errorf("%s: cpu.insts %d, points %d; want both > 0", id, r.Metrics["cpu.insts"], r.Points)
+		}
+	}
+	runtime.GC()
+	built := cpu.MachinesBuilt()
+	RunAll(nil, Options{Quick: true, Parallel: 1})
+	if n := cpu.MachinesBuilt() - built; n != 0 {
+		t.Errorf("a repeated serial sweep built %d machines, want 0", n)
 	}
 }
 

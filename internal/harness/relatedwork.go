@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/workloads"
 )
@@ -40,23 +41,16 @@ func runRelatedWork(o Options) *Table {
 	pre := RunWorkload(w, p, ct.Preload{}, 0)
 	t.AddRow("preload (SC-Eliminator)", ratio(pre.Cycles, ins.Cycles), "—", "yes*", "NO — refills leak")
 
-	spRun := func() (overhead string, err error) {
-		m := MachineFor(0)
-		sp := m.NewScratchpad(dsBytes+4096, 2)
-		s := ct.NewScratchpadStrategy(sp)
-		got := w.Run(m, s, p)
-		if got != w.Reference(p) {
-			return "", fmt.Errorf("harness: scratchpad run corrupted results (checksum %#x, want %#x)", got, w.Reference(p))
-		}
-		return ratio(m.Report().Cycles, ins.Cycles), nil
-	}
-	if overhead, err := spRun(); err != nil {
-		// One corrupted sub-run costs its row, not the comparison.
-		t.Fail("scratchpad (GhostRider)", err)
-	} else {
-		t.AddRow("scratchpad (GhostRider)", overhead,
-			fmt.Sprintf("%d KiB SRAM (DS-sized)", (dsBytes+4096)>>10), "yes", "yes")
-	}
+	// One corrupted scratchpad run costs its row, not the comparison.
+	t.addRows(o.Parallel, []string{"scratchpad (GhostRider)"}, func(int) []string {
+		r := runPoint(tableConfig(0), "relatedwork/scratchpad",
+			func() uint64 { return w.Reference(p) },
+			func(m *cpu.Machine) uint64 {
+				return w.Run(m, ct.NewScratchpadStrategy(m.NewScratchpad(dsBytes+4096, 2)), p)
+			})
+		return []string{ratio(r.Cycles, ins.Cycles),
+			fmt.Sprintf("%d KiB SRAM (DS-sized)", (dsBytes+4096)>>10), "yes", "yes"}
+	})
 
 	lin := RunWorkload(w, p, ct.Linear{}, 0)
 	t.AddRow("software CT (Constantine)", ratio(lin.Cycles, ins.Cycles), "—", "yes", "yes")

@@ -47,12 +47,6 @@ func tableConfig(biaLevel int) cpu.Config {
 	return cfg
 }
 
-// MachineFor builds a Table 1 machine with the BIA at the given level.
-// The machine is always freshly constructed — experiments that subscribe
-// telemetry or otherwise hold on to machine state use this; the pooled
-// fast path is internal to RunWorkload/RunKernel.
-func MachineFor(biaLevel int) *cpu.Machine { return cpu.New(tableConfig(biaLevel)) }
-
 // RunWorkload executes one workload under one strategy on a cold
 // Table 1 machine drawn from its config's pool, verifies the result
 // against the pure-Go reference (an experiment with a wrong answer must
@@ -148,6 +142,24 @@ func forEachIndexed(n, workers int, fn func(i int)) []*PointError {
 	close(idx)
 	wg.Wait()
 	return errs
+}
+
+// addRows measures one row per label on up to parallel workers and
+// appends the rows in label order; row(i) returns label i's cells after
+// the label. A row whose simulation panicked — a wrong checksum caught
+// by verifySum among them — is a FAILED row, and the other rows still
+// measure. It reports whether every row measured.
+func (t *Table) addRows(parallel int, labels []string, row func(i int) []string) bool {
+	cells := make([][]string, len(labels))
+	errs := forEachIndexed(len(labels), parallel, func(i int) { cells[i] = row(i) })
+	for i, label := range labels {
+		if errs != nil && errs[i] != nil {
+			t.Fail(label, errs[i])
+			continue
+		}
+		t.AddRow(append([]string{label}, cells[i]...)...)
+	}
+	return errs == nil
 }
 
 // Result is one experiment's outcome from RunAll: the rendered table

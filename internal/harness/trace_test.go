@@ -54,7 +54,7 @@ func assertMachinesEqual(t *testing.T, label string, want, got *cpu.Machine) {
 // and returns the captured trace.
 func recordRun(t *testing.T, label string, biaLevel int, wantSum uint64, run func(m *cpu.Machine) uint64) *trace.Trace {
 	t.Helper()
-	m := MachineFor(biaLevel)
+	m := cpu.New(tableConfig(biaLevel))
 	rec := trace.NewRecorder(0)
 	m.SetRecorder(rec)
 	if sum := run(m); sum != wantSum {
@@ -73,7 +73,7 @@ func checkTraceEquivalence(t *testing.T, label string, biaLevel int, run func(m 
 
 	// Direct execution, with telemetry subscribed (listeners only
 	// observe, so this machine is the reference for both regimes).
-	direct := MachineFor(biaLevel)
+	direct := cpu.New(tableConfig(biaLevel))
 	scDirect := attacker.NewSetCounter(direct.Hier, 1)
 	sum := run(direct)
 
@@ -81,7 +81,7 @@ func checkTraceEquivalence(t *testing.T, label string, biaLevel int, run func(m 
 
 	// Replay with telemetry: every access goes through the ordinary
 	// event-emitting path, so the attacker's view must match too.
-	slow := MachineFor(biaLevel)
+	slow := cpu.New(tableConfig(biaLevel))
 	scSlow := attacker.NewSetCounter(slow.Hier, 1)
 	slow.ExecTrace(tr.Ops)
 	assertMachinesEqual(t, label+"/replay-telemetry", direct, slow)
@@ -91,7 +91,7 @@ func checkTraceEquivalence(t *testing.T, label string, biaLevel int, run func(m 
 
 	// Replay without telemetry: on BIA-less machines this is the
 	// batched fast path end to end.
-	fast := MachineFor(biaLevel)
+	fast := cpu.New(tableConfig(biaLevel))
 	fast.ExecTrace(tr.Ops)
 	assertMachinesEqual(t, label+"/replay-batched", direct, fast)
 }
@@ -101,7 +101,7 @@ func TestTraceEquivalenceWorkloads(t *testing.T) {
 		p := workloads.Params{Size: resetSize(w), Seed: 1}
 		for _, st := range resetStrategies {
 			w, st := w, st
-			checkTraceEquivalence(t, w.Name()+"/"+st.name, st.biaLevel,
+			checkTraceEquivalence(t, w.Name()+"/"+st.name, st.cfg.BIALevel,
 				func(m *cpu.Machine) uint64 { return w.Run(m, st.s, p) })
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"ctbia/internal/faultinject"
@@ -159,22 +160,41 @@ func pruneStale(dir, salt string) int {
 }
 
 // clearEntries removes every result entry under dir, quarantined ones
-// included, returning how many went. Unremovable files are skipped —
-// the next prune retries them.
+// included, returning how many went: the files the store itself names,
+// <key>.json at the top and <key>.json.bad under quarantine/, with key
+// a 64-digit lowercase hex Key. Any other file stays and is not
+// counted, so a cache directory shared with other output (a -json
+// report, a settings file) loses only cache entries. Unremovable files
+// are skipped — the next prune retries them.
 func clearEntries(dir string) int {
 	n := 0
-	for _, pat := range []string{
-		filepath.Join(dir, "*.json"),
-		filepath.Join(dir, QuarantineSubdir, "*.json.bad"),
+	for _, sub := range []struct{ dir, suffix string }{
+		{dir, ".json"},
+		{filepath.Join(dir, QuarantineSubdir), ".json.bad"},
 	} {
-		matches, _ := filepath.Glob(pat)
-		for _, f := range matches {
-			if os.Remove(f) == nil {
+		files, _ := os.ReadDir(sub.dir)
+		for _, f := range files {
+			key, ok := strings.CutSuffix(f.Name(), sub.suffix)
+			if ok && isKey(key) && os.Remove(filepath.Join(sub.dir, f.Name())) == nil {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// isKey reports whether s has the shape of a Key: 64 lowercase hex
+// digits.
+func isKey(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Pruned returns how many stale entries Open removed (0 for a nil

@@ -361,6 +361,54 @@ func TestClearCoversQuarantine(t *testing.T) {
 	}
 }
 
+// TestClearKeepsForeignFiles: the salt prune and Clear remove only the
+// store's own entries. A cache directory that also holds a -json
+// report, a settings file or a note in quarantine/ keeps them, and the
+// counts name only real entries.
+func TestClearKeepsForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	foreign := []string{"report.json", "settings.json", filepath.Join(QuarantineSubdir, "notes.json.bad")}
+	if err := os.MkdirAll(filepath.Join(dir, QuarantineSubdir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, ReadWrite, "sim-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Pruned() != 0 {
+		t.Errorf("first open pruned %d entries, want 0", s.Pruned())
+	}
+	if err := s.Save(Key("sim-v1", "fig2"), payload{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, ReadWrite, "sim-v2"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pruned() != 1 {
+		t.Errorf("salt bump pruned %d entries, want 1", s.Pruned())
+	}
+	live, bad := Key("sim-v2", "fig2"), Key("sim-v2", "fig7a")
+	for _, key := range []string{live, bad} {
+		if err := s.Save(key, payload{Name: "y"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Quarantine(bad)
+	if n, err := s.Clear(); err != nil || n != 2 {
+		t.Errorf("Clear = %d, %v; want 2, nil", n, err)
+	}
+	for _, f := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
 // The injected I/O faults: cache.read makes Load miss without touching
 // the (healthy) entry; cache.write makes Save return a transient error.
 func TestInjectedCacheFaults(t *testing.T) {
@@ -437,7 +485,7 @@ func TestPruneFastPathSkipsWalk(t *testing.T) {
 	if _, err := Open(dir, ReadWrite, "sim-v1"); err != nil {
 		t.Fatal(err)
 	}
-	stray := filepath.Join(dir, "feedface.json")
+	stray := filepath.Join(dir, Key("stray")+".json")
 	if err := os.WriteFile(stray, []byte("not even json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
