@@ -91,23 +91,23 @@ type Table struct {
 	clock   uint64
 	level   int // cache level being monitored, 0 = detached
 
-	// One-entry find memo: snoop traffic is strongly chunk-local (a
-	// linearization sweep touches every line of a page before moving
-	// on), so the last resolved entry answers most lookups without a
-	// way scan. The pointer is revalidated against (valid, pageIdx) on
-	// every use, so eviction or reuse of the slot cannot serve a stale
-	// entry. entries never reallocates, so the pointer itself is safe.
-	lastChunk uint64
-	lastEntry *entry
+	// Two-entry find memo, most recent first: snoop traffic is strongly
+	// chunk-local (a linearization sweep touches every line of a page
+	// before moving on), but a fill snoops its victim's chunk and then
+	// its own, so the last two resolved entries answer most lookups
+	// without a way scan. Each pointer is revalidated against (valid,
+	// pageIdx) on every use, so eviction or reuse of the slot cannot
+	// serve a stale entry. entries never reallocates, so the pointers
+	// themselves are safe.
+	hit [2]*entry
 
-	// One-entry negative memo: under batched replay the snoop stream
-	// is dominated by long runs over chunks the table does not track,
-	// each of which would otherwise pay a full way scan. A miss is only
-	// cacheable until the next install (the sole way an absent chunk
-	// can appear — evictions and snoops never add tags), so
-	// LookupOrInstall invalidates it.
-	lastMissChunk uint64
-	lastMissOK    bool
+	// Two-entry negative memo (noChunk when empty): under batched
+	// replay the snoop stream is dominated by long runs over chunks the
+	// table does not track, each of which would otherwise pay a full
+	// way scan. A miss is only cacheable until the next install (the
+	// sole way an absent chunk can appear — evictions and snoops never
+	// add tags), so LookupOrInstall drops both.
+	miss [2]uint64
 
 	Stats Stats
 }
@@ -126,6 +126,7 @@ func New(cfg Config) *Table {
 		shift:   shift,
 		sets:    cfg.Entries / cfg.Ways,
 		entries: make([]entry, cfg.Entries),
+		miss:    [2]uint64{noChunk, noChunk},
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.maskOK = true
@@ -179,21 +180,31 @@ func (t *Table) setOf(chunkIdx uint64) int {
 	return int(chunkIdx % uint64(t.sets))
 }
 
+// noChunk marks an empty negative memo entry: no address shifts down to
+// it.
+const noChunk = ^uint64(0)
+
+// find returns chunkIdx's entry, or nil when the table has none. It
+// counts nothing, so the memos change no statistic.
 func (t *Table) find(chunkIdx uint64) *entry {
-	if e := t.lastEntry; e != nil && t.lastChunk == chunkIdx && e.valid && e.pageIdx == chunkIdx {
+	if e := t.hit[0]; e != nil && e.valid && e.pageIdx == chunkIdx {
 		return e
 	}
-	if t.lastMissOK && t.lastMissChunk == chunkIdx {
+	if e := t.hit[1]; e != nil && e.valid && e.pageIdx == chunkIdx {
+		t.hit[0], t.hit[1] = e, t.hit[0]
+		return e
+	}
+	if t.miss[0] == chunkIdx || t.miss[1] == chunkIdx {
 		return nil
 	}
 	ways := t.set(t.setOf(chunkIdx))
 	for w := range ways {
 		if ways[w].valid && ways[w].pageIdx == chunkIdx {
-			t.lastChunk, t.lastEntry = chunkIdx, &ways[w]
+			t.hit[0], t.hit[1] = &ways[w], t.hit[0]
 			return &ways[w]
 		}
 	}
-	t.lastMissChunk, t.lastMissOK = chunkIdx, true
+	t.miss[0], t.miss[1] = chunkIdx, t.miss[0]
 	return nil
 }
 
@@ -309,8 +320,8 @@ func (t *Table) LookupOrInstall(addr memp.Addr) (exist, dirty uint64) {
 	}
 	t.clock++
 	ways[victim] = entry{valid: true, pageIdx: pageIdx, stamp: t.clock}
-	t.lastChunk, t.lastEntry = pageIdx, &ways[victim]
-	t.lastMissOK = false
+	t.hit[0], t.hit[1] = &ways[victim], t.hit[0]
+	t.miss = [2]uint64{noChunk, noChunk}
 	return 0, 0
 }
 
@@ -327,17 +338,15 @@ func (t *Table) Peek(addr memp.Addr) (exist, dirty uint64, ok bool) {
 func (t *Table) ResetStats() { t.Stats = Stats{} }
 
 // Reset restores the table to its just-built cold state — no entries,
-// clock at zero, find memo dropped, stats cleared — without
+// clock at zero, find memos dropped, stats cleared — without
 // reallocating and without detaching from its cache level.
 func (t *Table) Reset() {
 	for i := range t.entries {
 		t.entries[i] = entry{}
 	}
 	t.clock = 0
-	t.lastChunk = 0
-	t.lastEntry = nil
-	t.lastMissChunk = 0
-	t.lastMissOK = false
+	t.hit = [2]*entry{}
+	t.miss = [2]uint64{noChunk, noChunk}
 	t.Stats = Stats{}
 }
 

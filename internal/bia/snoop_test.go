@@ -113,25 +113,56 @@ func TestBatchSnoopChargingEquivalence(t *testing.T) {
 	}
 }
 
-// TestNegativeFindMemo pins the miss memo: repeated snoops for an
-// untracked chunk skip the way scan, and an install of that chunk
-// invalidates the memo immediately.
+// TestNegativeFindMemo pins the miss memo: repeated snoops for the
+// last two untracked chunks skip the way scan, and an install
+// invalidates both immediately.
 func TestNegativeFindMemo(t *testing.T) {
 	_, b := newSystem()
-	a := memp.Addr(0x40000)
-	if e := b.find(b.chunkIdx(a)); e != nil {
+	a, c := memp.Addr(0x40000), memp.Addr(0x80000)
+	if b.find(b.chunkIdx(a)) != nil || b.find(b.chunkIdx(c)) != nil {
 		t.Fatal("fresh table claims to track a chunk")
 	}
-	if !b.lastMissOK || b.lastMissChunk != b.chunkIdx(a) {
-		t.Fatal("miss was not memoized")
+	if b.miss != [2]uint64{b.chunkIdx(c), b.chunkIdx(a)} {
+		t.Fatalf("misses memoized as %#x, want both chunks, the last first", b.miss)
 	}
-	// The memoized miss must not outlive an install of the same chunk.
+	// The memoized misses must not outlive an install of either chunk.
 	b.LookupOrInstall(a)
 	if e := b.find(b.chunkIdx(a)); e == nil {
 		t.Fatal("stale negative memo hid a freshly installed entry")
 	}
+	if b.miss != [2]uint64{noChunk, noChunk} {
+		t.Fatal("an install left the negative memo armed")
+	}
+	b.find(b.chunkIdx(c))
 	b.Reset()
-	if b.lastMissOK {
-		t.Fatal("Reset left the negative memo armed")
+	if b.miss != [2]uint64{noChunk, noChunk} || b.hit != [2]*entry{} {
+		t.Fatal("Reset left a find memo armed")
+	}
+}
+
+// TestFindMemoKeepsTwoEntries pins the positive memo: a fill's victim
+// chunk and its own both stay memoized, the most recent first, and an
+// entry that leaves the table is never served from it.
+func TestFindMemoKeepsTwoEntries(t *testing.T) {
+	_, b := newSystem()
+	a, c := memp.Addr(0x40000), memp.Addr(0x80000)
+	b.LookupOrInstall(a)
+	b.LookupOrInstall(c)
+	ea, ec := b.find(b.chunkIdx(a)), b.find(b.chunkIdx(c))
+	if ea == nil || ec == nil || b.hit != [2]*entry{ec, ea} {
+		t.Fatal("the last two entries found are not memoized, the last first")
+	}
+	if b.find(b.chunkIdx(a)) != ea || b.hit != [2]*entry{ea, ec} {
+		t.Fatal("a hit on the older entry did not make it the most recent")
+	}
+	// Evict a's entry: fill its set with other chunks.
+	for k := 1; k <= b.cfg.Ways; k++ {
+		b.LookupOrInstall(a + memp.Addr(k*b.sets)<<memp.PageShift)
+	}
+	if _, _, ok := b.Peek(a); ok {
+		t.Fatal("precondition: a's entry left the table")
+	}
+	if b.find(b.chunkIdx(a)) != nil {
+		t.Fatal("the memo served an entry that left the table")
 	}
 }

@@ -138,10 +138,16 @@ type Cache struct {
 	// has left, and as a line turns clean only by leaving, no dirty
 	// line has turned clean either.
 	gen uint64
-	// memo is the residency memo of the closed-form batch charge (see
-	// AccessBatch): a direct-mapped slot per page, valid while its
-	// generation is gen.
+	// memo is the residency memo: a direct-mapped slot per page, valid
+	// while its generation is gen. The L1's is noted by line-stride
+	// batches' hits and lets a covered batch be charged in closed form;
+	// the L2's is noted by its demand hits and by writebacks, and lets a
+	// batch's L1 miss be charged as an L2 hit without probing (see
+	// AccessBatch).
 	memo [memoSlots]pageMemo
+	// plan is the probe-free pass's scratch (see fillPlan), built on
+	// the L1 by its first pass and reused by every later one.
+	plan *fillPlan
 
 	// SliceTraffic counts per-slice demand accesses when sliced.
 	SliceTraffic []uint64
@@ -159,11 +165,10 @@ const memoSlots = 64
 const linesPerPage = memp.PageSize / memp.LineSize
 
 // pageMemo is one slot of the residency memo: the lines of page seen
-// resident (res), and resident and dirty (dirty, a subset of res), by
-// line-stride batches while the cache's generation was gen. As no line
-// leaves and no dirty line turns clean without a bump of gen, every
-// line the slot names is still resident, or resident and dirty, while
-// gen stands.
+// resident (res), and resident and dirty (dirty, a subset of res),
+// while the cache's generation was gen. As no line leaves and no dirty
+// line turns clean without a bump of gen, every line the slot names is
+// still resident, or resident and dirty, while gen stands.
 type pageMemo struct {
 	page       uint64
 	gen        uint64
@@ -177,7 +182,7 @@ type pendingPage struct {
 	res, dirty uint64
 }
 
-// note adds an L1 hit on la, dirty after the access or not, to p,
+// note adds a hit on la, dirty after the access or not, to p,
 // committing p first when la is on another page.
 func (c *Cache) note(p *pendingPage, la memp.Addr, dirty bool) {
 	page := uint64(la) >> memp.PageShift
@@ -208,6 +213,15 @@ func (c *Cache) commit(p *pendingPage) {
 	m.res |= p.res
 	m.dirty |= p.dirty
 	p.res, p.dirty = 0, 0
+}
+
+// noteLine notes the line la resident at the current generation, and
+// dirty too if dirty: the L2 takes its lines one at a time, as demand
+// hits and writebacks find them.
+func (c *Cache) noteLine(la memp.Addr, dirty bool) {
+	p := pendingPage{page: uint64(la) >> memp.PageShift}
+	c.note(&p, la, dirty)
+	c.commit(&p)
 }
 
 // covered reports whether the memo has seen each of the n lines from

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -670,3 +672,259 @@ func TestResidencyMemo(t *testing.T) {
 type eventLogger struct{ events []Event }
 
 func (l *eventLogger) CacheEvent(ev Event) { l.events = append(l.events, ev) }
+
+// TestL2ResidencyMemo pins the L2's residency memo: a demand hit at the
+// L2 notes its line with the dirty bit after the access, and a
+// writeback that dirties an L2 copy notes it dirty, while a fill notes
+// nothing; a clean line never covers a store; an L2 eviction, a Flush,
+// a Reset and an inclusive back-invalidation each forget the line,
+// while a non-inclusive LLC eviction does not.
+func TestL2ResidencyMemo(t *testing.T) {
+	a := memp.Addr(0x40000) // L1 set 0, L2 set 0, LLC set 0
+	line := func(k int) memp.Addr { return a + memp.Addr(k*memp.LineSize) }
+	covered := func(h *Hierarchy, la memp.Addr, dirty bool) bool { return h.Level(2).covered(la, 1, dirty) }
+	// evictL1 pushes la out of the tiny L1 by filling its set with two
+	// lines outside la's L2 set.
+	evictL1 := func(h *Hierarchy, la memp.Addr) {
+		h.Access(la+4*memp.LineSize, 0)
+		h.Access(la+12*memp.LineSize, 0)
+		if p, _ := h.Level(1).Lookup(la); p {
+			t.Fatal("precondition: the line left the L1")
+		}
+	}
+	// noted returns a hierarchy in which a has hit the L2 once.
+	noted := func(h *Hierarchy) *Hierarchy {
+		h.Access(a, 0)
+		if covered(h, a, false) {
+			t.Fatal("a fill was noted")
+		}
+		evictL1(h, a)
+		h.Access(a, 0)
+		if !covered(h, a, false) {
+			t.Fatal("an L2 hit was not noted")
+		}
+		return h
+	}
+
+	h := noted(tiny())
+	if covered(h, a, true) {
+		t.Fatal("a clean line covers a store")
+	}
+	h.Access(a, FlagWrite) // dirty in the L1 only
+	if covered(h, a, true) {
+		t.Fatal("a store hit at the L1 noted the L2 copy dirty")
+	}
+	evictL1(h, a)
+	if !covered(h, a, true) {
+		t.Fatal("a dirtying writeback was not noted")
+	}
+	// A store that misses the L1 and hits the L2 dirties the L2 copy,
+	// and the hit notes it dirty.
+	b := line(1)
+	h.Access(b, 0)
+	evictL1(h, b)
+	h.Access(b, FlagWrite)
+	if !covered(h, b, true) {
+		t.Fatal("a store's L2 hit was not noted dirty")
+	}
+	// Overfill b's L2 set behind the L1's back.
+	for k := 2; k <= 5; k++ {
+		h.AccessFrom(2, line(1+8*k), 0)
+	}
+	if p, _ := h.Level(2).Lookup(b); p {
+		t.Fatal("precondition: b left the L2")
+	}
+	if covered(h, b, false) {
+		t.Fatal("an L2 eviction did not forget the memo")
+	}
+	h.Flush(a)
+	if covered(h, a, false) {
+		t.Fatal("a Flush did not forget the memo")
+	}
+
+	h = noted(tiny())
+	h.Reset()
+	if covered(h, a, false) {
+		t.Fatal("Reset did not forget the memo")
+	}
+
+	for _, inclusive := range []bool{false, true} {
+		h = NewHierarchy(100,
+			Config{Name: "L1d", Size: 512, Ways: 2, Latency: 2},
+			Config{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
+			Config{Name: "LLC", Size: 4096, Ways: 4, Latency: 30},
+		)
+		h.Inclusive = inclusive
+		noted(h)
+		for k := 1; k <= 4; k++ {
+			h.AccessFrom(3, line(16*k), 0) // a's LLC set
+		}
+		if p, _ := h.Level(3).Lookup(a); p {
+			t.Fatal("precondition: a left the LLC")
+		}
+		if covered(h, a, false) == inclusive {
+			t.Fatalf("inclusive=%v: an LLC eviction left the L2 memo covered=%v", inclusive, !inclusive)
+		}
+	}
+}
+
+// TestProbeFreeGate pins when a line-stride batch takes the probe-free
+// pass: at least one line per L1 set, FlagNoLRU, every line noted in
+// the L2's memo (dirty for stores), no subscriber at the L1 or the L2,
+// and an unpinned LRU or FIFO L1.
+func TestProbeFreeGate(t *testing.T) {
+	const n = 12 // three lines to each of the tiny L1's four sets
+	base := memp.Addr(0x40000)
+	warm := func(p Policy) *Hierarchy {
+		h := NewHierarchy(100,
+			Config{Name: "L1d", Size: 512, Ways: 2, Latency: 2, Policy: p},
+			Config{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
+		)
+		for k := 0; k < 2; k++ {
+			h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+		}
+		return h
+	}
+	h := warm(LRU)
+	if !h.probeFree(base, n, FlagNoLRU) || !h.probeFree(base, h.Level(1).Sets(), FlagNoLRU) {
+		t.Fatal("a thrashing batch the L2 memo covers does not take the pass")
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		flags Flags
+	}{
+		{"shorter than the set count", h.Level(1).Sets() - 1, FlagNoLRU},
+		{"LRU-updating", n, 0},
+		{"a store over clean L2 copies", n, FlagNoLRU | FlagWrite},
+		{"a line the L2 memo has not seen", n + 1, FlagNoLRU},
+	} {
+		if h.probeFree(base, tc.n, tc.flags) {
+			t.Errorf("%s: takes the pass", tc.name)
+		}
+	}
+	if !warm(FIFO).probeFree(base, n, FlagNoLRU) || warm(Random).probeFree(base, n, FlagNoLRU) {
+		t.Error("the pass must take a FIFO L1 and refuse a Random one")
+	}
+	for level := 1; level <= 2; level++ {
+		h := warm(LRU)
+		h.Subscribe(&levelLog{level: level})
+		if h.probeFree(base, n, FlagNoLRU) {
+			t.Errorf("takes the pass with a subscriber at L%d", level)
+		}
+	}
+	h = warm(LRU)
+	h.Level(1).Pin(base + (n-1)*memp.LineSize)
+	if h.probeFree(base, n, FlagNoLRU) {
+		t.Error("takes the pass with a pinned L1 line")
+	}
+	h = warm(LRU)
+	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+	if h.Level(1).plan == nil {
+		t.Fatal("the third sweep did not take the pass")
+	}
+}
+
+// TestProbeFreePassMatchesScalar holds the probe-free pass to the
+// scalar access loop on a hierarchy a random schedule drives into
+// states the machine-level twin scripts rarely reach: L1 sets with
+// invalid ways (a line vacated behind the L2's back, as a
+// back-invalidation leaves it), LRU stamps that single accesses
+// reorder, dirty and clean victims, and batch lines that hit and are
+// then evicted by the same batch. Every step must leave both
+// hierarchies alike, and the pass must have run from such states.
+func TestProbeFreePassMatchesScalar(t *testing.T) {
+	const ds = 40 // lines: more than the L1's 16, a fraction of the L2's 128
+	base := memp.Addr(0x40000)
+	for _, pol := range []Policy{LRU, FIFO} {
+		mk := func() *Hierarchy {
+			return NewHierarchy(100,
+				Config{Name: "L1d", Size: 1024, Ways: 2, Latency: 2, Policy: pol},
+				Config{Name: "L2", Size: 8192, Ways: 4, Latency: 15, Policy: pol},
+			)
+		}
+		a, b := mk(), mk() // a batches, b runs the scalar loop
+		c := a.Level(1)
+		rng := rand.New(rand.NewSource(int64(pol) + 1))
+		var passes, withInvalid int
+		for step := 0; step < 600; step++ {
+			label := fmt.Sprintf("%v step %d", pol, step)
+			k := rng.Intn(ds)
+			la := base + memp.Addr(k*memp.LineSize)
+			switch op := rng.Intn(10); {
+			case op < 6: // a batch over a window of the DS
+				n := c.Sets() + rng.Intn(ds-c.Sets()+1)
+				first := base + memp.Addr(rng.Intn(ds-n+1)*memp.LineSize)
+				flags, rmw := FlagNoLRU, false
+				switch rng.Intn(3) {
+				case 1:
+					flags |= FlagWrite
+				case 2:
+					rmw = true
+				}
+				if a.probeFree(first, n, flags) {
+					passes++
+					for s := 0; s < c.Sets(); s++ {
+						if int(c.validCnt[s]) < c.Ways() {
+							withInvalid++
+							break
+						}
+					}
+				}
+				var hits, miss int
+				if rmw {
+					hits, miss = a.AccessBatchRMW(first, memp.LineSize, n, flags)
+				} else {
+					hits, miss = a.AccessBatch(first, memp.LineSize, n, flags)
+				}
+				want := 0
+				for j := 0; j < n; j++ {
+					addr := first + memp.Addr(j*memp.LineSize)
+					want += b.AccessFrom(1, addr, flags).Cycles
+					if rmw {
+						want += b.AccessFrom(1, addr, flags|FlagWrite).Cycles
+					}
+				}
+				if got := hits*c.Latency() + miss; got != want {
+					t.Fatalf("%s: batch of %d charged %d cycles, scalar %d", label, n, got, want)
+				}
+			case op < 8: // a single access, which may move an LRU stamp
+				flags := Flags(0)
+				if op == 7 {
+					flags = FlagWrite
+				}
+				a.Access(la, flags)
+				b.Access(la, flags)
+			default: // the line leaves the L1 only
+				for _, h := range []*Hierarchy{a, b} {
+					if s, w := h.Level(1).find(la); w >= 0 {
+						h.Level(1).vacate(s, w)
+					}
+				}
+			}
+			if a.Stats != b.Stats {
+				t.Fatalf("%s: hierarchy stats %+v, scalar %+v", label, a.Stats, b.Stats)
+			}
+			for i := 1; i <= 2; i++ {
+				if sa, sb := a.Level(i).Stats, b.Level(i).Stats; sa != sb {
+					t.Fatalf("%s: L%d stats %+v, scalar %+v", label, i, sa, sb)
+				}
+				if !a.SnapshotLevel(i).Equal(b.SnapshotLevel(i)) {
+					t.Fatalf("%s: L%d contents differ from the scalar loop's", label, i)
+				}
+			}
+		}
+		if passes < 50 || withInvalid < 5 {
+			t.Fatalf("%v: the pass ran %d times, %d of them over a set with an invalid way", pol, passes, withInvalid)
+		}
+	}
+}
+
+// levelLog is a plain listener at one cache level.
+type levelLog struct {
+	level  int
+	events []Event
+}
+
+func (l *levelLog) CacheEvent(ev Event)       { l.events = append(l.events, ev) }
+func (l *levelLog) WantsLevel(level int) bool { return level == l.level }

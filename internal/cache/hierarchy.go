@@ -277,6 +277,9 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 					h.emit(Event{Level: i, Kind: EvDirty, Line: la, Set: s})
 				}
 			}
+			if i == 2 {
+				c.noteLine(la, c.dirty[li])
+			}
 			// Fill the bypass-free upper levels so subsequent
 			// accesses hit closer to the core.
 			if i > start {
@@ -358,6 +361,15 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 // hits in one call. A write, or any access to a snooped L1, needs every
 // line seen dirty, so that no dirty bit moves and every hit event's
 // dirty bit is known; an unsnooped load needs them seen resident.
+//
+// The L2 keeps a residency memo too, noted by its demand hits and by
+// the writebacks that dirty its lines. An L1 miss it covers is charged
+// as an L2 hit without probing the L2 when quietL2 holds (batchMiss).
+// A line-stride batch with at least one line per L1 set, on an L1 that
+// nobody snoops, whose lines the L2's memo all covers, skips the L1's
+// probes as well: the probe-free pass (planBatch) reads each set once
+// and charges the whole batch from that plan, changing the state as the
+// per-line loop would and adding the counts once.
 func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
@@ -370,6 +382,9 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 			h.emitRun(1, base.Line(), n, 1)
 		}
 		return n, 0
+	}
+	if line && h.probeFree(base.Line(), n, flags) {
+		return h.planBatch(base.Line(), n, flags, false)
 	}
 	noLRU := flags&FlagNoLRU != 0
 	var seen pendingPage
@@ -385,7 +400,7 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
+			missCycles += h.batchMiss(la, flags)
 			k++
 			addr += memp.Addr(stride)
 			continue
@@ -446,7 +461,10 @@ func (h *Hierarchy) quietL1(flags Flags) bool {
 // re-probe, because a pinned-full set can drop the fill. A line-stride
 // batch notes its hits in the L1's residency memo, and one whose lines
 // the memo has all seen dirty is charged in closed form, as
-// AccessBatch's is.
+// AccessBatch's is. Its misses go through the L2's memo, and a batch
+// that thrashes the L1 through the probe-free pass, as AccessBatch's
+// do: a pair's load needs its line seen resident at the L2, and its
+// store then hits the line the load filled.
 func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	snoop := h.snoopsAt(1)
@@ -458,6 +476,9 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 			h.emitRun(1, base.Line(), n, 2)
 		}
 		return 2 * n, 0
+	}
+	if line && h.probeFree(base.Line(), n, flags) {
+		return h.planBatch(base.Line(), n, flags, true)
 	}
 	noLRU := flags&FlagNoLRU != 0
 	var seen pendingPage
@@ -474,7 +495,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
+			missCycles += h.batchMiss(la, flags)
 			// Store probe: after the load the line is resident in L1
 			// unless a pinned-full set dropped the fill, so re-probe
 			// rather than assume.
@@ -503,7 +524,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				l1Hits++
 			} else {
 				c.Stats.Misses++
-				missCycles += h.demandAccess(1, 2, la, flags|FlagWrite, c.cfg.Latency).Cycles
+				missCycles += h.batchMiss(la, flags|FlagWrite)
 			}
 			k++
 			addr += memp.Addr(stride)
@@ -656,6 +677,9 @@ func (h *Hierarchy) writeback(from int, la memp.Addr) {
 				c.dirty[li] = true
 				if h.snoopsAt(i) {
 					h.emit(Event{Level: i, Kind: EvDirty, Line: la, Set: s})
+				}
+				if i == 2 {
+					c.noteLine(la, true)
 				}
 			}
 			return

@@ -59,6 +59,25 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 		other ^= runLines * memp.LineSize
 		nb.SweepVec(other, 0, runLines, 4, 12, ModeStreaming, false)
 	}))
+
+	// A DS larger than the L1 and noted in the L2's memo by earlier
+	// sweeps: unsnooped, each sweep is the probe-free pass; with the BIA
+	// at the L1, the per-line loop charges each miss as an L2 hit.
+	const thrash = 80 << 10
+	for _, mm := range []*Machine{nb, m} {
+		for k := 0; k < 3; k++ {
+			mm.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
+		}
+	}
+	assertZeroAllocs(t, "SweepLoad(probe-free pass)", testing.AllocsPerRun(50, func() {
+		nb.SweepLoad(thrash, memp.LineSize, thrashLines, 6, ModeNoLRU|ModeStreaming)
+	}))
+	assertZeroAllocs(t, "SweepRMW(probe-free pass)", testing.AllocsPerRun(50, func() {
+		nb.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
+	}))
+	assertZeroAllocs(t, "SweepRMW(snooped, L2 memo)", testing.AllocsPerRun(50, func() {
+		m.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
+	}))
 }
 
 func TestMachineResetZeroAllocs(t *testing.T) {

@@ -108,14 +108,14 @@ const sweepLines = 512
 // each run in one call. BenchmarkSweepScalar runs the per-line loop the
 // primitive replaced over the same lines. All fail on an allocation.
 func BenchmarkSweepPrimitive(b *testing.B) {
-	benchSweep(b, noBIAConfig(), func(m *Machine) {
+	benchSweep(b, noBIAConfig(), 0, func(m *Machine) {
 		m.SweepRMW(0, memp.LineSize, sweepLines, 7, ModeNoLRU|ModeStreaming)
 	})
 }
 
 func BenchmarkSweepAlternating(b *testing.B) {
 	var base memp.Addr
-	benchSweep(b, noBIAConfig(), func(m *Machine) {
+	benchSweep(b, noBIAConfig(), 0, func(m *Machine) {
 		base ^= sweepLines * memp.LineSize
 		m.SweepRMW(base, memp.LineSize, sweepLines, 7, ModeStreaming)
 	})
@@ -125,7 +125,7 @@ func BenchmarkSweepSnooped(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.BIALevel = 1
 	target := 0
-	benchSweep(b, cfg, func(m *Machine) {
+	benchSweep(b, cfg, 0, func(m *Machine) {
 		if m.C.CTLoads == 0 {
 			// Install the DS pages' BIA entries, so the runs' hits land.
 			for p := 0; p < sweepLines*memp.LineSize; p += memp.PageSize {
@@ -139,13 +139,63 @@ func BenchmarkSweepSnooped(b *testing.B) {
 }
 
 func BenchmarkSweepScalar(b *testing.B) {
-	benchSweep(b, noBIAConfig(), func(m *Machine) {
+	benchSweep(b, noBIAConfig(), 0, func(m *Machine) {
 		scalarSweep(m, sweepCall{stride: memp.LineSize, n: sweepLines, pre: 7, mode: ModeNoLRU | ModeStreaming, rmw: true})
 	})
 }
 
-func benchSweep(b *testing.B, cfg Config, sweep func(*Machine)) {
+// thrashLines is the DS BenchmarkSweepThrash sweeps: 80 KiB, more than
+// the Table 1 L1's 64 KiB and far less than its 1 MiB L2.
+const thrashLines = 80 << 10 / memp.LineSize
+
+// BenchmarkSweepThrash times sweeps that thrash the L1: every line of
+// the DS misses the L1 and hits the L2, as in software CT over Fig. 2's
+// and Fig. 7's larger DSes. load and rmw sweep the whole DS per op on
+// an unsnooped Table 1 machine, which after the first sweeps note the
+// DS in the L2's memo is the probe-free pass. pages and pages-bia sweep
+// one 64-line page run of it per op, Alg. 2's fetch runs: shorter than
+// the L1's 128 sets, they take the per-line loop, whose misses the L2's
+// memo serves, and with the BIA at the L1 every miss snoops a victim's
+// page and its own. Each reports ns a line.
+func BenchmarkSweepThrash(b *testing.B) {
+	const mode = ModeNoLRU | ModeStreaming
+	page := 0
+	pageRun := func(m *Machine) {
+		if m.BIA != nil && m.C.CTLoads == 0 {
+			// Install the DS pages' BIA entries, so the snoops land.
+			for p := 0; p < thrashLines*memp.LineSize; p += memp.PageSize {
+				m.CTLoad64(memp.Addr(p))
+			}
+		}
+		page = (page + 1) % (thrashLines / 64)
+		m.SweepLoad(memp.Addr(page*memp.PageSize), memp.LineSize, 64, 6, mode)
+	}
+	for _, bc := range []struct {
+		name  string
+		cfg   Config
+		lines int
+		sweep func(*Machine)
+	}{
+		{"load", noBIAConfig(), thrashLines, func(m *Machine) { m.SweepLoad(0, memp.LineSize, thrashLines, 6, mode) }},
+		{"rmw", noBIAConfig(), thrashLines, func(m *Machine) { m.SweepRMW(0, memp.LineSize, thrashLines, 7, mode) }},
+		{"pages", noBIAConfig(), 64, pageRun},
+		{"pages-bia", DefaultConfig(), 64, pageRun}, // the BIA at the L1
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			// Three passes over the DS note it in the L2's memo.
+			benchSweep(b, bc.cfg, 3*thrashLines/bc.lines, bc.sweep)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.lines), "ns/line")
+		})
+	}
+}
+
+// benchSweep times sweep on a machine built from cfg, after warm
+// untimed calls, and fails if a call allocates.
+func benchSweep(b *testing.B, cfg Config, warm int, sweep func(*Machine)) {
 	m := New(cfg)
+	for range warm {
+		sweep(m)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

@@ -22,19 +22,28 @@ import (
 
 // sweepCall is one sweep of the script. With lanes set it is a vector
 // sweep (SweepVec): pre ops once per lanes lines, before each line whose
-// index counted from first is a multiple of lanes.
+// index counted from first is a multiple of lanes. With store set it is
+// a sweep of stores, which no primitive makes but replay charges for a
+// recorded run of them.
 type sweepCall struct {
 	base         memp.Addr
 	stride       int64
 	n, pre       int
 	mode         AccessMode
-	rmw          bool
+	rmw, store   bool
 	first, lanes int
 }
 
 // primitiveSweep runs c through the primitives.
 func primitiveSweep(m *Machine, c sweepCall) {
 	switch {
+	case c.store:
+		// What SweepLoad does, with the write flag: replay's charge for
+		// a KRun record of stores.
+		f := m.modeFlags(c.mode) | cache.FlagWrite
+		m.recordSweep(c.base, c.stride, 0, c.n, 1, c.pre, f, false)
+		m.streamOps(c.pre * c.n)
+		m.execRun(c.base, c.stride, c.n, f, m.Hier.BatchSafe())
 	case c.lanes > 0:
 		m.SweepVec(c.base, c.first, c.n, c.lanes, c.pre, c.mode, c.rmw)
 	case c.rmw:
@@ -51,6 +60,11 @@ func scalarSweep(m *Machine, c sweepCall) {
 	for k := 0; k < c.n; k++ {
 		if c.lanes == 0 || (c.first+k)%c.lanes == 0 {
 			m.OpStream(c.pre)
+		}
+		if c.store {
+			m.StoreModeW(addr, uint64(k), W64, c.mode)
+			addr += memp.Addr(c.stride)
+			continue
 		}
 		v := m.LoadModeW(addr, W64, c.mode)
 		if c.rmw {
@@ -75,15 +89,25 @@ func tinyConfig(p cache.Policy) Config {
 }
 
 // eventLog records every event it is sent; wantAccess picks whether it
-// asks for EvAccess (which sends sweeps down the scalar branch).
+// asks for EvAccess (which sends sweeps down the scalar branch), and
+// level, unless 0, the one cache level it asks for and records: the
+// bus sends each event to every listener, so one wired to a level
+// drops the others', as the BIA does.
 type eventLog struct {
 	wantAccess bool
+	level      int
 	events     []cache.Event
 }
 
-func (l *eventLog) CacheEvent(ev cache.Event) { l.events = append(l.events, ev) }
+func (l *eventLog) CacheEvent(ev cache.Event) {
+	if l.level == 0 || ev.Level == l.level {
+		l.events = append(l.events, ev)
+	}
+}
 
 func (l *eventLog) WantsEvent(k cache.EventKind) bool { return k != cache.EvAccess || l.wantAccess }
+
+func (l *eventLog) WantsLevel(level int) bool { return l.level == 0 || l.level == level }
 
 // sweepRegion is where the script's sweeps start: page-aligned, so the
 // BIA sees whole pages.
@@ -96,10 +120,11 @@ func scriptLine(i int) memp.Addr { return sweepRegion + memp.Addr(i*memp.LineSiz
 // scriptStep is one step of a twin script: a sweep, or, when act is
 // set, an action both twins take alike at addr.
 type scriptStep struct {
-	call sweepCall
-	act  action
-	addr memp.Addr
-	want bool // actSubscribe: the listener asks for EvAccess
+	call  sweepCall
+	act   action
+	addr  memp.Addr
+	want  bool // actSubscribe: the listener asks for EvAccess
+	level int  // actSubscribe: the one level it asks for, 0 for all
 }
 
 // action is what a script step does instead of a sweep.
@@ -119,6 +144,7 @@ const (
 	actUnsubscribe        // drop the last listener the script subscribed
 	actResetStats         // Machine.ResetStats
 	actReset              // Machine.Reset, then the scenario's setup again
+	actPin                // pin addr's line in the L1, if it is there
 	numActions
 )
 
@@ -160,8 +186,10 @@ func (tw *twin) step(st scriptStep) {
 		if m.BIA != nil {
 			m.CTStore64(st.addr, uint64(st.addr))
 		}
+	case actPin:
+		m.Hier.Level(1).Pin(st.addr)
 	case actSubscribe:
-		l := &eventLog{wantAccess: st.want}
+		l := &eventLog{wantAccess: st.want, level: st.level}
 		tw.logs = append(tw.logs, l)
 		tw.subs++
 		m.Hier.Subscribe(l)
@@ -281,6 +309,58 @@ func repeatScript(modes []AccessMode) []scriptStep {
 			}
 			steps = append(steps, scriptStep{call: clean}, scriptStep{call: clean}, scriptStep{call: clean},
 				scriptStep{call: dirty}, scriptStep{call: dirty}, scriptStep{call: clean})
+		}
+	}
+	return steps
+}
+
+// thrashScript sweeps a DS larger than the tiny L1 and smaller than its
+// L2 over and over, so that its lines miss the L1 and hit the L2, which
+// is what the probe-free pass and the L2's residency memo charge: whole
+// sweeps of loads, stores and load+store pairs (the pairs leave dirty
+// victims), windows of it, one of which hits a line that its own last
+// miss then evicts, and sub-runs shorter than the L1's set count. Between them come the events that end an L2 line's residency
+// or the pass's conditions: an L2 eviction behind the L1's back, a
+// Flush, a prefetch, a pinned line, and a plain listener at the L2 and
+// at the LLC.
+func thrashScript(modes []AccessMode) []scriptStep {
+	const first, lines = 120, 20 // across a page boundary, 5 lines to an L1 set
+	var steps []scriptStep
+	for _, mode := range modes {
+		noLRU := mode&ModeNoLRU != 0
+		sweep := func(k, n int, rmw, store bool) scriptStep {
+			if rmw && !noLRU {
+				rmw, store = false, true
+			}
+			return scriptStep{call: sweepCall{base: scriptLine(first + k), stride: memp.LineSize, n: n, pre: 6, mode: mode, rmw: rmw, store: store}}
+		}
+		load, store, pairs := sweep(0, lines, false, false), sweep(0, lines, false, true), sweep(0, lines, true, false)
+		// Loads miss to DRAM once, then hit the L2 and are noted there;
+		// the first stores find the L2 copies clean and dirty them.
+		steps = append(steps, load, load, load, load, store, store, store, pairs, pairs, pairs, load)
+		for _, k := range []int{4, 9} {
+			steps = append(steps, sweep(k, lines-k, false, false), sweep(k, lines-k, true, false),
+				sweep(k, 1, false, false), sweep(k, 2, true, false), sweep(k+1, 3, false, true))
+		}
+		// Lines 8-15 fill the L1; the next window hits them and its last
+		// line's miss evicts line 8, hit on the same page in the same
+		// call, which the one-line sub-run must then miss.
+		for _, rmw := range []bool{false, true} {
+			steps = append(steps, sweep(8, 8, rmw, false), sweep(8, 9, rmw, false), sweep(8, 1, rmw, false))
+		}
+		steps = append(steps, sweep(0, 3, false, false), sweep(1, 2, true, false), pairs)
+		// Overfill the L2 set of the DS's first line behind the L1's back.
+		for j := 3; j <= 7; j++ {
+			steps = append(steps, scriptStep{act: actL2Access, addr: scriptLine(first + 8*j)})
+		}
+		steps = append(steps, load, load, pairs,
+			scriptStep{act: actFlush, addr: scriptLine(first + 5)}, pairs, store,
+			scriptStep{act: actPrefetch, addr: scriptLine(first + lines)}, load, load,
+			scriptStep{act: actPin, addr: scriptLine(first + lines - 1)}, pairs, load,
+			scriptStep{act: actFlush, addr: scriptLine(first + lines - 1)}, pairs, pairs)
+		for _, level := range []int{2, 3} {
+			steps = append(steps, scriptStep{act: actSubscribe, level: level}, load, store, pairs,
+				scriptStep{act: actUnsubscribe}, load, pairs)
 		}
 	}
 	return steps
@@ -443,7 +523,7 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 			log: func() *eventLog { return &eventLog{wantAccess: true} }},
 	}
 	for _, sc := range scenarios {
-		steps := sweepScript(sc.modes)
+		steps := append(sweepScript(sc.modes), thrashScript(sc.modes)...)
 		for _, odd := range []bool{false, true} {
 			for _, record := range []bool{false, true} {
 				a := &twin{m: New(sc.cfg()), sweep: primitiveSweep}

@@ -25,7 +25,8 @@ import (
 // shape), every other step two. An address is a line of the four pages
 // from sweepRegion, or of the four pages 64 pages above them (aux bit
 // 0), whose memo slots collide with the first four's, plus an 8-byte
-// word offset (aux bits 1-3).
+// word offset (aux bits 1-3). A subscribe's first operand asks for
+// EvAccess (bit 0) and for one cache level (bits 1-2, 0 for all).
 func FuzzSweepTwin(f *testing.F) {
 	for _, seed := range []struct {
 		scenario byte
@@ -47,6 +48,12 @@ func FuzzSweepTwin(f *testing.F) {
 		{1, collideScript()},
 		{1 | 1<<4 | 1<<6, collideScript()}, // ... inclusive and pinned
 		{0, append(repeatScript(streamingModes[:1]), collideScript()...)},
+		{0, thrashScript(streamingModes)}, // L1-thrashing sweeps the L2 serves
+		{1, thrashScript(streamingModes)},
+		{1 << 2, thrashScript(streamingModes)}, // ... FIFO
+		{1 << 4, thrashScript(streamingModes)}, // ... inclusive
+		{1 << 6, thrashScript(streamingModes)}, // ... pinned-full
+		{1 << 7, thrashScript(streamingModes)}, // ... next-line prefetch
 	} {
 		// Short seeds keep each run, and so the minimizing of every new
 		// input the fuzzer finds, cheap.
@@ -103,7 +110,7 @@ func FuzzSweepTwin(f *testing.F) {
 // exactly what TestSweepMatchesScalarLoop runs.
 func TestTwinScriptEncoding(t *testing.T) {
 	for _, steps := range [][]scriptStep{
-		sweepScript(streamingModes), sweepScript(uncachedModes), collideScript(),
+		sweepScript(streamingModes), sweepScript(uncachedModes), collideScript(), thrashScript(streamingModes),
 	} {
 		if got := decodeScript(encodeScript(steps)); !slices.Equal(got, steps) {
 			t.Fatalf("decoded %d steps, want %d", len(got), len(steps))
@@ -208,10 +215,13 @@ func fuzzScenario(b byte) (Config, func(*Machine)) {
 const opSubRun = byte(numActions)
 
 // decodeScript turns fuzz bytes into script steps; a truncated last
-// step is dropped. Sweeps are made valid for a twin comparison: a
-// read-modify-write sweep or a sub-line stride needs a mode without LRU
-// updates (under one, a coalesced group is one touch where the per-line
-// loop makes several), and a vector sweep walks lines.
+// step is dropped. A sweep's shape byte holds the read-modify-write bit
+// (bit 0), the vector bit (bit 1), the stride (bits 2-3), and a vector
+// sweep's first index or another sweep's store bit (bits 4-7, bit 4).
+// Sweeps are made valid for a twin comparison: a read-modify-write sweep
+// or a sub-line stride needs a mode without LRU updates (under one, a
+// coalesced group is one touch where the per-line loop makes several),
+// and a vector sweep walks lines.
 func decodeScript(data []byte) []scriptStep {
 	var steps []scriptStep
 	var last sweepCall
@@ -234,6 +244,8 @@ func decodeScript(data []byte) []scriptStep {
 			c.rmw = shape&1 != 0 && noLRU
 			if shape&2 != 0 {
 				c.first, c.lanes, c.stride = int(shape>>4), 4, memp.LineSize
+			} else {
+				c.store = shape&(1<<4) != 0 && !c.rmw
 			}
 			if !noLRU && c.stride > -memp.LineSize && c.stride < memp.LineSize {
 				c.stride = memp.LineSize
@@ -258,7 +270,7 @@ func decodeScript(data []byte) []scriptStep {
 			st := scriptStep{act: action(op)}
 			switch {
 			case st.act == actSubscribe:
-				st.want = data[1]&1 != 0
+				st.want, st.level = data[1]&1 != 0, int(data[1]>>1&3)
 			case slices.Contains(addressed, st.act):
 				st.addr = fuzzAddr(data[1], data[2])
 			}
@@ -270,7 +282,7 @@ func decodeScript(data []byte) []scriptStep {
 }
 
 // addressed lists the actions that take an address.
-var addressed = []action{actLoad, actStore, actStreamLoad, actFlush, actPrefetch, actL2Access, actCTLoad, actCTStore}
+var addressed = []action{actLoad, actStore, actStreamLoad, actFlush, actPrefetch, actL2Access, actCTLoad, actCTStore, actPin}
 
 // fuzzAddr decodes a line byte and an aux byte into an address (see
 // FuzzSweepTwin).
@@ -302,8 +314,11 @@ func encodeScript(steps []scriptStep) []byte {
 		if st.act != actSweep {
 			var b1, b2 byte
 			switch {
-			case st.act == actSubscribe && st.want:
-				b1 = 1
+			case st.act == actSubscribe:
+				b1 = byte(st.level) << 1
+				if st.want {
+					b1 |= 1
+				}
 			case slices.Contains(addressed, st.act):
 				b1, b2 = addr(st.addr)
 			}
@@ -313,7 +328,8 @@ func encodeScript(steps []scriptStep) []byte {
 		c := st.call
 		line, aux := addr(c.base)
 		mode, pre, stride := slices.Index(fuzzModes, c.mode), slices.Index(fuzzPres, c.pre), slices.Index(fuzzStrides, c.stride)
-		if mode < 0 || pre < 0 || stride < 0 || c.n < 1 || c.n > 256 || c.first > 15 || (c.lanes != 0 && c.lanes != 4) {
+		if mode < 0 || pre < 0 || stride < 0 || c.n < 1 || c.n > 256 || c.first > 15 || (c.lanes != 0 && c.lanes != 4) ||
+			(c.store && (c.rmw || c.lanes != 0)) {
 			panic(fmt.Sprintf("encodeScript: sweep %+v", c))
 		}
 		shape := byte(stride) << 2
@@ -322,6 +338,9 @@ func encodeScript(steps []scriptStep) []byte {
 		}
 		if c.lanes != 0 {
 			shape |= 2 | byte(c.first)<<4
+		}
+		if c.store {
+			shape |= 1 << 4
 		}
 		out = append(out, byte(actSweep), line, aux, byte(mode), byte(c.n-1), byte(pre), shape)
 	}
