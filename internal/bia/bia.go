@@ -236,30 +236,35 @@ func (t *Table) CacheEvent(ev cache.Event) {
 		// before the table lookup (they are the most frequent events).
 		return
 	}
-	e := t.find(t.chunkIdx(ev.Line))
-	if e == nil {
-		return // no entry for this chunk: nothing to maintain
-	}
-	bit := uint64(1) << t.lineBit(ev.Line)
-	switch ev.Kind {
-	case cache.EvHit:
+	if e := t.find(t.chunkIdx(ev.Line)); e != nil {
+		e.snoop(ev.Kind, 1<<t.lineBit(ev.Line), ev.Dirty)
 		t.Stats.Snoops++
+	}
+}
+
+// snoop applies one event of the given kind on the line bit to the
+// entry: hits set existence and mirror the dirty bit, fills set
+// existence, evictions clear both, dirty edges set both. It reports
+// whether the kind is one the bitmaps track.
+func (e *entry) snoop(kind cache.EventKind, bit uint64, dirty bool) bool {
+	switch kind {
+	case cache.EvHit:
 		e.exist |= bit
-		if ev.Dirty {
+		if dirty {
 			e.dirty |= bit
 		}
 	case cache.EvFill:
-		t.Stats.Snoops++
 		e.exist |= bit
 	case cache.EvEvict:
-		t.Stats.Snoops++
 		e.exist &^= bit
 		e.dirty &^= bit
 	case cache.EvDirty:
-		t.Stats.Snoops++
 		e.exist |= bit
 		e.dirty |= bit
+	default:
+		return false
 	}
+	return true
 }
 
 // CacheRun implements cache.RunListener: the effect of mult EvHit
@@ -286,6 +291,36 @@ func (t *Table) CacheRun(level int, first memp.Addr, n, mult int) {
 		}
 		li = next
 	}
+}
+
+// CacheBatch implements cache.BatchListener: the effect of CacheEvent
+// on each of snoops' events, in order. No entry is installed during a
+// batch, so an entry found for a chunk holds for the whole batch; a
+// fill's events alternate between its victim's chunk and its own, so
+// the last two chunks' entries (or their absence) are kept at hand. The
+// snoops are counted once.
+func (t *Table) CacheBatch(level int, snoops []cache.Snoop) {
+	if level != t.level {
+		return
+	}
+	shift := uint(t.shift)
+	slots := uint64(1)<<(shift-memp.LineShift) - 1
+	c0, c1 := noChunk, noChunk
+	var e0, e1 *entry
+	var applied uint64
+	for _, sn := range snoops {
+		switch chunk := uint64(sn.Line) >> shift; chunk {
+		case c0:
+		case c1:
+			c0, c1, e0, e1 = c1, c0, e1, e0
+		default:
+			c0, c1, e0, e1 = chunk, c0, t.find(chunk), e0
+		}
+		if e0 != nil && e0.snoop(sn.Kind, 1<<(uint64(sn.Line)>>memp.LineShift&slots), sn.Dirty) {
+			applied++
+		}
+	}
+	t.Stats.Snoops += applied
 }
 
 // LookupOrInstall is the BIA side of CTLoad/CTStore: it returns the

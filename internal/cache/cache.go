@@ -145,8 +145,8 @@ type Cache struct {
 	// batch's L1 miss be charged as an L2 hit without probing (see
 	// AccessBatch).
 	memo [memoSlots]pageMemo
-	// plan is the probe-free pass's scratch (see fillPlan), built on
-	// the L1 by its first pass and reused by every later one.
+	// plan is the batch pass's scratch (see fillPlan), built on the L1
+	// by its first pass over a set it returns to and reused after.
 	plan *fillPlan
 
 	// SliceTraffic counts per-slice demand accesses when sliced.
@@ -249,6 +249,13 @@ func (c *Cache) covered(first memp.Addr, n int, dirty bool) bool {
 		}
 	}
 	return true
+}
+
+// holds reports whether the memo vouches for the one line la, as
+// covered does for a run of one.
+func (c *Cache) holds(la memp.Addr, dirty bool) bool {
+	li := la.LineIndex()
+	return c.seen(li/linesPerPage, 1<<(li%linesPerPage), dirty)
 }
 
 // seen reports whether page's memo slot holds the lines in want at the

@@ -768,154 +768,251 @@ func TestL2ResidencyMemo(t *testing.T) {
 	}
 }
 
-// TestProbeFreeGate pins when a line-stride batch takes the probe-free
-// pass: at least one line per L1 set, FlagNoLRU, every line noted in
-// the L2's memo (dirty for stores), no subscriber at the L1 or the L2,
-// and an unpinned LRU or FIFO L1.
+// TestProbeFreeGate pins which line-stride batches take the batch pass:
+// any length, shorter than the L1's set count too; lines the L2's memo
+// has not seen, and lines no level holds; an L1 whose subscribers all
+// take batches and watch the L1 alone, beside plain listeners at other
+// levels; and a FIFO L1. It must refuse LRU-updating batches, a pinned,
+// sliced or Random L1, a plain listener at the L1 or a batch listener
+// that also watches the L2, an inclusive hierarchy and the next-line
+// prefetcher, all of which keep the per-line loop.
 func TestProbeFreeGate(t *testing.T) {
 	const n = 12 // three lines to each of the tiny L1's four sets
 	base := memp.Addr(0x40000)
-	warm := func(p Policy) *Hierarchy {
-		h := NewHierarchy(100,
+	mk := func(p Policy) *Hierarchy {
+		return NewHierarchy(100,
 			Config{Name: "L1d", Size: 512, Ways: 2, Latency: 2, Policy: p},
 			Config{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
 		)
-		for k := 0; k < 2; k++ {
-			h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
-		}
-		return h
 	}
-	h := warm(LRU)
-	if !h.probeFree(base, n, FlagNoLRU) || !h.probeFree(base, h.Level(1).Sets(), FlagNoLRU) {
-		t.Fatal("a thrashing batch the L2 memo covers does not take the pass")
+	// pass runs one batch and reports whether the pass charged it.
+	pass := func(h *Hierarchy, n int, flags Flags) bool {
+		before := h.Path
+		h.AccessBatch(base, memp.LineSize, n, flags)
+		if h.Path.PassLines == before.PassLines {
+			return false
+		}
+		if h.Path.PassLines != before.PassLines+uint64(n) || h.Path.LoopLines != before.LoopLines {
+			t.Fatalf("a batch of %d charged %+v after %+v", n, h.Path, before)
+		}
+		return true
+	}
+	h := mk(LRU)
+	if !pass(h, 1, FlagNoLRU) || h.Path.OuterMisses != 1 || h.Level(1).plan != nil {
+		t.Fatalf("a one-line cold batch: path %+v, plan built %v; want one outer miss, no plan", h.Path, h.Level(1).plan != nil)
+	}
+	if !pass(h, n, FlagNoLRU) || h.Level(1).plan == nil {
+		t.Fatal("a batch that returns to its sets did not take the pass with a plan")
+	}
+	// The first thrashing load finds its L2 hits, which note the L2
+	// memo; the second's misses are the memo's.
+	if !pass(h, h.Level(1).Sets()-1, FlagNoLRU|FlagWrite) || !pass(h, n, FlagNoLRU) || !pass(h, n, FlagNoLRU) {
+		t.Fatal("the pass refused a short store batch or a thrashing load")
+	}
+	if h.Path.MemoMisses == 0 || h.Path.OuterMisses < n {
+		t.Fatalf("path %+v: want misses served by the L2 memo and by the outer levels", h.Path)
+	}
+	if !pass(mk(FIFO), n, FlagNoLRU) {
+		t.Error("the pass refused a FIFO L1")
+	}
+	for _, tc := range []struct {
+		name string
+		// subs are subscribed before the batch; each logs its events.
+		subs []Listener
+		take bool
+	}{
+		{"a batch listener at the L1", []Listener{&batchLog{levelLog: levelLog{level: 1}}}, true},
+		{"two batch listeners at the L1", []Listener{&batchLog{levelLog: levelLog{level: 1}}, &batchLog{levelLog: levelLog{level: 1}}}, true},
+		{"plain listeners at the L2 beside one", []Listener{&batchLog{levelLog: levelLog{level: 1}}, &levelLog{level: 2}}, true},
+		{"a plain listener at the L1", []Listener{&levelLog{level: 1}}, false},
+		{"a batch listener at the L1 and L2", []Listener{&batchLog{levelLog: levelLog{level: 0}}}, false},
+		{"a plain listener at every level", []Listener{ListenerFunc(func(Event) {})}, false},
+	} {
+		h := mk(LRU)
+		for _, l := range tc.subs {
+			h.Subscribe(l)
+		}
+		if got := pass(h, n, FlagNoLRU); got != tc.take {
+			t.Errorf("%s: takes the pass = %v, want %v", tc.name, got, tc.take)
+		}
+		h.TruncateListeners(0)
+		if !pass(h, n, FlagNoLRU) {
+			t.Errorf("%s: the pass refused the batch after the listeners left", tc.name)
+		}
 	}
 	for _, tc := range []struct {
 		name  string
-		n     int
+		h     func() *Hierarchy
 		flags Flags
 	}{
-		{"shorter than the set count", h.Level(1).Sets() - 1, FlagNoLRU},
-		{"LRU-updating", n, 0},
-		{"a store over clean L2 copies", n, FlagNoLRU | FlagWrite},
-		{"a line the L2 memo has not seen", n + 1, FlagNoLRU},
+		{"LRU-updating", func() *Hierarchy { return mk(LRU) }, 0},
+		{"a Random L1", func() *Hierarchy { return mk(Random) }, FlagNoLRU},
+		{"a pinned L1 line", func() *Hierarchy {
+			h := mk(LRU)
+			h.Access(base, 0)
+			h.Level(1).Pin(base)
+			return h
+		}, FlagNoLRU},
+		{"a sliced L1", func() *Hierarchy {
+			return NewHierarchy(100,
+				Config{Name: "L1d", Size: 512, Ways: 2, Latency: 2, Slices: 2},
+				Config{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
+			)
+		}, FlagNoLRU},
+		{"an inclusive hierarchy", func() *Hierarchy { h := mk(LRU); h.Inclusive = true; return h }, FlagNoLRU},
+		{"the next-line prefetcher", func() *Hierarchy { h := mk(LRU); h.PrefetchNextLine = true; return h }, FlagNoLRU},
 	} {
-		if h.probeFree(base, tc.n, tc.flags) {
-			t.Errorf("%s: takes the pass", tc.name)
+		h := tc.h()
+		for k := 0; k < 3; k++ {
+			if pass(h, n, tc.flags) {
+				t.Errorf("%s: takes the pass", tc.name)
+			}
 		}
-	}
-	if !warm(FIFO).probeFree(base, n, FlagNoLRU) || warm(Random).probeFree(base, n, FlagNoLRU) {
-		t.Error("the pass must take a FIFO L1 and refuse a Random one")
-	}
-	for level := 1; level <= 2; level++ {
-		h := warm(LRU)
-		h.Subscribe(&levelLog{level: level})
-		if h.probeFree(base, n, FlagNoLRU) {
-			t.Errorf("takes the pass with a subscriber at L%d", level)
+		if h.Path.LoopLines != 3*n {
+			t.Errorf("%s: path %+v, want %d lines through the per-line loop", tc.name, h.Path, 3*n)
 		}
-	}
-	h = warm(LRU)
-	h.Level(1).Pin(base + (n-1)*memp.LineSize)
-	if h.probeFree(base, n, FlagNoLRU) {
-		t.Error("takes the pass with a pinned L1 line")
-	}
-	h = warm(LRU)
-	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
-	if h.Level(1).plan == nil {
-		t.Fatal("the third sweep did not take the pass")
 	}
 }
 
-// TestProbeFreePassMatchesScalar holds the probe-free pass to the
-// scalar access loop on a hierarchy a random schedule drives into
-// states the machine-level twin scripts rarely reach: L1 sets with
-// invalid ways (a line vacated behind the L2's back, as a
-// back-invalidation leaves it), LRU stamps that single accesses
-// reorder, dirty and clean victims, and batch lines that hit and are
-// then evicted by the same batch. Every step must leave both
-// hierarchies alike, and the pass must have run from such states.
-func TestProbeFreePassMatchesScalar(t *testing.T) {
-	const ds = 40 // lines: more than the L1's 16, a fraction of the L2's 128
-	base := memp.Addr(0x40000)
-	for _, pol := range []Policy{LRU, FIFO} {
-		mk := func() *Hierarchy {
-			return NewHierarchy(100,
-				Config{Name: "L1d", Size: 1024, Ways: 2, Latency: 2, Policy: pol},
-				Config{Name: "L2", Size: 8192, Ways: 4, Latency: 15, Policy: pol},
-			)
+// batchLog is a listener at one level (every level for level 0) that
+// takes the pass's batches and the closed form's runs, logging them as
+// the events they stand for, with Set left 0.
+type batchLog struct{ levelLog }
+
+func (l *batchLog) CacheEvent(ev Event) {
+	ev.Set = 0
+	l.events = append(l.events, ev)
+}
+
+func (l *batchLog) CacheBatch(level int, snoops []Snoop) {
+	for _, sn := range snoops {
+		l.events = append(l.events, Event{Level: level, Kind: sn.Kind, Line: sn.Line, Dirty: sn.Dirty})
+	}
+}
+
+func (l *batchLog) CacheRun(level int, first memp.Addr, n, mult int) {
+	for la := first; la < first+memp.Addr(n*memp.LineSize); la += memp.LineSize {
+		for range mult {
+			l.events = append(l.events, Event{Level: level, Kind: EvHit, Line: la, Dirty: true})
 		}
-		a, b := mk(), mk() // a batches, b runs the scalar loop
-		c := a.Level(1)
-		rng := rand.New(rand.NewSource(int64(pol) + 1))
-		var passes, withInvalid int
-		for step := 0; step < 600; step++ {
-			label := fmt.Sprintf("%v step %d", pol, step)
-			k := rng.Intn(ds)
-			la := base + memp.Addr(k*memp.LineSize)
-			switch op := rng.Intn(10); {
-			case op < 6: // a batch over a window of the DS
-				n := c.Sets() + rng.Intn(ds-c.Sets()+1)
-				first := base + memp.Addr(rng.Intn(ds-n+1)*memp.LineSize)
-				flags, rmw := FlagNoLRU, false
-				switch rng.Intn(3) {
-				case 1:
-					flags |= FlagWrite
-				case 2:
-					rmw = true
+	}
+}
+
+func (l *batchLog) WantsLevel(level int) bool { return l.level == 0 || level == l.level }
+
+// TestProbeFreePassMatchesScalar holds the batch pass to the scalar
+// access loop on hierarchies a random schedule drives into states the
+// machine-level twin scripts rarely reach: L1 sets with invalid ways (a
+// line vacated behind the L2's back, as a back-invalidation leaves it),
+// LRU stamps that single accesses reorder, dirty and clean victims,
+// batch lines that hit and are then evicted by the same batch, and
+// batches of every length, from one line to more than the L1's set
+// count. On the first geometry the DS fits the L2, so most misses are
+// the L2 memo's; on the second it exceeds every level, so misses go to
+// the L2, the LLC and DRAM. Every step must leave both hierarchies
+// alike, and the pass must have run from such states.
+func TestProbeFreePassMatchesScalar(t *testing.T) {
+	base := memp.Addr(0x40000)
+	for _, geo := range []struct {
+		name string
+		ds   int // lines
+		cfgs []Config
+	}{
+		{"fits-l2", 40, []Config{ // the L1 holds 16 lines, the L2 128
+			{Name: "L1d", Size: 1024, Ways: 2, Latency: 2},
+			{Name: "L2", Size: 8192, Ways: 4, Latency: 15},
+		}},
+		{"exceeds-llc", 160, []Config{ // 16, 32 and 128 lines
+			{Name: "L1d", Size: 1024, Ways: 2, Latency: 2},
+			{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
+			{Name: "LLC", Size: 8192, Ways: 4, Latency: 30},
+		}},
+	} {
+		for _, pol := range []Policy{LRU, FIFO} {
+			mk := func() *Hierarchy {
+				cfgs := slices.Clone(geo.cfgs)
+				for i := range cfgs {
+					cfgs[i].Policy = pol
 				}
-				if a.probeFree(first, n, flags) {
-					passes++
-					for s := 0; s < c.Sets(); s++ {
-						if int(c.validCnt[s]) < c.Ways() {
-							withInvalid++
-							break
+				return NewHierarchy(100, cfgs...)
+			}
+			a, b := mk(), mk() // a batches, b runs the scalar loop
+			c := a.Level(1)
+			rng := rand.New(rand.NewSource(int64(pol) + 1))
+			var passes, withInvalid int
+			for step := 0; step < 600; step++ {
+				label := fmt.Sprintf("%s/%v step %d", geo.name, pol, step)
+				la := base + memp.Addr(rng.Intn(geo.ds)*memp.LineSize)
+				switch op := rng.Intn(10); {
+				case op < 6: // a batch over a window of the DS
+					n := 1 + rng.Intn(geo.ds)
+					first := base + memp.Addr(rng.Intn(geo.ds-n+1)*memp.LineSize)
+					flags, rmw := FlagNoLRU, false
+					switch rng.Intn(3) {
+					case 1:
+						flags |= FlagWrite
+					case 2:
+						rmw = true
+					}
+					if a.passable(flags) {
+						passes++
+						for s := 0; s < c.Sets(); s++ {
+							if int(c.validCnt[s]) < c.Ways() {
+								withInvalid++
+								break
+							}
+						}
+					}
+					var hits, miss int
+					if rmw {
+						hits, miss = a.AccessBatchRMW(first, memp.LineSize, n, flags)
+					} else {
+						hits, miss = a.AccessBatch(first, memp.LineSize, n, flags)
+					}
+					want := 0
+					for j := 0; j < n; j++ {
+						addr := first + memp.Addr(j*memp.LineSize)
+						want += b.AccessFrom(1, addr, flags).Cycles
+						if rmw {
+							want += b.AccessFrom(1, addr, flags|FlagWrite).Cycles
+						}
+					}
+					if got := hits*c.Latency() + miss; got != want {
+						t.Fatalf("%s: batch of %d charged %d cycles, scalar %d", label, n, got, want)
+					}
+				case op < 8: // a single access, which may move an LRU stamp
+					flags := Flags(0)
+					if op == 7 {
+						flags = FlagWrite
+					}
+					a.Access(la, flags)
+					b.Access(la, flags)
+				default: // the line leaves the L1 only
+					for _, h := range []*Hierarchy{a, b} {
+						if s, w := h.Level(1).find(la); w >= 0 {
+							h.Level(1).vacate(s, w)
 						}
 					}
 				}
-				var hits, miss int
-				if rmw {
-					hits, miss = a.AccessBatchRMW(first, memp.LineSize, n, flags)
-				} else {
-					hits, miss = a.AccessBatch(first, memp.LineSize, n, flags)
+				if a.Stats != b.Stats {
+					t.Fatalf("%s: hierarchy stats %+v, scalar %+v", label, a.Stats, b.Stats)
 				}
-				want := 0
-				for j := 0; j < n; j++ {
-					addr := first + memp.Addr(j*memp.LineSize)
-					want += b.AccessFrom(1, addr, flags).Cycles
-					if rmw {
-						want += b.AccessFrom(1, addr, flags|FlagWrite).Cycles
+				for i := 1; i <= a.Levels(); i++ {
+					if sa, sb := a.Level(i).Stats, b.Level(i).Stats; sa != sb {
+						t.Fatalf("%s: L%d stats %+v, scalar %+v", label, i, sa, sb)
 					}
-				}
-				if got := hits*c.Latency() + miss; got != want {
-					t.Fatalf("%s: batch of %d charged %d cycles, scalar %d", label, n, got, want)
-				}
-			case op < 8: // a single access, which may move an LRU stamp
-				flags := Flags(0)
-				if op == 7 {
-					flags = FlagWrite
-				}
-				a.Access(la, flags)
-				b.Access(la, flags)
-			default: // the line leaves the L1 only
-				for _, h := range []*Hierarchy{a, b} {
-					if s, w := h.Level(1).find(la); w >= 0 {
-						h.Level(1).vacate(s, w)
+					if !a.SnapshotLevel(i).Equal(b.SnapshotLevel(i)) {
+						t.Fatalf("%s: L%d contents differ from the scalar loop's", label, i)
 					}
 				}
 			}
-			if a.Stats != b.Stats {
-				t.Fatalf("%s: hierarchy stats %+v, scalar %+v", label, a.Stats, b.Stats)
+			if passes < 50 || withInvalid < 5 || a.Path.OuterMisses == 0 {
+				t.Fatalf("%s/%v: the pass ran %d times, %d of them over a set with an invalid way; path %+v",
+					geo.name, pol, passes, withInvalid, a.Path)
 			}
-			for i := 1; i <= 2; i++ {
-				if sa, sb := a.Level(i).Stats, b.Level(i).Stats; sa != sb {
-					t.Fatalf("%s: L%d stats %+v, scalar %+v", label, i, sa, sb)
-				}
-				if !a.SnapshotLevel(i).Equal(b.SnapshotLevel(i)) {
-					t.Fatalf("%s: L%d contents differ from the scalar loop's", label, i)
-				}
+			if geo.name == "fits-l2" && a.Path.MemoMisses == 0 {
+				t.Fatalf("%s/%v: no miss was the L2 memo's: path %+v", geo.name, pol, a.Path)
 			}
-		}
-		if passes < 50 || withInvalid < 5 {
-			t.Fatalf("%v: the pass ran %d times, %d of them over a set with an invalid way", pol, passes, withInvalid)
 		}
 	}
 }

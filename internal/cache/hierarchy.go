@@ -58,12 +58,20 @@ func (s HierStats) DRAMAccesses() uint64 { return s.DRAMReads + s.DRAMWrites }
 type Hierarchy struct {
 	levels      []*Cache
 	dramLatency int
-	listeners   []Listener
-	wantMask    uint32 // union of subscribed event kinds (1 << kind)
-	wantLevels  uint32 // union of subscribed cache levels (1 << level)
+	// subs are the subscribers in order, each with the kinds and levels
+	// it wants, as Subscribe found them.
+	subs       []subscriber
+	wantMask   uint32 // union of subscribed event kinds (1 << kind)
+	wantLevels uint32 // union of subscribed cache levels (1 << level)
 	// plainLevels is the union of the levels wanted by subscribers that
 	// are not RunListeners: a level in it gets no closed-form run.
 	plainLevels uint32
+	// unbatchedL1 holds while a subscriber that wants the L1 is not a
+	// BatchListener wanting the L1 alone: the pass then refuses batches.
+	unbatchedL1 bool
+	// snoops is the pass's queue of L1 events for the batch port, made
+	// by the first snooped pass with room for maxSnoops and reused.
+	snoops []Snoop
 
 	// PrefetchNextLine enables a simple next-line prefetcher: every
 	// demand fill from DRAM also installs the following line, clean.
@@ -74,6 +82,43 @@ type Hierarchy struct {
 	Inclusive bool
 
 	Stats HierStats
+	// Path counts how the batch paths charged their accesses.
+	Path PathStats
+}
+
+// subscriber is one Subscribe call's listener with its appetite: the
+// event kinds (1 << kind) and levels (1 << level) it wants, and its
+// run and batch ports, nil where it has none.
+type subscriber struct {
+	l      Listener
+	kinds  uint32
+	levels uint32
+	run    RunListener
+	batch  BatchListener
+}
+
+// PathStats counts, per hierarchy, which path the batch entry points
+// (AccessBatch, AccessBatchRMW) charged their accesses through. They
+// describe the host's work, not the simulated machine, so no table or
+// simulated count depends on them. Each is added once per batch.
+type PathStats struct {
+	ClosedLines      uint64 // lines charged in closed form (a pair's line once)
+	PassLines        uint64 // lines charged by the batch pass
+	PassSnoopedLines uint64 // of PassLines, those on a snooped L1
+	LoopLines        uint64 // accesses charged by the per-line loop (a pair once)
+	MemoMisses       uint64 // batch L1 misses served by the L2's residency memo
+	OuterMisses      uint64 // batch L1 misses served by probing the outer levels
+}
+
+// Each calls emit once per counter under a stable snake_case name, as
+// Stats.Each does.
+func (s PathStats) Each(emit func(name string, v uint64)) {
+	emit("closed_lines", s.ClosedLines)
+	emit("pass_lines", s.PassLines)
+	emit("pass_snooped_lines", s.PassSnoopedLines)
+	emit("loop_lines", s.LoopLines)
+	emit("memo_misses", s.MemoMisses)
+	emit("outer_misses", s.OuterMisses)
 }
 
 // NewHierarchy builds a hierarchy from innermost to outermost level.
@@ -106,59 +151,63 @@ func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 func (h *Hierarchy) DRAMLatency() int { return h.dramLatency }
 
 // Subscribe registers a listener for cache events. Listeners that also
-// implement KindFilter narrow what the hierarchy emits; all others
-// receive every kind.
+// implement KindFilter or LevelFilter get only the kinds and levels
+// they want; all others receive every event.
 func (h *Hierarchy) Subscribe(l Listener) {
-	h.listeners = append(h.listeners, l)
-	h.mergeMasks(l)
-}
-
-// mergeMasks folds one listener's event appetite into the emit guards.
-func (h *Hierarchy) mergeMasks(l Listener) {
+	sub := subscriber{l: l, kinds: ^uint32(0), levels: ^uint32(0)}
 	if f, ok := l.(KindFilter); ok {
+		sub.kinds = 0
 		for k := EvAccess; k <= EvDirty; k++ {
 			if f.WantsEvent(k) {
-				h.wantMask |= 1 << uint(k)
+				sub.kinds |= 1 << uint(k)
 			}
 		}
-	} else {
-		h.wantMask = ^uint32(0)
 	}
-	levels := ^uint32(0)
 	if f, ok := l.(LevelFilter); ok {
-		levels = 0
+		sub.levels = 0
 		for i := 1; i <= len(h.levels); i++ {
 			if f.WantsLevel(i) {
-				levels |= 1 << uint(i)
+				sub.levels |= 1 << uint(i)
 			}
 		}
 	}
-	h.wantLevels |= levels
-	if _, ok := l.(RunListener); !ok {
-		h.plainLevels |= levels
+	sub.run, _ = l.(RunListener)
+	sub.batch, _ = l.(BatchListener)
+	h.subs = append(h.subs, sub)
+	h.mergeMasks(sub)
+}
+
+// mergeMasks folds one subscriber's appetite into the emit guards.
+func (h *Hierarchy) mergeMasks(sub subscriber) {
+	h.wantMask |= sub.kinds
+	h.wantLevels |= sub.levels
+	if sub.run == nil {
+		h.plainLevels |= sub.levels
+	}
+	if sub.levels&(1<<1) != 0 && (sub.batch == nil || sub.levels != 1<<1) {
+		h.unbatchedL1 = true
 	}
 }
 
 // ListenerCount returns the number of subscribed listeners; pair with
 // TruncateListeners to drop subscriptions added after a point in time.
-func (h *Hierarchy) ListenerCount() int { return len(h.listeners) }
+func (h *Hierarchy) ListenerCount() int { return len(h.subs) }
 
 // TruncateListeners drops every listener subscribed after the first n
-// and recomputes the emit-guard masks from the survivors. The machine
-// pool uses it on Reset: a pooled machine keeps its construction-time
-// subscribers (the BIA) but sheds telemetry an experiment attached,
-// so a later borrower sees the event traffic of a fresh machine.
+// and recomputes the emit-guard masks from the survivors' appetites as
+// Subscribe found them. The machine pool uses it on Reset: a pooled
+// machine keeps its construction-time subscribers (the BIA) but sheds
+// telemetry an experiment attached, so a later borrower sees the event
+// traffic of a fresh machine.
 func (h *Hierarchy) TruncateListeners(n int) {
-	if n < 0 || n > len(h.listeners) {
-		panic(fmt.Sprintf("cache: truncate to %d with %d listeners", n, len(h.listeners)))
+	if n < 0 || n > len(h.subs) {
+		panic(fmt.Sprintf("cache: truncate to %d with %d listeners", n, len(h.subs)))
 	}
-	for i := n; i < len(h.listeners); i++ {
-		h.listeners[i] = nil
-	}
-	h.listeners = h.listeners[:n]
-	h.wantMask, h.wantLevels, h.plainLevels = 0, 0, 0
-	for _, l := range h.listeners {
-		h.mergeMasks(l)
+	clear(h.subs[n:])
+	h.subs = h.subs[:n]
+	h.wantMask, h.wantLevels, h.plainLevels, h.unbatchedL1 = 0, 0, 0, false
+	for _, sub := range h.subs {
+		h.mergeMasks(sub)
 	}
 }
 
@@ -169,6 +218,7 @@ func (h *Hierarchy) ResetStats() {
 		c.ResetStats()
 	}
 	h.Stats = HierStats{}
+	h.Path = PathStats{}
 }
 
 // Reset restores every level to its cold state (see Cache.Reset) and
@@ -180,28 +230,45 @@ func (h *Hierarchy) Reset() {
 		c.Reset()
 	}
 	h.Stats = HierStats{}
+	h.Path = PathStats{}
 	h.PrefetchNextLine = false
 }
 
-// emit delivers one event to every listener. Hot paths guard calls with
-// snoopsAt so the Event struct is never even constructed when nobody
-// listens — the insecure and software-CT runs have zero listeners and
-// their linearization sweeps dominate experiment wall time.
+// emit delivers one event to every listener that wants its kind and
+// level. Hot paths guard calls with snoopsAt so the Event struct is
+// never even constructed when nobody listens — the insecure and
+// software-CT runs have zero listeners and their linearization sweeps
+// dominate experiment wall time.
 func (h *Hierarchy) emit(ev Event) {
-	for _, l := range h.listeners {
-		l.CacheEvent(ev)
+	kind, level := uint32(1)<<uint(ev.Kind), uint32(1)<<uint(ev.Level)
+	for i := range h.subs {
+		if sub := &h.subs[i]; sub.kinds&kind != 0 && sub.levels&level != 0 {
+			sub.l.CacheEvent(ev)
+		}
 	}
 }
 
 // emitRun delivers a closed-form run of hits (see RunListener) to every
-// RunListener; quietL1 has made sure that no other listener wants the
-// level.
+// RunListener that wants the level's hits; quietL1 has made sure that
+// no other listener wants the level.
 func (h *Hierarchy) emitRun(level int, first memp.Addr, n, mult int) {
-	for _, l := range h.listeners {
-		if r, ok := l.(RunListener); ok {
-			r.CacheRun(level, first, n, mult)
+	for i := range h.subs {
+		if sub := &h.subs[i]; sub.run != nil && sub.kinds&(1<<EvHit) != 0 && sub.levels&(1<<uint(level)) != 0 {
+			sub.run.CacheRun(level, first, n, mult)
 		}
 	}
+}
+
+// emitBatch delivers the pass's queued L1 events to every BatchListener
+// that wants the L1, and empties the queue; unbatchedL1 has made sure
+// that no other listener wants the L1.
+func (h *Hierarchy) emitBatch() {
+	for i := range h.subs {
+		if sub := &h.subs[i]; sub.batch != nil && sub.levels&(1<<1) != 0 {
+			sub.batch.CacheBatch(1, h.snoops)
+		}
+	}
+	h.snoops = h.snoops[:0]
 }
 
 // wants reports whether any subscriber consumes events of kind k; emit
@@ -215,7 +282,7 @@ func (h *Hierarchy) wants(k EventKind) bool { return h.wantMask&(1<<uint(k)) != 
 // (the L2/LLC traffic of every L1 miss, and vice versa for bypassing
 // configurations).
 func (h *Hierarchy) snoopsAt(level int) bool {
-	return len(h.listeners) != 0 && h.wantLevels&(1<<uint(level)) != 0
+	return len(h.subs) != 0 && h.wantLevels&(1<<uint(level)) != 0
 }
 
 // Access performs a demand load or store starting at L1.
@@ -229,23 +296,49 @@ func (h *Hierarchy) Access(addr memp.Addr, flags Flags) Result {
 // for security" when the BIA lives lower in the hierarchy.
 func (h *Hierarchy) AccessFrom(start int, addr memp.Addr, flags Flags) Result {
 	if flags&FlagUncached != 0 {
-		if flags&FlagWrite != 0 {
-			h.Stats.DRAMWrites++
-		} else {
-			h.Stats.DRAMReads++
-		}
-		return Result{Cycles: h.dramLatency, HitLevel: 0}
+		return Result{Cycles: h.Uncached(1, flags&FlagWrite != 0)}
 	}
 	return h.demandAccess(start, start, addr.Line(), flags, 0)
+}
+
+// Uncached charges n accesses that bypass every level (FlagUncached),
+// stores when write is set, and returns their latency: n DRAM reads or
+// writes at the DRAM latency each. Such an access changes no cache
+// state and emits no event, so n of them are one step.
+func (h *Hierarchy) Uncached(n int, write bool) (cycles int) {
+	if write {
+		h.Stats.DRAMWrites += uint64(n)
+	} else {
+		h.Stats.DRAMReads += uint64(n)
+	}
+	return n * h.dramLatency
 }
 
 // demandAccess probes levels probe..N for la and charges their
 // latencies on top of cycles (the latency the caller already paid for
 // levels it probed itself); on a hit below start the levels start..hit-1
 // are filled, and a full miss fills start..N from DRAM. AccessFrom
-// enters with probe == start; the batched paths enter with
+// enters with probe == start; the per-line batch loops enter with
 // probe == start+1 after an inlined start-level miss.
 func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cycles int) Result {
+	r := h.outerAccess(start, probe, la, flags, cycles)
+	if r.HitLevel != start {
+		h.fillLevel(start, la, flags&FlagWrite != 0, flags, false)
+		if r.HitLevel == 0 {
+			h.maybePrefetch(la)
+		}
+	}
+	return r
+}
+
+// outerAccess is demandAccess up to its fill of start: it probes levels
+// probe..N, charges them, and fills the levels between start and the
+// one that supplied the line, outermost first. The caller fills start
+// last, carrying a store's dirty bit, as demandAccess does; the pass
+// fills the L1 from its own plan. The levels it fills are outside
+// start, and on a non-inclusive hierarchy nothing it does reaches
+// start: its evictions write back outward.
+func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags, cycles int) Result {
 	write := flags&FlagWrite != 0
 	wantAcc := h.wants(EvAccess)
 	for i := probe; i <= len(h.levels); i++ {
@@ -282,9 +375,7 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 			}
 			// Fill the bypass-free upper levels so subsequent
 			// accesses hit closer to the core.
-			if i > start {
-				h.fillRange(start, i-1, la, write, flags)
-			}
+			h.fillRange(start+1, i-1, la, flags)
 			return Result{Cycles: cycles, HitLevel: i}
 		}
 		c.Stats.Misses++
@@ -292,8 +383,7 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 	// Missed everywhere: DRAM supplies the line.
 	cycles += h.dramLatency
 	h.Stats.DRAMReads++
-	h.fillRange(start, len(h.levels), la, write, flags)
-	h.maybePrefetch(la)
+	h.fillRange(start+1, len(h.levels), la, flags)
 	return Result{Cycles: cycles, HitLevel: 0}
 }
 
@@ -365,11 +455,15 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 // The L2 keeps a residency memo too, noted by its demand hits and by
 // the writebacks that dirty its lines. An L1 miss it covers is charged
 // as an L2 hit without probing the L2 when quietL2 holds (batchMiss).
-// A line-stride batch with at least one line per L1 set, on an L1 that
-// nobody snoops, whose lines the L2's memo all covers, skips the L1's
-// probes as well: the probe-free pass (planBatch) reads each set once
-// and charges the whole batch from that plan, changing the state as the
-// per-line loop would and adding the counts once.
+// A line-stride FlagNoLRU batch on an unpinned, unsliced LRU or FIFO L1
+// of a non-inclusive hierarchy without the next-line prefetcher, whose
+// L1 subscribers all take batches (BatchListener) and watch nothing
+// else, skips the L1's probes as well: the batch pass (planBatch) reads
+// each set it visits once, serves each miss through the L2's memo or
+// the outer levels, changes the state as the per-line loop would and
+// adds the counts once; the L1's events reach its subscribers in
+// chunks, in order. Every other batch takes the per-line loop. Path
+// counts which of the three charged the batch.
 func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
@@ -378,16 +472,18 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 	if line && h.quietL1(flags) && c.covered(base.Line(), n, write || snoop) {
 		c.Stats.Accesses += uint64(n)
 		c.Stats.Hits += uint64(n)
+		h.Path.ClosedLines += uint64(n)
 		if snoop {
 			h.emitRun(1, base.Line(), n, 1)
 		}
 		return n, 0
 	}
-	if line && h.probeFree(base.Line(), n, flags) {
+	if line && h.passable(flags) {
 		return h.planBatch(base.Line(), n, flags, false)
 	}
 	noLRU := flags&FlagNoLRU != 0
 	var seen pendingPage
+	misses0, memoHits := c.Stats.Misses, 0
 	addr := base
 	for k := 0; k < n; {
 		la := addr.Line()
@@ -400,7 +496,7 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags)
+			missCycles += h.batchMiss(la, flags, &memoHits)
 			k++
 			addr += memp.Addr(stride)
 			continue
@@ -434,7 +530,16 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 		addr += memp.Addr(stride * int64(g))
 	}
 	c.commit(&seen)
+	h.Path.addLoop(n, c.Stats.Misses-misses0, memoHits)
 	return l1Hits, missCycles
+}
+
+// addLoop counts a per-line loop's batch of n accesses (or pairs) and
+// its L1 misses, memoHits of them served by the L2's memo.
+func (s *PathStats) addLoop(n int, misses uint64, memoHits int) {
+	s.LoopLines += uint64(n)
+	s.MemoMisses += uint64(memoHits)
+	s.OuterMisses += misses - uint64(memoHits)
 }
 
 // quietL1 reports whether an L1 hit under flags changes nothing but
@@ -461,10 +566,10 @@ func (h *Hierarchy) quietL1(flags Flags) bool {
 // re-probe, because a pinned-full set can drop the fill. A line-stride
 // batch notes its hits in the L1's residency memo, and one whose lines
 // the memo has all seen dirty is charged in closed form, as
-// AccessBatch's is. Its misses go through the L2's memo, and a batch
-// that thrashes the L1 through the probe-free pass, as AccessBatch's
-// do: a pair's load needs its line seen resident at the L2, and its
-// store then hits the line the load filled.
+// AccessBatch's is. A batch the pass takes goes through it, and the
+// per-line loop's misses through the L2's memo, as AccessBatch's do: a
+// pair's load needs its line seen resident at the L2, and its store
+// then hits the line the load filled.
 func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	snoop := h.snoopsAt(1)
@@ -472,16 +577,18 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 	if line && h.quietL1(flags) && c.covered(base.Line(), n, true) {
 		c.Stats.Accesses += uint64(2 * n)
 		c.Stats.Hits += uint64(2 * n)
+		h.Path.ClosedLines += uint64(n)
 		if snoop {
 			h.emitRun(1, base.Line(), n, 2)
 		}
 		return 2 * n, 0
 	}
-	if line && h.probeFree(base.Line(), n, flags) {
+	if line && h.passable(flags) {
 		return h.planBatch(base.Line(), n, flags, true)
 	}
 	noLRU := flags&FlagNoLRU != 0
 	var seen pendingPage
+	misses0, memoHits := c.Stats.Misses, 0
 	addr := base
 	for k := 0; k < n; {
 		la := addr.Line()
@@ -495,7 +602,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags)
+			missCycles += h.batchMiss(la, flags, &memoHits)
 			// Store probe: after the load the line is resident in L1
 			// unless a pinned-full set dropped the fill, so re-probe
 			// rather than assume.
@@ -524,7 +631,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				l1Hits++
 			} else {
 				c.Stats.Misses++
-				missCycles += h.batchMiss(la, flags|FlagWrite)
+				missCycles += h.batchMiss(la, flags|FlagWrite, &memoHits)
 			}
 			k++
 			addr += memp.Addr(stride)
@@ -560,21 +667,20 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 		addr += memp.Addr(stride * int64(g))
 	}
 	c.commit(&seen)
+	h.Path.addLoop(n, c.Stats.Misses-misses0, memoHits)
 	return l1Hits, missCycles
 }
 
-// fillRange installs la into levels start..end (1-based, inclusive).
-// The innermost filled level carries the dirty bit for stores
-// (write-allocate + write-back). Demand callers (AccessFrom) have just
-// probed and missed every level in the range, so the line is known
-// absent there and the fill skips the presence check; filling outermost
-// first cannot install la at an inner level (evictions only remove
-// lines and writebacks only mark existing ones dirty), so the knowledge
-// stays valid across the loop.
-func (h *Hierarchy) fillRange(start, end int, la memp.Addr, write bool, flags Flags) {
+// fillRange installs la clean into levels end down to start (1-based,
+// inclusive; nothing when end < start). Demand callers have just probed
+// and missed every level in the range, so the line is known absent
+// there and the fill skips the presence check; filling outermost first
+// cannot install la at an inner level (evictions only remove lines and
+// writebacks only mark existing ones dirty), so the knowledge stays
+// valid across the loop.
+func (h *Hierarchy) fillRange(start, end int, la memp.Addr, flags Flags) {
 	for i := end; i >= start; i-- {
-		dirtyHere := write && i == start
-		h.fillLevel(i, la, dirtyHere, flags, false)
+		h.fillLevel(i, la, false, flags, false)
 	}
 }
 

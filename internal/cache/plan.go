@@ -2,22 +2,26 @@ package cache
 
 import "ctbia/internal/memp"
 
-// A sweep over a data structure larger than the L1 evicts its own lines:
-// every line misses the L1 and, while the structure fits the L2, hits
-// there. The probe-free pass charges such a batch with no L1 tag scan
-// and no victim scan. With FlagNoLRU no hit moves a stamp, so each
-// set's victims come in a fixed rotation: the order victim would take
-// its ways in at the batch's start, each refilled way moving to the
-// back as the newest. The pass reads each set once, at the batch's
-// first line in it, and from then on knows every line's fate: a line
-// hits if its set held it at the start and its way has not been
-// refilled since; otherwise it takes the set's next victim. The L2's
-// residency memo vouches that every miss hits the L2, which, with no
-// LRU update, no listener and no slices there, changes nothing at the
-// L2 but its counts.
+// The batch pass charges a line-stride FlagNoLRU batch from one read of
+// each L1 set it visits, with no L1 probe and no victim scan of its
+// own. With FlagNoLRU no hit moves a stamp, and on a non-inclusive
+// hierarchy nothing below the L1 reaches back into it, so during the
+// batch only the batch's own fills change the L1. A set the batch
+// visits once is read by one scan that finds the line and, on a miss,
+// the way victim would fill. A set the batch returns to is read at its
+// first line into the order victim would take its ways in, each
+// refilled way moving to the back as the newest; from then on every
+// line's fate is known: it hits if its set held it at the start and
+// its way has not been refilled since, and otherwise takes the set's
+// next victim. A miss the L2's residency memo covers is charged as an
+// L2 hit without probing the L2 (quietL2); any other goes down the
+// hierarchy through outerAccess, demandAccess's own probe-and-fill,
+// and the pass fills the L1 after it, as demandAccess would. The L1's
+// events reach its BatchListeners in chunks, in the order the per-line
+// loop would emit them, and the counts are added once.
 
-// fillPlan is the probe-free pass's scratch, kept on the L1 across
-// calls so the pass allocates nothing after its first.
+// fillPlan is the pass's scratch for the sets a batch returns to, kept
+// on the L1 across calls so the pass allocates nothing after its first.
 type fillPlan struct {
 	// order holds each set's ways in victim order, ways entries a set
 	// in set-major order; next is each set's position in it of its
@@ -25,16 +29,21 @@ type fillPlan struct {
 	order []uint16
 	next  []uint16
 	// held has bit k set when line k of the batch was in its set at
-	// the batch's start, in way way[k]. A pass's batch has at most
-	// planLines lines: the L2 memo covers no more.
+	// the batch's start, in way way[k]. The pass takes at most
+	// planLines lines at a time.
 	held []uint64
 	way  []uint16
 }
 
-// planLines bounds a probe-free batch: the L2 memo must cover each of
-// its lines, and it holds one slot per page, so the batch spans at most
-// memoSlots consecutive pages.
+// planLines is the most lines the pass charges from one plan: a longer
+// batch is charged as consecutive batches of at most planLines lines,
+// which changes nothing, as each line's fate depends only on the state
+// the lines before it leave.
 const planLines = memoSlots * linesPerPage
+
+// maxSnoops bounds the pass's queue of L1 events: a batch with more
+// sends them to the batch port in chunks of maxSnoops, in order.
+const maxSnoops = 256
 
 // quietL2 reports whether an L2 hit under flags changes nothing at the
 // L2 but its access and hit counts: with FlagNoLRU no stamp moves, with
@@ -45,17 +54,19 @@ func (h *Hierarchy) quietL2(flags Flags) bool {
 	return flags&FlagNoLRU != 0 && len(h.levels) > 1 && !h.snoopsAt(2) && h.levels[1].SliceTraffic == nil
 }
 
-// batchMiss charges one access of a batch that missed the L1 on la and
-// returns its latency. A miss the L2's residency memo covers (dirty for
-// a store) is charged as an L2 hit without probing the L2, when quietL2
-// holds; any other goes down the hierarchy through demandAccess.
-func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags) int {
+// batchMiss charges one access of the per-line loop that missed the L1
+// on la and returns its latency. A miss the L2's residency memo covers
+// (dirty for a store) is charged as an L2 hit without probing the L2,
+// when quietL2 holds, and counted in *memo; any other goes down the
+// hierarchy through demandAccess.
+func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags, memo *int) int {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
 	if h.quietL2(flags) {
-		if c2 := h.levels[1]; c2.covered(la, 1, write) {
+		if c2 := h.levels[1]; c2.holds(la, write) {
 			c2.Stats.Accesses++
 			c2.Stats.Hits++
+			*memo++
 			h.fillLevel(1, la, write, flags, false)
 			return c.cfg.Latency + c2.cfg.Latency
 		}
@@ -63,55 +74,101 @@ func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags) int {
 	return h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
 }
 
-// probeFree reports whether a line-stride batch of n accesses from the
-// line-aligned first may take the probe-free pass: at least one access
-// per L1 set (a shorter batch pays more to read its sets than it saves
-// in probes), an unsliced, unpinned LRU or FIFO L1 that nobody snoops,
-// quietL2, and every line seen resident by the L2's memo, and dirty if
-// the batch stores.
-func (h *Hierarchy) probeFree(first memp.Addr, n int, flags Flags) bool {
+// passable reports whether a line-stride batch under flags may take the
+// pass: FlagNoLRU; an unsliced, unpinned LRU or FIFO L1 whose every
+// subscriber is a BatchListener that wants the L1 alone; and a
+// non-inclusive hierarchy without the next-line prefetcher, so that no
+// miss's trip below the L1 reaches back into it.
+func (h *Hierarchy) passable(flags Flags) bool {
 	c := h.levels[0]
-	return n >= c.sets && c.pinnedAll == 0 && (c.cfg.Policy == LRU || c.cfg.Policy == FIFO) &&
-		c.SliceTraffic == nil && !h.snoopsAt(1) && h.quietL2(flags) &&
-		h.levels[1].covered(first, n, flags&FlagWrite != 0)
+	return flags&FlagNoLRU != 0 && c.pinnedAll == 0 && (c.cfg.Policy == LRU || c.cfg.Policy == FIFO) &&
+		c.SliceTraffic == nil && !h.unbatchedL1 && !h.Inclusive && !h.PrefetchNextLine
 }
 
-// planBatch is the probe-free pass over the n lines from the
-// line-aligned first: loads, stores when flags has FlagWrite, or
-// load+store pairs when rmw. Each line's state changes exactly as the
-// per-line loop would change it: a hit notes the L1 memo and a store
-// or pair hit sets the dirty bit; a miss commits the pending memo page,
-// evicts the set's next victim (a dirty one through writeback) and
-// fills the line with the next stamp. The counts are added once.
+// planBatch is the pass over the n lines from the line-aligned first:
+// loads, stores when flags has FlagWrite, or load+store pairs when rmw.
+// Each line's state changes exactly as the per-line loop would change
+// it: a hit notes the L1 memo and a store or pair hit sets the dirty
+// bit; a miss commits the pending memo page, is served below the L1,
+// evicts the set's victim (a dirty one through writeback) and fills the
+// line with the next stamp. The counts are added once.
 func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1Hits, missCycles int) {
-	c, c2 := h.levels[0], h.levels[1]
-	p := c.fillPlan(n)
+	for n > planLines {
+		hits, cycles := h.planBatch(first, planLines, flags, rmw)
+		l1Hits, missCycles = l1Hits+hits, missCycles+cycles
+		first += planLines * memp.LineSize
+		n -= planLines
+	}
+	c := h.levels[0]
 	ways := c.cfg.Ways
-	dirty := rmw || flags&FlagWrite != 0 // every line's dirty bit after its access
+	write := flags&FlagWrite != 0
+	dirty := rmw || write // every line's dirty bit after its access
+	snoop := h.snoopsAt(1)
+	if snoop && h.snoops == nil {
+		h.snoops = make([]Snoop, 0, maxSnoops)
+	}
+	// When the L2's memo covers the whole batch, every miss is its: only
+	// a trip below the L1 could take a line out of the L2, and then none
+	// is due.
+	memo := h.quietL2(flags)
+	allMemo := memo && h.levels[1].covered(first, n, write)
+	var p *fillPlan
+	if n > c.sets {
+		p = c.fillPlan(n)
+	}
 	li0 := first.LineIndex()
 	var seen pendingPage
-	var misses, evictions, writebacks int
+	var misses, outer, evictions, writebacks, outerCycles int
+	// Lines once..sets-1 visit sets the batch visits only there.
+	sets := c.sets
+	once := n - sets
 	s, la := c.SetOf(first), first
 	for k := 0; k < n; k++ {
-		if k < c.sets {
-			c.readSet(p, s, li0, n)
-		}
 		base := s * ways
-		if i := base + int(p.way[k]); p.held[k>>6]&(1<<(k&63)) != 0 && c.tags[i] == la {
-			if dirty {
-				c.dirty[i] = true
+		var w int
+		var hit bool
+		if k < once || k >= sets {
+			// A set the batch returns to: its plan.
+			if k < sets {
+				c.readSet(p, s, li0, n)
 			}
-			c.note(&seen, la, c.dirty[i])
+			if w = int(p.way[k]); p.held[k>>6]&(1<<(k&63)) == 0 || c.tags[base+w] != la {
+				w = int(p.order[base+int(p.next[s])])
+				if p.next[s]++; int(p.next[s]) == ways {
+					p.next[s] = 0
+				}
+			} else {
+				hit = true
+			}
+		} else {
+			w, hit = c.scan(s, la)
+		}
+		i := base + w
+		if hit {
+			d := c.dirty[i]
+			if snoop {
+				h.snoop(la, EvHit, d)
+				if rmw {
+					h.snoop(la, EvHit, d)
+				}
+				if dirty && !d {
+					h.snoop(la, EvDirty, false)
+				}
+			}
+			c.dirty[i] = d || dirty
+			c.note(&seen, la, d || dirty)
 		} else {
 			c.commit(&seen)
 			misses++
-			w := int(p.order[base+int(p.next[s])])
-			if p.next[s]++; int(p.next[s]) == ways {
-				p.next[s] = 0
+			if !allMemo && !(memo && h.levels[1].holds(la, write)) {
+				outer++
+				outerCycles += h.outerAccess(1, 2, la, flags, 0).Cycles
 			}
-			i = base + w
 			if old := c.tags[i]; old != noTag {
 				evictions++
+				if snoop {
+					h.snoop(old, EvEvict, c.dirty[i])
+				}
 				if c.dirty[i] {
 					writebacks++
 					h.writeback(2, old)
@@ -121,16 +178,28 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 			c.dirty[i] = dirty
 			c.clock++
 			c.stamps[i] = c.clock
+			if snoop {
+				h.snoop(la, EvFill, false)
+				if rmw {
+					h.snoop(la, EvHit, false)
+				}
+				if dirty {
+					h.snoop(la, EvDirty, false)
+				}
+			}
 			if rmw {
 				c.note(&seen, la, true)
 			}
 		}
-		if s++; s == c.sets {
+		if s++; s == sets {
 			s = 0
 		}
 		la += memp.LineSize
 	}
 	c.commit(&seen)
+	if snoop && len(h.snoops) > 0 {
+		h.emitBatch()
+	}
 	acc := n
 	if rmw {
 		acc = 2 * n
@@ -144,9 +213,61 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 	}
 	c.Stats.Evictions += uint64(evictions)
 	c.Stats.Writebacks += uint64(writebacks)
-	c2.Stats.Accesses += uint64(misses)
-	c2.Stats.Hits += uint64(misses)
-	return acc - misses, misses * (c.cfg.Latency + c2.cfg.Latency)
+	if memoHits := misses - outer; memoHits > 0 {
+		c2 := h.levels[1]
+		c2.Stats.Accesses += uint64(memoHits)
+		c2.Stats.Hits += uint64(memoHits)
+		missCycles += memoHits * c2.cfg.Latency
+	}
+	h.Path.PassLines += uint64(n)
+	if snoop {
+		h.Path.PassSnoopedLines += uint64(n)
+	}
+	h.Path.MemoMisses += uint64(misses - outer)
+	h.Path.OuterMisses += uint64(outer)
+	return l1Hits + acc - misses, missCycles + misses*c.cfg.Latency + outerCycles
+}
+
+// snoop queues one L1 event of the pass for the batch port, sending
+// the queue on when it is full.
+func (h *Hierarchy) snoop(la memp.Addr, kind EventKind, dirty bool) {
+	if len(h.snoops) == maxSnoops {
+		h.emitBatch()
+	}
+	h.snoops = append(h.snoops, Snoop{Line: la, Kind: kind, Dirty: dirty})
+}
+
+// scan reads set s once for la, for a batch that visits the set only
+// there: the way that holds la and true, or false and the way victim
+// would fill: the first invalid way, else the oldest stamp, a tie going
+// to the higher way. Only an unpinned LRU or FIFO cache may ask.
+func (c *Cache) scan(s int, la memp.Addr) (w int, hit bool) {
+	ways := c.cfg.Ways
+	base := s * ways
+	tags := c.tags[base : base+ways]
+	if int(c.validCnt[s]) < ways {
+		inv := -1
+		for w, t := range tags {
+			if t == la {
+				return w, true
+			}
+			if t == noTag && inv < 0 {
+				inv = w
+			}
+		}
+		return inv, false
+	}
+	stamps := c.stamps[base : base+ways]
+	best, bestStamp := 0, ^uint64(0)
+	for w, t := range tags {
+		if t == la {
+			return w, true
+		}
+		if stamps[w] <= bestStamp {
+			best, bestStamp = w, stamps[w]
+		}
+	}
+	return best, false
 }
 
 // fillPlan returns the cache's pass scratch with the held bits of n

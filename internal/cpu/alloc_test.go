@@ -61,23 +61,53 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	}))
 
 	// A DS larger than the L1 and noted in the L2's memo by earlier
-	// sweeps: unsnooped, each sweep is the probe-free pass; with the BIA
-	// at the L1, the per-line loop charges each miss as an L2 hit.
+	// sweeps: each sweep is the batch pass, its misses the memo's, and
+	// with the BIA at the L1 the pass sends its events through the batch
+	// port, in chunks whatever the sweep's length.
 	const thrash = 80 << 10
 	for _, mm := range []*Machine{nb, m} {
 		for k := 0; k < 3; k++ {
 			mm.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
 		}
 	}
-	assertZeroAllocs(t, "SweepLoad(probe-free pass)", testing.AllocsPerRun(50, func() {
+	assertZeroAllocs(t, "SweepLoad(pass)", testing.AllocsPerRun(50, func() {
 		nb.SweepLoad(thrash, memp.LineSize, thrashLines, 6, ModeNoLRU|ModeStreaming)
 	}))
-	assertZeroAllocs(t, "SweepRMW(probe-free pass)", testing.AllocsPerRun(50, func() {
+	assertZeroAllocs(t, "SweepRMW(pass)", testing.AllocsPerRun(50, func() {
 		nb.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
 	}))
-	assertZeroAllocs(t, "SweepRMW(snooped, L2 memo)", testing.AllocsPerRun(50, func() {
+	assertZeroAllocs(t, "SweepRMW(snooped pass)", testing.AllocsPerRun(50, func() {
 		m.SweepRMW(thrash, memp.LineSize, thrashLines, 7, ModeNoLRU|ModeStreaming)
 	}))
+	var page int
+	assertZeroAllocs(t, "SweepLoad(snooped pass, page runs)", testing.AllocsPerRun(500, func() {
+		page = (page + 1) % (thrashLines / 64)
+		m.SweepLoad(thrash+memp.Addr(page*memp.PageSize), memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming)
+	}))
+
+	// Page runs over a DS twice the LLC miss every level: the pass
+	// serves each miss through the outer levels, and fills the L1.
+	var far int
+	outer := func(mm *Machine, rmw bool) func() {
+		return func() {
+			far = (far + 1) % dramPages
+			a := memp.Addr(accessSpan + far*memp.PageSize)
+			if mm.BIA != nil {
+				mm.BIA.LookupOrInstall(a)
+			}
+			if rmw {
+				mm.SweepRMW(a, memp.LineSize, 64, 7, ModeNoLRU|ModeStreaming)
+			} else {
+				mm.SweepLoad(a, memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming)
+			}
+		}
+	}
+	before := m.Hier.Path.OuterMisses
+	assertZeroAllocs(t, "SweepLoad(pass, outer levels)", testing.AllocsPerRun(500, outer(nb, false)))
+	assertZeroAllocs(t, "SweepRMW(snooped pass, outer levels)", testing.AllocsPerRun(500, outer(m, true)))
+	if m.Hier.Path.OuterMisses == before {
+		t.Fatal("the outer-level sweeps took no miss below the L2")
+	}
 }
 
 func TestMachineResetZeroAllocs(t *testing.T) {

@@ -38,6 +38,9 @@ func (m *Machine) EmitMetrics(emit func(name string, v uint64)) {
 			emit("cache."+level+"."+name, v)
 		})
 	}
+	m.Hier.Path.Each(func(name string, v uint64) {
+		emit("path."+name, v)
+	})
 	emit("mem.dram_reads", m.Hier.Stats.DRAMReads)
 	emit("mem.dram_writes", m.Hier.Stats.DRAMWrites)
 	emit("mem.page_hits", m.Mem.PageHits)

@@ -15,9 +15,10 @@ import (
 // harness's trace-equivalence tests enforce this for every workload ×
 // strategy.
 //
-// Replay has two regimes. With a listener that wants per-access
-// events subscribed (attacker telemetry), every access takes the
-// per-access path so event emission is reproduced exactly.
+// Replay has two regimes, after uncached runs, which are one step
+// whatever the listeners (execUncached). With a listener that wants
+// per-access events subscribed (attacker telemetry), every access
+// takes the per-access path so event emission is reproduced exactly.
 // Otherwise — the insecure and software-CT configurations, and since
 // the batch paths grew a run-record snoop port also BIA-attached
 // machines — whole runs go through Hierarchy.AccessBatch: one flat
@@ -121,11 +122,38 @@ func (m *Machine) chargeBatch(startHits, missCycles int, streaming bool) {
 	m.C.Cycles += uint64(missCycles)
 }
 
+// execUncached charges n uncached accesses (n load+store pairs when
+// rmw) in one step: an uncached access bypasses every level, changes no
+// cache state and emits no event, so whatever the listeners, the
+// per-access loop would only retire each, count it as a load or a
+// store, and charge it one DRAM read or write at the DRAM latency. It
+// reports whether flags are uncached.
+func (m *Machine) execUncached(n int, flags cache.Flags, rmw bool) bool {
+	if flags&cache.FlagUncached == 0 {
+		return false
+	}
+	loads, stores := n, 0
+	if rmw {
+		stores = n
+	} else if flags&cache.FlagWrite != 0 {
+		loads, stores = 0, n
+	}
+	m.retire(loads + stores)
+	m.C.Loads += uint64(loads)
+	m.C.Stores += uint64(stores)
+	m.C.Cycles += uint64(m.Hier.Uncached(loads, false) + m.Hier.Uncached(stores, true))
+	return true
+}
+
 // execRun charges n accesses at base, base+stride, ... with flags: a
-// KRun record's accesses, or a direct sweep's loads (SweepLoad). With
-// fast set and neither an uncached nor a bypass flag it is one
-// AccessBatch; otherwise the per-access loop. Neither branch records.
+// KRun record's accesses, or a direct sweep's loads (SweepLoad). An
+// uncached run is one step (execUncached). With fast set and no bypass
+// flag it is one AccessBatch; otherwise the per-access loop. No branch
+// records.
 func (m *Machine) execRun(base memp.Addr, stride int64, n int, flags cache.Flags, fast bool) {
+	if m.execUncached(n, flags, false) {
+		return
+	}
 	if batchable(fast, flags) {
 		streaming := flags&flagStreaming != 0
 		f := flags &^ flagStreaming
@@ -149,6 +177,9 @@ func (m *Machine) execRun(base memp.Addr, stride int64, n int, flags cache.Flags
 // execRMW charges n load+store pairs at base, base+stride, ...: a KRMW
 // record's pairs, or a direct sweep's (SweepRMW). Branches as execRun.
 func (m *Machine) execRMW(base memp.Addr, stride int64, n int, lf cache.Flags, fast bool) {
+	if m.execUncached(n, lf, true) {
+		return
+	}
 	if batchable(fast, lf) {
 		streaming := lf&flagStreaming != 0
 		f := lf &^ flagStreaming

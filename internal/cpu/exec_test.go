@@ -148,15 +148,23 @@ func BenchmarkSweepScalar(b *testing.B) {
 // the Table 1 L1's 64 KiB and far less than its 1 MiB L2.
 const thrashLines = 80 << 10 / memp.LineSize
 
+// dramPages is the DS BenchmarkSweepThrash's pages-dram-bia sweeps: 32
+// MiB of pages, twice the Table 1 LLC.
+const dramPages = 32 << 20 / memp.PageSize
+
 // BenchmarkSweepThrash times sweeps that thrash the L1: every line of
 // the DS misses the L1 and hits the L2, as in software CT over Fig. 2's
 // and Fig. 7's larger DSes. load and rmw sweep the whole DS per op on
 // an unsnooped Table 1 machine, which after the first sweeps note the
-// DS in the L2's memo is the probe-free pass. pages and pages-bia sweep
-// one 64-line page run of it per op, Alg. 2's fetch runs: shorter than
-// the L1's 128 sets, they take the per-line loop, whose misses the L2's
-// memo serves, and with the BIA at the L1 every miss snoops a victim's
-// page and its own. Each reports ns a line.
+// DS in the L2's memo; the batch pass serves their misses from it.
+// pages and pages-bia sweep one 64-line page run of it per op, Alg. 2's
+// fetch runs: shorter than the L1's 128 sets, each set they visit is
+// read by one scan, and with the BIA at the L1 every miss's victim
+// eviction and fill reach it through the batch port. pages-dram-bia
+// sweeps page runs of a DS twice the LLC with the BIA at the L1, each
+// page's entry installed first, so every line misses every level and
+// fills each from DRAM, as threshold's and replacement's fetch runs do.
+// Each reports ns a line.
 func BenchmarkSweepThrash(b *testing.B) {
 	const mode = ModeNoLRU | ModeStreaming
 	page := 0
@@ -170,6 +178,13 @@ func BenchmarkSweepThrash(b *testing.B) {
 		page = (page + 1) % (thrashLines / 64)
 		m.SweepLoad(memp.Addr(page*memp.PageSize), memp.LineSize, 64, 6, mode)
 	}
+	dramPage := 0
+	dramRun := func(m *Machine) {
+		dramPage = (dramPage + 1) % dramPages
+		a := memp.Addr(dramPage * memp.PageSize)
+		m.BIA.LookupOrInstall(a)
+		m.SweepLoad(a, memp.LineSize, 64, 6, mode)
+	}
 	for _, bc := range []struct {
 		name  string
 		cfg   Config
@@ -180,6 +195,7 @@ func BenchmarkSweepThrash(b *testing.B) {
 		{"rmw", noBIAConfig(), thrashLines, func(m *Machine) { m.SweepRMW(0, memp.LineSize, thrashLines, 7, mode) }},
 		{"pages", noBIAConfig(), 64, pageRun},
 		{"pages-bia", DefaultConfig(), 64, pageRun}, // the BIA at the L1
+		{"pages-dram-bia", DefaultConfig(), 64, dramRun},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			// Three passes over the DS note it in the L2's memo.

@@ -90,24 +90,44 @@ func tinyConfig(p cache.Policy) Config {
 
 // eventLog records every event it is sent; wantAccess picks whether it
 // asks for EvAccess (which sends sweeps down the scalar branch), and
-// level, unless 0, the one cache level it asks for and records: the
-// bus sends each event to every listener, so one wired to a level
-// drops the others', as the BIA does.
+// level, unless 0, the one cache level it asks for. It keeps whatever
+// the bus sends it, so the twins hold the bus to the filters.
 type eventLog struct {
 	wantAccess bool
 	level      int
 	events     []cache.Event
 }
 
-func (l *eventLog) CacheEvent(ev cache.Event) {
-	if l.level == 0 || ev.Level == l.level {
-		l.events = append(l.events, ev)
-	}
-}
+func (l *eventLog) CacheEvent(ev cache.Event) { l.events = append(l.events, ev) }
 
 func (l *eventLog) WantsEvent(k cache.EventKind) bool { return k != cache.EvAccess || l.wantAccess }
 
 func (l *eventLog) WantsLevel(level int) bool { return l.level == 0 || l.level == level }
+
+// batchLog is an eventLog that also takes the pass's batches and the
+// closed form's runs, as the BIA does, logging them as the events they
+// stand for. Its events carry no set index, which a batch does not
+// send, so the scalar twin's match the primitive twin's.
+type batchLog struct{ eventLog }
+
+func (l *batchLog) CacheEvent(ev cache.Event) {
+	ev.Set = 0
+	l.events = append(l.events, ev)
+}
+
+func (l *batchLog) CacheBatch(level int, snoops []cache.Snoop) {
+	for _, sn := range snoops {
+		l.events = append(l.events, cache.Event{Level: level, Kind: sn.Kind, Line: sn.Line, Dirty: sn.Dirty})
+	}
+}
+
+func (l *batchLog) CacheRun(level int, first memp.Addr, n, mult int) {
+	for k := 0; k < n; k++ {
+		for range mult {
+			l.events = append(l.events, cache.Event{Level: level, Kind: cache.EvHit, Line: first + memp.Addr(k*memp.LineSize), Dirty: true})
+		}
+	}
+}
 
 // sweepRegion is where the script's sweeps start: page-aligned, so the
 // BIA sees whole pages.
@@ -125,6 +145,7 @@ type scriptStep struct {
 	addr  memp.Addr
 	want  bool // actSubscribe: the listener asks for EvAccess
 	level int  // actSubscribe: the one level it asks for, 0 for all
+	batch bool // actSubscribe: the listener takes batches (batchLog)
 }
 
 // action is what a script step does instead of a sweep.
@@ -190,9 +211,14 @@ func (tw *twin) step(st scriptStep) {
 		m.Hier.Level(1).Pin(st.addr)
 	case actSubscribe:
 		l := &eventLog{wantAccess: st.want, level: st.level}
+		var sub cache.Listener = l
+		if st.batch {
+			b := &batchLog{eventLog: *l}
+			l, sub = &b.eventLog, b
+		}
 		tw.logs = append(tw.logs, l)
 		tw.subs++
-		m.Hier.Subscribe(l)
+		m.Hier.Subscribe(sub)
 	case actUnsubscribe:
 		if tw.subs > 0 {
 			tw.subs--
@@ -366,6 +392,66 @@ func thrashScript(modes []AccessMode) []scriptStep {
 	return steps
 }
 
+// dramScript sweeps a DS larger than every level of the tiny machine,
+// so that its lines miss the L1, the L2 and the LLC and each miss fills
+// every level from DRAM: whole sweeps of loads, stores and load+store
+// pairs, and windows and sub-runs of it shorter than the L1's set
+// count, as Alg. 2/3's fetch runs are. The DS's pages get BIA entries
+// first, so that a BIA at the L1 snoops every fill and eviction.
+// Listeners come and go between the sweeps: a plain one at the L2 and
+// at the LLC, one at the L1 that takes batches (over lines it holds
+// clean, then dirty), and one that takes batches but watches every
+// level.
+func dramScript(modes []AccessMode) []scriptStep {
+	const first, lines = 150, 80 // across a page boundary; the LLC holds 64
+	var steps []scriptStep
+	for _, mode := range modes {
+		noLRU := mode&ModeNoLRU != 0
+		sweep := func(k, n int, rmw, store bool) scriptStep {
+			if rmw && !noLRU {
+				rmw, store = false, true
+			}
+			return scriptStep{call: sweepCall{base: scriptLine(first + k), stride: memp.LineSize, n: n, pre: 6, mode: mode, rmw: rmw, store: store}}
+		}
+		load, store, pairs := sweep(0, lines, false, false), sweep(0, lines, false, true), sweep(0, lines, true, false)
+		steps = append(steps,
+			scriptStep{act: actCTLoad, addr: scriptLine(first)},
+			scriptStep{act: actCTLoad, addr: scriptLine(first + lines - 1)},
+			load, load, store, pairs, load)
+		for _, k := range []int{0, 37, 42, 70} {
+			steps = append(steps, sweep(k, 3, false, false), sweep(k, 1, true, false), sweep(k+1, 2, false, true), sweep(k, 10, true, false))
+		}
+		for _, sub := range []scriptStep{
+			{act: actSubscribe, level: 2},
+			{act: actSubscribe, level: 3},
+			{act: actSubscribe, level: 1, batch: true},
+			{act: actSubscribe, batch: true},
+		} {
+			steps = append(steps, sub, load, store, pairs, sweep(5, 3, false, true), scriptStep{act: actUnsubscribe})
+		}
+		steps = append(steps, scriptStep{act: actSubscribe, level: 1, batch: true},
+			sweep(0, 6, false, false), sweep(0, 6, false, false), sweep(0, 6, false, true), sweep(0, 6, false, true),
+			sweep(0, 6, true, false), sweep(2, 6, true, false), scriptStep{act: actUnsubscribe})
+		// Lines 0, 16, 32, 48 and 64 share an L1, an L2 and an LLC set;
+		// lines 4 and 12 share line 0's L1 set only. Line 0, reloaded
+		// into the L1 after 12, is the newer of its L1 set's two lines
+		// but the oldest of its full LLC set. On an inclusive hierarchy
+		// line 64's fill from DRAM evicts it from the LLC and so from
+		// the L1, whose fill must then take line 0's way, not 12's.
+		for _, l := range []int{0, 4, 12, 16, 32, 48, 64} {
+			steps = append(steps, scriptStep{act: actFlush, addr: scriptLine(l)})
+		}
+		for _, l := range []int{0, 4, 12, 0} {
+			steps = append(steps, scriptStep{act: actLoad, addr: scriptLine(l)})
+		}
+		for _, l := range []int{16, 32, 48} {
+			steps = append(steps, scriptStep{act: actL2Access, addr: scriptLine(l)})
+		}
+		steps = append(steps, scriptStep{call: sweepCall{base: scriptLine(64), stride: memp.LineSize, n: 1, pre: 6, mode: mode}})
+	}
+	return steps
+}
+
 // runTwins drives both twins through the script in step, holding them
 // to requireSameMachine after every step, and returns what their
 // attached recorders took (nil without one).
@@ -514,16 +600,20 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 		{name: "prefetch", cfg: func() Config { return tinyConfig(cache.LRU) }, modes: streaming,
 			setup: func(m *Machine) { m.Hier.PrefetchNextLine = true }},
 		{name: "bia-l1", cfg: withBIA(1), modes: streaming},
+		{name: "bia-l1-fifo", cfg: func() Config { c := tinyConfig(cache.FIFO); c.BIALevel = 1; return c }, modes: streaming},
+		{name: "bia-l1-random", cfg: func() Config { c := tinyConfig(cache.Random); c.BIALevel = 1; return c }, modes: streaming},
 		{name: "bia-l2", cfg: withBIA(2), modes: streaming},
 		{name: "bia-llc", cfg: withBIA(3), modes: streaming},
 		{name: "uncached", cfg: withBIA(1), modes: uncached},
 		{name: "listener", cfg: withBIA(1), modes: streaming,
 			log: func() *eventLog { return &eventLog{} }},
+		{name: "l2-listener", cfg: withBIA(1), modes: streaming,
+			log: func() *eventLog { return &eventLog{level: 2} }},
 		{name: "access-listener", cfg: withBIA(2), modes: append(streaming, uncached...),
 			log: func() *eventLog { return &eventLog{wantAccess: true} }},
 	}
 	for _, sc := range scenarios {
-		steps := append(sweepScript(sc.modes), thrashScript(sc.modes)...)
+		steps := slices.Concat(sweepScript(sc.modes), thrashScript(sc.modes), dramScript(sc.modes))
 		for _, odd := range []bool{false, true} {
 			for _, record := range []bool{false, true} {
 				a := &twin{m: New(sc.cfg()), sweep: primitiveSweep}
@@ -565,6 +655,43 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 					requireSameLogs(t, label, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestLevelListenerSeesItsLevel holds the bus to a listener's level
+// filter whatever path charges a sweep: a plain listener at the L2
+// beside a BIA at the L1 must see the same stream, of L2 events only,
+// from the closed form, the pass and the per-line loop as from the
+// scalar loop, each of which charges the script's sweeps somewhere.
+func TestLevelListenerSeesItsLevel(t *testing.T) {
+	cfg := tinyConfig(cache.LRU)
+	cfg.BIALevel = 1
+	a := &twin{m: New(cfg), sweep: primitiveSweep}
+	b := &twin{m: New(cfg), sweep: scalarSweep}
+	la, lb := &eventLog{level: 2}, &eventLog{level: 2}
+	a.m.Hier.Subscribe(la)
+	b.m.Hier.Subscribe(lb)
+	var closed, pass, loop bool
+	for i, st := range slices.Concat(repeatScript(streamingModes), thrashScript(streamingModes)) {
+		before := a.m.Hier.Path
+		a.step(st)
+		b.step(st)
+		requireSameMachine(t, fmt.Sprintf("step %d", i), a.m, b.m)
+		after := a.m.Hier.Path
+		closed = closed || after.ClosedLines > before.ClosedLines
+		pass = pass || after.PassSnoopedLines > before.PassSnoopedLines
+		loop = loop || after.LoopLines > before.LoopLines
+	}
+	if !closed || !pass || !loop {
+		t.Fatalf("paths taken: closed form %v, snooped pass %v, per-line loop %v; want all", closed, pass, loop)
+	}
+	if len(la.events) == 0 || !slices.Equal(la.events, lb.events) {
+		t.Fatalf("the L2 listener saw %d events, want the scalar loop's %d", len(la.events), len(lb.events))
+	}
+	for _, ev := range la.events {
+		if ev.Level != 2 {
+			t.Fatalf("the L2 listener was sent %+v", ev)
 		}
 	}
 }

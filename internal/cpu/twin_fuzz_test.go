@@ -26,7 +26,8 @@ import (
 // from sweepRegion, or of the four pages 64 pages above them (aux bit
 // 0), whose memo slots collide with the first four's, plus an 8-byte
 // word offset (aux bits 1-3). A subscribe's first operand asks for
-// EvAccess (bit 0) and for one cache level (bits 1-2, 0 for all).
+// EvAccess (bit 0) and for one cache level (bits 1-2, 0 for all), and
+// bit 3 makes the listener take batches (batchLog).
 func FuzzSweepTwin(f *testing.F) {
 	for _, seed := range []struct {
 		scenario byte
@@ -54,6 +55,11 @@ func FuzzSweepTwin(f *testing.F) {
 		{1 << 4, thrashScript(streamingModes)}, // ... inclusive
 		{1 << 6, thrashScript(streamingModes)}, // ... pinned-full
 		{1 << 7, thrashScript(streamingModes)}, // ... next-line prefetch
+		{1, dramScript(streamingModes)},        // a DS past the LLC, BIA at L1
+		{1 | 1<<2, dramScript(streamingModes)}, // ... FIFO
+		{1 | 2<<2, dramScript(streamingModes)}, // ... Random
+		{1 | 1<<4, dramScript(streamingModes)}, // ... inclusive
+		{1 | 1<<7, dramScript(streamingModes)}, // ... next-line prefetch
 	} {
 		// Short seeds keep each run, and so the minimizing of every new
 		// input the fuzzer finds, cheap.
@@ -111,6 +117,7 @@ func FuzzSweepTwin(f *testing.F) {
 func TestTwinScriptEncoding(t *testing.T) {
 	for _, steps := range [][]scriptStep{
 		sweepScript(streamingModes), sweepScript(uncachedModes), collideScript(), thrashScript(streamingModes),
+		dramScript(streamingModes),
 	} {
 		if got := decodeScript(encodeScript(steps)); !slices.Equal(got, steps) {
 			t.Fatalf("decoded %d steps, want %d", len(got), len(steps))
@@ -270,7 +277,7 @@ func decodeScript(data []byte) []scriptStep {
 			st := scriptStep{act: action(op)}
 			switch {
 			case st.act == actSubscribe:
-				st.want, st.level = data[1]&1 != 0, int(data[1]>>1&3)
+				st.want, st.level, st.batch = data[1]&1 != 0, int(data[1]>>1&3), data[1]&8 != 0
 			case slices.Contains(addressed, st.act):
 				st.addr = fuzzAddr(data[1], data[2])
 			}
@@ -318,6 +325,9 @@ func encodeScript(steps []scriptStep) []byte {
 				b1 = byte(st.level) << 1
 				if st.want {
 					b1 |= 1
+				}
+				if st.batch {
+					b1 |= 8
 				}
 			case slices.Contains(addressed, st.act):
 				b1, b2 = addr(st.addr)
