@@ -772,8 +772,8 @@ func TestL2ResidencyMemo(t *testing.T) {
 // any length, shorter than the L1's set count too; lines the L2's memo
 // has not seen, and lines no level holds; an L1 whose subscribers all
 // take batches and watch the L1 alone, beside plain listeners at other
-// levels; and a FIFO L1. It must refuse LRU-updating batches, a pinned,
-// sliced or Random L1, a plain listener at the L1 or a batch listener
+// levels; and a FIFO or Random L1. It must refuse LRU-updating batches,
+// a pinned or sliced L1, a plain listener at the L1 or a batch listener
 // that also watches the L2, an inclusive hierarchy and the next-line
 // prefetcher, all of which keep the per-line loop.
 func TestProbeFreeGate(t *testing.T) {
@@ -815,6 +815,9 @@ func TestProbeFreeGate(t *testing.T) {
 	if !pass(mk(FIFO), n, FlagNoLRU) {
 		t.Error("the pass refused a FIFO L1")
 	}
+	if h := mk(Random); !pass(h, n, FlagNoLRU) || !pass(h, n, FlagNoLRU) || h.Level(1).plan != nil {
+		t.Errorf("a Random L1: path %+v, plan built %v; want the pass, with no plan", h.Path, h.Level(1).plan != nil)
+	}
 	for _, tc := range []struct {
 		name string
 		// subs are subscribed before the batch; each logs its events.
@@ -846,7 +849,6 @@ func TestProbeFreeGate(t *testing.T) {
 		flags Flags
 	}{
 		{"LRU-updating", func() *Hierarchy { return mk(LRU) }, 0},
-		{"a Random L1", func() *Hierarchy { return mk(Random) }, FlagNoLRU},
 		{"a pinned L1 line", func() *Hierarchy {
 			h := mk(LRU)
 			h.Access(base, 0)
@@ -870,6 +872,65 @@ func TestProbeFreeGate(t *testing.T) {
 		}
 		if h.Path.LoopLines != 3*n {
 			t.Errorf("%s: path %+v, want %d lines through the per-line loop", tc.name, h.Path, 3*n)
+		}
+	}
+}
+
+// TestOuterStepGate pins which hierarchies serve the batch paths' L1
+// misses through the outer step, one scan per outer level: it must take
+// a hierarchy with no listener or with listeners at the L1 alone, FIFO
+// outer levels, and a Random, pinned or sliced L1, and refuse a
+// listener at the L2 or the LLC, a sliced, pinned or Random outer level
+// and an inclusive hierarchy, all of which keep outerAccess.
+func TestOuterStepGate(t *testing.T) {
+	base := memp.Addr(0x40000)
+	mk := func(edit func(cfgs []Config)) *Hierarchy {
+		cfgs := []Config{
+			{Name: "L1d", Size: 512, Ways: 2, Latency: 2},
+			{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
+			{Name: "LLC", Size: 8192, Ways: 4, Latency: 30},
+		}
+		if edit != nil {
+			edit(cfgs)
+		}
+		return NewHierarchy(100, cfgs...)
+	}
+	subscribed := func(l Listener) func() *Hierarchy {
+		return func() *Hierarchy { h := mk(nil); h.Subscribe(l); return h }
+	}
+	pinned := func(level int) func() *Hierarchy {
+		return func() *Hierarchy { h := mk(nil); h.Access(base, 0); h.Level(level).Pin(base); return h }
+	}
+	for _, tc := range []struct {
+		name string
+		h    func() *Hierarchy
+		step bool
+	}{
+		{"no listener", func() *Hierarchy { return mk(nil) }, true},
+		{"a batch listener at the L1", subscribed(&batchLog{levelLog: levelLog{level: 1}}), true},
+		{"a plain listener at the L1", subscribed(&levelLog{level: 1}), true},
+		{"FIFO outer levels", func() *Hierarchy {
+			return mk(func(c []Config) { c[1].Policy, c[2].Policy = FIFO, FIFO })
+		}, true},
+		{"a Random L1", func() *Hierarchy { return mk(func(c []Config) { c[0].Policy = Random }) }, true},
+		{"a pinned L1 line", pinned(1), true},
+		{"a sliced L1", func() *Hierarchy { return mk(func(c []Config) { c[0].Slices = 2 }) }, true},
+		{"a listener at the L2", subscribed(&levelLog{level: 2}), false},
+		{"a listener at the LLC", subscribed(&levelLog{level: 3}), false},
+		{"a batch listener at every level", subscribed(&batchLog{}), false},
+		{"a sliced L2", func() *Hierarchy { return mk(func(c []Config) { c[1].Slices = 2 }) }, false},
+		{"a sliced LLC", func() *Hierarchy { return mk(func(c []Config) { c[2].Slices = 2 }) }, false},
+		{"a pinned L2 line", pinned(2), false},
+		{"a pinned LLC line", pinned(3), false},
+		{"a Random L2", func() *Hierarchy { return mk(func(c []Config) { c[1].Policy = Random }) }, false},
+		{"a Random LLC", func() *Hierarchy { return mk(func(c []Config) { c[2].Policy = Random }) }, false},
+		{"an inclusive hierarchy", func() *Hierarchy { h := mk(nil); h.Inclusive = true; return h }, false},
+	} {
+		h := tc.h()
+		for _, flags := range []Flags{FlagNoLRU, 0} {
+			if got := h.missPath(flags).step; got != tc.step {
+				t.Errorf("%s, flags %#x: outer step = %v, want %v", tc.name, flags, got, tc.step)
+			}
 		}
 	}
 }
@@ -909,8 +970,11 @@ func (l *batchLog) WantsLevel(level int) bool { return l.level == 0 || level == 
 // batches of every length, from one line to more than the L1's set
 // count. On the first geometry the DS fits the L2, so most misses are
 // the L2 memo's; on the second it exceeds every level, so misses go to
-// the L2, the LLC and DRAM. Every step must leave both hierarchies
-// alike, and the pass must have run from such states.
+// the L2, the LLC and DRAM through the outer step. Each runs on LRU and
+// FIFO hierarchies and on a Random L1 over LRU levels, and a quarter of
+// the batches update LRU state, which takes the per-line loop. Every
+// step must leave both hierarchies alike, and the pass must have run
+// from such states.
 func TestProbeFreePassMatchesScalar(t *testing.T) {
 	base := memp.Addr(0x40000)
 	for _, geo := range []struct {
@@ -928,11 +992,16 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 			{Name: "LLC", Size: 8192, Ways: 4, Latency: 30},
 		}},
 	} {
-		for _, pol := range []Policy{LRU, FIFO} {
+		for _, pol := range []Policy{LRU, FIFO, Random} {
 			mk := func() *Hierarchy {
 				cfgs := slices.Clone(geo.cfgs)
 				for i := range cfgs {
 					cfgs[i].Policy = pol
+				}
+				if pol == Random { // a Random L1 over LRU levels, as replacement's
+					for i := range cfgs[1:] {
+						cfgs[i+1].Policy = LRU
+					}
 				}
 				return NewHierarchy(100, cfgs...)
 			}
@@ -948,11 +1017,13 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 					n := 1 + rng.Intn(geo.ds)
 					first := base + memp.Addr(rng.Intn(geo.ds-n+1)*memp.LineSize)
 					flags, rmw := FlagNoLRU, false
-					switch rng.Intn(3) {
+					switch rng.Intn(4) {
 					case 1:
 						flags |= FlagWrite
 					case 2:
 						rmw = true
+					case 3: // LRU-updating: the per-line loop
+						flags = 0
 					}
 					if a.passable(flags) {
 						passes++

@@ -337,7 +337,9 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 // last, carrying a store's dirty bit, as demandAccess does; the pass
 // fills the L1 from its own plan. The levels it fills are outside
 // start, and on a non-inclusive hierarchy nothing it does reaches
-// start: its evictions write back outward.
+// start: its evictions write back outward. The batch paths' misses take
+// outerStep instead where outerQuiet allows; outerAccess is its
+// reference.
 func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags, cycles int) Result {
 	write := flags&FlagWrite != 0
 	wantAcc := h.wants(EvAccess)
@@ -454,16 +456,18 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 //
 // The L2 keeps a residency memo too, noted by its demand hits and by
 // the writebacks that dirty its lines. An L1 miss it covers is charged
-// as an L2 hit without probing the L2 when quietL2 holds (batchMiss).
-// A line-stride FlagNoLRU batch on an unpinned, unsliced LRU or FIFO L1
-// of a non-inclusive hierarchy without the next-line prefetcher, whose
-// L1 subscribers all take batches (BatchListener) and watch nothing
-// else, skips the L1's probes as well: the batch pass (planBatch) reads
-// each set it visits once, serves each miss through the L2's memo or
-// the outer levels, changes the state as the per-line loop would and
-// adds the counts once; the L1's events reach its subscribers in
-// chunks, in order. Every other batch takes the per-line loop. Path
-// counts which of the three charged the batch.
+// as an L2 hit without probing the L2 when quietL2 holds (batchMiss);
+// any other takes the outer step (outerStep), one scan per level below
+// the L1, when outerQuiet holds, and demandAccess's probes otherwise.
+// A line-stride FlagNoLRU batch on an unpinned, unsliced L1 of a
+// non-inclusive hierarchy without the next-line prefetcher, whose L1
+// subscribers all take batches (BatchListener) and watch nothing else,
+// skips the L1's probes as well: the batch pass (planBatch) reads each
+// set it visits once (a Random L1's sets once a line), serves each miss
+// through the L2's memo or the outer levels, changes the state as the
+// per-line loop would and adds the counts once; the L1's events reach
+// its subscribers in chunks, in order. Every other batch takes the
+// per-line loop. Path counts which of the three charged the batch.
 func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
@@ -482,6 +486,7 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 		return h.planBatch(base.Line(), n, flags, false)
 	}
 	noLRU := flags&FlagNoLRU != 0
+	mp := h.missPath(flags)
 	var seen pendingPage
 	misses0, memoHits := c.Stats.Misses, 0
 	addr := base
@@ -496,7 +501,7 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags, &memoHits)
+			missCycles += h.batchMiss(la, flags, mp, &memoHits)
 			k++
 			addr += memp.Addr(stride)
 			continue
@@ -587,6 +592,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 		return h.planBatch(base.Line(), n, flags, true)
 	}
 	noLRU := flags&FlagNoLRU != 0
+	mp := h.missPath(flags)
 	var seen pendingPage
 	misses0, memoHits := c.Stats.Misses, 0
 	addr := base
@@ -602,7 +608,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				c.SliceTraffic[s/c.setsPerSlc]++
 			}
 			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags, &memoHits)
+			missCycles += h.batchMiss(la, flags, mp, &memoHits)
 			// Store probe: after the load the line is resident in L1
 			// unless a pinned-full set dropped the fill, so re-probe
 			// rather than assume.
@@ -631,7 +637,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 				l1Hits++
 			} else {
 				c.Stats.Misses++
-				missCycles += h.batchMiss(la, flags|FlagWrite, &memoHits)
+				missCycles += h.batchMiss(la, flags|FlagWrite, mp, &memoHits)
 			}
 			k++
 			addr += memp.Addr(stride)

@@ -8,17 +8,27 @@ import "ctbia/internal/memp"
 // hierarchy nothing below the L1 reaches back into it, so during the
 // batch only the batch's own fills change the L1. A set the batch
 // visits once is read by one scan that finds the line and, on a miss,
-// the way victim would fill. A set the batch returns to is read at its
-// first line into the order victim would take its ways in, each
-// refilled way moving to the back as the newest; from then on every
-// line's fate is known: it hits if its set held it at the start and
-// its way has not been refilled since, and otherwise takes the set's
-// next victim. A miss the L2's residency memo covers is charged as an
-// L2 hit without probing the L2 (quietL2); any other goes down the
-// hierarchy through outerAccess, demandAccess's own probe-and-fill,
-// and the pass fills the L1 after it, as demandAccess would. The L1's
-// events reach its BatchListeners in chunks, in the order the per-line
-// loop would emit them, and the counts are added once.
+// the way victim would fill. A set an LRU or FIFO L1's batch returns to
+// is read at its first line into the order victim would take its ways
+// in, each refilled way moving to the back as the newest; from then on
+// every line's fate is known: it hits if its set held it at the start
+// and its way has not been refilled since, and otherwise takes the
+// set's next victim. A Random L1 draws its victims from its RNG, so
+// its every line is read by its own scan, which draws at a full set's
+// miss as victim would, in line order. A miss the L2's residency memo
+// covers is charged as an L2 hit without probing the L2 (quietL2); any
+// other goes below the L1, through the outer step when outerQuiet
+// holds and through outerAccess, demandAccess's own probe-and-fill,
+// otherwise, and the pass fills the L1 after it, as demandAccess would.
+// The L1's events reach its BatchListeners in chunks, in the order the
+// per-line loop would emit them, and the counts are added once.
+//
+// The outer step (outerStep) charges a miss below the L1 with one scan
+// per outer level, which finds the line or the way victim would fill,
+// and fills the levels that missed on those ways, outermost first.
+// Without a subscriber below the L1 the trip emits nothing; without
+// inclusion a fill's eviction only writes back further outward, so a
+// way found stays the one victim would pick until its fill.
 
 // fillPlan is the pass's scratch for the sets a batch returns to, kept
 // on the L1 across calls so the pass allocates nothing after its first.
@@ -54,15 +64,28 @@ func (h *Hierarchy) quietL2(flags Flags) bool {
 	return flags&FlagNoLRU != 0 && len(h.levels) > 1 && !h.snoopsAt(2) && h.levels[1].SliceTraffic == nil
 }
 
+// missPath is how a batch serves its L1 misses, decided once per batch:
+// memo when quietL2 holds, so that a miss the L2's residency memo
+// covers is the memo's, and step when outerQuiet holds, so that any
+// other takes the outer step.
+type missPath struct{ memo, step bool }
+
+// missPath returns the batch's missPath under flags.
+func (h *Hierarchy) missPath(flags Flags) missPath {
+	return missPath{memo: h.quietL2(flags), step: h.outerQuiet()}
+}
+
 // batchMiss charges one access of the per-line loop that missed the L1
 // on la and returns its latency. A miss the L2's residency memo covers
 // (dirty for a store) is charged as an L2 hit without probing the L2,
-// when quietL2 holds, and counted in *memo; any other goes down the
-// hierarchy through demandAccess.
-func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags, memo *int) int {
+// when mp.memo holds, and counted in *memo; any other goes down the
+// hierarchy through the outer step when mp.step holds, the L1 filled
+// after it as demandAccess fills it, and through demandAccess
+// otherwise.
+func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags, mp missPath, memo *int) int {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
-	if h.quietL2(flags) {
+	if mp.memo {
 		if c2 := h.levels[1]; c2.holds(la, write) {
 			c2.Stats.Accesses++
 			c2.Stats.Hits++
@@ -71,18 +94,109 @@ func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags, memo *int) int {
 			return c.cfg.Latency + c2.cfg.Latency
 		}
 	}
-	return h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
+	if !mp.step {
+		return h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
+	}
+	cycles, level := h.outerStep(la, flags)
+	h.fillLevel(1, la, write, flags, false)
+	if level == 0 {
+		h.maybePrefetch(la)
+	}
+	return c.cfg.Latency + cycles
+}
+
+// maxStepLevels is the most levels below the L1 the outer step takes;
+// a deeper hierarchy keeps outerAccess.
+const maxStepLevels = 3
+
+// outerQuiet reports whether the misses of a batch may take the outer
+// step: no subscriber watches a level below the L1, the hierarchy is
+// non-inclusive, and every outer level is an unsliced, unpinned LRU or
+// FIFO cache. Then a trip below the L1 is due no event and no per-slice
+// count, scan finds the way victim would fill, and a fill's eviction
+// writes back only further outward.
+func (h *Hierarchy) outerQuiet() bool {
+	if h.Inclusive || len(h.levels)-1 > maxStepLevels {
+		return false
+	}
+	for i, c := range h.levels[1:] {
+		if h.snoopsAt(i+2) || c.SliceTraffic != nil || c.pinnedAll != 0 || c.cfg.Policy == Random {
+			return false
+		}
+	}
+	return true
+}
+
+// outerStep charges an L1 miss on la below the L1, as
+// outerAccess(1, 2, la, flags, 0) would when outerQuiet holds, and
+// returns its cycles and the level that supplied the line (0 for DRAM).
+// Each outer level is read by one scan; the levels that missed are
+// filled on the ways their scans found, outermost first.
+func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
+	var at [maxStepLevels]struct{ s, w int } // the ways the missed levels fill
+	write := flags&FlagWrite != 0
+	end := len(h.levels)
+	for i := 2; i <= len(h.levels); i++ {
+		c := h.levels[i-1]
+		cycles += c.cfg.Latency
+		c.Stats.Accesses++
+		s := c.SetOf(la)
+		w, hit := c.scan(s, la)
+		if !hit {
+			c.Stats.Misses++
+			at[i-2].s, at[i-2].w = s, w
+			continue
+		}
+		li := c.way(s, w)
+		c.Stats.Hits++
+		if flags&FlagNoLRU == 0 {
+			c.touch(s, w)
+		}
+		if write {
+			c.dirty[li] = true
+		}
+		if i == 2 {
+			c.noteLine(la, c.dirty[li])
+		}
+		level, end = i, i-1
+		break
+	}
+	if level == 0 {
+		cycles += h.dramLatency
+		h.Stats.DRAMReads++
+	}
+	for i := end; i >= 2; i-- {
+		c := h.levels[i-1]
+		s, w := at[i-2].s, at[i-2].w
+		li := c.way(s, w)
+		if old := c.tags[li]; old != noTag {
+			c.Stats.Evictions++
+			if c.dirty[li] {
+				c.Stats.Writebacks++
+				h.writeback(i+1, old)
+			}
+		}
+		c.setTag(s, w, la)
+		c.dirty[li] = false
+		c.clock++
+		c.stamps[li] = c.clock
+		c.Stats.Fills++
+		if flags&FlagPrefetch != 0 {
+			c.Stats.Prefetches++
+		}
+	}
+	return cycles, level
 }
 
 // passable reports whether a line-stride batch under flags may take the
-// pass: FlagNoLRU; an unsliced, unpinned LRU or FIFO L1 whose every
-// subscriber is a BatchListener that wants the L1 alone; and a
-// non-inclusive hierarchy without the next-line prefetcher, so that no
-// miss's trip below the L1 reaches back into it.
+// pass: FlagNoLRU; an unsliced, unpinned L1 whose every subscriber is a
+// BatchListener that wants the L1 alone; and a non-inclusive hierarchy
+// without the next-line prefetcher, so that no miss's trip below the L1
+// reaches back into it.
 func (h *Hierarchy) passable(flags Flags) bool {
 	c := h.levels[0]
-	return flags&FlagNoLRU != 0 && c.pinnedAll == 0 && (c.cfg.Policy == LRU || c.cfg.Policy == FIFO) &&
-		c.SliceTraffic == nil && !h.unbatchedL1 && !h.Inclusive && !h.PrefetchNextLine
+	return flags&FlagNoLRU != 0 && c.pinnedAll == 0 && c.SliceTraffic == nil &&
+		!h.unbatchedL1 && !h.Inclusive && !h.PrefetchNextLine
 }
 
 // planBatch is the pass over the n lines from the line-aligned first:
@@ -107,27 +221,32 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 	if snoop && h.snoops == nil {
 		h.snoops = make([]Snoop, 0, maxSnoops)
 	}
+	mp := h.missPath(flags)
 	// When the L2's memo covers the whole batch, every miss is its: only
 	// a trip below the L1 could take a line out of the L2, and then none
 	// is due.
-	memo := h.quietL2(flags)
-	allMemo := memo && h.levels[1].covered(first, n, write)
+	allMemo := mp.memo && h.levels[1].covered(first, n, write)
+	// Lines once..again-1 visit sets the batch visits only there and are
+	// read by one scan each; the others take their set's plan. A Random
+	// L1 plans nothing: its every line is scanned.
+	sets := c.sets
+	once, again := n-sets, sets
+	if c.cfg.Policy == Random {
+		once, again = 0, n
+	}
 	var p *fillPlan
-	if n > c.sets {
+	if once > 0 {
 		p = c.fillPlan(n)
 	}
 	li0 := first.LineIndex()
 	var seen pendingPage
 	var misses, outer, evictions, writebacks, outerCycles int
-	// Lines once..sets-1 visit sets the batch visits only there.
-	sets := c.sets
-	once := n - sets
 	s, la := c.SetOf(first), first
 	for k := 0; k < n; k++ {
 		base := s * ways
 		var w int
 		var hit bool
-		if k < once || k >= sets {
+		if k < once || k >= again {
 			// A set the batch returns to: its plan.
 			if k < sets {
 				c.readSet(p, s, li0, n)
@@ -160,9 +279,14 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 		} else {
 			c.commit(&seen)
 			misses++
-			if !allMemo && !(memo && h.levels[1].holds(la, write)) {
+			if !allMemo && !(mp.memo && h.levels[1].holds(la, write)) {
 				outer++
-				outerCycles += h.outerAccess(1, 2, la, flags, 0).Cycles
+				if mp.step {
+					cycles, _ := h.outerStep(la, flags)
+					outerCycles += cycles
+				} else {
+					outerCycles += h.outerAccess(1, 2, la, flags, 0).Cycles
+				}
 			}
 			if old := c.tags[i]; old != noTag {
 				evictions++
@@ -237,10 +361,10 @@ func (h *Hierarchy) snoop(la memp.Addr, kind EventKind, dirty bool) {
 	h.snoops = append(h.snoops, Snoop{Line: la, Kind: kind, Dirty: dirty})
 }
 
-// scan reads set s once for la, for a batch that visits the set only
-// there: the way that holds la and true, or false and the way victim
-// would fill: the first invalid way, else the oldest stamp, a tie going
-// to the higher way. Only an unpinned LRU or FIFO cache may ask.
+// scan reads set s once for la: the way that holds la and true, or
+// false and the way victim would fill: the first invalid way, else the
+// oldest stamp, a tie going to the higher way, or a Random cache's
+// draw, taken as victim takes it. Only an unpinned cache may ask.
 func (c *Cache) scan(s int, la memp.Addr) (w int, hit bool) {
 	ways := c.cfg.Ways
 	base := s * ways
@@ -256,6 +380,15 @@ func (c *Cache) scan(s int, la memp.Addr) (w int, hit bool) {
 			}
 		}
 		return inv, false
+	}
+	if c.cfg.Policy == Random {
+		for w, t := range tags {
+			if t == la {
+				return w, true
+			}
+		}
+		c.rngUsed = true
+		return c.rng.Intn(ways), false
 	}
 	stamps := c.stamps[base : base+ways]
 	best, bestStamp := 0, ^uint64(0)

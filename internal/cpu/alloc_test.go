@@ -86,9 +86,11 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	}))
 
 	// Page runs over a DS twice the LLC miss every level: the pass
-	// serves each miss through the outer levels, and fills the L1.
+	// serves each miss through the one-scan outer step, and fills the
+	// L1. A Random L1's pass reads it line by line; an LRU-updating
+	// sweep takes the per-line loop, whose misses take the step too.
 	var far int
-	outer := func(mm *Machine, rmw bool) func() {
+	outer := func(mm *Machine, rmw bool, mode AccessMode) func() {
 		return func() {
 			far = (far + 1) % dramPages
 			a := memp.Addr(accessSpan + far*memp.PageSize)
@@ -96,17 +98,24 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 				mm.BIA.LookupOrInstall(a)
 			}
 			if rmw {
-				mm.SweepRMW(a, memp.LineSize, 64, 7, ModeNoLRU|ModeStreaming)
+				mm.SweepRMW(a, memp.LineSize, 64, 7, mode)
 			} else {
-				mm.SweepLoad(a, memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming)
+				mm.SweepLoad(a, memp.LineSize, 64, 6, mode)
 			}
 		}
 	}
-	before := m.Hier.Path.OuterMisses
-	assertZeroAllocs(t, "SweepLoad(pass, outer levels)", testing.AllocsPerRun(500, outer(nb, false)))
-	assertZeroAllocs(t, "SweepRMW(snooped pass, outer levels)", testing.AllocsPerRun(500, outer(m, true)))
-	if m.Hier.Path.OuterMisses == before {
-		t.Fatal("the outer-level sweeps took no miss below the L2")
+	rnd := New(func() Config { c := DefaultConfig(); c.Levels[0].Policy = cache.Random; c.BIALevel = 1; return c }())
+	before, loopBefore := m.Hier.Path.OuterMisses, m.Hier.Path.LoopLines
+	assertZeroAllocs(t, "SweepLoad(pass, outer step)", testing.AllocsPerRun(500, outer(nb, false, ModeNoLRU|ModeStreaming)))
+	assertZeroAllocs(t, "SweepRMW(snooped pass, outer step)", testing.AllocsPerRun(500, outer(m, true, ModeNoLRU|ModeStreaming)))
+	assertZeroAllocs(t, "SweepLoad(Random L1 pass, outer step)", testing.AllocsPerRun(500, outer(rnd, false, ModeNoLRU|ModeStreaming)))
+	assertZeroAllocs(t, "SweepRMW(Random L1 pass, outer step)", testing.AllocsPerRun(500, outer(rnd, true, ModeNoLRU|ModeStreaming)))
+	if m.Hier.Path.OuterMisses == before || rnd.Hier.Path.PassLines == 0 || rnd.Hier.Path.LoopLines != 0 {
+		t.Fatalf("paths %+v and, Random L1, %+v: want misses below the L2 and a Random L1 pass", m.Hier.Path, rnd.Hier.Path)
+	}
+	assertZeroAllocs(t, "SweepLoad(per-line loop, outer step)", testing.AllocsPerRun(500, outer(m, false, ModeStreaming)))
+	if m.Hier.Path.LoopLines == loopBefore {
+		t.Fatal("the LRU-updating sweeps took no line through the per-line loop")
 	}
 }
 

@@ -3,6 +3,8 @@ package cpu
 import (
 	"testing"
 
+	"ctbia/internal/bia"
+	"ctbia/internal/cache"
 	"ctbia/internal/memp"
 	"ctbia/internal/trace"
 )
@@ -160,11 +162,15 @@ const dramPages = 32 << 20 / memp.PageSize
 // pages and pages-bia sweep one 64-line page run of it per op, Alg. 2's
 // fetch runs: shorter than the L1's 128 sets, each set they visit is
 // read by one scan, and with the BIA at the L1 every miss's victim
-// eviction and fill reach it through the batch port. pages-dram-bia
-// sweeps page runs of a DS twice the LLC with the BIA at the L1, each
-// page's entry installed first, so every line misses every level and
-// fills each from DRAM, as threshold's and replacement's fetch runs do.
-// Each reports ns a line.
+// eviction and fill reach it through the batch port. The rest sweep
+// page runs with the BIA at the L1, each page's entry installed first,
+// as threshold's and replacement's fetch runs do: pages-dram-bia over a
+// DS twice the Table 1 LLC, and the small-* cases on the ablations'
+// 8 KB/32 KB/128 KB machine, small-pages-dram-bia over threshold's
+// 1 MB DS and small-rmw-* with read-modify-write runs over a 48 KB DS
+// inside the LLC, replacement's, under an LRU and a Random L1. Their
+// lines miss to the outer levels, which the outer step serves with one
+// scan a level. Each reports ns a line.
 func BenchmarkSweepThrash(b *testing.B) {
 	const mode = ModeNoLRU | ModeStreaming
 	page := 0
@@ -178,12 +184,20 @@ func BenchmarkSweepThrash(b *testing.B) {
 		page = (page + 1) % (thrashLines / 64)
 		m.SweepLoad(memp.Addr(page*memp.PageSize), memp.LineSize, 64, 6, mode)
 	}
-	dramPage := 0
-	dramRun := func(m *Machine) {
-		dramPage = (dramPage + 1) % dramPages
-		a := memp.Addr(dramPage * memp.PageSize)
-		m.BIA.LookupOrInstall(a)
-		m.SweepLoad(a, memp.LineSize, 64, 6, mode)
+	// pageRuns sweeps one page of a DS of pages pages per call, in turn,
+	// its BIA entry installed first.
+	pageRuns := func(pages int, rmw bool) func(*Machine) {
+		page := 0
+		return func(m *Machine) {
+			page = (page + 1) % pages
+			a := memp.Addr(page * memp.PageSize)
+			m.BIA.LookupOrInstall(a)
+			if rmw {
+				m.SweepRMW(a, memp.LineSize, 64, 7, mode)
+			} else {
+				m.SweepLoad(a, memp.LineSize, 64, 6, mode)
+			}
+		}
 	}
 	for _, bc := range []struct {
 		name  string
@@ -195,13 +209,32 @@ func BenchmarkSweepThrash(b *testing.B) {
 		{"rmw", noBIAConfig(), thrashLines, func(m *Machine) { m.SweepRMW(0, memp.LineSize, thrashLines, 7, mode) }},
 		{"pages", noBIAConfig(), 64, pageRun},
 		{"pages-bia", DefaultConfig(), 64, pageRun}, // the BIA at the L1
-		{"pages-dram-bia", DefaultConfig(), 64, dramRun},
+		{"pages-dram-bia", DefaultConfig(), 64, pageRuns(dramPages, false)},
+		{"small-pages-dram-bia", ablationConfig(cache.LRU), 64, pageRuns(1<<20/memp.PageSize, false)},
+		{"small-rmw-pages", ablationConfig(cache.LRU), 64, pageRuns(48<<10/memp.PageSize, true)},
+		{"small-rmw-pages-random", ablationConfig(cache.Random), 64, pageRuns(48<<10/memp.PageSize, true)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			// Three passes over the DS note it in the L2's memo.
 			benchSweep(b, bc.cfg, 3*thrashLines/bc.lines, bc.sweep)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.lines), "ns/line")
 		})
+	}
+}
+
+// ablationConfig is the threshold and replacement ablations' machine, an
+// 8 KB L1 under the given policy over a 32 KB L2 and a 128 KB LLC, with
+// the BIA at the L1.
+func ablationConfig(l1 cache.Policy) Config {
+	return Config{
+		Levels: []cache.Config{
+			{Name: "L1d", Size: 8 << 10, Ways: 8, Latency: 2, Policy: l1},
+			{Name: "L2", Size: 32 << 10, Ways: 8, Latency: 15},
+			{Name: "LLC", Size: 128 << 10, Ways: 16, Latency: 41},
+		},
+		DRAMLatency: 200,
+		BIA:         bia.DefaultConfig(),
+		BIALevel:    1,
 	}
 }
 

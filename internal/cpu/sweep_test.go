@@ -88,6 +88,17 @@ func tinyConfig(p cache.Policy) Config {
 	}
 }
 
+// randomL1Config is the replacement ablation's Random row on the tiny
+// machine: a Random L1 with the BIA at the L1, over an L2 and an LLC of
+// the given policies. The batch pass reads its L1 line by line and
+// serves its misses through the outer step.
+func randomL1Config(l2, llc cache.Policy) Config {
+	c := tinyConfig(cache.Random)
+	c.Levels[1].Policy, c.Levels[2].Policy = l2, llc
+	c.BIALevel = 1
+	return c
+}
+
 // eventLog records every event it is sent; wantAccess picks whether it
 // asks for EvAccess (which sends sweeps down the scalar branch), and
 // level, unless 0, the one cache level it asks for. It keeps whatever
@@ -602,6 +613,8 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 		{name: "bia-l1", cfg: withBIA(1), modes: streaming},
 		{name: "bia-l1-fifo", cfg: func() Config { c := tinyConfig(cache.FIFO); c.BIALevel = 1; return c }, modes: streaming},
 		{name: "bia-l1-random", cfg: func() Config { c := tinyConfig(cache.Random); c.BIALevel = 1; return c }, modes: streaming},
+		{name: "random-l1", cfg: func() Config { return randomL1Config(cache.LRU, cache.LRU) }, modes: streaming},
+		{name: "random-l1-fifo-l2", cfg: func() Config { return randomL1Config(cache.FIFO, cache.LRU) }, modes: streaming},
 		{name: "bia-l2", cfg: withBIA(2), modes: streaming},
 		{name: "bia-llc", cfg: withBIA(3), modes: streaming},
 		{name: "uncached", cfg: withBIA(1), modes: uncached},
@@ -692,6 +705,41 @@ func TestLevelListenerSeesItsLevel(t *testing.T) {
 	for _, ev := range la.events {
 		if ev.Level != 2 {
 			t.Fatalf("the L2 listener was sent %+v", ev)
+		}
+	}
+}
+
+// TestRepeatedThrashIsTheL2Memos holds the L2's residency memo to what
+// no machine state shows: once a thrashing sweep's L1 misses have hit
+// the L2, through the outer step, each repeat of it must be charged
+// from the L2's memo, while the twins still agree. On an LRU or FIFO
+// L1 every line misses every sweep, so no miss may be left to the outer
+// levels; a Random L1 keeps some lines, which the L2 has not seen since
+// they hit there, so there the memo need only serve some. It runs load
+// sweeps, then read-modify-write ones, on LRU and FIFO machines and on
+// replacement's Random L1 over LRU and FIFO levels.
+func TestRepeatedThrashIsTheL2Memos(t *testing.T) {
+	for _, cfg := range []Config{
+		tinyConfig(cache.LRU), tinyConfig(cache.FIFO),
+		randomL1Config(cache.LRU, cache.LRU), randomL1Config(cache.FIFO, cache.LRU),
+	} {
+		a := &twin{m: New(cfg), sweep: primitiveSweep}
+		b := &twin{m: New(cfg), sweep: scalarSweep}
+		for _, rmw := range []bool{false, true} {
+			// 20 lines: 5 to each of the L1's 4 sets, all in the L2.
+			sweep := scriptStep{call: sweepCall{base: scriptLine(120), stride: memp.LineSize, n: 20, pre: 6, mode: ModeNoLRU | ModeStreaming, rmw: rmw}}
+			for k := 0; k < 4; k++ {
+				label := fmt.Sprintf("L1 %v, rmw %v, sweep %d", cfg.Levels[0].Policy, rmw, k)
+				before := a.m.Hier.Path
+				a.step(sweep)
+				b.step(sweep)
+				requireSameMachine(t, label, a.m, b.m)
+				after := a.m.Hier.Path
+				cyclic := cfg.Levels[0].Policy != cache.Random
+				if k >= 2 && (after.MemoMisses == before.MemoMisses || cyclic && after.OuterMisses != before.OuterMisses) {
+					t.Fatalf("%s: path %+v after %+v, want the misses the L2 memo's", label, after, before)
+				}
+			}
 		}
 	}
 }

@@ -60,6 +60,10 @@ func FuzzSweepTwin(f *testing.F) {
 		{1 | 2<<2, dramScript(streamingModes)}, // ... Random
 		{1 | 1<<4, dramScript(streamingModes)}, // ... inclusive
 		{1 | 1<<7, dramScript(streamingModes)}, // ... next-line prefetch
+		// A Random L1 over a FIFO L2 and an LRU LLC, the BIA at the L1.
+		{1 | 3<<2, sweepScript(streamingModes)},
+		{1 | 3<<2, thrashScript(streamingModes)},
+		{1 | 3<<2, dramScript(streamingModes)},
 	} {
 		// Short seeds keep each run, and so the minimizing of every new
 		// input the fuzzer finds, cheap.
@@ -193,13 +197,19 @@ var (
 )
 
 // fuzzScenario decodes a scenario byte into the tiny machine: bits 0-1
-// place the BIA (0 for none, else its level), bits 2-3 pick the policy
-// (LRU, FIFO, Random, LRU), bit 4 makes the hierarchy inclusive, bit 5
-// splits the L1 into 2 slices, bit 6 pins the sweeps' first L1 set full
-// and bit 7 turns the next-line prefetcher on. The setup, if any, runs
-// after New and after each Reset.
+// place the BIA (0 for none, else its level), bits 2-3 pick the policies
+// (LRU, FIFO or Random at every level, or randomL1Config's Random L1
+// over a FIFO L2 and an LRU LLC), bit 4 makes the hierarchy inclusive,
+// bit 5 splits the L1 into 2 slices, bit 6 pins the sweeps' first L1
+// set full and bit 7 turns the next-line prefetcher on. The setup, if
+// any, runs after New and after each Reset.
 func fuzzScenario(b byte) (Config, func(*Machine)) {
-	cfg := tinyConfig([]cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.LRU}[b>>2&3])
+	var cfg Config
+	if pol := b >> 2 & 3; pol < 3 {
+		cfg = tinyConfig([]cache.Policy{cache.LRU, cache.FIFO, cache.Random}[pol])
+	} else {
+		cfg = randomL1Config(cache.FIFO, cache.LRU)
+	}
 	cfg.BIALevel = int(b & 3)
 	cfg.Inclusive = b&(1<<4) != 0
 	if b&(1<<5) != 0 {

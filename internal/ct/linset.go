@@ -156,11 +156,24 @@ func (ds *LinSet) SpansAt(shift int) []PageSpan {
 // mutate the result.
 func (ds *LinSet) Lines() []memp.Addr { return ds.lines }
 
-// ContainsLine reports whether addr's cache line belongs to the set.
+// ContainsLine reports whether addr's cache line belongs to the set: it
+// lies in the last run that starts at or below it. A contiguous set has
+// one run, so the search is a range check.
 func (ds *LinSet) ContainsLine(addr memp.Addr) bool {
 	la := addr.Line()
-	i := sort.Search(len(ds.lines), func(i int) bool { return ds.lines[i] >= la })
-	return i < len(ds.lines) && ds.lines[i] == la
+	runs := ds.runs
+	lo, hi := 0, len(runs)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if runs[mid].base <= la {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	// Below the first run the difference wraps past every run's length.
+	r := runs[lo]
+	return uint64(la-r.base) < uint64(r.n)*memp.LineSize
 }
 
 // mustContain panics when addr is outside the set. A DS by definition

@@ -88,6 +88,27 @@ func TestContainsLine(t *testing.T) {
 	}
 }
 
+// TestContainsLineMatchesLines holds the run search to a linear scan of
+// Lines(), for a contiguous set (one run) and a scattered one, at every
+// line from one line below the set to one line past it, gaps included.
+func TestContainsLineMatchesLines(t *testing.T) {
+	for _, ds := range []*LinSet{
+		NewContiguous("c", 0x1800, 3*memp.PageSize),
+		FromLines("s", []memp.Addr{0x1fc0, 0x1000, 0x1040, 0x2000, 0x1080, 0x10c8, 0x1200, 0x1f80, 0x5000}),
+	} {
+		lines := ds.Lines()
+		first, last := lines[0]-memp.LineSize, lines[len(lines)-1]+memp.LineSize
+		for la := first; la <= last; la += memp.LineSize {
+			want := slices.Contains(lines, la)
+			for _, addr := range []memp.Addr{la, la + memp.LineSize - 1} {
+				if got := ds.ContainsLine(addr); got != want {
+					t.Errorf("%s: ContainsLine(%v) = %v, want %v", ds.Name(), addr, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFromRegion(t *testing.T) {
 	r := memp.Region{Name: "tab", Base: 0x10000, Size: 300}
 	ds := FromRegion(r)

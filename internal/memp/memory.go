@@ -14,22 +14,33 @@ import (
 // in the cache hierarchy and machine model.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
-	// One-entry page cache: simulator traffic is strongly page-local
-	// (linearization sweeps walk lines in order), so memoizing the last
-	// translation removes the map lookup from the hot path. Pages are
-	// never unmapped, so the cached pointer cannot go stale. A Memory
+	// tlb is a direct-mapped translation cache in front of pages, one
+	// entry per page index modulo tlbSlots: simulator traffic is
+	// strongly page-local, but a sweep that reads its DS page by page
+	// while the workload touches its own arrays alternates among a few
+	// pages, which a single memoized page would miss on every switch.
+	// Pages are never unmapped, so no entry can go stale. A Memory
 	// belongs to one Machine and is not safe for concurrent use — the
 	// harness gives every goroutine its own machine.
-	lastIdx  uint64
-	lastPage *[PageSize]byte
+	tlb [tlbSlots]tlbEntry
 
-	// PageHits and PageMisses count one-entry-cache outcomes on the
-	// translation fast path (hit = the memoized page matched; miss =
-	// fell through to the map). Plain increments — a Memory is
-	// single-owner, and the observability layer harvests these after a
-	// run, so nothing here allocates or synchronizes.
+	// PageHits and PageMisses count translation-cache outcomes on the
+	// translation fast path (hit = the page's entry matched; miss = fell
+	// through to the map). Plain increments — a Memory is single-owner,
+	// and the observability layer harvests these after a run, so nothing
+	// here allocates or synchronizes.
 	PageHits   uint64
 	PageMisses uint64
+}
+
+// tlbSlots is the number of entries in a Memory's translation cache.
+const tlbSlots = 64
+
+// tlbEntry is one translation-cache entry: the page at index idx, or
+// nothing while page is nil.
+type tlbEntry struct {
+	idx  uint64
+	page *[PageSize]byte
 }
 
 // NewMemory returns an empty memory; every byte reads as zero until
@@ -39,9 +50,10 @@ func NewMemory() *Memory {
 }
 
 func (m *Memory) page(idx uint64, create bool) *[PageSize]byte {
-	if m.lastPage != nil && m.lastIdx == idx {
+	e := &m.tlb[idx%tlbSlots]
+	if e.page != nil && e.idx == idx {
 		m.PageHits++
-		return m.lastPage
+		return e.page
 	}
 	m.PageMisses++
 	p := m.pages[idx]
@@ -50,7 +62,7 @@ func (m *Memory) page(idx uint64, create bool) *[PageSize]byte {
 		m.pages[idx] = p
 	}
 	if p != nil {
-		m.lastIdx, m.lastPage = idx, p
+		e.idx, e.page = idx, p
 	}
 	return p
 }
@@ -194,7 +206,7 @@ func (m *Memory) Reset() {
 	m.ResetStats()
 }
 
-// ResetStats zeroes the page-cache counters without touching contents,
+// ResetStats zeroes the translation-cache counters without touching contents,
 // so pooled machines never leak observation between sweep points.
 func (m *Memory) ResetStats() {
 	m.PageHits = 0

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPageCacheStats(t *testing.T) {
 	m := NewMemory()
-	m.Write64(AllocBase, 1)          // miss (creates the page, memoizes it)
+	m.Write64(AllocBase, 1)          // miss (creates the page, caches it)
 	m.Write64(AllocBase+8, 2)        // hit
 	_ = m.Read64(AllocBase + 16)     // hit
 	m.Write64(AllocBase+PageSize, 3) // miss (new page)
@@ -13,6 +13,17 @@ func TestPageCacheStats(t *testing.T) {
 	}
 	if m.PageHits != 2 {
 		t.Fatalf("PageHits = %d, want 2", m.PageHits)
+	}
+	// Two pages read alternately keep one entry each: after their first
+	// translations, every read hits.
+	m = NewMemory()
+	m.Write64(AllocBase, 1)
+	m.Write64(AllocBase+PageSize, 2)
+	for i := 0; i < 8; i++ {
+		_ = m.Read64(AllocBase + Addr(i%2)*PageSize)
+	}
+	if m.PageMisses != 2 || m.PageHits != 8 {
+		t.Fatalf("alternating pages: PageMisses = %d, PageHits = %d, want 2 and 8", m.PageMisses, m.PageHits)
 	}
 }
 
