@@ -9,22 +9,29 @@ import (
 	"ctbia/internal/memp"
 )
 
-// The batched access paths (Hierarchy.AccessBatch/AccessBatchRMW) are
-// allowed to run under a BIA because they snoop the same hit/dirty
-// edges the scalar path emits. These tests pin that equivalence: a
-// BIA-attached system driven through the batch paths must end in
-// bit-identical state — every cache statistic, every BIA counter,
-// every existence/dirtiness bitmap — to one driven access by access,
-// and the batch's (l1Hits, missCycles) split must re-compose into the
-// scalar path's total charged cycles.
+// Hierarchy.AccessBatch may charge a run under a BIA without probing
+// its lines, because the pass and the closed form send the BIA the same
+// hit/fill/evict/dirty edges the accesses one by one would. These tests
+// pin that equivalence: a BIA-attached system driven through
+// AccessBatch must end in bit-identical state — every cache statistic
+// and line, stamps included, every BIA counter, every
+// existence/dirtiness bitmap — to one driven access by access, and the
+// batch's (l1Hits, missCycles) split must re-compose into the scalar
+// path's total charged cycles.
 
-// TestBIAHierarchyIsBatchSafe pins the gate the cpu replay engine
-// keys on: a BIA wants hit/fill/evict/dirty events but not EvAccess,
-// so its hierarchy may take the batched fast path.
+// TestBIAHierarchyIsBatchSafe pins the gate AccessBatch keys on: a BIA
+// wants hit/fill/evict/dirty events but not EvAccess, so a FlagNoLRU
+// line run on its hierarchy takes the batch pass, then the closed form,
+// not the accesses one by one.
 func TestBIAHierarchyIsBatchSafe(t *testing.T) {
-	h, _ := newSystem()
-	if !h.BatchSafe() {
-		t.Fatal("BIA-attached hierarchy reports !BatchSafe; BIA replays would fall off the fast path")
+	h, b := newSystem()
+	base := memp.Addr(0x40000)
+	b.LookupOrInstall(base)
+	for k := 0; k < 2; k++ {
+		h.AccessBatch(1, base, memp.LineSize, 8, cache.FlagNoLRU, true)
+	}
+	if p := h.Path; p.PassSnoopedLines != 8 || p.ClosedLines != 8 || p.LoopLines != 0 {
+		t.Fatalf("BIA-attached hierarchy charged two runs of 8 lines as %+v; want the snooped pass, then the closed form", p)
 	}
 }
 
@@ -51,6 +58,9 @@ func randomSteps(rng *rand.Rand, count int) []batchStep {
 		if rng.Intn(4) == 0 {
 			st.rmw = true
 			st.flags &^= cache.FlagWrite // RMW supplies the write itself
+		}
+		if rng.Intn(2) == 0 {
+			st.flags |= cache.FlagNoLRU // the pass or the closed form
 		}
 		if rng.Intn(2) == 0 {
 			// Install a BIA entry covering part of the upcoming run so
@@ -84,12 +94,7 @@ func TestBatchSnoopChargingEquivalence(t *testing.T) {
 			}
 			addr += memp.LineSize
 		}
-		var hits, miss int
-		if st.rmw {
-			hits, miss = hb.AccessBatchRMW(st.base, memp.LineSize, st.n, st.flags)
-		} else {
-			hits, miss = hb.AccessBatch(st.base, memp.LineSize, st.n, st.flags)
-		}
+		hits, miss := hb.AccessBatch(1, st.base, memp.LineSize, st.n, st.flags, st.rmw)
 		if got := hits*l1Lat + miss; got != scalarCycles {
 			t.Fatalf("step %+v: batch charges %d cycles (hits=%d miss=%d), scalar %d",
 				st, got, hits, miss, scalarCycles)
@@ -100,6 +105,12 @@ func TestBatchSnoopChargingEquivalence(t *testing.T) {
 		if ws, gs := hs.Level(lvl).Stats, hb.Level(lvl).Stats; ws != gs {
 			t.Errorf("L%d stats diverged\nscalar: %+v\nbatch:  %+v", lvl, ws, gs)
 		}
+		if !hs.SnapshotLevel(lvl).Equal(hb.SnapshotLevel(lvl)) {
+			t.Errorf("L%d contents diverged", lvl)
+		}
+	}
+	if p := hb.Path; p.PassLines == 0 || p.LoopLines == 0 {
+		t.Errorf("path %+v: want runs through the pass and access by access", p)
 	}
 	if hs.Stats != hb.Stats {
 		t.Errorf("DRAM stats diverged\nscalar: %+v\nbatch:  %+v", hs.Stats, hb.Stats)

@@ -139,11 +139,11 @@ type Cache struct {
 	// line has turned clean either.
 	gen uint64
 	// memo is the residency memo: a direct-mapped slot per page, valid
-	// while its generation is gen. The L1's is noted by line-stride
-	// batches' hits and lets a covered batch be charged in closed form;
-	// the L2's is noted by its demand hits and by writebacks, and lets a
-	// batch's L1 miss be charged as an L2 hit without probing (see
-	// AccessBatch).
+	// while its generation is gen. The L1's is noted by the batch pass's
+	// hits and lets a covered batch be charged in closed form; the L2's
+	// is noted by its demand hits and by writebacks, and lets a pass's
+	// L1 miss be charged as an L2 hit without probing (see AccessBatch
+	// and planBatch).
 	memo [memoSlots]pageMemo
 	// plan is the batch pass's scratch (see fillPlan), built on the L1
 	// by its first pass over a set it returns to and reused after.

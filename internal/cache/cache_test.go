@@ -288,29 +288,6 @@ func TestPrefetchCountsDRAMReads(t *testing.T) {
 	if got := h.Stats.DRAMReads; got != 1 {
 		t.Fatalf("prefetch of a cached line: DRAMReads = %d, want still 1", got)
 	}
-	// The next-line prefetcher goes through the same accounting: one
-	// demand read plus one prefetch read.
-	h2 := tiny()
-	h2.PrefetchNextLine = true
-	h2.Access(memp.Addr(0xc0000), 0)
-	if got := h2.Stats.DRAMReads; got != 2 {
-		t.Fatalf("demand fill + next-line prefetch: DRAMReads = %d, want 2", got)
-	}
-}
-
-func TestNextLinePrefetcher(t *testing.T) {
-	h := tiny()
-	h.PrefetchNextLine = true
-	a := memp.Addr(0xc0000)
-	h.Access(a, 0)
-	if p, _ := h.Level(1).Lookup(a + memp.LineSize); !p {
-		t.Fatal("next line should be prefetched after a DRAM fill")
-	}
-	// An L1 hit must not prefetch.
-	h.Access(a, 0)
-	if p, _ := h.Level(1).Lookup(a + 2*memp.LineSize); p {
-		t.Fatal("hit must not trigger prefetch")
-	}
 }
 
 func TestFIFOPolicyIgnoresHits(t *testing.T) {
@@ -510,20 +487,30 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-// runLog is a RunListener that logs what it is sent.
+// runLog is a listener at the L1 that, like the BIA there, takes runs
+// and batches and wants every kind but EvAccess. It logs the batches'
+// events and the runs.
 type runLog struct {
 	events []Event
 	runs   [][4]int // level, first line index, n, mult
 }
 
-func (l *runLog) CacheEvent(ev Event) { l.events = append(l.events, ev) }
+func (l *runLog) CacheEvent(ev Event)         { l.events = append(l.events, ev) }
+func (l *runLog) WantsEvent(k EventKind) bool { return k != EvAccess }
+func (l *runLog) WantsLevel(level int) bool   { return level == 1 }
+
+func (l *runLog) CacheBatch(level int, snoops []Snoop) {
+	for _, sn := range snoops {
+		l.events = append(l.events, Event{Level: level, Kind: sn.Kind, Line: sn.Line, Dirty: sn.Dirty})
+	}
+}
 
 func (l *runLog) CacheRun(level int, first memp.Addr, n, mult int) {
 	l.runs = append(l.runs, [4]int{level, int(first.LineIndex()), n, mult})
 }
 
-// TestResidencyMemo pins the L1's residency memo: a line-stride batch
-// notes its hits page by page, a later batch whose lines it covers at
+// TestResidencyMemo pins the L1's residency memo: the batch pass notes
+// its hits page by page, a later batch whose lines it covers at
 // the current generation is charged in closed form, and any line that
 // leaves the L1 — by eviction, back-invalidation, Flush or Reset —
 // forgets it, while ResetStats or a fill into a free way does not.
@@ -532,21 +519,22 @@ func TestResidencyMemo(t *testing.T) {
 	base := memp.Addr(0x40000) // lines in L1 sets 0..3 and L2 sets 0..3
 	line := func(k int) memp.Addr { return base + memp.Addr(k*memp.LineSize) }
 	covered := func(h *Hierarchy, k, m int, dirty bool) bool { return h.Level(1).covered(line(k), m, dirty) }
-	warm := func(inclusive bool) *Hierarchy {
+	// warm notes the n lines from base in the memo, through the pass,
+	// which takes only a non-inclusive hierarchy's batches.
+	warm := func() *Hierarchy {
 		h := tiny()
-		h.Inclusive = inclusive
-		h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+		h.AccessBatch(1, base, memp.LineSize, n, FlagNoLRU, false)
 		if covered(h, 0, 1, false) {
 			t.Fatal("a miss was noted as resident")
 		}
-		h.AccessBatch(base+8, memp.LineSize, n, FlagNoLRU)
+		h.AccessBatch(1, base+8, memp.LineSize, n, FlagNoLRU, false)
 		if !covered(h, 0, n, false) {
 			t.Fatal("an all-hit batch was not noted")
 		}
 		return h
 	}
 
-	h := warm(false)
+	h := warm()
 	c1 := h.Level(1)
 	if !covered(h, 1, 2, false) || !covered(h, 3, 1, false) {
 		t.Fatal("a sub-run of a noted run is not covered")
@@ -558,7 +546,7 @@ func TestResidencyMemo(t *testing.T) {
 		t.Fatal("a clean line is covered for a write")
 	}
 	before, snap := c1.Stats, h.SnapshotLevel(1)
-	if hits, miss := h.AccessBatch(line(1), memp.LineSize, 2, FlagNoLRU); hits != 2 || miss != 0 {
+	if hits, miss := h.AccessBatch(1, line(1), memp.LineSize, 2, FlagNoLRU, false); hits != 2 || miss != 0 {
 		t.Fatalf("covered sub-run = %d hits, %d miss cycles; want 2, 0", hits, miss)
 	}
 	if c1.Stats.Accesses != before.Accesses+2 || c1.Stats.Hits != before.Hits+2 || c1.Stats.Misses != before.Misses {
@@ -568,32 +556,33 @@ func TestResidencyMemo(t *testing.T) {
 		t.Fatal("a closed-form batch changed the L1")
 	}
 
-	// A snooped load of clean lines goes event by event; a write dirties
-	// them line by line and notes them dirty, after which a snooped load
-	// is one run.
+	// A snooped load of clean lines goes event by event, through the
+	// pass; a write dirties them line by line and notes them dirty, after
+	// which a snooped load is one run.
 	rl := &runLog{}
 	h.Subscribe(rl)
-	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
+	h.AccessBatch(1, base, memp.LineSize, n, FlagNoLRU, false)
 	if len(rl.runs) != 0 || len(rl.events) != n {
 		t.Fatalf("snooped load of clean lines: %d runs, %d events; want 0, %d", len(rl.runs), len(rl.events), n)
 	}
-	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU|FlagWrite)
+	h.AccessBatch(1, base, memp.LineSize, n, FlagNoLRU|FlagWrite, false)
 	if !covered(h, 0, n, true) || len(rl.runs) != 0 {
 		t.Fatal("a write over clean lines must dirty them one by one and note them dirty")
 	}
 	rl.events = nil
-	h.AccessBatch(line(1), memp.LineSize, 3, FlagNoLRU)
-	h.AccessBatchRMW(base, memp.LineSize, 2, FlagNoLRU)
+	h.AccessBatch(1, line(1), memp.LineSize, 3, FlagNoLRU, false)
+	h.AccessBatch(1, base, memp.LineSize, 2, FlagNoLRU, true)
 	want := [][4]int{{1, int(line(1).LineIndex()), 3, 1}, {1, int(base.LineIndex()), 2, 2}}
 	if len(rl.events) != 0 || !slices.Equal(rl.runs, want) {
 		t.Fatalf("covered snooped batches: %d events, runs %v; want 0, %v", len(rl.events), rl.runs, want)
 	}
-	// A plain listener on the L1 keeps every batch on the per-event path.
+	// A plain listener on the L1, which wants EvAccess too, keeps every
+	// batch on the access-by-access path: an EvAccess and an EvHit a line.
 	plain := &eventLogger{}
 	h.Subscribe(plain)
-	h.AccessBatch(base, memp.LineSize, n, FlagNoLRU)
-	if len(rl.runs) != 2 || len(plain.events) != n {
-		t.Fatalf("with a plain listener: %d runs, %d plain events; want 2, %d", len(rl.runs), len(plain.events), n)
+	h.AccessBatch(1, base, memp.LineSize, n, FlagNoLRU, false)
+	if len(rl.runs) != 2 || len(plain.events) != 2*n || plain.events[0].Kind != EvAccess || plain.events[1].Kind != EvHit {
+		t.Fatalf("with a plain listener: %d runs, plain events %v; want 2 runs, %d access and hit events", len(rl.runs), plain.events, n)
 	}
 	h.TruncateListeners(0)
 
@@ -608,7 +597,7 @@ func TestResidencyMemo(t *testing.T) {
 		t.Fatal("an eviction from the L1 did not forget the memo")
 	}
 
-	h = warm(false)
+	h = warm()
 	h.Flush(line(n)) // not cached: nothing leaves
 	if !covered(h, 0, n, false) {
 		t.Fatal("flushing an uncached line forgot the memo")
@@ -619,7 +608,8 @@ func TestResidencyMemo(t *testing.T) {
 	}
 
 	for _, inclusive := range []bool{false, true} {
-		h = warm(inclusive)
+		h = warm()
+		h.Inclusive = inclusive
 		c2 := h.Level(2)
 		for k := 1; k <= c2.Ways(); k++ {
 			h.AccessFrom(2, addrForSet(c2, c2.SetOf(base), k), 0)
@@ -632,7 +622,7 @@ func TestResidencyMemo(t *testing.T) {
 		}
 	}
 
-	h = warm(false)
+	h = warm()
 	h.Reset()
 	if covered(h, 0, 1, false) {
 		t.Fatal("Reset did not forget the memo")
@@ -641,10 +631,10 @@ func TestResidencyMemo(t *testing.T) {
 	// Hits noted before a miss in the same call must not survive the
 	// departure the miss causes: line n maps to line 0's set, which a
 	// fill of line 2n has made full, so its fill evicts line 0.
-	h = warm(false)
+	h = warm()
 	c1 = h.Level(1)
 	h.Access(line(2*n), 0)
-	h.AccessBatch(base, memp.LineSize, n+1, FlagNoLRU)
+	h.AccessBatch(1, base, memp.LineSize, n+1, FlagNoLRU, false)
 	if p, _ := c1.Lookup(base); p {
 		t.Fatal("precondition: the miss evicted line 0")
 	}
@@ -654,12 +644,12 @@ func TestResidencyMemo(t *testing.T) {
 
 	// A page whose memo slot another page takes over is forgotten,
 	// though none of its lines left.
-	h = warm(false)
+	h = warm()
 	c1 = h.Level(1)
 	other := base + memoSlots*memp.PageSize
-	h.AccessBatch(other, memp.LineSize, 2, FlagNoLRU)
+	h.AccessBatch(1, other, memp.LineSize, 2, FlagNoLRU, false)
 	gen := c1.gen
-	h.AccessBatch(other, memp.LineSize, 2, FlagNoLRU)
+	h.AccessBatch(1, other, memp.LineSize, 2, FlagNoLRU, false)
 	if c1.gen != gen || !c1.covered(other, 2, false) {
 		t.Fatal("precondition: the colliding page's lines hit without a departure")
 	}
@@ -774,8 +764,9 @@ func TestL2ResidencyMemo(t *testing.T) {
 // take batches and watch the L1 alone, beside plain listeners at other
 // levels; and a FIFO or Random L1. It must refuse LRU-updating batches,
 // a pinned or sliced L1, a plain listener at the L1 or a batch listener
-// that also watches the L2, an inclusive hierarchy and the next-line
-// prefetcher, all of which keep the per-line loop.
+// that also watches the L2, an inclusive hierarchy, a listener that
+// wants EvAccess and a batch that starts below the L1, all of which go
+// access by access, with the events the accesses one by one send.
 func TestProbeFreeGate(t *testing.T) {
 	const n = 12 // three lines to each of the tiny L1's four sets
 	base := memp.Addr(0x40000)
@@ -788,7 +779,7 @@ func TestProbeFreeGate(t *testing.T) {
 	// pass runs one batch and reports whether the pass charged it.
 	pass := func(h *Hierarchy, n int, flags Flags) bool {
 		before := h.Path
-		h.AccessBatch(base, memp.LineSize, n, flags)
+		h.AccessBatch(1, base, memp.LineSize, n, flags, false)
 		if h.Path.PassLines == before.PassLines {
 			return false
 		}
@@ -862,7 +853,6 @@ func TestProbeFreeGate(t *testing.T) {
 			)
 		}, FlagNoLRU},
 		{"an inclusive hierarchy", func() *Hierarchy { h := mk(LRU); h.Inclusive = true; return h }, FlagNoLRU},
-		{"the next-line prefetcher", func() *Hierarchy { h := mk(LRU); h.PrefetchNextLine = true; return h }, FlagNoLRU},
 	} {
 		h := tc.h()
 		for k := 0; k < 3; k++ {
@@ -871,12 +861,34 @@ func TestProbeFreeGate(t *testing.T) {
 			}
 		}
 		if h.Path.LoopLines != 3*n {
-			t.Errorf("%s: path %+v, want %d lines through the per-line loop", tc.name, h.Path, 3*n)
+			t.Errorf("%s: path %+v, want %d lines access by access", tc.name, h.Path, 3*n)
+		}
+	}
+	// A listener that takes batches at the start level alone but wants
+	// EvAccess too, at the L1 and under a batch from the L2, takes the
+	// same events as from the accesses one by one, EvAccess included.
+	for _, start := range []int{1, 2} {
+		a, b := mk(LRU), mk(LRU)
+		la, lb := &batchLog{levelLog: levelLog{level: start, access: true}}, &batchLog{levelLog: levelLog{level: start, access: true}}
+		a.Subscribe(la)
+		b.Subscribe(lb)
+		for k := 0; k < 2; k++ {
+			a.AccessBatch(start, base, memp.LineSize, n, FlagNoLRU, k == 1)
+			for j := 0; j < n; j++ {
+				b.AccessFrom(start, base+memp.Addr(j*memp.LineSize), FlagNoLRU)
+				if k == 1 {
+					b.AccessFrom(start, base+memp.Addr(j*memp.LineSize), FlagNoLRU|FlagWrite)
+				}
+			}
+		}
+		if a.Path.LoopLines != 2*n || !slices.Equal(la.events, lb.events) || len(la.events) == 0 || la.events[0].Kind != EvAccess {
+			t.Errorf("from L%d under an EvAccess listener: path %+v, %d events; want %d lines access by access and the scalar loop's %d events",
+				start, a.Path, len(la.events), 2*n, len(lb.events))
 		}
 	}
 }
 
-// TestOuterStepGate pins which hierarchies serve the batch paths' L1
+// TestOuterStepGate pins which hierarchies serve the batch pass's L1
 // misses through the outer step, one scan per outer level: it must take
 // a hierarchy with no listener or with listeners at the L1 alone, FIFO
 // outer levels, and a Random, pinned or sliced L1, and refuse a
@@ -926,11 +938,8 @@ func TestOuterStepGate(t *testing.T) {
 		{"a Random LLC", func() *Hierarchy { return mk(func(c []Config) { c[2].Policy = Random }) }, false},
 		{"an inclusive hierarchy", func() *Hierarchy { h := mk(nil); h.Inclusive = true; return h }, false},
 	} {
-		h := tc.h()
-		for _, flags := range []Flags{FlagNoLRU, 0} {
-			if got := h.missPath(flags).step; got != tc.step {
-				t.Errorf("%s, flags %#x: outer step = %v, want %v", tc.name, flags, got, tc.step)
-			}
+		if got := tc.h().outerQuiet(); got != tc.step {
+			t.Errorf("%s: outer step = %v, want %v", tc.name, got, tc.step)
 		}
 	}
 }
@@ -972,9 +981,9 @@ func (l *batchLog) WantsLevel(level int) bool { return l.level == 0 || level == 
 // the L2 memo's; on the second it exceeds every level, so misses go to
 // the L2, the LLC and DRAM through the outer step. Each runs on LRU and
 // FIFO hierarchies and on a Random L1 over LRU levels, and a quarter of
-// the batches update LRU state, which takes the per-line loop. Every
-// step must leave both hierarchies alike, and the pass must have run
-// from such states.
+// the batches update LRU state, which go access by access. Every step
+// must leave both hierarchies alike, stamps included, and the pass must
+// have run from such states.
 func TestProbeFreePassMatchesScalar(t *testing.T) {
 	base := memp.Addr(0x40000)
 	for _, geo := range []struct {
@@ -1022,8 +1031,8 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 						flags |= FlagWrite
 					case 2:
 						rmw = true
-					case 3: // LRU-updating: the per-line loop
-						flags = 0
+					case 3: // LRU-updating, loads or pairs: access by access
+						flags, rmw = 0, rng.Intn(2) == 0
 					}
 					if a.passable(flags) {
 						passes++
@@ -1034,12 +1043,7 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 							}
 						}
 					}
-					var hits, miss int
-					if rmw {
-						hits, miss = a.AccessBatchRMW(first, memp.LineSize, n, flags)
-					} else {
-						hits, miss = a.AccessBatch(first, memp.LineSize, n, flags)
-					}
+					hits, miss := a.AccessBatch(1, first, memp.LineSize, n, flags, rmw)
 					want := 0
 					for j := 0; j < n; j++ {
 						addr := first + memp.Addr(j*memp.LineSize)
@@ -1088,11 +1092,14 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 	}
 }
 
-// levelLog is a plain listener at one cache level.
+// levelLog is a plain listener at one cache level that, like the BIA,
+// wants every kind but EvAccess, unless access is set.
 type levelLog struct {
 	level  int
+	access bool
 	events []Event
 }
 
-func (l *levelLog) CacheEvent(ev Event)       { l.events = append(l.events, ev) }
-func (l *levelLog) WantsLevel(level int) bool { return level == l.level }
+func (l *levelLog) CacheEvent(ev Event)         { l.events = append(l.events, ev) }
+func (l *levelLog) WantsEvent(k EventKind) bool { return k != EvAccess || l.access }
+func (l *levelLog) WantsLevel(level int) bool   { return level == l.level }

@@ -113,8 +113,8 @@ type RunListener interface {
 // CacheEvent on each of snoops' events at the given level, in order.
 // The pass snoops a batch only when every subscriber at the L1 is a
 // BatchListener that wants no other level, and sends each the batch's
-// L1 hits, fills, evictions and dirty edges, in the order the per-line
-// loop would emit them one by one, in chunks of at most 256: one call
+// L1 hits, fills, evictions and dirty edges, in the order the batch's
+// accesses would emit them one by one, in chunks of at most 256: one call
 // per chunk, the batch's last chunk sent before the batch returns. A
 // chunk holds these four kinds whatever the listener's KindFilter
 // says; it must ignore the kinds it does not want. The slice is the

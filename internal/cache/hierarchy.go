@@ -73,11 +73,6 @@ type Hierarchy struct {
 	// by the first snooped pass with room for maxSnoops and reused.
 	snoops []Snoop
 
-	// PrefetchNextLine enables a simple next-line prefetcher: every
-	// demand fill from DRAM also installs the following line, clean.
-	// Default off; used by the Fig. 6(d) interference scenarios.
-	PrefetchNextLine bool
-
 	// Inclusive enforces inclusion via back-invalidation (see above).
 	Inclusive bool
 
@@ -97,17 +92,17 @@ type subscriber struct {
 	batch  BatchListener
 }
 
-// PathStats counts, per hierarchy, which path the batch entry points
-// (AccessBatch, AccessBatchRMW) charged their accesses through. They
-// describe the host's work, not the simulated machine, so no table or
-// simulated count depends on them. Each is added once per batch.
+// PathStats counts, per hierarchy, which of AccessBatch's three ways
+// charged its accesses. They describe the host's work, not the
+// simulated machine, so no table or simulated count depends on them.
+// Each is added once per batch.
 type PathStats struct {
 	ClosedLines      uint64 // lines charged in closed form (a pair's line once)
 	PassLines        uint64 // lines charged by the batch pass
 	PassSnoopedLines uint64 // of PassLines, those on a snooped L1
-	LoopLines        uint64 // accesses charged by the per-line loop (a pair once)
-	MemoMisses       uint64 // batch L1 misses served by the L2's residency memo
-	OuterMisses      uint64 // batch L1 misses served by probing the outer levels
+	LoopLines        uint64 // accesses charged access by access (a pair once)
+	MemoMisses       uint64 // pass L1 misses served by the L2's residency memo
+	OuterMisses      uint64 // pass L1 misses served by probing the outer levels
 }
 
 // Each calls emit once per counter under a stable snake_case name, as
@@ -222,16 +217,14 @@ func (h *Hierarchy) ResetStats() {
 }
 
 // Reset restores every level to its cold state (see Cache.Reset) and
-// clears the hierarchy counters and the run-tunable knobs, without
-// touching the listener list — the caller decides which subscribers
-// survive (see TruncateListeners).
+// clears the hierarchy counters, without touching the listener list —
+// the caller decides which subscribers survive (see TruncateListeners).
 func (h *Hierarchy) Reset() {
 	for _, c := range h.levels {
 		c.Reset()
 	}
 	h.Stats = HierStats{}
 	h.Path = PathStats{}
-	h.PrefetchNextLine = false
 }
 
 // emit delivers one event to every listener that wants its kind and
@@ -298,7 +291,7 @@ func (h *Hierarchy) AccessFrom(start int, addr memp.Addr, flags Flags) Result {
 	if flags&FlagUncached != 0 {
 		return Result{Cycles: h.Uncached(1, flags&FlagWrite != 0)}
 	}
-	return h.demandAccess(start, start, addr.Line(), flags, 0)
+	return h.demandAccess(start, addr.Line(), flags)
 }
 
 // Uncached charges n accesses that bypass every level (FlagUncached),
@@ -314,19 +307,13 @@ func (h *Hierarchy) Uncached(n int, write bool) (cycles int) {
 	return n * h.dramLatency
 }
 
-// demandAccess probes levels probe..N for la and charges their
-// latencies on top of cycles (the latency the caller already paid for
-// levels it probed itself); on a hit below start the levels start..hit-1
-// are filled, and a full miss fills start..N from DRAM. AccessFrom
-// enters with probe == start; the per-line batch loops enter with
-// probe == start+1 after an inlined start-level miss.
-func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cycles int) Result {
-	r := h.outerAccess(start, probe, la, flags, cycles)
+// demandAccess probes levels start..N for la and charges their
+// latencies; on a hit below start the levels start..hit-1 are filled,
+// and a full miss fills start..N from DRAM.
+func (h *Hierarchy) demandAccess(start int, la memp.Addr, flags Flags) Result {
+	r := h.outerAccess(start, start, la, flags)
 	if r.HitLevel != start {
 		h.fillLevel(start, la, flags&FlagWrite != 0, flags, false)
-		if r.HitLevel == 0 {
-			h.maybePrefetch(la)
-		}
 	}
 	return r
 }
@@ -337,12 +324,13 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 // last, carrying a store's dirty bit, as demandAccess does; the pass
 // fills the L1 from its own plan. The levels it fills are outside
 // start, and on a non-inclusive hierarchy nothing it does reaches
-// start: its evictions write back outward. The batch paths' misses take
+// start: its evictions write back outward. The pass's misses take
 // outerStep instead where outerQuiet allows; outerAccess is its
 // reference.
-func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags, cycles int) Result {
+func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags) Result {
 	write := flags&FlagWrite != 0
 	wantAcc := h.wants(EvAccess)
+	cycles := 0
 	for i := probe; i <= len(h.levels); i++ {
 		c := h.levels[i-1]
 		cycles += c.cfg.Latency
@@ -389,162 +377,69 @@ func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags, cyc
 	return Result{Cycles: cycles, HitLevel: 0}
 }
 
-// BatchSafe reports whether the batched access paths below reproduce
-// the per-access event stream bit-exactly for the current subscriber
-// set. The batch paths emit every hit/dirty edge a scalar access would
-// (and their miss paths delegate to demandAccess, which emits the
-// rest); the only events they skip are the per-probe EvAccess ones. A
-// BIA's kind filter excludes EvAccess, so BIA-attached machines batch;
-// attacker telemetry wants it, so instrumented replays take the scalar
-// path.
-func (h *Hierarchy) BatchSafe() bool { return !h.wants(EvAccess) }
-
-// lineGroup returns how many of the next rem accesses of a stride walk
-// starting at addr (whose line is la) stay within that cache line —
-// always at least 1. Sub-line strides make these groups long (a
-// stride-8 sweep puts 8 consecutive accesses on every line), and the
-// batch paths below charge a whole group from a single tag probe.
-func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
-	var g int64
-	switch {
-	case stride == 0:
-		return rem
-	case stride >= memp.LineSize || stride <= -memp.LineSize:
-		return 1
-	case stride > 0:
-		g = (int64(la) + memp.LineSize - int64(addr) + stride - 1) / stride
-	default:
-		g = (int64(addr)-int64(la))/(-stride) + 1
+// AccessBatch is the one way a run is charged: n demand accesses at
+// base, base+stride, ..., all with the same flags, starting at level
+// start (AccessFrom's bypass), each a load+store pair when rmw — a load
+// under flags, then a store to the same address under flags|FlagWrite,
+// the body of every linearized store sweep. It leaves the hierarchy,
+// its counts and its listeners exactly as the AccessFrom calls would;
+// flags must not carry FlagUncached (the cpu charges such runs in one
+// step). It returns the number of accesses that hit at start (the
+// caller charges those at start's latency or at streaming throughput)
+// and the total latency of the others.
+//
+// A batch that no listener watches access by access (none wants
+// EvAccess), that starts at the L1 and walks lines may be charged
+// without probing each line, in one of two ways. The L1 keeps a
+// residency memo (Cache.memo), which the pass notes every hit in, page
+// by page, with the line's dirty bit after the access. A batch whose
+// lines the memo covers is charged in closed form when quietL1 holds:
+// every access then hits and changes nothing but the L1's access and
+// hit counts, and the L1's RunListeners take the run's hits in one
+// call. A write, a pair or any access to a snooped L1 needs every line
+// seen dirty, so that no dirty bit moves and every hit event's dirty
+// bit is known; an unsnooped load needs them seen resident. Otherwise
+// a FlagNoLRU batch on an unpinned, unsliced L1 of a non-inclusive
+// hierarchy, whose L1 subscribers all take batches (BatchListener) and
+// watch nothing else, takes the batch pass (planBatch). Every other
+// batch goes access by access through demandAccess. Path counts which
+// of the three charged the batch.
+func (h *Hierarchy) AccessBatch(start int, base memp.Addr, stride int64, n int, flags Flags, rmw bool) (startHits, missCycles int) {
+	mult := 1 // accesses per address
+	if rmw {
+		mult = 2
 	}
-	if g > int64(rem) {
-		return rem
-	}
-	return int(g)
-}
-
-// AccessBatch performs n demand accesses at base, base+stride, ...,
-// all with the same flags, starting at L1 — semantically identical to n
-// AccessFrom(1, ...) calls, but with the L1 probe inlined and no Result
-// construction or per-access EvAccess plumbing. L1 hits still emit
-// EvHit/EvDirty when a listener snoops the L1 (the run-record snoop
-// path a BIA needs), so the batch is usable whenever BatchSafe holds;
-// the caller must also guarantee flags carry neither FlagUncached nor a
-// bypass (the cpu replay engine checks all of it). It returns the
-// number of accesses that hit in the L1 (the caller charges those at L1
-// latency or streaming throughput) and the total latency of the
-// remaining accesses.
-//
-// Consecutive accesses that stay on one cache line are charged from a
-// single tag probe: the stats are additive, one LRU touch leaves the
-// same relative stamp order as g consecutive touches of the same way
-// (so victim selection cannot diverge), the dirty edge fires on the
-// group's first write, and the snooped event stream is re-emitted
-// access by access. A miss consumes only its own access — the rest of
-// its line group re-probes next iteration (the fill can be dropped by
-// a pinned-full set), which keeps the event and cycle sequence
-// bit-identical to the scalar loop.
-//
-// The L1 keeps a residency memo (Cache.memo): every hit of a
-// line-stride batch is noted in it, page by page, with the line's
-// dirty bit after the access. A line-stride batch whose lines the memo
-// covers is charged in closed form, without probing its lines, when
-// quietL1 holds: every access then hits and changes nothing but the
-// L1's access and hit counts, and the L1's RunListeners take the run's
-// hits in one call. A write, or any access to a snooped L1, needs every
-// line seen dirty, so that no dirty bit moves and every hit event's
-// dirty bit is known; an unsnooped load needs them seen resident.
-//
-// The L2 keeps a residency memo too, noted by its demand hits and by
-// the writebacks that dirty its lines. An L1 miss it covers is charged
-// as an L2 hit without probing the L2 when quietL2 holds (batchMiss);
-// any other takes the outer step (outerStep), one scan per level below
-// the L1, when outerQuiet holds, and demandAccess's probes otherwise.
-// A line-stride FlagNoLRU batch on an unpinned, unsliced L1 of a
-// non-inclusive hierarchy without the next-line prefetcher, whose L1
-// subscribers all take batches (BatchListener) and watch nothing else,
-// skips the L1's probes as well: the batch pass (planBatch) reads each
-// set it visits once (a Random L1's sets once a line), serves each miss
-// through the L2's memo or the outer levels, changes the state as the
-// per-line loop would and adds the counts once; the L1's events reach
-// its subscribers in chunks, in order. Every other batch takes the
-// per-line loop. Path counts which of the three charged the batch.
-func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
-	c := h.levels[0]
-	write := flags&FlagWrite != 0
-	snoop := h.snoopsAt(1)
-	line := stride == memp.LineSize
-	if line && h.quietL1(flags) && c.covered(base.Line(), n, write || snoop) {
-		c.Stats.Accesses += uint64(n)
-		c.Stats.Hits += uint64(n)
-		h.Path.ClosedLines += uint64(n)
-		if snoop {
-			h.emitRun(1, base.Line(), n, 1)
+	if start == 1 && stride == memp.LineSize && !h.wants(EvAccess) {
+		c := h.levels[0]
+		snoop := h.snoopsAt(1)
+		if h.quietL1(flags) && c.covered(base.Line(), n, rmw || flags&FlagWrite != 0 || snoop) {
+			c.Stats.Accesses += uint64(mult * n)
+			c.Stats.Hits += uint64(mult * n)
+			h.Path.ClosedLines += uint64(n)
+			if snoop {
+				h.emitRun(1, base.Line(), n, mult)
+			}
+			return mult * n, 0
 		}
-		return n, 0
+		if h.passable(flags) {
+			return h.planBatch(base.Line(), n, flags, rmw)
+		}
 	}
-	if line && h.passable(flags) {
-		return h.planBatch(base.Line(), n, flags, false)
-	}
-	noLRU := flags&FlagNoLRU != 0
-	mp := h.missPath(flags)
-	var seen pendingPage
-	misses0, memoHits := c.Stats.Misses, 0
+	h.Path.LoopLines += uint64(n)
 	addr := base
-	for k := 0; k < n; {
-		la := addr.Line()
-		s := c.SetOf(la)
-		w := c.findIn(s, la)
-		if w < 0 {
-			c.commit(&seen)
-			c.Stats.Accesses++
-			if c.SliceTraffic != nil {
-				c.SliceTraffic[s/c.setsPerSlc]++
+	for k := 0; k < n; k++ {
+		f := flags
+		for j := 0; j < mult; j++ {
+			if r := h.demandAccess(start, addr.Line(), f); r.HitLevel == start {
+				startHits++
+			} else {
+				missCycles += r.Cycles
 			}
-			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags, mp, &memoHits)
-			k++
-			addr += memp.Addr(stride)
-			continue
+			f |= FlagWrite
 		}
-		g := lineGroup(addr, la, stride, n-k)
-		c.Stats.Accesses += uint64(g)
-		if c.SliceTraffic != nil {
-			c.SliceTraffic[s/c.setsPerSlc] += uint64(g)
-		}
-		li := c.way(s, w)
-		c.Stats.Hits += uint64(g)
-		if !noLRU {
-			c.touch(s, w)
-		}
-		if snoop {
-			for j := 0; j < g; j++ {
-				h.emit(Event{Level: 1, Kind: EvHit, Line: la, Set: s, Dirty: c.dirty[li]})
-				if write && !c.dirty[li] {
-					c.dirty[li] = true
-					h.emit(Event{Level: 1, Kind: EvDirty, Line: la, Set: s})
-				}
-			}
-		} else if write {
-			c.dirty[li] = true
-		}
-		if line {
-			c.note(&seen, la, c.dirty[li])
-		}
-		l1Hits += g
-		k += g
-		addr += memp.Addr(stride * int64(g))
+		addr += memp.Addr(stride)
 	}
-	c.commit(&seen)
-	h.Path.addLoop(n, c.Stats.Misses-misses0, memoHits)
-	return l1Hits, missCycles
-}
-
-// addLoop counts a per-line loop's batch of n accesses (or pairs) and
-// its L1 misses, memoHits of them served by the L2's memo.
-func (s *PathStats) addLoop(n int, misses uint64, memoHits int) {
-	s.LoopLines += uint64(n)
-	s.MemoMisses += uint64(memoHits)
-	s.OuterMisses += misses - uint64(memoHits)
+	return startHits, missCycles
 }
 
 // quietL1 reports whether an L1 hit under flags changes nothing but
@@ -554,127 +449,6 @@ func (s *PathStats) addLoop(n int, misses uint64, memoHits int) {
 // unsliced no per-slice count is due.
 func (h *Hierarchy) quietL1(flags Flags) bool {
 	return flags&FlagNoLRU != 0 && h.plainLevels&(1<<1) == 0 && h.levels[0].SliceTraffic == nil
-}
-
-// AccessBatchRMW performs n load+store pairs: per iteration a load at
-// base+i*stride with flags, then a store at the same address with
-// flags|FlagWrite — the body of every linearized store sweep. Hit
-// accounting matches AccessBatch (the combined L1-hit count drives the
-// caller's streaming parity; its cycle sum depends only on the count,
-// not on which of the interleaved accesses hit), and so does the
-// snooped event stream.
-//
-// Same-line pairs coalesce like AccessBatch's groups: one tag probe
-// charges a whole run of resident pairs (a found line cannot leave the
-// set between its own load and store, so the pair hits as a unit),
-// while a pair whose load misses runs scalar — including the store
-// re-probe, because a pinned-full set can drop the fill. A line-stride
-// batch notes its hits in the L1's residency memo, and one whose lines
-// the memo has all seen dirty is charged in closed form, as
-// AccessBatch's is. A batch the pass takes goes through it, and the
-// per-line loop's misses through the L2's memo, as AccessBatch's do: a
-// pair's load needs its line seen resident at the L2, and its store
-// then hits the line the load filled.
-func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
-	c := h.levels[0]
-	snoop := h.snoopsAt(1)
-	line := stride == memp.LineSize
-	if line && h.quietL1(flags) && c.covered(base.Line(), n, true) {
-		c.Stats.Accesses += uint64(2 * n)
-		c.Stats.Hits += uint64(2 * n)
-		h.Path.ClosedLines += uint64(n)
-		if snoop {
-			h.emitRun(1, base.Line(), n, 2)
-		}
-		return 2 * n, 0
-	}
-	if line && h.passable(flags) {
-		return h.planBatch(base.Line(), n, flags, true)
-	}
-	noLRU := flags&FlagNoLRU != 0
-	mp := h.missPath(flags)
-	var seen pendingPage
-	misses0, memoHits := c.Stats.Misses, 0
-	addr := base
-	for k := 0; k < n; {
-		la := addr.Line()
-		s := c.SetOf(la)
-		w := c.findIn(s, la)
-		if w < 0 {
-			// Load probe missed: scalar handling for this one pair.
-			c.commit(&seen)
-			c.Stats.Accesses++
-			if c.SliceTraffic != nil {
-				c.SliceTraffic[s/c.setsPerSlc]++
-			}
-			c.Stats.Misses++
-			missCycles += h.batchMiss(la, flags, mp, &memoHits)
-			// Store probe: after the load the line is resident in L1
-			// unless a pinned-full set dropped the fill, so re-probe
-			// rather than assume.
-			c.Stats.Accesses++
-			if c.SliceTraffic != nil {
-				c.SliceTraffic[s/c.setsPerSlc]++
-			}
-			if w := c.findIn(s, la); w >= 0 {
-				li := c.way(s, w)
-				c.Stats.Hits++
-				if !noLRU {
-					c.touch(s, w)
-				}
-				if snoop {
-					h.emit(Event{Level: 1, Kind: EvHit, Line: la, Set: s, Dirty: c.dirty[li]})
-				}
-				if !c.dirty[li] {
-					c.dirty[li] = true
-					if snoop {
-						h.emit(Event{Level: 1, Kind: EvDirty, Line: la, Set: s})
-					}
-				}
-				if line {
-					c.note(&seen, la, true)
-				}
-				l1Hits++
-			} else {
-				c.Stats.Misses++
-				missCycles += h.batchMiss(la, flags|FlagWrite, mp, &memoHits)
-			}
-			k++
-			addr += memp.Addr(stride)
-			continue
-		}
-		g := lineGroup(addr, la, stride, n-k)
-		c.Stats.Accesses += uint64(2 * g)
-		if c.SliceTraffic != nil {
-			c.SliceTraffic[s/c.setsPerSlc] += uint64(2 * g)
-		}
-		li := c.way(s, w)
-		c.Stats.Hits += uint64(2 * g)
-		if !noLRU {
-			c.touch(s, w)
-		}
-		if snoop {
-			for j := 0; j < g; j++ {
-				h.emit(Event{Level: 1, Kind: EvHit, Line: la, Set: s, Dirty: c.dirty[li]})
-				h.emit(Event{Level: 1, Kind: EvHit, Line: la, Set: s, Dirty: c.dirty[li]})
-				if !c.dirty[li] {
-					c.dirty[li] = true
-					h.emit(Event{Level: 1, Kind: EvDirty, Line: la, Set: s})
-				}
-			}
-		} else {
-			c.dirty[li] = true
-		}
-		if line {
-			c.note(&seen, la, true)
-		}
-		l1Hits += 2 * g
-		k += g
-		addr += memp.Addr(stride * int64(g))
-	}
-	c.commit(&seen)
-	h.Path.addLoop(n, c.Stats.Misses-misses0, memoHits)
-	return l1Hits, missCycles
 }
 
 // fillRange installs la clean into levels end down to start (1-based,
@@ -896,14 +670,6 @@ func (h *Hierarchy) PrefetchLine(addr memp.Addr) {
 	// line may already sit at some level: fill with the presence check.
 	for i := len(h.levels); i >= 1; i-- {
 		h.fillLevel(i, la, false, FlagPrefetch, true)
-	}
-}
-
-// maybePrefetch is called after a demand DRAM fill when the next-line
-// prefetcher is on.
-func (h *Hierarchy) maybePrefetch(la memp.Addr) {
-	if h.PrefetchNextLine {
-		h.PrefetchLine(la + memp.LineSize)
 	}
 }
 

@@ -21,7 +21,7 @@ import "ctbia/internal/memp"
 // holds and through outerAccess, demandAccess's own probe-and-fill,
 // otherwise, and the pass fills the L1 after it, as demandAccess would.
 // The L1's events reach its BatchListeners in chunks, in the order the
-// per-line loop would emit them, and the counts are added once.
+// accesses one by one would emit them, and the counts are added once.
 //
 // The outer step (outerStep) charges a miss below the L1 with one scan
 // per outer level, which finds the line or the way victim would fill,
@@ -64,52 +64,11 @@ func (h *Hierarchy) quietL2(flags Flags) bool {
 	return flags&FlagNoLRU != 0 && len(h.levels) > 1 && !h.snoopsAt(2) && h.levels[1].SliceTraffic == nil
 }
 
-// missPath is how a batch serves its L1 misses, decided once per batch:
-// memo when quietL2 holds, so that a miss the L2's residency memo
-// covers is the memo's, and step when outerQuiet holds, so that any
-// other takes the outer step.
-type missPath struct{ memo, step bool }
-
-// missPath returns the batch's missPath under flags.
-func (h *Hierarchy) missPath(flags Flags) missPath {
-	return missPath{memo: h.quietL2(flags), step: h.outerQuiet()}
-}
-
-// batchMiss charges one access of the per-line loop that missed the L1
-// on la and returns its latency. A miss the L2's residency memo covers
-// (dirty for a store) is charged as an L2 hit without probing the L2,
-// when mp.memo holds, and counted in *memo; any other goes down the
-// hierarchy through the outer step when mp.step holds, the L1 filled
-// after it as demandAccess fills it, and through demandAccess
-// otherwise.
-func (h *Hierarchy) batchMiss(la memp.Addr, flags Flags, mp missPath, memo *int) int {
-	c := h.levels[0]
-	write := flags&FlagWrite != 0
-	if mp.memo {
-		if c2 := h.levels[1]; c2.holds(la, write) {
-			c2.Stats.Accesses++
-			c2.Stats.Hits++
-			*memo++
-			h.fillLevel(1, la, write, flags, false)
-			return c.cfg.Latency + c2.cfg.Latency
-		}
-	}
-	if !mp.step {
-		return h.demandAccess(1, 2, la, flags, c.cfg.Latency).Cycles
-	}
-	cycles, level := h.outerStep(la, flags)
-	h.fillLevel(1, la, write, flags, false)
-	if level == 0 {
-		h.maybePrefetch(la)
-	}
-	return c.cfg.Latency + cycles
-}
-
 // maxStepLevels is the most levels below the L1 the outer step takes;
 // a deeper hierarchy keeps outerAccess.
 const maxStepLevels = 3
 
-// outerQuiet reports whether the misses of a batch may take the outer
+// outerQuiet reports whether the pass's misses may take the outer
 // step: no subscriber watches a level below the L1, the hierarchy is
 // non-inclusive, and every outer level is an unsliced, unpinned LRU or
 // FIFO cache. Then a trip below the L1 is due no event and no per-slice
@@ -128,7 +87,7 @@ func (h *Hierarchy) outerQuiet() bool {
 }
 
 // outerStep charges an L1 miss on la below the L1, as
-// outerAccess(1, 2, la, flags, 0) would when outerQuiet holds, and
+// outerAccess(1, 2, la, flags) would when outerQuiet holds, and
 // returns its cycles and the level that supplied the line (0 for DRAM).
 // Each outer level is read by one scan; the levels that missed are
 // filled on the ways their scans found, outermost first.
@@ -190,19 +149,18 @@ func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 
 // passable reports whether a line-stride batch under flags may take the
 // pass: FlagNoLRU; an unsliced, unpinned L1 whose every subscriber is a
-// BatchListener that wants the L1 alone; and a non-inclusive hierarchy
-// without the next-line prefetcher, so that no miss's trip below the L1
-// reaches back into it.
+// BatchListener that wants the L1 alone; and a non-inclusive hierarchy,
+// so that no miss's trip below the L1 reaches back into it.
 func (h *Hierarchy) passable(flags Flags) bool {
 	c := h.levels[0]
 	return flags&FlagNoLRU != 0 && c.pinnedAll == 0 && c.SliceTraffic == nil &&
-		!h.unbatchedL1 && !h.Inclusive && !h.PrefetchNextLine
+		!h.unbatchedL1 && !h.Inclusive
 }
 
 // planBatch is the pass over the n lines from the line-aligned first:
 // loads, stores when flags has FlagWrite, or load+store pairs when rmw.
-// Each line's state changes exactly as the per-line loop would change
-// it: a hit notes the L1 memo and a store or pair hit sets the dirty
+// Each line's state changes exactly as its accesses one by one would
+// change it: a hit notes the L1 memo and a store or pair hit sets the dirty
 // bit; a miss commits the pending memo page, is served below the L1,
 // evicts the set's victim (a dirty one through writeback) and fills the
 // line with the next stamp. The counts are added once.
@@ -221,11 +179,12 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 	if snoop && h.snoops == nil {
 		h.snoops = make([]Snoop, 0, maxSnoops)
 	}
-	mp := h.missPath(flags)
-	// When the L2's memo covers the whole batch, every miss is its: only
-	// a trip below the L1 could take a line out of the L2, and then none
-	// is due.
-	allMemo := mp.memo && h.levels[1].covered(first, n, write)
+	// A miss the L2's memo covers is its when quietL2 holds, and any
+	// other takes the outer step when outerQuiet does. When the memo
+	// covers the whole batch, every miss is its: only a trip below the L1
+	// could take a line out of the L2, and then none is due.
+	memo, step := h.quietL2(flags), h.outerQuiet()
+	allMemo := memo && h.levels[1].covered(first, n, write)
 	// Lines once..again-1 visit sets the batch visits only there and are
 	// read by one scan each; the others take their set's plan. A Random
 	// L1 plans nothing: its every line is scanned.
@@ -279,13 +238,13 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 		} else {
 			c.commit(&seen)
 			misses++
-			if !allMemo && !(mp.memo && h.levels[1].holds(la, write)) {
+			if !allMemo && !(memo && h.levels[1].holds(la, write)) {
 				outer++
-				if mp.step {
+				if step {
 					cycles, _ := h.outerStep(la, flags)
 					outerCycles += cycles
 				} else {
-					outerCycles += h.outerAccess(1, 2, la, flags, 0).Cycles
+					outerCycles += h.outerAccess(1, 2, la, flags).Cycles
 				}
 			}
 			if old := c.tags[i]; old != noTag {

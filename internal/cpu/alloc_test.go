@@ -43,8 +43,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 
 	// A resident run the L1's residency memo covers is charged in closed
 	// form: without a BIA silently, with one at the L1 through its run
-	// port. A sweep under an LRU-updating mode takes the per-line path
-	// and notes its hits in the memo.
+	// port. A sweep under an LRU-updating mode goes access by access.
 	nb := New(noBIAConfig())
 	const runLines = 64
 	assertZeroAllocs(t, "SweepRMW(closed form)", testing.AllocsPerRun(500, func() {
@@ -55,7 +54,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 		m.SweepRMW(0, memp.LineSize, runLines, 7, ModeNoLRU|ModeStreaming)
 	}))
 	var other memp.Addr
-	assertZeroAllocs(t, "SweepVec(recording pass)", testing.AllocsPerRun(500, func() {
+	assertZeroAllocs(t, "SweepVec(access by access)", testing.AllocsPerRun(500, func() {
 		other ^= runLines * memp.LineSize
 		nb.SweepVec(other, 0, runLines, 4, 12, ModeStreaming, false)
 	}))
@@ -87,8 +86,9 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 
 	// Page runs over a DS twice the LLC miss every level: the pass
 	// serves each miss through the one-scan outer step, and fills the
-	// L1. A Random L1's pass reads it line by line; an LRU-updating
-	// sweep takes the per-line loop, whose misses take the step too.
+	// L1. A Random L1's pass reads it line by line. An LRU-updating
+	// sweep goes access by access from the L1, and a bypassing one from
+	// the BIA's level.
 	var far int
 	outer := func(mm *Machine, rmw bool, mode AccessMode) func() {
 		return func() {
@@ -113,9 +113,15 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	if m.Hier.Path.OuterMisses == before || rnd.Hier.Path.PassLines == 0 || rnd.Hier.Path.LoopLines != 0 {
 		t.Fatalf("paths %+v and, Random L1, %+v: want misses below the L2 and a Random L1 pass", m.Hier.Path, rnd.Hier.Path)
 	}
-	assertZeroAllocs(t, "SweepLoad(per-line loop, outer step)", testing.AllocsPerRun(500, outer(m, false, ModeStreaming)))
+	assertZeroAllocs(t, "SweepLoad(access by access)", testing.AllocsPerRun(500, outer(m, false, ModeStreaming)))
 	if m.Hier.Path.LoopLines == loopBefore {
-		t.Fatal("the LRU-updating sweeps took no line through the per-line loop")
+		t.Fatal("the LRU-updating sweeps took no line access by access")
+	}
+	l2 := New(func() Config { c := DefaultConfig(); c.BIALevel = 2; return c }())
+	assertZeroAllocs(t, "SweepRMW(access by access from the BIA's level)",
+		testing.AllocsPerRun(500, outer(l2, true, ModeNoLRU|ModeBypassToBIA|ModeStreaming)))
+	if p := l2.Hier.Path; p.LoopLines == 0 || p.PassLines != 0 {
+		t.Fatalf("BIA at the L2: path %+v, want the bypassing sweeps access by access", p)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // (BenchmarkExecBatch). The benchmarks fail, not just report, when the
 // budget breaks, and the plain test enforces it under `go test ./...`.
 
-// noBIAConfig is the machine the fast path serves: no BIA means no
-// listeners, which is what lets whole runs take AccessBatch.
+// noBIAConfig is the Table 1 machine without a BIA, and so without a
+// listener.
 func noBIAConfig() Config {
 	c := DefaultConfig()
 	c.BIALevel = 0
@@ -73,8 +73,9 @@ func BenchmarkReplayAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkExecBatch drives the batched fast path: the same sweep fused
-// into run records, replayed through Hierarchy.AccessBatch.
+// BenchmarkExecBatch drives the run records: the same sweep fused into
+// them, each replayed through one Hierarchy.AccessBatch, which charges
+// the LRU-updating loads access by access.
 func BenchmarkExecBatch(b *testing.B) {
 	ops := recordedSweep(4096, false)
 	if len(ops) >= 4096 {
@@ -103,11 +104,11 @@ const sweepLines = 512
 // in closed form, checking one memo slot per page (8 here).
 // BenchmarkSweepAlternating alternates between two resident runs that
 // together fill the L1 under a mode that updates LRU state, which the
-// closed form never serves, so it times the per-line all-hit path and
-// its memo recording. BenchmarkSweepSnooped is Alg. 3's fetch loop on a
+// closed form and the pass never serve, so it times all-hit
+// load+store pairs charged access by access. BenchmarkSweepSnooped is Alg. 3's fetch loop on a
 // BIA-in-L1 machine: dirty resident runs split around a target line
 // that moves every call, charged in closed form with the BIA taking
-// each run in one call. BenchmarkSweepScalar runs the per-line loop the
+// each run in one call. BenchmarkSweepScalar runs the scalar loop the
 // primitive replaced over the same lines. All fail on an allocation.
 func BenchmarkSweepPrimitive(b *testing.B) {
 	benchSweep(b, noBIAConfig(), 0, func(m *Machine) {

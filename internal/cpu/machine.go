@@ -353,12 +353,6 @@ func (m *Machine) access(addr memp.Addr, flags cache.Flags) {
 	if m.rec != nil {
 		m.rec.Access(uint64(addr), uint32(flags))
 	}
-	m.demand(addr, flags)
-}
-
-// demand is access without the recorder hook: the charging half, which
-// the scalar branch of a run shares.
-func (m *Machine) demand(addr memp.Addr, flags cache.Flags) {
 	m.retire(1)
 	start := 1
 	if flags&flagBypassToBIA != 0 {

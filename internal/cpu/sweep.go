@@ -12,8 +12,7 @@ import (
 // work, and its stream is exactly what a trace's KRun and KRMW records
 // hold. SweepLoad, SweepRMW and SweepVec charge one such stream the way
 // ExecTrace charges the record: the ALU ops in bulk, then the accesses
-// through execRun/execRMW (one AccessBatch when the hierarchy allows
-// it, the per-access loop otherwise). The bulk charge is exact for the
+// through execRun, one AccessBatch. The bulk charge is exact for the
 // reasons execPre gives. They move no data: the caller moves the one
 // word its algorithm selects, uncharged, with ReadW or WriteW.
 
@@ -27,11 +26,7 @@ func (m *Machine) SweepLoad(base memp.Addr, stride int64, n, pre int, mode Acces
 
 // SweepRMW charges n load+store pairs at base, base+stride, ..., each
 // pair preceded by pre streaming ALU ops: the read-modify-write body of
-// a linearized store. Recording as SweepLoad. Under a mode that updates
-// replacement state, a pair that hits in the L1 is one LRU touch, not
-// two, as in replay: the same stamp order, one clock tick less. The
-// strategies' store sweeps are all ModeNoLRU, so their stamps match the
-// per-line loop's exactly.
+// a linearized store. Recording as SweepLoad.
 func (m *Machine) SweepRMW(base memp.Addr, stride int64, n, pre int, mode AccessMode) {
 	m.sweep(base, stride, 0, n, 1, pre, mode, true)
 }
@@ -57,11 +52,7 @@ func (m *Machine) sweep(base memp.Addr, stride int64, first, n, lanes, pre int, 
 		bundles = (first+n+lanes-1)/lanes - (first+lanes-1)/lanes
 	}
 	m.streamOps(pre * bundles)
-	if rmw {
-		m.execRMW(base, stride, n, flags, m.Hier.BatchSafe())
-	} else {
-		m.execRun(base, stride, n, flags, m.Hier.BatchSafe())
-	}
+	m.execRun(base, stride, n, flags, rmw)
 }
 
 // recordSweep feeds an attached recorder a sweep's per-iteration calls.

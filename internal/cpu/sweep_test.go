@@ -14,7 +14,7 @@ import (
 
 // The sweep primitives and ExecTrace charge through the same batch
 // code, so comparing a direct run with its replay no longer tests that
-// code against anything. These tests keep the per-line loop the
+// code against anything. These tests keep the scalar loop the
 // primitives replaced as the reference: twin machines run the same
 // script, one through SweepLoad/SweepRMW, the other through OpStream
 // plus LoadModeW/StoreModeW per iteration, and every observable must
@@ -43,7 +43,7 @@ func primitiveSweep(m *Machine, c sweepCall) {
 		f := m.modeFlags(c.mode) | cache.FlagWrite
 		m.recordSweep(c.base, c.stride, 0, c.n, 1, c.pre, f, false)
 		m.streamOps(c.pre * c.n)
-		m.execRun(c.base, c.stride, c.n, f, m.Hier.BatchSafe())
+		m.execRun(c.base, c.stride, c.n, f, false)
 	case c.lanes > 0:
 		m.SweepVec(c.base, c.first, c.n, c.lanes, c.pre, c.mode, c.rmw)
 	case c.rmw:
@@ -53,7 +53,7 @@ func primitiveSweep(m *Machine, c sweepCall) {
 	}
 }
 
-// scalarSweep is the reference: the per-line loop the primitives
+// scalarSweep is the reference: the scalar loop the primitives
 // replaced.
 func scalarSweep(m *Machine, c sweepCall) {
 	addr := c.base
@@ -100,7 +100,7 @@ func randomL1Config(l2, llc cache.Policy) Config {
 }
 
 // eventLog records every event it is sent; wantAccess picks whether it
-// asks for EvAccess (which sends sweeps down the scalar branch), and
+// asks for EvAccess (which sends sweeps access by access), and
 // level, unless 0, the one cache level it asks for. It keeps whatever
 // the bus sends it, so the twins hold the bus to the filters.
 type eventLog struct {
@@ -253,8 +253,7 @@ func (tw *twin) step(st scriptStep) {
 // uint16, and plain accesses between them that dirty and evict lines;
 // then repeatScript's runs. It starts and ends with the same resident
 // run, so lines the L1's residency memo holds at the end of one pass
-// meet the start of the next. Read-modify-write sweeps run without LRU
-// updates, like every store sweep in the strategies (see SweepRMW).
+// meet the start of the next.
 func sweepScript(modes []AccessMode) []scriptStep {
 	whole := scriptStep{call: sweepCall{base: sweepRegion, stride: memp.LineSize, n: 8, pre: 6, mode: modes[0]}}
 	steps := []scriptStep{whole}
@@ -268,10 +267,10 @@ func sweepScript(modes []AccessMode) []scriptStep {
 				n:      n,
 				pre:    pres[(i+j)%len(pres)],
 				mode:   mode,
-				rmw:    j%2 == 1 && mode&ModeNoLRU != 0,
+				rmw:    j%2 == 1,
 			}
 			if j == 5 {
-				c.first, c.lanes, c.rmw = i+j, 4, mode&ModeNoLRU != 0
+				c.first, c.lanes, c.rmw = i+j, 4, true
 			}
 			ci := len(steps) / 4
 			steps = append(steps,
@@ -293,7 +292,8 @@ func sweepScript(modes []AccessMode) []scriptStep {
 // line's residency or the closed form's other conditions. The scenario
 // decides which events do: a fill into the pinned-full set is dropped,
 // and an L2 eviction reaches the L1 only when the hierarchy is
-// inclusive. A listener is subscribed for one sweep.
+// inclusive. A listener is subscribed for one sweep, and then one at
+// the L1 that takes batches but wants EvAccess too.
 func repeatScript(modes []AccessMode) []scriptStep {
 	// Overfill line 0's L2 set behind the L1's back.
 	var overfill []scriptStep
@@ -319,9 +319,6 @@ func repeatScript(modes []AccessMode) []scriptStep {
 		}
 		for _, r := range runs {
 			r.stride, r.mode = memp.LineSize, mode
-			if r.rmw && mode&ModeNoLRU == 0 {
-				continue
-			}
 			run := scriptStep{call: r}
 			for _, sep := range seps {
 				steps = append(steps, run, run)
@@ -329,7 +326,9 @@ func repeatScript(modes []AccessMode) []scriptStep {
 				steps = append(steps, run, run)
 			}
 			steps = append(steps, run, run, scriptStep{act: actSubscribe}, run,
-				scriptStep{act: actUnsubscribe}, run, run)
+				scriptStep{act: actUnsubscribe}, run, run,
+				scriptStep{act: actSubscribe, want: true, level: 1, batch: true}, run,
+				scriptStep{act: actUnsubscribe})
 		}
 		if mode&ModeNoLRU == 0 {
 			continue
@@ -364,11 +363,7 @@ func thrashScript(modes []AccessMode) []scriptStep {
 	const first, lines = 120, 20 // across a page boundary, 5 lines to an L1 set
 	var steps []scriptStep
 	for _, mode := range modes {
-		noLRU := mode&ModeNoLRU != 0
 		sweep := func(k, n int, rmw, store bool) scriptStep {
-			if rmw && !noLRU {
-				rmw, store = false, true
-			}
 			return scriptStep{call: sweepCall{base: scriptLine(first + k), stride: memp.LineSize, n: n, pre: 6, mode: mode, rmw: rmw, store: store}}
 		}
 		load, store, pairs := sweep(0, lines, false, false), sweep(0, lines, false, true), sweep(0, lines, true, false)
@@ -417,11 +412,7 @@ func dramScript(modes []AccessMode) []scriptStep {
 	const first, lines = 150, 80 // across a page boundary; the LLC holds 64
 	var steps []scriptStep
 	for _, mode := range modes {
-		noLRU := mode&ModeNoLRU != 0
 		sweep := func(k, n int, rmw, store bool) scriptStep {
-			if rmw && !noLRU {
-				rmw, store = false, true
-			}
 			return scriptStep{call: sweepCall{base: scriptLine(first + k), stride: memp.LineSize, n: n, pre: 6, mode: mode, rmw: rmw, store: store}}
 		}
 		load, store, pairs := sweep(0, lines, false, false), sweep(0, lines, false, true), sweep(0, lines, true, false)
@@ -608,14 +599,15 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 		{name: "sliced", cfg: func() Config { c := tinyConfig(cache.LRU); c.Levels[0].Slices = 2; return c }, modes: streaming},
 		{name: "pinned-full", cfg: func() Config { return tinyConfig(cache.LRU) }, modes: streaming,
 			setup: pinStartSet},
-		{name: "prefetch", cfg: func() Config { return tinyConfig(cache.LRU) }, modes: streaming,
-			setup: func(m *Machine) { m.Hier.PrefetchNextLine = true }},
 		{name: "bia-l1", cfg: withBIA(1), modes: streaming},
 		{name: "bia-l1-fifo", cfg: func() Config { c := tinyConfig(cache.FIFO); c.BIALevel = 1; return c }, modes: streaming},
 		{name: "bia-l1-random", cfg: func() Config { c := tinyConfig(cache.Random); c.BIALevel = 1; return c }, modes: streaming},
 		{name: "random-l1", cfg: func() Config { return randomL1Config(cache.LRU, cache.LRU) }, modes: streaming},
 		{name: "random-l1-fifo-l2", cfg: func() Config { return randomL1Config(cache.FIFO, cache.LRU) }, modes: streaming},
 		{name: "bia-l2", cfg: withBIA(2), modes: streaming},
+		// Bypassing sweeps outside a streaming loop pay the L2's latency
+		// on each L2 hit.
+		{name: "bia-l2-unstreamed", cfg: withBIA(2), modes: []AccessMode{ModeNoLRU | ModeBypassToBIA, ModeBypassToBIA}},
 		{name: "bia-llc", cfg: withBIA(3), modes: streaming},
 		{name: "uncached", cfg: withBIA(1), modes: uncached},
 		{name: "listener", cfg: withBIA(1), modes: streaming,
@@ -655,9 +647,6 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 					}
 					prepare(a, la)
 					prepare(b, lb)
-					if a.m.Hier.BatchSafe() == (la != nil && la.wantAccess) {
-						t.Fatalf("%s: BatchSafe = %v", label, a.m.Hier.BatchSafe())
-					}
 					opsA, opsB := runTwins(t, label, a, b, steps, odd, record)
 					if !slices.Equal(opsA, opsB) {
 						t.Fatalf("%s: recorded %d ops, want the scalar loop's %d", label, len(opsA), len(opsB))
@@ -675,8 +664,8 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 // TestLevelListenerSeesItsLevel holds the bus to a listener's level
 // filter whatever path charges a sweep: a plain listener at the L2
 // beside a BIA at the L1 must see the same stream, of L2 events only,
-// from the closed form, the pass and the per-line loop as from the
-// scalar loop, each of which charges the script's sweeps somewhere.
+// from the closed form, the pass and the accesses one by one as from
+// the scalar loop, each of which charges the script's sweeps somewhere.
 func TestLevelListenerSeesItsLevel(t *testing.T) {
 	cfg := tinyConfig(cache.LRU)
 	cfg.BIALevel = 1
@@ -697,7 +686,7 @@ func TestLevelListenerSeesItsLevel(t *testing.T) {
 		loop = loop || after.LoopLines > before.LoopLines
 	}
 	if !closed || !pass || !loop {
-		t.Fatalf("paths taken: closed form %v, snooped pass %v, per-line loop %v; want all", closed, pass, loop)
+		t.Fatalf("paths taken: closed form %v, snooped pass %v, access by access %v; want all", closed, pass, loop)
 	}
 	if len(la.events) == 0 || !slices.Equal(la.events, lb.events) {
 		t.Fatalf("the L2 listener saw %d events, want the scalar loop's %d", len(la.events), len(lb.events))
@@ -744,23 +733,64 @@ func TestRepeatedThrashIsTheL2Memos(t *testing.T) {
 	}
 }
 
-// TestSweepBatchesWhereReplayDoes pins which branch a sweep takes: the
-// batch when the hierarchy is batch-safe and the flags carry neither a
-// bypass nor an uncached bit, the per-access loop otherwise.
+// TestSweepBatchesWhereReplayDoes pins which of AccessBatch's ways a
+// sweep takes, and that the replay of its recording takes the same: a
+// FlagNoLRU line run that no listener watches access by access takes
+// the pass or the closed form, with the BIA at the L1 too, where the
+// bypass flag is a no-op; a bypassing run (the BIA at the L2), a run
+// under a listener that wants EvAccess and an LRU-updating run go
+// access by access; an uncached run takes none of them.
 func TestSweepBatchesWhereReplayDoes(t *testing.T) {
+	const n = 16
 	for _, tc := range []struct {
+		name     string
 		biaLevel int
 		mode     AccessMode
-		batch    bool
+		access   bool // a listener that wants EvAccess watches
+		path     string
 	}{
-		{0, ModeNoLRU | ModeStreaming, true},
-		{1, ModeNoLRU | ModeBypassToBIA | ModeStreaming, true}, // bypass is a no-op at L1
-		{2, ModeNoLRU | ModeBypassToBIA | ModeStreaming, false},
-		{1, ModeStreaming | ModeUncached, false},
+		{"no BIA", 0, ModeNoLRU | ModeStreaming, false, "batch"},
+		{"BIA at the L1", 1, ModeNoLRU | ModeBypassToBIA | ModeStreaming, false, "batch"},
+		{"BIA at the L2, bypassing", 2, ModeNoLRU | ModeBypassToBIA | ModeStreaming, false, "access"},
+		{"an EvAccess listener", 1, ModeNoLRU | ModeStreaming, true, "access"},
+		{"LRU-updating", 1, ModeStreaming, false, "access"},
+		{"uncached", 1, ModeStreaming | ModeUncached, false, "none"},
 	} {
-		m := New(func() Config { c := tinyConfig(cache.LRU); c.BIALevel = tc.biaLevel; return c }())
-		if got := batchable(m.Hier.BatchSafe(), m.modeFlags(tc.mode)); got != tc.batch {
-			t.Errorf("BIA at L%d, mode %#x: batchable = %v, want %v", tc.biaLevel, tc.mode, got, tc.batch)
+		mk := func() *Machine {
+			c := tinyConfig(cache.LRU)
+			c.BIALevel = tc.biaLevel
+			m := New(c)
+			if tc.access {
+				m.Hier.Subscribe(&eventLog{wantAccess: true})
+			}
+			return m
+		}
+		direct, replay := mk(), mk()
+		rec := trace.NewRecorder(0)
+		direct.SetRecorder(rec)
+		direct.SweepLoad(sweepRegion, memp.LineSize, n, 6, tc.mode)
+		direct.SweepRMW(sweepRegion, memp.LineSize, n, 6, tc.mode)
+		direct.SetRecorder(nil)
+		tr, ok := rec.Take()
+		if !ok {
+			t.Fatalf("%s: recording aborted", tc.name)
+		}
+		replay.ExecTrace(tr.Ops)
+		p := direct.Hier.Path
+		if replay.Hier.Path != p {
+			t.Errorf("%s: replay charged %+v, the sweeps %+v", tc.name, replay.Hier.Path, p)
+		}
+		var got string
+		switch {
+		case p == cache.PathStats{}:
+			got = "none"
+		case p.LoopLines == 2*n && p.PassLines == 0 && p.ClosedLines == 0:
+			got = "access"
+		case p.LoopLines == 0 && p.PassLines+p.ClosedLines == 2*n:
+			got = "batch"
+		}
+		if got != tc.path {
+			t.Errorf("%s: path %+v, want %s", tc.name, p, tc.path)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzSweepTwin holds the batched and closed-form charging paths to the
-// per-line loop they replace, over scripts the fuzzer writes: the
+// scalar loop they replace, over scripts the fuzzer writes: the
 // primitive twin sweeps through SweepLoad/SweepRMW/SweepVec, the scalar
 // twin through OpStream plus one LoadModeW/StoreModeW per line. After
 // every step the machines must agree and hold the BIA's subset-of-truth
@@ -42,7 +42,7 @@ func FuzzSweepTwin(f *testing.F) {
 		{1 | 1<<4, sweepScript(streamingModes)},  // inclusive
 		{1 | 1<<5, sweepScript(streamingModes)},  // sliced L1
 		{1 | 1<<6, sweepScript(streamingModes)},  // pinned-full
-		{1 | 1<<7, sweepScript(streamingModes)},  // next-line prefetch
+		{2 | 1<<2, sweepScript(streamingModes)},  // FIFO, BIA at L2
 		{1, sweepScript(uncachedModes)},          // Sec. 6.5 uncached
 		{2 | 1<<4, repeatScript(streamingModes)}, // inclusive, BIA at L2
 		{0, collideScript()},                     // evicting misses, memo slots, page crossings
@@ -54,12 +54,12 @@ func FuzzSweepTwin(f *testing.F) {
 		{1 << 2, thrashScript(streamingModes)}, // ... FIFO
 		{1 << 4, thrashScript(streamingModes)}, // ... inclusive
 		{1 << 6, thrashScript(streamingModes)}, // ... pinned-full
-		{1 << 7, thrashScript(streamingModes)}, // ... next-line prefetch
+		{2, thrashScript(streamingModes)},      // ... BIA at L2
 		{1, dramScript(streamingModes)},        // a DS past the LLC, BIA at L1
 		{1 | 1<<2, dramScript(streamingModes)}, // ... FIFO
 		{1 | 2<<2, dramScript(streamingModes)}, // ... Random
 		{1 | 1<<4, dramScript(streamingModes)}, // ... inclusive
-		{1 | 1<<7, dramScript(streamingModes)}, // ... next-line prefetch
+		{1 | 1<<5, dramScript(streamingModes)}, // ... sliced L1
 		// A Random L1 over a FIFO L2 and an LRU LLC, the BIA at the L1.
 		{1 | 3<<2, sweepScript(streamingModes)},
 		{1 | 3<<2, thrashScript(streamingModes)},
@@ -200,9 +200,9 @@ var (
 // place the BIA (0 for none, else its level), bits 2-3 pick the policies
 // (LRU, FIFO or Random at every level, or randomL1Config's Random L1
 // over a FIFO L2 and an LRU LLC), bit 4 makes the hierarchy inclusive,
-// bit 5 splits the L1 into 2 slices, bit 6 pins the sweeps' first L1
-// set full and bit 7 turns the next-line prefetcher on. The setup, if
-// any, runs after New and after each Reset.
+// bit 5 splits the L1 into 2 slices and bit 6 pins the sweeps' first L1
+// set full; bit 7 is unused. The setup, if any, runs after New and
+// after each Reset.
 func fuzzScenario(b byte) (Config, func(*Machine)) {
 	var cfg Config
 	if pol := b >> 2 & 3; pol < 3 {
@@ -215,16 +215,10 @@ func fuzzScenario(b byte) (Config, func(*Machine)) {
 	if b&(1<<5) != 0 {
 		cfg.Levels[0].Slices = 2
 	}
-	pin, prefetch := b&(1<<6) != 0, b&(1<<7) != 0
-	if !pin && !prefetch {
+	if b&(1<<6) == 0 {
 		return cfg, nil
 	}
-	return cfg, func(m *Machine) {
-		if pin {
-			pinStartSet(m)
-		}
-		m.Hier.PrefetchNextLine = prefetch
-	}
+	return cfg, pinStartSet
 }
 
 // opSubRun is the opcode after the actions: a sweep over part of the
@@ -235,10 +229,8 @@ const opSubRun = byte(numActions)
 // step is dropped. A sweep's shape byte holds the read-modify-write bit
 // (bit 0), the vector bit (bit 1), the stride (bits 2-3), and a vector
 // sweep's first index or another sweep's store bit (bits 4-7, bit 4).
-// Sweeps are made valid for a twin comparison: a read-modify-write sweep
-// or a sub-line stride needs a mode without LRU updates (under one, a
-// coalesced group is one touch where the per-line loop makes several),
-// and a vector sweep walks lines.
+// A vector sweep walks lines, and a read-modify-write sweep stores only
+// through its pairs.
 func decodeScript(data []byte) []scriptStep {
 	var steps []scriptStep
 	var last sweepCall
@@ -257,15 +249,11 @@ func decodeScript(data []byte) []scriptStep {
 			}
 			shape := data[6]
 			c.stride = fuzzStrides[shape>>2&3]
-			noLRU := c.mode&ModeNoLRU != 0
-			c.rmw = shape&1 != 0 && noLRU
+			c.rmw = shape&1 != 0
 			if shape&2 != 0 {
 				c.first, c.lanes, c.stride = int(shape>>4), 4, memp.LineSize
 			} else {
 				c.store = shape&(1<<4) != 0 && !c.rmw
-			}
-			if !noLRU && c.stride > -memp.LineSize && c.stride < memp.LineSize {
-				c.stride = memp.LineSize
 			}
 			last = c
 			steps = append(steps, scriptStep{call: c})

@@ -72,7 +72,7 @@ func resetSize(w workloads.Workload) int {
 // dirty runs an unrelated workload/seed on m so the machine carries
 // state — warm caches, dirty lines, BIA entries, allocator regions,
 // telemetry subscriptions, pinned L1 lines as the pinning ablation
-// leaves them, flipped knobs — that Reset must fully shed.
+// leaves them, a flipped inclusion knob — that Reset must fully shed.
 func dirty(t *testing.T, m *cpu.Machine, s ct.Strategy) {
 	t.Helper()
 	attacker.NewSetCounter(m.Hier, 1) // stale subscription Reset must drop
@@ -87,7 +87,6 @@ func dirty(t *testing.T, m *cpu.Machine, s ct.Strategy) {
 	if m.Hier.Level(1).PinnedLines() == 0 {
 		t.Fatal("dirty pinned no L1 line")
 	}
-	m.Hier.PrefetchNextLine = true
 	m.Hier.Inclusive = !m.Hier.Inclusive
 }
 
@@ -102,16 +101,15 @@ func evictL1(m *cpu.Machine) {
 }
 
 // requireResetClean fails unless pooled, Reset after dirty and then run
-// like fresh, matches fresh in its hierarchy knobs and every cache
+// like fresh, matches fresh in its inclusion knob and every cache
 // level's contents and holds no pinned line. Both machines evict their
 // L1 first, so replacement state Reset failed to restore shows too.
 func requireResetClean(t *testing.T, label string, fresh, pooled *cpu.Machine) {
 	t.Helper()
 	evictL1(fresh)
 	evictL1(pooled)
-	if fresh.Hier.Inclusive != pooled.Hier.Inclusive || fresh.Hier.PrefetchNextLine != pooled.Hier.PrefetchNextLine {
-		t.Errorf("%s: knobs inclusive=%v prefetch=%v after Reset, want %v/%v", label,
-			pooled.Hier.Inclusive, pooled.Hier.PrefetchNextLine, fresh.Hier.Inclusive, fresh.Hier.PrefetchNextLine)
+	if fresh.Hier.Inclusive != pooled.Hier.Inclusive {
+		t.Errorf("%s: inclusive=%v after Reset, want %v", label, pooled.Hier.Inclusive, fresh.Hier.Inclusive)
 	}
 	for i := 1; i <= fresh.Hier.Levels(); i++ {
 		if n := pooled.Hier.Level(i).PinnedLines(); n != 0 {

@@ -25,7 +25,8 @@ import (
 // path, and without one the whole run takes the batched fast path.
 
 // assertMachinesEqual compares every observable statistic of two
-// machines that are supposed to have executed the same work.
+// machines that are supposed to have executed the same work, and every
+// cache level's contents, LRU stamps included.
 func assertMachinesEqual(t *testing.T, label string, want, got *cpu.Machine) {
 	t.Helper()
 	if wr, gr := want.Report(), got.Report(); wr != gr {
@@ -40,6 +41,9 @@ func assertMachinesEqual(t *testing.T, label string, want, got *cpu.Machine) {
 	for i := 1; i <= want.Hier.Levels(); i++ {
 		if ws, gs := want.Hier.Level(i).Stats, got.Hier.Level(i).Stats; ws != gs {
 			t.Errorf("%s: L%d stats diverged\nwant: %+v\ngot:  %+v", label, i, ws, gs)
+		}
+		if !want.Hier.SnapshotLevel(i).Equal(got.Hier.SnapshotLevel(i)) {
+			t.Errorf("%s: L%d contents diverged", label, i)
 		}
 	}
 	if want.HasBIA() != got.HasBIA() {
