@@ -267,7 +267,7 @@ func (e *entry) snoop(kind cache.EventKind, bit uint64, dirty bool) bool {
 	return true
 }
 
-// CacheRun implements cache.RunListener: the effect of mult EvHit
+// CacheRun implements cache.BatchListener: the effect of mult EvHit
 // events with Dirty set on each of the n lines from first, one chunk
 // at a time. A chunk with an entry gets the run's lines ORed into both
 // bitmaps and lines×mult snoops; a chunk without one gets nothing, as

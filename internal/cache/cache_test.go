@@ -761,12 +761,13 @@ func TestL2ResidencyMemo(t *testing.T) {
 // TestProbeFreeGate pins which line-stride batches take the batch pass:
 // any length, shorter than the L1's set count too; lines the L2's memo
 // has not seen, and lines no level holds; an L1 whose subscribers all
-// take batches and watch the L1 alone, beside plain listeners at other
-// levels; and a FIFO or Random L1. It must refuse LRU-updating batches,
-// a pinned or sliced L1, a plain listener at the L1 or a batch listener
-// that also watches the L2, an inclusive hierarchy, a listener that
-// wants EvAccess and a batch that starts below the L1, all of which go
-// access by access, with the events the accesses one by one send.
+// take batches and watch the L1 alone; and a FIFO or Random L1. It must
+// refuse LRU-updating batches, a pinned or sliced L1, a plain listener
+// at the L1, a batch listener that also watches the L2, a plain
+// listener at the L2 beside a batch listener at the L1, an inclusive
+// hierarchy, an L1 batch listener that wants EvAccess and a batch that
+// starts below the L1, all of which go access by access, with the
+// events the accesses one by one send.
 func TestProbeFreeGate(t *testing.T) {
 	const n = 12 // three lines to each of the tiny L1's four sets
 	base := memp.Addr(0x40000)
@@ -817,7 +818,7 @@ func TestProbeFreeGate(t *testing.T) {
 	}{
 		{"a batch listener at the L1", []Listener{&batchLog{levelLog: levelLog{level: 1}}}, true},
 		{"two batch listeners at the L1", []Listener{&batchLog{levelLog: levelLog{level: 1}}, &batchLog{levelLog: levelLog{level: 1}}}, true},
-		{"plain listeners at the L2 beside one", []Listener{&batchLog{levelLog: levelLog{level: 1}}, &levelLog{level: 2}}, true},
+		{"a plain listener at the L2 beside one", []Listener{&batchLog{levelLog: levelLog{level: 1}}, &levelLog{level: 2}}, false},
 		{"a plain listener at the L1", []Listener{&levelLog{level: 1}}, false},
 		{"a batch listener at the L1 and L2", []Listener{&batchLog{levelLog: levelLog{level: 0}}}, false},
 		{"a plain listener at every level", []Listener{ListenerFunc(func(Event) {})}, false},
@@ -888,22 +889,23 @@ func TestProbeFreeGate(t *testing.T) {
 	}
 }
 
-// TestOuterStepGate pins which hierarchies serve the batch pass's L1
-// misses through the outer step, one scan per outer level: it must take
-// a hierarchy with no listener or with listeners at the L1 alone, FIFO
-// outer levels, and a Random, pinned or sliced L1, and refuse a
-// listener at the L2 or the LLC, a sliced, pinned or Random outer level
-// and an inclusive hierarchy, all of which keep outerAccess.
+// TestOuterStepGate pins which hierarchies below the L1 let a batch
+// take the pass, whose every miss takes the L2's memo or the outer
+// step, one scan per outer level: it must take a hierarchy with no
+// listener or with a batch listener at the L1 alone, FIFO outer levels
+// and a Random L1, and refuse a listener at the L2 or the LLC, a
+// sliced, pinned or Random outer level, an inclusive hierarchy and one
+// deeper than the step takes, whose batches go access by access.
 func TestOuterStepGate(t *testing.T) {
 	base := memp.Addr(0x40000)
-	mk := func(edit func(cfgs []Config)) *Hierarchy {
+	mk := func(edit func(cfgs []Config) []Config) *Hierarchy {
 		cfgs := []Config{
 			{Name: "L1d", Size: 512, Ways: 2, Latency: 2},
 			{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
 			{Name: "LLC", Size: 8192, Ways: 4, Latency: 30},
 		}
 		if edit != nil {
-			edit(cfgs)
+			cfgs = edit(cfgs)
 		}
 		return NewHierarchy(100, cfgs...)
 	}
@@ -913,33 +915,45 @@ func TestOuterStepGate(t *testing.T) {
 	pinned := func(level int) func() *Hierarchy {
 		return func() *Hierarchy { h := mk(nil); h.Access(base, 0); h.Level(level).Pin(base); return h }
 	}
+	policy := func(level int, p Policy) func() *Hierarchy {
+		return func() *Hierarchy { return mk(func(c []Config) []Config { c[level-1].Policy = p; return c }) }
+	}
+	sliced := func(level int) func() *Hierarchy {
+		return func() *Hierarchy { return mk(func(c []Config) []Config { c[level-1].Slices = 2; return c }) }
+	}
 	for _, tc := range []struct {
 		name string
 		h    func() *Hierarchy
-		step bool
+		pass bool
 	}{
 		{"no listener", func() *Hierarchy { return mk(nil) }, true},
 		{"a batch listener at the L1", subscribed(&batchLog{levelLog: levelLog{level: 1}}), true},
-		{"a plain listener at the L1", subscribed(&levelLog{level: 1}), true},
 		{"FIFO outer levels", func() *Hierarchy {
-			return mk(func(c []Config) { c[1].Policy, c[2].Policy = FIFO, FIFO })
+			return mk(func(c []Config) []Config { c[1].Policy, c[2].Policy = FIFO, FIFO; return c })
 		}, true},
-		{"a Random L1", func() *Hierarchy { return mk(func(c []Config) { c[0].Policy = Random }) }, true},
-		{"a pinned L1 line", pinned(1), true},
-		{"a sliced L1", func() *Hierarchy { return mk(func(c []Config) { c[0].Slices = 2 }) }, true},
+		{"a Random L1", policy(1, Random), true},
 		{"a listener at the L2", subscribed(&levelLog{level: 2}), false},
 		{"a listener at the LLC", subscribed(&levelLog{level: 3}), false},
-		{"a batch listener at every level", subscribed(&batchLog{}), false},
-		{"a sliced L2", func() *Hierarchy { return mk(func(c []Config) { c[1].Slices = 2 }) }, false},
-		{"a sliced LLC", func() *Hierarchy { return mk(func(c []Config) { c[2].Slices = 2 }) }, false},
+		{"a sliced L2", sliced(2), false},
+		{"a sliced LLC", sliced(3), false},
 		{"a pinned L2 line", pinned(2), false},
 		{"a pinned LLC line", pinned(3), false},
-		{"a Random L2", func() *Hierarchy { return mk(func(c []Config) { c[1].Policy = Random }) }, false},
-		{"a Random LLC", func() *Hierarchy { return mk(func(c []Config) { c[2].Policy = Random }) }, false},
+		{"a Random L2", policy(2, Random), false},
+		{"a Random LLC", policy(3, Random), false},
 		{"an inclusive hierarchy", func() *Hierarchy { h := mk(nil); h.Inclusive = true; return h }, false},
+		{"five levels", func() *Hierarchy {
+			return mk(func(c []Config) []Config {
+				return append(c, Config{Name: "L4", Size: 16384, Ways: 4, Latency: 40}, Config{Name: "L5", Size: 32768, Ways: 4, Latency: 50})
+			})
+		}, false},
 	} {
-		if got := tc.h().outerQuiet(); got != tc.step {
-			t.Errorf("%s: outer step = %v, want %v", tc.name, got, tc.step)
+		h := tc.h()
+		if got := h.passable(FlagNoLRU); got != tc.pass {
+			t.Errorf("%s: takes the pass = %v, want %v", tc.name, got, tc.pass)
+		}
+		h.AccessBatch(1, base, memp.LineSize, 12, FlagNoLRU, false)
+		if took := h.Path.PassLines != 0; took != tc.pass || !tc.pass && h.Path.LoopLines != 12 {
+			t.Errorf("%s: path %+v, want the pass %v and the rest access by access", tc.name, h.Path, tc.pass)
 		}
 	}
 }

@@ -96,31 +96,29 @@ type LevelFilter interface {
 	WantsLevel(level int) bool
 }
 
-// RunListener is an optional Listener refinement for the closed-form
-// charge of an all-hit line run (see AccessBatch): CacheRun must have
-// exactly the effect of mult EvHit events, each with Dirty set, on each
-// of the n consecutive lines from the line-aligned first at the given
-// level. A level whose every subscriber is a RunListener takes such
-// runs in one call; a plain listener that wants the level keeps it on
-// the per-event path. It is sent only to a listener that wants EvHit
-// events at the level.
-type RunListener interface {
-	CacheRun(level int, first memp.Addr, n, mult int)
-}
-
-// BatchListener is an optional Listener refinement for the batch pass
-// (see AccessBatch): CacheBatch must have exactly the effect of
-// CacheEvent on each of snoops' events at the given level, in order.
-// The pass snoops a batch only when every subscriber at the L1 is a
-// BatchListener that wants no other level, and sends each the batch's
-// L1 hits, fills, evictions and dirty edges, in the order the batch's
-// accesses would emit them one by one, in chunks of at most 256: one call
-// per chunk, the batch's last chunk sent before the batch returns. A
-// chunk holds these four kinds whatever the listener's KindFilter
-// says; it must ignore the kinds it does not want. The slice is the
-// hierarchy's and is reused: the listener must not keep it.
+// BatchListener is an optional Listener refinement that takes the L1's
+// events in bulk (see AccessBatch). The L1 takes bulk delivery only
+// while every subscriber that wants the L1 is a BatchListener that
+// wants the L1 alone and no EvAccess; a listener that wants another
+// level, or EvAccess, keeps the L1 on the per-event path.
+//
+// CacheBatch must have exactly the effect of CacheEvent on each of
+// snoops' events at the given level, in order. The batch pass sends
+// each the batch's L1 hits, fills, evictions and dirty edges, in the
+// order the batch's accesses would emit them one by one, in chunks of
+// at most 256: one call per chunk, the batch's last chunk sent before
+// the batch returns. A chunk holds these four kinds whatever the
+// listener's KindFilter says; it must ignore the kinds it does not
+// want. The slice is the hierarchy's and is reused: the listener must
+// not keep it.
+//
+// CacheRun is the closed-form charge of an all-hit line run: it must
+// have exactly the effect of mult EvHit events, each with Dirty set, on
+// each of the n consecutive lines from the line-aligned first at the
+// given level. It is sent only to a listener that wants EvHit events.
 type BatchListener interface {
 	CacheBatch(level int, snoops []Snoop)
+	CacheRun(level int, first memp.Addr, n, mult int)
 }
 
 // Snoop is one event of a batch as the batch port sends it: an EvHit,

@@ -63,12 +63,11 @@ type Hierarchy struct {
 	subs       []subscriber
 	wantMask   uint32 // union of subscribed event kinds (1 << kind)
 	wantLevels uint32 // union of subscribed cache levels (1 << level)
-	// plainLevels is the union of the levels wanted by subscribers that
-	// are not RunListeners: a level in it gets no closed-form run.
-	plainLevels uint32
-	// unbatchedL1 holds while a subscriber that wants the L1 is not a
-	// BatchListener wanting the L1 alone: the pass then refuses batches.
-	unbatchedL1 bool
+	// plainL1 holds while some subscriber that wants the L1 must take
+	// its events one by one: it is not a BatchListener, or it wants
+	// another level or EvAccess too. The L1 then takes no bulk delivery,
+	// neither a closed-form run nor the pass.
+	plainL1 bool
 	// snoops is the pass's queue of L1 events for the batch port, made
 	// by the first snooped pass with room for maxSnoops and reused.
 	snoops []Snoop
@@ -83,12 +82,11 @@ type Hierarchy struct {
 
 // subscriber is one Subscribe call's listener with its appetite: the
 // event kinds (1 << kind) and levels (1 << level) it wants, and its
-// run and batch ports, nil where it has none.
+// batch port, nil if it has none.
 type subscriber struct {
 	l      Listener
 	kinds  uint32
 	levels uint32
-	run    RunListener
 	batch  BatchListener
 }
 
@@ -166,7 +164,6 @@ func (h *Hierarchy) Subscribe(l Listener) {
 			}
 		}
 	}
-	sub.run, _ = l.(RunListener)
 	sub.batch, _ = l.(BatchListener)
 	h.subs = append(h.subs, sub)
 	h.mergeMasks(sub)
@@ -176,11 +173,8 @@ func (h *Hierarchy) Subscribe(l Listener) {
 func (h *Hierarchy) mergeMasks(sub subscriber) {
 	h.wantMask |= sub.kinds
 	h.wantLevels |= sub.levels
-	if sub.run == nil {
-		h.plainLevels |= sub.levels
-	}
-	if sub.levels&(1<<1) != 0 && (sub.batch == nil || sub.levels != 1<<1) {
-		h.unbatchedL1 = true
+	if sub.levels&(1<<1) != 0 && (sub.batch == nil || sub.levels != 1<<1 || sub.kinds&(1<<EvAccess) != 0) {
+		h.plainL1 = true
 	}
 }
 
@@ -200,7 +194,7 @@ func (h *Hierarchy) TruncateListeners(n int) {
 	}
 	clear(h.subs[n:])
 	h.subs = h.subs[:n]
-	h.wantMask, h.wantLevels, h.plainLevels, h.unbatchedL1 = 0, 0, 0, false
+	h.wantMask, h.wantLevels, h.plainL1 = 0, 0, false
 	for _, sub := range h.subs {
 		h.mergeMasks(sub)
 	}
@@ -241,23 +235,23 @@ func (h *Hierarchy) emit(ev Event) {
 	}
 }
 
-// emitRun delivers a closed-form run of hits (see RunListener) to every
-// RunListener that wants the level's hits; quietL1 has made sure that
-// no other listener wants the level.
-func (h *Hierarchy) emitRun(level int, first memp.Addr, n, mult int) {
+// emitRun delivers a closed-form run of L1 hits (see BatchListener) to
+// every subscriber that wants the L1's hits; plainL1 has made sure that
+// each is a BatchListener.
+func (h *Hierarchy) emitRun(first memp.Addr, n, mult int) {
 	for i := range h.subs {
-		if sub := &h.subs[i]; sub.run != nil && sub.kinds&(1<<EvHit) != 0 && sub.levels&(1<<uint(level)) != 0 {
-			sub.run.CacheRun(level, first, n, mult)
+		if sub := &h.subs[i]; sub.kinds&(1<<EvHit) != 0 && sub.levels&(1<<1) != 0 {
+			sub.batch.CacheRun(1, first, n, mult)
 		}
 	}
 }
 
-// emitBatch delivers the pass's queued L1 events to every BatchListener
-// that wants the L1, and empties the queue; unbatchedL1 has made sure
-// that no other listener wants the L1.
+// emitBatch delivers the pass's queued L1 events to every subscriber
+// that wants the L1, and empties the queue; plainL1 has made sure that
+// each is a BatchListener.
 func (h *Hierarchy) emitBatch() {
 	for i := range h.subs {
-		if sub := &h.subs[i]; sub.batch != nil && sub.levels&(1<<1) != 0 {
+		if sub := &h.subs[i]; sub.levels&(1<<1) != 0 {
 			sub.batch.CacheBatch(1, h.snoops)
 		}
 	}
@@ -309,31 +303,20 @@ func (h *Hierarchy) Uncached(n int, write bool) (cycles int) {
 
 // demandAccess probes levels start..N for la and charges their
 // latencies; on a hit below start the levels start..hit-1 are filled,
-// and a full miss fills start..N from DRAM.
+// and a full miss fills start..N from DRAM. The fills go outermost
+// first, start last with a store's dirty bit, and skip the presence
+// check: the line was just probed and missed at each of them, and a
+// fill cannot install it at an inner level (evictions only remove
+// lines and writebacks only mark existing ones dirty). It is the
+// scalar reference for the batch pass's outer step (outerStep).
 func (h *Hierarchy) demandAccess(start int, la memp.Addr, flags Flags) Result {
-	r := h.outerAccess(start, start, la, flags)
-	if r.HitLevel != start {
-		h.fillLevel(start, la, flags&FlagWrite != 0, flags, false)
-	}
-	return r
-}
-
-// outerAccess is demandAccess up to its fill of start: it probes levels
-// probe..N, charges them, and fills the levels between start and the
-// one that supplied the line, outermost first. The caller fills start
-// last, carrying a store's dirty bit, as demandAccess does; the pass
-// fills the L1 from its own plan. The levels it fills are outside
-// start, and on a non-inclusive hierarchy nothing it does reaches
-// start: its evictions write back outward. The pass's misses take
-// outerStep instead where outerQuiet allows; outerAccess is its
-// reference.
-func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags) Result {
 	write := flags&FlagWrite != 0
 	wantAcc := h.wants(EvAccess)
-	cycles := 0
-	for i := probe; i <= len(h.levels); i++ {
+	var r Result
+	end := len(h.levels) // the outermost level to fill
+	for i := start; i <= len(h.levels); i++ {
 		c := h.levels[i-1]
-		cycles += c.cfg.Latency
+		r.Cycles += c.cfg.Latency
 		c.Stats.Accesses++
 		snoop := h.snoopsAt(i)
 		// One set computation per probe: findIn reuses s, and the
@@ -363,18 +346,20 @@ func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags) Res
 			if i == 2 {
 				c.noteLine(la, c.dirty[li])
 			}
-			// Fill the bypass-free upper levels so subsequent
-			// accesses hit closer to the core.
-			h.fillRange(start+1, i-1, la, flags)
-			return Result{Cycles: cycles, HitLevel: i}
+			r.HitLevel, end = i, i-1
+			break
 		}
 		c.Stats.Misses++
 	}
-	// Missed everywhere: DRAM supplies the line.
-	cycles += h.dramLatency
-	h.Stats.DRAMReads++
-	h.fillRange(start+1, len(h.levels), la, flags)
-	return Result{Cycles: cycles, HitLevel: 0}
+	if r.HitLevel == 0 {
+		// Missed everywhere: DRAM supplies the line.
+		r.Cycles += h.dramLatency
+		h.Stats.DRAMReads++
+	}
+	for i := end; i >= start; i-- {
+		h.fillLevel(i, la, write && i == start, flags, false)
+	}
+	return r
 }
 
 // AccessBatch is the one way a run is charged: n demand accesses at
@@ -388,36 +373,34 @@ func (h *Hierarchy) outerAccess(start, probe int, la memp.Addr, flags Flags) Res
 // caller charges those at start's latency or at streaming throughput)
 // and the total latency of the others.
 //
-// A batch that no listener watches access by access (none wants
-// EvAccess), that starts at the L1 and walks lines may be charged
-// without probing each line, in one of two ways. The L1 keeps a
-// residency memo (Cache.memo), which the pass notes every hit in, page
-// by page, with the line's dirty bit after the access. A batch whose
-// lines the memo covers is charged in closed form when quietL1 holds:
-// every access then hits and changes nothing but the L1's access and
-// hit counts, and the L1's RunListeners take the run's hits in one
-// call. A write, a pair or any access to a snooped L1 needs every line
-// seen dirty, so that no dirty bit moves and every hit event's dirty
-// bit is known; an unsnooped load needs them seen resident. Otherwise
-// a FlagNoLRU batch on an unpinned, unsliced L1 of a non-inclusive
-// hierarchy, whose L1 subscribers all take batches (BatchListener) and
-// watch nothing else, takes the batch pass (planBatch). Every other
-// batch goes access by access through demandAccess. Path counts which
-// of the three charged the batch.
+// A FlagNoLRU batch that starts at the L1 and walks lines may be
+// charged without probing each line when quietL1 holds, in one of two
+// ways. The L1 keeps a residency memo (Cache.memo), which the pass
+// notes every hit in, page by page, with the line's dirty bit after the
+// access. A batch whose lines the memo covers is charged in closed
+// form: every access then hits and changes nothing but the L1's access
+// and hit counts, and the L1's BatchListeners take the run's hits in
+// one call. A write, a pair or any access to a snooped L1 needs every
+// line seen dirty, so that no dirty bit moves and every hit event's
+// dirty bit is known; an unsnooped load needs them seen resident.
+// Otherwise a batch on an unpinned L1 of a hierarchy quiet below the L1
+// takes the batch pass (passable, planBatch). Every other batch goes
+// access by access through demandAccess. Path counts which of the
+// three charged the batch.
 func (h *Hierarchy) AccessBatch(start int, base memp.Addr, stride int64, n int, flags Flags, rmw bool) (startHits, missCycles int) {
 	mult := 1 // accesses per address
 	if rmw {
 		mult = 2
 	}
-	if start == 1 && stride == memp.LineSize && !h.wants(EvAccess) {
+	if start == 1 && stride == memp.LineSize && h.quietL1(flags) {
 		c := h.levels[0]
 		snoop := h.snoopsAt(1)
-		if h.quietL1(flags) && c.covered(base.Line(), n, rmw || flags&FlagWrite != 0 || snoop) {
+		if c.covered(base.Line(), n, rmw || flags&FlagWrite != 0 || snoop) {
 			c.Stats.Accesses += uint64(mult * n)
 			c.Stats.Hits += uint64(mult * n)
 			h.Path.ClosedLines += uint64(n)
 			if snoop {
-				h.emitRun(1, base.Line(), n, mult)
+				h.emitRun(base.Line(), n, mult)
 			}
 			return mult * n, 0
 		}
@@ -442,26 +425,13 @@ func (h *Hierarchy) AccessBatch(start int, base memp.Addr, stride int64, n int, 
 	return startHits, missCycles
 }
 
-// quietL1 reports whether an L1 hit under flags changes nothing but
-// the L1's access and hit counts and what a RunListener takes: with
-// FlagNoLRU a hit touches no stamp and no clock, with every L1
-// subscriber a RunListener no event is due one by one, and with the L1
-// unsliced no per-slice count is due.
+// quietL1 decides bulk delivery at the L1: it reports whether an L1
+// hit under flags changes nothing but the L1's access and hit counts
+// and what a BatchListener takes: with FlagNoLRU a hit touches no stamp
+// and no clock, with no plain L1 subscriber no event is due one by one,
+// and with the L1 unsliced no per-slice count is due.
 func (h *Hierarchy) quietL1(flags Flags) bool {
-	return flags&FlagNoLRU != 0 && h.plainLevels&(1<<1) == 0 && h.levels[0].SliceTraffic == nil
-}
-
-// fillRange installs la clean into levels end down to start (1-based,
-// inclusive; nothing when end < start). Demand callers have just probed
-// and missed every level in the range, so the line is known absent
-// there and the fill skips the presence check; filling outermost first
-// cannot install la at an inner level (evictions only remove lines and
-// writebacks only mark existing ones dirty), so the knowledge stays
-// valid across the loop.
-func (h *Hierarchy) fillRange(start, end int, la memp.Addr, flags Flags) {
-	for i := end; i >= start; i-- {
-		h.fillLevel(i, la, false, flags, false)
-	}
+	return flags&FlagNoLRU != 0 && !h.plainL1 && h.levels[0].SliceTraffic == nil
 }
 
 // fillLevel installs la at level i, evicting a victim if needed.
@@ -582,26 +552,8 @@ func (h *Hierarchy) writeback(from int, la memp.Addr) {
 // The hit signal still reaches snoopers (the BIA learns existence and
 // the current dirty bit). Latency is one probe of that level.
 func (h *Hierarchy) CTProbeLoad(level int, addr memp.Addr) (hit bool, cycles int) {
-	c := h.Level(level)
-	la := addr.Line()
-	snoop := h.snoopsAt(level)
-	c.Stats.Accesses++
-	s := c.SetOf(la)
-	if c.SliceTraffic != nil {
-		c.SliceTraffic[s/c.setsPerSlc]++
-	}
-	if snoop && h.wants(EvAccess) {
-		h.emit(Event{Level: level, Kind: EvAccess, Line: la, Set: s, Probe: true})
-	}
-	if w := c.findIn(s, la); w >= 0 {
-		c.Stats.Hits++
-		if snoop {
-			h.emit(Event{Level: level, Kind: EvHit, Line: la, Set: s, Dirty: c.dirty[c.way(s, w)], Probe: true})
-		}
-		return true, c.cfg.Latency
-	}
-	c.Stats.Misses++
-	return false, c.cfg.Latency
+	hit, _, cycles = h.ctProbe(level, addr.Line(), false)
+	return hit, cycles
 }
 
 // CTProbeStore implements the cache side of the paper's CTStore at the
@@ -610,8 +562,19 @@ func (h *Hierarchy) CTProbeLoad(level int, addr memp.Addr) (hit bool, cycles int
 // no replacement state changes, and no request is forwarded. The caller
 // performs the data write iff wrote is true.
 func (h *Hierarchy) CTProbeStore(level int, addr memp.Addr) (wrote bool, cycles int) {
+	// The write lands only on a line already dirty: no EvDirty, as
+	// there is no 0->1 edge.
+	_, wrote, cycles = h.ctProbe(level, addr.Line(), true)
+	return wrote, cycles
+}
+
+// ctProbe is the tag check both CT probes make at level for the line
+// la, a store's when write: it counts the access, the hit or miss and
+// the slice traffic, sends the Probe-marked EvAccess and EvHit events,
+// and changes no line. It reports whether the line is there and dirty,
+// and the probe's latency.
+func (h *Hierarchy) ctProbe(level int, la memp.Addr, write bool) (hit, dirty bool, cycles int) {
 	c := h.Level(level)
-	la := addr.Line()
 	snoop := h.snoopsAt(level)
 	c.Stats.Accesses++
 	s := c.SetOf(la)
@@ -619,19 +582,19 @@ func (h *Hierarchy) CTProbeStore(level int, addr memp.Addr) (wrote bool, cycles 
 		c.SliceTraffic[s/c.setsPerSlc]++
 	}
 	if snoop && h.wants(EvAccess) {
-		h.emit(Event{Level: level, Kind: EvAccess, Line: la, Set: s, Write: true, Probe: true})
+		h.emit(Event{Level: level, Kind: EvAccess, Line: la, Set: s, Write: write, Probe: true})
 	}
-	if w := c.findIn(s, la); w >= 0 {
-		dirty := c.dirty[c.way(s, w)]
-		c.Stats.Hits++
-		if snoop {
-			h.emit(Event{Level: level, Kind: EvHit, Line: la, Set: s, Dirty: dirty, Probe: true})
-		}
-		// Line stays dirty; no EvDirty because there is no 0->1 edge.
-		return dirty, c.cfg.Latency
+	w := c.findIn(s, la)
+	if w < 0 {
+		c.Stats.Misses++
+		return false, false, c.cfg.Latency
 	}
-	c.Stats.Misses++
-	return false, c.cfg.Latency
+	dirty = c.dirty[c.way(s, w)]
+	c.Stats.Hits++
+	if snoop {
+		h.emit(Event{Level: level, Kind: EvHit, Line: la, Set: s, Dirty: dirty, Probe: true})
+	}
+	return true, dirty, c.cfg.Latency
 }
 
 // Flush invalidates the line holding addr at every level, writing back

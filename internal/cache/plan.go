@@ -15,13 +15,14 @@ import "ctbia/internal/memp"
 // and its way has not been refilled since, and otherwise takes the
 // set's next victim. A Random L1 draws its victims from its RNG, so
 // its every line is read by its own scan, which draws at a full set's
-// miss as victim would, in line order. A miss the L2's residency memo
-// covers is charged as an L2 hit without probing the L2 (quietL2); any
-// other goes below the L1, through the outer step when outerQuiet
-// holds and through outerAccess, demandAccess's own probe-and-fill,
-// otherwise, and the pass fills the L1 after it, as demandAccess would.
-// The L1's events reach its BatchListeners in chunks, in the order the
-// accesses one by one would emit them, and the counts are added once.
+// miss as victim would, in line order. The pass runs only on a
+// hierarchy quiet below the L1 (outerQuiet), so under FlagNoLRU an L2
+// hit is due no stamp, no event and no per-slice count: a miss the
+// L2's residency memo covers is charged as an L2 hit without probing
+// the L2, and any other goes below the L1 through the outer step; the
+// pass fills the L1 after it, as demandAccess would. The L1's events reach its
+// BatchListeners in chunks, in the order the accesses one by one would
+// emit them, and the counts are added once.
 //
 // The outer step (outerStep) charges a miss below the L1 with one scan
 // per outer level, which finds the line or the way victim would fill,
@@ -55,17 +56,8 @@ const planLines = memoSlots * linesPerPage
 // sends them to the batch port in chunks of maxSnoops, in order.
 const maxSnoops = 256
 
-// quietL2 reports whether an L2 hit under flags changes nothing at the
-// L2 but its access and hit counts: with FlagNoLRU no stamp moves, with
-// no subscriber there no event is due, and with the L2 unsliced no
-// per-slice count is due. A store hit leaves the dirty bit alone only
-// on a line already dirty, which the memo check asks for.
-func (h *Hierarchy) quietL2(flags Flags) bool {
-	return flags&FlagNoLRU != 0 && len(h.levels) > 1 && !h.snoopsAt(2) && h.levels[1].SliceTraffic == nil
-}
-
 // maxStepLevels is the most levels below the L1 the outer step takes;
-// a deeper hierarchy keeps outerAccess.
+// a deeper hierarchy's batches go access by access.
 const maxStepLevels = 3
 
 // outerQuiet reports whether the pass's misses may take the outer
@@ -86,11 +78,11 @@ func (h *Hierarchy) outerQuiet() bool {
 	return true
 }
 
-// outerStep charges an L1 miss on la below the L1, as
-// outerAccess(1, 2, la, flags) would when outerQuiet holds, and
-// returns its cycles and the level that supplied the line (0 for DRAM).
-// Each outer level is read by one scan; the levels that missed are
-// filled on the ways their scans found, outermost first.
+// outerStep charges an L1 miss on la below the L1, as demandAccess(1,
+// la, flags) would up to its L1 fill when outerQuiet holds, and returns
+// its cycles below the L1 and the level that supplied the line (0 for
+// DRAM). Each outer level is read by one scan; the levels that missed
+// are filled on the ways their scans found, outermost first.
 func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 	var at [maxStepLevels]struct{ s, w int } // the ways the missed levels fill
 	write := flags&FlagWrite != 0
@@ -148,13 +140,11 @@ func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 }
 
 // passable reports whether a line-stride batch under flags may take the
-// pass: FlagNoLRU; an unsliced, unpinned L1 whose every subscriber is a
-// BatchListener that wants the L1 alone; and a non-inclusive hierarchy,
-// so that no miss's trip below the L1 reaches back into it.
+// pass: a quiet L1 (quietL1) with no pinned line, and a hierarchy
+// quiet below it (outerQuiet), so that every miss takes the L2's memo
+// or the outer step and no trip below the L1 reaches back into it.
 func (h *Hierarchy) passable(flags Flags) bool {
-	c := h.levels[0]
-	return flags&FlagNoLRU != 0 && c.pinnedAll == 0 && c.SliceTraffic == nil &&
-		!h.unbatchedL1 && !h.Inclusive
+	return h.quietL1(flags) && h.levels[0].pinnedAll == 0 && h.outerQuiet()
 }
 
 // planBatch is the pass over the n lines from the line-aligned first:
@@ -179,11 +169,11 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 	if snoop && h.snoops == nil {
 		h.snoops = make([]Snoop, 0, maxSnoops)
 	}
-	// A miss the L2's memo covers is its when quietL2 holds, and any
-	// other takes the outer step when outerQuiet does. When the memo
-	// covers the whole batch, every miss is its: only a trip below the L1
-	// could take a line out of the L2, and then none is due.
-	memo, step := h.quietL2(flags), h.outerQuiet()
+	// A miss the L2's memo covers is its, and any other takes the outer
+	// step. When the memo covers the whole batch, every miss is its: only
+	// a trip below the L1 could take a line out of the L2, and then none
+	// is due.
+	memo := len(h.levels) > 1
 	allMemo := memo && h.levels[1].covered(first, n, write)
 	// Lines once..again-1 visit sets the batch visits only there and are
 	// read by one scan each; the others take their set's plan. A Random
@@ -240,12 +230,8 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 			misses++
 			if !allMemo && !(memo && h.levels[1].holds(la, write)) {
 				outer++
-				if step {
-					cycles, _ := h.outerStep(la, flags)
-					outerCycles += cycles
-				} else {
-					outerCycles += h.outerAccess(1, 2, la, flags).Cycles
-				}
+				cycles, _ := h.outerStep(la, flags)
+				outerCycles += cycles
 			}
 			if old := c.tags[i]; old != noTag {
 				evictions++

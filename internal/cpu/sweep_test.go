@@ -662,10 +662,12 @@ func TestSweepMatchesScalarLoop(t *testing.T) {
 }
 
 // TestLevelListenerSeesItsLevel holds the bus to a listener's level
-// filter whatever path charges a sweep: a plain listener at the L2
-// beside a BIA at the L1 must see the same stream, of L2 events only,
-// from the closed form, the pass and the accesses one by one as from
-// the scalar loop, each of which charges the script's sweeps somewhere.
+// filter and the batch paths to the levels it watches: a plain listener
+// at the L2 beside a BIA at the L1 must see the same stream, of L2
+// events only, as from the scalar loop. While it watches, every sweep
+// goes access by access: the pass needs a hierarchy quiet below the L1,
+// and the closed form needs lines the pass has noted. Once it leaves,
+// the same script takes the closed form and the snooped pass again.
 func TestLevelListenerSeesItsLevel(t *testing.T) {
 	cfg := tinyConfig(cache.LRU)
 	cfg.BIALevel = 1
@@ -674,19 +676,25 @@ func TestLevelListenerSeesItsLevel(t *testing.T) {
 	la, lb := &eventLog{level: 2}, &eventLog{level: 2}
 	a.m.Hier.Subscribe(la)
 	b.m.Hier.Subscribe(lb)
-	var closed, pass, loop bool
-	for i, st := range slices.Concat(repeatScript(streamingModes), thrashScript(streamingModes)) {
-		before := a.m.Hier.Path
-		a.step(st)
-		b.step(st)
-		requireSameMachine(t, fmt.Sprintf("step %d", i), a.m, b.m)
-		after := a.m.Hier.Path
-		closed = closed || after.ClosedLines > before.ClosedLines
-		pass = pass || after.PassSnoopedLines > before.PassSnoopedLines
-		loop = loop || after.LoopLines > before.LoopLines
-	}
-	if !closed || !pass || !loop {
-		t.Fatalf("paths taken: closed form %v, snooped pass %v, access by access %v; want all", closed, pass, loop)
+	script := slices.Concat(repeatScript(streamingModes), thrashScript(streamingModes))
+	for _, watched := range []bool{true, false} {
+		var closed, pass, loop bool
+		for i, st := range script {
+			before := a.m.Hier.Path
+			a.step(st)
+			b.step(st)
+			requireSameMachine(t, fmt.Sprintf("watched=%v step %d", watched, i), a.m, b.m)
+			after := a.m.Hier.Path
+			closed = closed || after.ClosedLines > before.ClosedLines
+			pass = pass || after.PassSnoopedLines > before.PassSnoopedLines
+			loop = loop || after.LoopLines > before.LoopLines
+		}
+		if closed != !watched || pass != !watched || !loop {
+			t.Fatalf("watched=%v: paths taken: closed form %v, snooped pass %v, access by access %v", watched, closed, pass, loop)
+		}
+		// Drop the L2 listener, subscribed after the BIA.
+		a.m.Hier.TruncateListeners(1)
+		b.m.Hier.TruncateListeners(1)
 	}
 	if len(la.events) == 0 || !slices.Equal(la.events, lb.events) {
 		t.Fatalf("the L2 listener saw %d events, want the scalar loop's %d", len(la.events), len(lb.events))
@@ -735,11 +743,11 @@ func TestRepeatedThrashIsTheL2Memos(t *testing.T) {
 
 // TestSweepBatchesWhereReplayDoes pins which of AccessBatch's ways a
 // sweep takes, and that the replay of its recording takes the same: a
-// FlagNoLRU line run that no listener watches access by access takes
-// the pass or the closed form, with the BIA at the L1 too, where the
-// bypass flag is a no-op; a bypassing run (the BIA at the L2), a run
-// under a listener that wants EvAccess and an LRU-updating run go
-// access by access; an uncached run takes none of them.
+// FlagNoLRU line run takes the pass or the closed form with no BIA and
+// with the BIA at the L1, where the bypass flag is a no-op; a bypassing
+// run (the BIA at the L2), a run the BIA at the L2 watches below the
+// L1, a run under a listener that wants EvAccess and an LRU-updating
+// run go access by access; an uncached run takes none of them.
 func TestSweepBatchesWhereReplayDoes(t *testing.T) {
 	const n = 16
 	for _, tc := range []struct {
@@ -752,6 +760,7 @@ func TestSweepBatchesWhereReplayDoes(t *testing.T) {
 		{"no BIA", 0, ModeNoLRU | ModeStreaming, false, "batch"},
 		{"BIA at the L1", 1, ModeNoLRU | ModeBypassToBIA | ModeStreaming, false, "batch"},
 		{"BIA at the L2, bypassing", 2, ModeNoLRU | ModeBypassToBIA | ModeStreaming, false, "access"},
+		{"BIA at the L2, from the L1", 2, ModeNoLRU | ModeStreaming, false, "access"},
 		{"an EvAccess listener", 1, ModeNoLRU | ModeStreaming, true, "access"},
 		{"LRU-updating", 1, ModeStreaming, false, "access"},
 		{"uncached", 1, ModeStreaming | ModeUncached, false, "none"},

@@ -203,6 +203,15 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	}
 	wait := startRun(t, co)
 	dead := startWorker(co, "w-dead", opts, 0)
+	// Start the survivor only once w-dead holds its first lease: the
+	// kill fires on that lease, and a survivor started alongside could
+	// lease every unit first, so that it never fires.
+	for deadline := time.Now().Add(10 * time.Second); co.Stats().Map()["leases_granted"] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("w-dead was never granted a lease")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	live := startWorker(co, "w-live", opts, 0)
 	results := wait()
 	if r := <-dead; r.err != ErrKilled {

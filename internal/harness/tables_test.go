@@ -56,7 +56,13 @@ func TestTablesMatchTestdata(t *testing.T) {
 //	ctbench -quick -exp all -parallel 1 -json r.json >/dev/null
 //	python3 -c 'import json,sys; m=json.load(open("r.json"))["metrics"]; [print(k, m[k]) for k in sorted(m) if k.startswith(("cpu.", "cache.", "bia.", "mem.dram_")) and not k.startswith("cpu.machines_") and m[k]]' > testdata/counts_quick.txt
 //
-// The paper-scale run is skipped under -short.
+// The same run's nonzero path.* totals, which of AccessBatch's three
+// ways charged how many lines, are pinned in testdata/paths_*.txt
+// (the same one-liner with k.startswith("path.")): no table or count
+// sees a run move between the closed form, the pass and the accesses
+// one by one, so a change to the cache's gates that moves one fails
+// here instead of only moving the host's time. The paper-scale run is
+// skipped under -short.
 func TestSimCountsMatchTestdata(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -74,20 +80,29 @@ func TestSimCountsMatchTestdata(t *testing.T) {
 			obs.Arm()
 			RunAll(nil, Options{Quick: tc.quick, Parallel: 1})
 			snap := obs.Snapshot()
-			var names []string
-			for name, v := range snap {
-				if simCount(name) && v != 0 {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			var b strings.Builder
-			for _, name := range names {
-				fmt.Fprintf(&b, "%s %d\n", name, snap[name])
-			}
-			requireTestdata(t, "testdata/counts_"+tc.name+".txt", b.String())
+			requireTestdata(t, "testdata/counts_"+tc.name+".txt", listCounts(snap, simCount))
+			requireTestdata(t, "testdata/paths_"+tc.name+".txt", listCounts(snap, func(name string) bool {
+				return strings.HasPrefix(name, "path.")
+			}))
 		})
 	}
+}
+
+// listCounts lists snap's nonzero counts whose names keep says, one
+// "name value" line each, sorted by name.
+func listCounts(snap map[string]uint64, keep func(name string) bool) string {
+	var names []string
+	for name, v := range snap {
+		if keep(name) && v != 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %d\n", name, snap[name])
+	}
+	return b.String()
 }
 
 // simCount reports whether a registry name is a simulated count.
