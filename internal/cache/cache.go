@@ -108,7 +108,9 @@ type Cache struct {
 	// line; it changes only through setTag. stamps is the policy's
 	// metadata (LRU last touch, FIFO fill time), so victim's scan walks
 	// contiguous 8-byte stamps. dirty and pinned are clear on an invalid
-	// line.
+	// line; pinned is made by the first Pin, as only the PLcache
+	// comparison pins, which leaves a line's footprint with the ring's
+	// byte at 18 B.
 	tags   []memp.Addr
 	stamps []uint64
 	dirty  []bool
@@ -132,6 +134,21 @@ type Cache struct {
 	rngUsed   bool
 	pinnedAll uint64 // count of pinned lines (PLcache comparison)
 
+	// ring is the kept victim order of an LRU or FIFO cache of at most
+	// maxRingWays ways (nil for any other): ways bytes a set, in
+	// set-major order, listing the set's ways cyclically from position
+	// ringAt[s]-1 in the order victim takes them, invalid ways by index
+	// and then valid ways oldest stamp first, a tie going to the higher
+	// way. ringAt[s] is 0 while set s keeps no order. sortRing builds a
+	// set's order; a fill of the way it names first gets the newest
+	// stamp and moves to the back, which advances ringAt (refilled), and
+	// any other change to the set's tags or stamps drops it: a fill of
+	// another way (refilled), a departure (vacate), an LRU touch, Reset.
+	// So scan settles a full set's miss without reading its stamps, and
+	// the pass plans a set it returns to without sorting it again.
+	ring   []uint8
+	ringAt []uint8
+
 	// gen counts departures of valid lines: setTag bumps it when it
 	// overwrites a valid tag (an eviction, a flush, a back-invalidation)
 	// and Reset bumps it when it scrubs. While it stands still no line
@@ -140,10 +157,13 @@ type Cache struct {
 	gen uint64
 	// memo is the residency memo: a direct-mapped slot per page, valid
 	// while its generation is gen. The L1's is noted by the batch pass's
-	// hits and lets a covered batch be charged in closed form; the L2's
-	// is noted by its demand hits and by writebacks, and lets a pass's
-	// L1 miss be charged as an L2 hit without probing (see AccessBatch
-	// and planBatch).
+	// hits and lets a covered batch be charged in closed form. Every
+	// outer level's is noted by its demand hits, the outer step's hits
+	// and every writeback that finds its line: it lets a pass's L1 miss
+	// be charged as an L2 hit without probing, the outer step take a
+	// level below the L2 as a hit without scanning, and a writeback stop
+	// without probing at a level that holds the line dirty (see
+	// AccessBatch, planBatch, outerStep and writeback).
 	memo [memoSlots]pageMemo
 	// plan is the batch pass's scratch (see fillPlan), built on the L1
 	// by its first pass over a set it returns to and reused after.
@@ -216,8 +236,8 @@ func (c *Cache) commit(p *pendingPage) {
 }
 
 // noteLine notes the line la resident at the current generation, and
-// dirty too if dirty: the L2 takes its lines one at a time, as demand
-// hits and writebacks find them.
+// dirty too if dirty: a level below the L1 takes its lines one at a
+// time, as demand hits, the outer step and writebacks find them.
 func (c *Cache) noteLine(la memp.Addr, dirty bool) {
 	p := pendingPage{page: uint64(la) >> memp.PageShift}
 	c.note(&p, la, dirty)
@@ -298,10 +318,13 @@ func NewCache(cfg Config) *Cache {
 		tags:     make([]memp.Addr, nways),
 		stamps:   make([]uint64, nways),
 		dirty:    make([]bool, nways),
-		pinned:   make([]bool, nways),
 		validCnt: make([]uint16, sets),
 		mru:      make([]uint16, sets),
+		ringAt:   make([]uint8, sets),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
+	}
+	if cfg.Policy != Random && cfg.Ways <= maxRingWays {
+		c.ring = make([]uint8, nways)
 	}
 	for i := range c.tags {
 		c.tags[i] = noTag
@@ -322,6 +345,10 @@ func NewCache(cfg Config) *Cache {
 	}
 	return c
 }
+
+// maxRingWays is the most ways a kept victim order names: one byte a
+// way, and ringAt's one byte a set counts positions from 1.
+const maxRingWays = 255
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
@@ -378,7 +405,9 @@ const noTag = ^memp.Addr(0)
 
 // setTag records la as way w of set s's identity (noTag to invalidate)
 // and keeps the per-set valid count and the departure generation in
-// step.
+// step. A fill follows it with refilled and a departure drops the set's
+// ring (vacate): the ring's upkeep stays out of setTag so that each of
+// the two inlines on the fill paths.
 func (c *Cache) setTag(s, w int, la memp.Addr) {
 	i := c.way(s, w)
 	old := c.tags[i]
@@ -392,6 +421,23 @@ func (c *Cache) setTag(s, w int, la memp.Addr) {
 	c.gen++
 	if la == noTag {
 		c.validCnt[s]--
+	}
+}
+
+// refilled keeps set s's ring in step with a fill of way w, which the
+// caller stamps newest: the fill of the way the ring names first moves
+// it to the back, which advances the ring, and a fill of any other way
+// drops it.
+func (c *Cache) refilled(s, w int) {
+	if r := int(c.ringAt[s]); r != 0 {
+		if ways := c.cfg.Ways; int(c.ring[s*ways+r-1]) != w {
+			r = 0
+		} else if r == ways {
+			r = 1
+		} else {
+			r++
+		}
+		c.ringAt[s] = uint8(r)
 	}
 }
 
@@ -433,6 +479,7 @@ func (c *Cache) touch(s, w int) {
 	case LRU:
 		c.clock++
 		c.stamps[c.way(s, w)] = c.clock
+		c.ringAt[s] = 0
 	case FIFO, Random:
 		// no hit update
 	}
@@ -540,6 +587,9 @@ func (c *Cache) Pin(a memp.Addr) bool {
 	if w < 0 {
 		return false
 	}
+	if c.pinned == nil {
+		c.pinned = make([]bool, len(c.tags))
+	}
 	if i := c.way(s, w); !c.pinned[i] {
 		c.pinned[i] = true
 		c.pinnedAll++
@@ -559,7 +609,7 @@ func (c *Cache) Unpin(a memp.Addr) bool {
 
 // unpin releases line i's pin, if it has one.
 func (c *Cache) unpin(i int) {
-	if c.pinned[i] {
+	if c.pinnedAll != 0 && c.pinned[i] {
 		c.pinned[i] = false
 		c.pinnedAll--
 	}
@@ -572,6 +622,7 @@ func (c *Cache) vacate(s, w int) {
 	c.dirty[i] = false
 	c.unpin(i)
 	c.setTag(s, w, noTag)
+	c.ringAt[s] = 0
 }
 
 // PinnedLines returns the number of currently pinned lines.
@@ -590,7 +641,7 @@ func (c *Cache) ResetStats() { c.Stats = Stats{} }
 // filled since), so skipping them keeps Reset proportional to the
 // touched footprint, not the 16 MiB LLC geometry. The scrub bypasses
 // setTag, so Reset bumps the departure generation itself, which
-// forgets the residency memo.
+// forgets the residency memo, and drops the scrubbed sets' rings.
 func (c *Cache) Reset() {
 	c.gen++
 	for s := 0; s < c.sets; s++ {
@@ -602,16 +653,19 @@ func (c *Cache) Reset() {
 			c.tags[i] = noTag
 			c.stamps[i] = 0
 			c.dirty[i] = false
-			c.pinned[i] = false
 		}
 		c.validCnt[s] = 0
+		c.ringAt[s] = 0
 	}
 	c.clock = 0
 	if c.rngUsed {
 		c.rng.Seed(c.cfg.Seed + 1)
 		c.rngUsed = false
 	}
-	c.pinnedAll = 0
+	if c.pinnedAll != 0 {
+		clear(c.pinned)
+		c.pinnedAll = 0
+	}
 	for i := range c.SliceTraffic {
 		c.SliceTraffic[i] = 0
 	}

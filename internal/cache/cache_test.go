@@ -993,7 +993,9 @@ func (l *batchLog) WantsLevel(level int) bool { return l.level == 0 || level == 
 // batches of every length, from one line to more than the L1's set
 // count. On the first geometry the DS fits the L2, so most misses are
 // the L2 memo's; on the second it exceeds every level, so misses go to
-// the L2, the LLC and DRAM through the outer step. Each runs on LRU and
+// the L2, the LLC and DRAM through the outer step; the third has an L1
+// of more ways than a ring names, whose every line the pass scans,
+// reading a full set's stamps. Each runs on LRU and
 // FIFO hierarchies and on a Random L1 over LRU levels, and a quarter of
 // the batches update LRU state, which go access by access. Every step
 // must leave both hierarchies alike, stamps included, and the pass must
@@ -1013,6 +1015,10 @@ func TestProbeFreePassMatchesScalar(t *testing.T) {
 			{Name: "L1d", Size: 1024, Ways: 2, Latency: 2},
 			{Name: "L2", Size: 2048, Ways: 4, Latency: 15},
 			{Name: "LLC", Size: 8192, Ways: 4, Latency: 30},
+		}},
+		{"wide-l1", 600, []Config{ // a set of 256 ways, too many for a ring, over 512 lines
+			{Name: "L1d", Size: 16384, Ways: 256, Latency: 2},
+			{Name: "L2", Size: 32768, Ways: 4, Latency: 15},
 		}},
 	} {
 		for _, pol := range []Policy{LRU, FIFO, Random} {

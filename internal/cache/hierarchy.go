@@ -100,7 +100,8 @@ type PathStats struct {
 	PassSnoopedLines uint64 // of PassLines, those on a snooped L1
 	LoopLines        uint64 // accesses charged access by access (a pair once)
 	MemoMisses       uint64 // pass L1 misses served by the L2's residency memo
-	OuterMisses      uint64 // pass L1 misses served by probing the outer levels
+	OuterMisses      uint64 // pass L1 misses served by the outer step
+	OuterMemoHits    uint64 // outer-step levels whose memo served the line
 }
 
 // Each calls emit once per counter under a stable snake_case name, as
@@ -112,6 +113,7 @@ func (s PathStats) Each(emit func(name string, v uint64)) {
 	emit("loop_lines", s.LoopLines)
 	emit("memo_misses", s.MemoMisses)
 	emit("outer_misses", s.OuterMisses)
+	emit("outer_memo_hits", s.OuterMemoHits)
 }
 
 // NewHierarchy builds a hierarchy from innermost to outermost level.
@@ -343,7 +345,7 @@ func (h *Hierarchy) demandAccess(start int, la memp.Addr, flags Flags) Result {
 					h.emit(Event{Level: i, Kind: EvDirty, Line: la, Set: s})
 				}
 			}
-			if i == 2 {
+			if i > 1 {
 				c.noteLine(la, c.dirty[li])
 			}
 			r.HitLevel, end = i, i-1
@@ -464,6 +466,7 @@ func (h *Hierarchy) fillLevel(i int, la memp.Addr, dirty bool, flags Flags, chec
 		h.evictLine(i, c, s, w)
 	}
 	c.setTag(s, w, la)
+	c.refilled(s, w)
 	c.dirty[li] = dirty
 	c.clock++
 	c.stamps[li] = c.clock
@@ -523,10 +526,17 @@ func (h *Hierarchy) backInvalidate(outer int, la memp.Addr) {
 	}
 }
 
-// writeback pushes a dirty line from level from-1 toward memory.
+// writeback pushes a dirty line from level from-1 toward memory. It
+// lands in the first level that holds the line, which notes it dirty in
+// its memo; a level whose memo vouches for the line dirty already takes
+// it without a probe, as the probe would change nothing and emit
+// nothing.
 func (h *Hierarchy) writeback(from int, la memp.Addr) {
 	for i := from; i <= len(h.levels); i++ {
 		c := h.levels[i-1]
+		if c.holds(la, true) {
+			return
+		}
 		s := c.SetOf(la)
 		if w := c.findIn(s, la); w >= 0 {
 			if li := c.way(s, w); !c.dirty[li] {
@@ -534,10 +544,8 @@ func (h *Hierarchy) writeback(from int, la memp.Addr) {
 				if h.snoopsAt(i) {
 					h.emit(Event{Level: i, Kind: EvDirty, Line: la, Set: s})
 				}
-				if i == 2 {
-					c.noteLine(la, true)
-				}
 			}
+			c.noteLine(la, true)
 			return
 		}
 	}

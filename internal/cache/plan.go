@@ -9,36 +9,38 @@ import "ctbia/internal/memp"
 // batch only the batch's own fills change the L1. A set the batch
 // visits once is read by one scan that finds the line and, on a miss,
 // the way victim would fill. A set an LRU or FIFO L1's batch returns to
-// is read at its first line into the order victim would take its ways
-// in, each refilled way moving to the back as the newest; from then on
-// every line's fate is known: it hits if its set held it at the start
-// and its way has not been refilled since, and otherwise takes the
-// set's next victim. A Random L1 draws its victims from its RNG, so
-// its every line is read by its own scan, which draws at a full set's
-// miss as victim would, in line order. The pass runs only on a
-// hierarchy quiet below the L1 (outerQuiet), so under FlagNoLRU an L2
-// hit is due no stamp, no event and no per-slice count: a miss the
-// L2's residency memo covers is charged as an L2 hit without probing
-// the L2, and any other goes below the L1 through the outer step; the
-// pass fills the L1 after it, as demandAccess would. The L1's events reach its
-// BatchListeners in chunks, in the order the accesses one by one would
-// emit them, and the counts are added once.
+// is read at its first line for the lines it holds, and its ring (the
+// kept victim order, Cache.ring) is sorted unless it is kept already;
+// each fill takes the way the ring names first, which moves to the back
+// as the newest. From then on every line's fate is known: it hits if
+// its set held it at the start and its way has not been refilled since,
+// and otherwise takes the set's next victim. A Random L1 draws its
+// victims from its RNG, so its every line is read by its own scan,
+// which draws at a full set's miss as victim would, in line order. The
+// pass runs only on a hierarchy quiet below the L1 (outerQuiet), so
+// under FlagNoLRU a hit below the L1 is due no stamp, no event and no
+// per-slice count: a miss the L2's residency memo covers is charged as
+// an L2 hit without probing the L2, and any other goes below the L1
+// through the outer step; the pass fills the L1 after it, as
+// demandAccess would. The L1's events reach its BatchListeners in
+// chunks, in the order the accesses one by one would emit them, and the
+// counts are added once.
 //
-// The outer step (outerStep) charges a miss below the L1 with one scan
-// per outer level, which finds the line or the way victim would fill,
-// and fills the levels that missed on those ways, outermost first.
-// Without a subscriber below the L1 the trip emits nothing; without
-// inclusion a fill's eviction only writes back further outward, so a
-// way found stays the one victim would pick until its fill.
+// The outer step (outerStep) charges a miss below the L1 level by level
+// until one supplies the line: a level below the L2 whose memo vouches
+// for the line (dirty, for a store) is a hit with no scan, and any
+// other level is read by one scan, which finds the line or the way
+// victim would fill, from the set's ring when it keeps one. The levels
+// that missed are filled on those ways, outermost first. Without a
+// subscriber below the L1 the trip emits nothing; without inclusion a
+// fill's eviction only writes back further outward, so a way found
+// stays the one victim would pick until its fill. The memos below the
+// L1 are noted by every hit the step, demandAccess and writeback find,
+// and let writeback skip a level that holds its line dirty already.
 
 // fillPlan is the pass's scratch for the sets a batch returns to, kept
 // on the L1 across calls so the pass allocates nothing after its first.
 type fillPlan struct {
-	// order holds each set's ways in victim order, ways entries a set
-	// in set-major order; next is each set's position in it of its
-	// next victim.
-	order []uint16
-	next  []uint16
 	// held has bit k set when line k of the batch was in its set at
 	// the batch's start, in way way[k]. The pass takes at most
 	// planLines lines at a time.
@@ -78,19 +80,29 @@ func (h *Hierarchy) outerQuiet() bool {
 	return true
 }
 
-// outerStep charges an L1 miss on la below the L1, as demandAccess(1,
-// la, flags) would up to its L1 fill when outerQuiet holds, and returns
-// its cycles below the L1 and the level that supplied the line (0 for
-// DRAM). Each outer level is read by one scan; the levels that missed
-// are filled on the ways their scans found, outermost first.
-func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
+// outerStep charges a FlagNoLRU L1 miss on la below the L1, as
+// demandAccess(1, la, flags) would up to its L1 fill when outerQuiet
+// holds, and returns its cycles below the L1. A level below the L2
+// whose memo vouches for the line, dirty for a store, is a hit that
+// changes nothing, taken without a scan (the pass has asked the L2's
+// memo already); any other level is read by one scan, and a hit there
+// notes its memo. The levels that missed are filled on the ways their
+// scans found, outermost first.
+func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles int) {
 	var at [maxStepLevels]struct{ s, w int } // the ways the missed levels fill
 	write := flags&FlagWrite != 0
+	level := 0 // the level that supplies the line, 0 for DRAM
 	end := len(h.levels)
 	for i := 2; i <= len(h.levels); i++ {
 		c := h.levels[i-1]
 		cycles += c.cfg.Latency
 		c.Stats.Accesses++
+		if i > 2 && c.holds(la, write) {
+			c.Stats.Hits++
+			h.Path.OuterMemoHits++
+			level, end = i, i-1
+			break
+		}
 		s := c.SetOf(la)
 		w, hit := c.scan(s, la)
 		if !hit {
@@ -100,15 +112,10 @@ func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 		}
 		li := c.way(s, w)
 		c.Stats.Hits++
-		if flags&FlagNoLRU == 0 {
-			c.touch(s, w)
-		}
 		if write {
 			c.dirty[li] = true
 		}
-		if i == 2 {
-			c.noteLine(la, c.dirty[li])
-		}
+		c.noteLine(la, c.dirty[li])
 		level, end = i, i-1
 		break
 	}
@@ -128,6 +135,7 @@ func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 			}
 		}
 		c.setTag(s, w, la)
+		c.refilled(s, w)
 		c.dirty[li] = false
 		c.clock++
 		c.stamps[li] = c.clock
@@ -136,7 +144,7 @@ func (h *Hierarchy) outerStep(la memp.Addr, flags Flags) (cycles, level int) {
 			c.Stats.Prefetches++
 		}
 	}
-	return cycles, level
+	return cycles
 }
 
 // passable reports whether a line-stride batch under flags may take the
@@ -176,11 +184,12 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 	memo := len(h.levels) > 1
 	allMemo := memo && h.levels[1].covered(first, n, write)
 	// Lines once..again-1 visit sets the batch visits only there and are
-	// read by one scan each; the others take their set's plan. A Random
-	// L1 plans nothing: its every line is scanned.
+	// read by one scan each; the others take their set's plan. An L1
+	// that keeps no ring (a Random one) plans nothing: its every line is
+	// scanned.
 	sets := c.sets
 	once, again := n-sets, sets
-	if c.cfg.Policy == Random {
+	if c.ring == nil {
 		once, again = 0, n
 	}
 	var p *fillPlan
@@ -201,10 +210,7 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 				c.readSet(p, s, li0, n)
 			}
 			if w = int(p.way[k]); p.held[k>>6]&(1<<(k&63)) == 0 || c.tags[base+w] != la {
-				w = int(p.order[base+int(p.next[s])])
-				if p.next[s]++; int(p.next[s]) == ways {
-					p.next[s] = 0
-				}
+				w = int(c.ring[base+int(c.ringAt[s])-1])
 			} else {
 				hit = true
 			}
@@ -230,8 +236,7 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 			misses++
 			if !allMemo && !(memo && h.levels[1].holds(la, write)) {
 				outer++
-				cycles, _ := h.outerStep(la, flags)
-				outerCycles += cycles
+				outerCycles += h.outerStep(la, flags)
 			}
 			if old := c.tags[i]; old != noTag {
 				evictions++
@@ -244,6 +249,7 @@ func (h *Hierarchy) planBatch(first memp.Addr, n int, flags Flags, rmw bool) (l1
 				}
 			}
 			c.setTag(s, w, la)
+			c.refilled(s, w)
 			c.dirty[i] = dirty
 			c.clock++
 			c.stamps[i] = c.clock
@@ -309,7 +315,9 @@ func (h *Hierarchy) snoop(la memp.Addr, kind EventKind, dirty bool) {
 // scan reads set s once for la: the way that holds la and true, or
 // false and the way victim would fill: the first invalid way, else the
 // oldest stamp, a tie going to the higher way, or a Random cache's
-// draw, taken as victim takes it. Only an unpinned cache may ask.
+// draw, taken as victim takes it. A full set's miss is the way its
+// ring names first, the ring sorted first if the set keeps none. Only
+// an unpinned cache may ask.
 func (c *Cache) scan(s int, la memp.Addr) (w int, hit bool) {
 	ways := c.cfg.Ways
 	base := s * ways
@@ -325,6 +333,17 @@ func (c *Cache) scan(s int, la memp.Addr) (w int, hit bool) {
 			}
 		}
 		return inv, false
+	}
+	if c.ring != nil {
+		for w, t := range tags {
+			if t == la {
+				return w, true
+			}
+		}
+		if c.ringAt[s] == 0 {
+			c.sortRing(s)
+		}
+		return int(c.ring[base+int(c.ringAt[s])-1]), false
 	}
 	if c.cfg.Policy == Random {
 		for w, t := range tags {
@@ -354,10 +373,8 @@ func (c *Cache) fillPlan(n int) *fillPlan {
 	p := c.plan
 	if p == nil {
 		p = &fillPlan{
-			order: make([]uint16, len(c.tags)),
-			next:  make([]uint16, c.sets),
-			held:  make([]uint64, planLines/64),
-			way:   make([]uint16, planLines),
+			held: make([]uint64, planLines/64),
+			way:  make([]uint16, planLines),
 		}
 		c.plan = p
 	}
@@ -365,35 +382,46 @@ func (c *Cache) fillPlan(n int) *fillPlan {
 	return p
 }
 
-// readSet reads set s at the batch's first line in it. Its ways go into
-// p.order in victim order: invalid ways by index, then valid ways oldest
-// stamp first, a tie going to the higher way as in victim. Each of the
+// readSet reads set s at the batch's first line in it: each of the
 // batch's n lines from line index li0 that the set holds gets its held
-// bit and its way.
+// bit and its way, and the set's ring is sorted unless it keeps one.
 func (c *Cache) readSet(p *fillPlan, s int, li0 uint64, n int) {
 	ways := c.cfg.Ways
 	base := s * ways
-	order := p.order[base : base+ways]
+	for w, la := range c.tags[base : base+ways] {
+		if k := la.LineIndex() - li0; la != noTag && k < uint64(n) {
+			p.held[k>>6] |= 1 << (k & 63)
+			p.way[k] = uint16(w)
+		}
+	}
+	if c.ringAt[s] == 0 {
+		c.sortRing(s)
+	}
+}
+
+// sortRing builds set s's ring from its tags and stamps in the order
+// victim takes its ways: invalid ways by index, then valid ways oldest
+// stamp first, a tie going to the higher way.
+func (c *Cache) sortRing(s int) {
+	ways := c.cfg.Ways
+	base := s * ways
+	ring := c.ring[base : base+ways]
 	stamps := c.stamps[base : base+ways]
 	inv := ways - int(c.validCnt[s])
 	ni, nv := 0, inv
 	for w, la := range c.tags[base : base+ways] {
 		if la == noTag {
-			order[ni] = uint16(w)
+			ring[ni] = uint8(w)
 			ni++
 			continue
 		}
-		if k := la.LineIndex() - li0; k < uint64(n) {
-			p.held[k>>6] |= 1 << (k & 63)
-			p.way[k] = uint16(w)
-		}
 		j := nv
-		for j > inv && stamps[order[j-1]] >= stamps[w] {
-			order[j] = order[j-1]
+		for j > inv && stamps[ring[j-1]] >= stamps[w] {
+			ring[j] = ring[j-1]
 			j--
 		}
-		order[j] = uint16(w)
+		ring[j] = uint8(w)
 		nv++
 	}
-	p.next[s] = 0
+	c.ringAt[s] = 1
 }

@@ -113,6 +113,37 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	if m.Hier.Path.OuterMisses == before || rnd.Hier.Path.PassLines == 0 || rnd.Hier.Path.LoopLines != 0 {
 		t.Fatalf("paths %+v and, Random L1, %+v: want misses below the L2 and a Random L1 pass", m.Hier.Path, rnd.Hier.Path)
 	}
+
+	// Page runs of replacement's 48 KB DS on the ablations' 8 KB/32 KB/
+	// 128 KB machine, the BIA at the L1, after warm runs: the pass plans
+	// the L1's sets from their kept rings (readSet sorts none), the outer
+	// step reads the L2's full sets by ring-served scans and takes the
+	// LLC, whose memo its hits have noted, without scanning, and the LLC's
+	// memo absorbs the writebacks of the pairs' dirty victims.
+	abl := New(ablationConfig(cache.LRU))
+	var ablPage int
+	ablRuns := func(rmw bool) func() {
+		return func() {
+			ablPage = (ablPage + 1) % (48 << 10 / memp.PageSize)
+			a := memp.Addr(ablPage * memp.PageSize)
+			abl.BIA.LookupOrInstall(a)
+			if rmw {
+				abl.SweepRMW(a, memp.LineSize, 64, 7, ModeNoLRU|ModeStreaming)
+			} else {
+				abl.SweepLoad(a, memp.LineSize, 64, 6, ModeNoLRU|ModeStreaming)
+			}
+		}
+	}
+	for range 3 * 48 << 10 / memp.PageSize {
+		ablRuns(true)()
+	}
+	memoHits := abl.Hier.Path.OuterMemoHits
+	assertZeroAllocs(t, "SweepLoad(pass, kept rings, outer memo hits)", testing.AllocsPerRun(500, ablRuns(false)))
+	assertZeroAllocs(t, "SweepRMW(pass, kept rings, outer memo hits, absorbed writebacks)", testing.AllocsPerRun(500, ablRuns(true)))
+	if p := abl.Hier.Path; p.OuterMemoHits == memoHits || p.LoopLines != 0 {
+		t.Fatalf("ablation machine: path %+v, want the pass and outer memo hits", p)
+	}
+
 	assertZeroAllocs(t, "SweepLoad(access by access)", testing.AllocsPerRun(500, outer(m, false, ModeStreaming)))
 	if m.Hier.Path.LoopLines == loopBefore {
 		t.Fatal("the LRU-updating sweeps took no line access by access")
