@@ -26,16 +26,16 @@
 //	                          # experiments
 //	ctbench -cachedir DIR     # cache location (default
 //	                          # ~/.cache/ctbia/results)
-//	ctbench -tracedir DIR     # trace-replay engine: every traceable
-//	                          # point records its operation stream into
-//	                          # DIR once and replays it through the
-//	                          # batched interpreter from then on, in
-//	                          # this run and later ones (a geometry
-//	                          # sweep records each shared stream on one
-//	                          # machine config and replays it on the
-//	                          # others); a fresh DIR is primed by the
-//	                          # first run. Without -tracedir (the
-//	                          # default) every point runs direct
+//	ctbench -tracedir DIR     # trace-replay engine: every geometry-
+//	                          # independent point (insecure, ct, ct-avx,
+//	                          # preload) records its op stream into DIR
+//	                          # once and replays it from then on, in
+//	                          # this run and later ones, on every
+//	                          # machine config of a sweep; a fresh DIR
+//	                          # is primed by the first run. BIA-family
+//	                          # points, whose streams read cache state,
+//	                          # run direct, as does every point without
+//	                          # -tracedir (the default)
 //	ctbench -faults SPEC      # arm deterministic fault injection
 //	                          # (grammar in package faultinject),
 //	                          # e.g. 'seed=1; worker.panic@1' — chaos
@@ -196,7 +196,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial; at most one per CPU)")
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
-	traceDir := flag.String("tracedir", "", "trace-replay directory: every traceable point records into it once and replays from it (default none: every point runs direct)")
+	traceDir := flag.String("tracedir", "", "trace-replay directory: every geometry-independent point (insecure, ct, ct-avx, preload) records into it once and replays from it; BIA-family points run direct (default none: every point runs direct)")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write the run record: per experiment its cache key, status, errors, metrics, wall time and table rows")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline of harness phases to this file (open in Perfetto or chrome://tracing)")

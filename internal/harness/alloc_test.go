@@ -12,10 +12,11 @@ import (
 // runWorkloadAllocBudget bounds the allocations of one pooled
 // RunWorkload call that replays its point from a trace file (file read,
 // decode, machine from pool, replay, verification, report). Measured at
-// 52 allocs/op: opening, reading and decoding the file, the workload's
-// own input setup, the config fingerprint that finds the machine's pool
-// (11), and the group of one's pool, fingerprint, key and report
-// slices and closures; the access path allocates nothing. The budget
+// 48 allocs/op for a software-CT histogram: opening, reading and
+// decoding the file, the workload's own input setup, the config
+// fingerprint that finds the machine's pool (11), and the group of
+// one's pool, fingerprint and report slices and closures; the access
+// path allocates nothing. The budget
 // leaves headroom for small workload-side changes but fails loudly if
 // pooling regresses (a machine rebuild alone is thousands of
 // allocations).
@@ -30,9 +31,9 @@ func measureRunWorkloadAllocs(tb testing.TB) float64 {
 	p := workloads.Params{Size: 500, Seed: 1}
 	// Record the point's file and prime the pool so the measured runs
 	// replay and recycle instead of recording and building.
-	RunWorkload(w, p, ct.BIA{}, 1)
+	RunWorkload(w, p, ct.Linear{}, 0)
 	allocs := testing.AllocsPerRun(5, func() {
-		RunWorkload(w, p, ct.BIA{}, 1)
+		RunWorkload(w, p, ct.Linear{}, 0)
 	})
 	if rec, rep, _ := TraceStats(); rec != 1 || rep == 0 {
 		tb.Fatalf("records=%d replays=%d, want 1 and >0: the measured runs must replay", rec, rep)
@@ -93,11 +94,11 @@ func BenchmarkRunWorkloadAllocs(b *testing.B) {
 	useTraceDir(b)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 500, Seed: 1}
-	RunWorkload(w, p, ct.BIA{}, 1)
+	RunWorkload(w, p, ct.Linear{}, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		RunWorkload(w, p, ct.BIA{}, 1)
+		RunWorkload(w, p, ct.Linear{}, 0)
 	}
 	b.StopTimer()
 	if allocs := measureRunWorkloadAllocs(b); allocs > runWorkloadAllocBudget {

@@ -148,7 +148,7 @@ func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 512, Seed: 1}
 
-	clean := RunWorkload(w, p, ct.BIA{}, 1)
+	clean := RunWorkload(w, p, ct.Linear{}, 0)
 	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("want one persisted trace, got %v (err %v)", files, err)
@@ -163,7 +163,7 @@ func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
 	}
 
 	ResetTraces() // a fresh engine, as in a new process
-	got := RunWorkload(w, p, ct.BIA{}, 1)
+	got := RunWorkload(w, p, ct.Linear{}, 0)
 	if got != clean {
 		t.Errorf("report after on-disk corruption %+v, want %+v", got, clean)
 	}
@@ -185,9 +185,9 @@ func TestChaosTransientReplayRetries(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 512, Seed: 1}
 
-	clean := RunWorkload(w, p, ct.BIA{}, 1) // records
-	arm(t, "trace.replay@1:histogram/bia")
-	got := RunWorkload(w, p, ct.BIA{}, 1) // replay faults, re-records
+	clean := RunWorkload(w, p, ct.Linear{}, 0) // records
+	arm(t, "trace.replay@1:histogram/ct")
+	got := RunWorkload(w, p, ct.Linear{}, 0) // replay faults, re-records
 	faultinject.Disarm()
 
 	if got != clean {
@@ -198,7 +198,7 @@ func TestChaosTransientReplayRetries(t *testing.T) {
 		t.Errorf("retries=%d quarantined=%d, want 1/0", retries, quarantined)
 	}
 	// Next run replays normally again (the fault was @1, one-shot).
-	if again := RunWorkload(w, p, ct.BIA{}, 1); again != clean {
+	if again := RunWorkload(w, p, ct.Linear{}, 0); again != clean {
 		t.Errorf("post-fault replay %+v, want %+v", again, clean)
 	}
 }
@@ -214,10 +214,10 @@ func TestChaosRepeatOffenderQuarantined(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 512, Seed: 1}
 
-	clean := RunWorkload(w, p, ct.BIA{}, 1)
-	arm(t, "trace.replay:histogram/bia") // every replay attempt faults
+	clean := RunWorkload(w, p, ct.Linear{}, 0)
+	arm(t, "trace.replay:histogram/ct") // every replay attempt faults
 	for i := 0; i < quarantineAfter+2; i++ {
-		if got := RunWorkload(w, p, ct.BIA{}, 1); got != clean {
+		if got := RunWorkload(w, p, ct.Linear{}, 0); got != clean {
 			t.Fatalf("run %d under persistent faults: %+v, want %+v", i, got, clean)
 		}
 	}
@@ -231,13 +231,13 @@ func TestChaosRepeatOffenderQuarantined(t *testing.T) {
 		t.Errorf("quarantined=%d, want 1", quarantined)
 	}
 	qp := QuarantinedPoints()
-	if len(qp) != 1 || qp[0] != "histogram/bia" {
-		t.Errorf("QuarantinedPoints()=%v, want [histogram/bia]", qp)
+	if len(qp) != 1 || qp[0] != "histogram/ct" {
+		t.Errorf("QuarantinedPoints()=%v, want [histogram/ct]", qp)
 	}
 	// Quarantine outlives the fault plan: the key stays on the direct
 	// path (correct numbers, no new replays) until ResetTraces.
 	before, _, _ := TraceStats()
-	if got := RunWorkload(w, p, ct.BIA{}, 1); got != clean {
+	if got := RunWorkload(w, p, ct.Linear{}, 0); got != clean {
 		t.Errorf("quarantined direct run %+v, want %+v", got, clean)
 	}
 	if after, _, _ := TraceStats(); after != before {

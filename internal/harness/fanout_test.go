@@ -19,8 +19,8 @@ import (
 // replay served.
 
 // geoStrategies mirrors runGeoSweep's strategy set: the pure strategies
-// fan out over one shared key; BIA keys per config, so each of its
-// configs is a group of one.
+// fan out over one shared key; BIA has no key and runs direct on every
+// config.
 var geoStrategies = []struct {
 	s   ct.Strategy
 	bia bool
@@ -47,8 +47,8 @@ func geoConfigGroups() (pure, bia []cpu.Config) {
 // geosweep grid over a trace directory: fan-out groups must return
 // exactly the reports direct execution (no directory) produces, and a warm
 // sweep must perform one decode pass per distinct trace key — shared
-// keys fan out (one pass serves four geometries), BIA keys replay per
-// config.
+// keys fan out (one pass serves four geometries), and the BIA points,
+// which have no key, run direct.
 func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 	pureCfgs, biaCfgs := geoConfigGroups()
 	wls := geoSweepWorkloads(true)
@@ -95,10 +95,9 @@ func TestFanoutEquivalenceGeoSweep(t *testing.T) {
 	_, reps, _ := TraceStats()
 
 	nGeos := len(pureCfgs)
-	sharedKeys := len(wls) * 3         // pure strategies share one key per (workload, strategy)
-	biaKeys := len(wls) * nGeos        // BIA keys per (workload, geometry)
-	wantPasses := sharedKeys + biaKeys // one decode pass per distinct key
-	wantReplays := sharedKeys*nGeos + biaKeys
+	sharedKeys := len(wls) * 3 // pure strategies share one key per (workload, strategy)
+	wantPasses := sharedKeys   // one decode pass per distinct key
+	wantReplays := sharedKeys * nGeos
 	if got := int(passes - passesBefore); got != wantPasses {
 		t.Errorf("warm sweep decode passes = %d, want %d (one per distinct trace key)", got, wantPasses)
 	}
@@ -181,7 +180,7 @@ func TestReplayChunkSources(t *testing.T) {
 	w := workloads.Permutation{}
 	p := workloads.Params{Size: 2048, Seed: 11}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, "")
+	key := workloadTraceKey(w, p, s)
 
 	want := make([]cpu.Report, len(geos)) // no directory yet: direct
 	for i, cfg := range geos {

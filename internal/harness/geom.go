@@ -14,9 +14,9 @@ import (
 // machine-independent, so with a trace directory the whole sweep makes
 // one recording per (workload, params, strategy) and replays that single
 // stream against every geometry, re-verified per config (checksum on
-// every replay, report anchors per fingerprint). The BIA rows key per
-// geometry as always, since CTLoad's bitmap reads make their streams
-// config-dependent.
+// every replay, report anchors per fingerprint). The BIA rows run
+// direct on every geometry, since CTLoad's bitmap reads make their
+// streams config-dependent.
 
 func init() {
 	register(Experiment{
@@ -81,11 +81,11 @@ func geoSweepWorkloads(quick bool) []struct {
 
 // runGeoSweep measures the sweep grouped for fan-out: one group per
 // (workload, strategy), each group charging every geometry of the
-// ladder from a single decode pass of the shared stream (the BIA
-// family keys per config, so each of its configs is a group of one). The
-// table is assembled geometry-major, and every report is bit-identical
-// to direct execution (the equivalence tests pin the rendered bytes),
-// so the grouping changes wall time and decode passes only.
+// ladder from a single decode pass of the shared stream (the BIA group
+// runs direct on each geometry). The table is assembled geometry-major,
+// and every report is bit-identical to direct execution (the
+// equivalence tests pin the rendered bytes), so the grouping changes
+// wall time and decode passes only.
 func runGeoSweep(o Options) *Table {
 	geos := GeoSweepGeometries()
 	wls := geoSweepWorkloads(o.Quick)

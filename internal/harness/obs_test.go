@@ -55,19 +55,16 @@ func TestDisarmedRunCollectsNothing(t *testing.T) {
 	}
 }
 
-// TestArmedRunHarvestsAllLayers runs one point armed over a trace
+// TestArmedRunHarvestsAllLayers runs points armed over a trace
 // directory and checks the acceptance-criteria metrics appear: BIA
-// lines skipped, per-level cache stats, CT probe outcomes, page-cache
-// and trace counters.
+// lines skipped, per-level cache stats, CT probe outcomes and page-cache
+// counters from a BIA point (which runs direct), and the trace counters
+// from a software-CT point, recorded and then replayed.
 func TestArmedRunHarvestsAllLayers(t *testing.T) {
 	defer obsReset()
 	obsReset()
 	useTraceDir(t)
 	obs.Arm()
-	// ResetTraces leaves the trace byte counters alone (bench takes
-	// per-pass deltas of them), so they are judged by deltas over this
-	// test's own runs.
-	base := obs.Snapshot()
 	w := firstWorkload(t)
 	p := workloads.Params{Size: resetSize(w), Seed: 1}
 	RunWorkload(w, p, ct.BIA{}, 1)
@@ -91,21 +88,27 @@ func TestArmedRunHarvestsAllLayers(t *testing.T) {
 	if snap["bia.ds_lines_skipped"]+snap["bia.ds_lines_total"] == 0 {
 		t.Error("DS savings metrics absent")
 	}
-	// The trace source must be wired in (records the first run).
-	if recs, bytes := snap["trace.records"]-base["trace.records"], snap["trace.bytes_recorded"]-base["trace.bytes_recorded"]; recs == 0 || bytes == 0 {
+
+	// The trace source must be wired in (records the ct point's first
+	// run). ResetTraces leaves the trace byte counters alone (bench
+	// takes per-pass deltas of them), so they are judged by deltas over
+	// this test's own runs.
+	RunWorkload(w, p, ct.Linear{}, 0)
+	snapCT := obs.Snapshot()
+	if recs, bytes := snapCT["trace.records"]-snap["trace.records"], snapCT["trace.bytes_recorded"]-snap["trace.bytes_recorded"]; recs == 0 || bytes == 0 {
 		t.Errorf("trace source metrics missing: records=%d bytes=%d", recs, bytes)
 	}
 
 	// A replayed repeat harvests the same machine-side metrics again —
 	// pooled machines must start clean (the reset-leak guard end to end).
-	first := snap["cpu.cycles"]
-	RunWorkload(w, p, ct.BIA{}, 1)
+	first := snapCT["cpu.cycles"] - snap["cpu.cycles"]
+	RunWorkload(w, p, ct.Linear{}, 0)
 	snap2 := obs.Snapshot()
-	if snap2["cpu.cycles"] != 2*first {
+	if got := snap2["cpu.cycles"] - snap["cpu.cycles"]; got != 2*first {
 		t.Errorf("second (replayed) run harvested cpu.cycles %d, want exactly 2x the first run's %d — pooled machine leaked stats",
-			snap2["cpu.cycles"], first)
+			got, first)
 	}
-	if reps, bytes := snap2["trace.replays"]-snap["trace.replays"], snap2["trace.bytes_replayed"]-snap["trace.bytes_replayed"]; reps == 0 || bytes == 0 {
+	if reps, bytes := snap2["trace.replays"]-snapCT["trace.replays"], snap2["trace.bytes_replayed"]-snapCT["trace.bytes_replayed"]; reps == 0 || bytes == 0 {
 		t.Errorf("replay metrics missing: replays=%d bytes=%d", reps, bytes)
 	}
 }

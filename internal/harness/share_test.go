@@ -3,43 +3,71 @@ package harness
 import (
 	"encoding/binary"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
+	"ctbia/internal/ctcrypto"
 	"ctbia/internal/trace"
 	"ctbia/internal/workloads"
 )
 
 // Tests for config-independent trace sharing: one recording per
-// (workload, params, strategy) for the pure strategies, replayed
-// against every machine geometry with per-config report verification.
+// (workload, params, strategy), replayed against every machine
+// geometry with per-config report verification.
 
-// sharedStrategies are the share-eligible strategies: their op/address
-// streams never depend on the machine geometry.
+// sharedStrategies are the pure strategies the geometry sweep traces:
+// their op/address streams never depend on the machine geometry.
 var sharedStrategies = []ct.Strategy{ct.Direct{}, ct.Linear{}, ct.LinearVec{}}
 
-// TestSharedKeyExcludesGeometry pins the keying rule itself: pure
-// strategies key without the machine config (so every geometry maps to
-// one recording), BIA-family strategies keep the config fingerprint.
+// TestSharedKeyExcludesGeometry pins the keying rule itself: a
+// traceable strategy keys without the machine config, in the "shared"
+// form trace files are named by, so every geometry of a sweep maps to
+// one recording; a BIA-family strategy, whose stream reads the BIA's
+// bitmaps and so depends on the geometry, has no key at all and runs
+// direct.
 func TestSharedKeyExcludesGeometry(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 500, Seed: 1}
-	geos := GeoSweepGeometries()
-	fpA, fpB := geos[0].Config.Fingerprint(), geos[1].Config.Fingerprint()
-	if fpA == fpB {
-		t.Fatal("test geometries share a fingerprint")
+	k := ctcrypto.All()[0]
+	kp := ctcrypto.Params{Blocks: 4, Seed: 1}
+	if got, want := workloadTraceKey(w, p, ct.Linear{}), SimVersionSalt+"\x1fw:histogram\x1f500/1/0\x1fct\x1fshared"; got != want {
+		t.Errorf("workload key %q, want %q", got, want)
 	}
-	for _, s := range sharedStrategies {
-		kA := workloadTraceKey(w, p, s, 0, fpA)
-		kB := workloadTraceKey(w, p, s, 0, fpB)
-		if kA == "" || kA != kB {
-			t.Errorf("%s: shared strategy keys differ across geometries\nA: %q\nB: %q", s.Name(), kA, kB)
+	if got, want := kernelTraceKey(k, kp, ct.Direct{}), SimVersionSalt+"\x1fk:"+k.Name()+"\x1f4/1\x1finsecure\x1fshared"; got != want {
+		t.Errorf("kernel key %q, want %q", got, want)
+	}
+	for _, s := range append(append([]ct.Strategy(nil), sharedStrategies...), ct.Preload{}) {
+		if key := workloadTraceKey(w, p, s); !strings.HasSuffix(key, "\x1fshared") {
+			t.Errorf("%s: key %q is not config-free", s.Name(), key)
 		}
 	}
-	if kA, kB := workloadTraceKey(w, p, ct.BIA{}, 1, fpA), workloadTraceKey(w, p, ct.BIA{}, 1, fpB); kA == kB {
-		t.Errorf("BIA strategy key ignores the machine config: %q", kA)
+	for _, s := range []ct.Strategy{ct.BIA{}, ct.BIA{Threshold: 3}, ct.BIAMacro{}} {
+		if key := workloadTraceKey(w, p, s); key != "" {
+			t.Errorf("%s: geometry-dependent workload point keyed %q, want no key", s.Name(), key)
+		}
+		if key := kernelTraceKey(k, kp, s); key != "" {
+			t.Errorf("%s: geometry-dependent kernel point keyed %q, want no key", s.Name(), key)
+		}
+	}
+
+	// An unhooked preload's key is the same on every geometry: a point
+	// run on each geometry of the ladder records one file, under that
+	// key, and replays it on the rest.
+	dir := useTraceDir(t)
+	geos := GeoSweepGeometries()
+	for _, g := range geos {
+		RunWorkloadOn(g.Config, w, p, ct.Preload{})
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
+	if err != nil || len(files) != 1 || files[0] != traceFilePath(dir, workloadTraceKey(w, p, ct.Preload{})) {
+		t.Errorf("preload across %d geometries left files %v (err %v), want its key's one file", len(geos), files, err)
+	}
+	if rec, rep, _ := TraceStats(); rec != 1 || rep != uint64(len(geos)-1) {
+		t.Errorf("preload across %d geometries: records=%d replays=%d, want 1/%d", len(geos), rec, rep, len(geos)-1)
 	}
 }
 
@@ -168,7 +196,7 @@ func TestSharedAnchorPersists(t *testing.T) {
 	cfgA, cfgB, cfgC := geos[0].Config, geos[1].Config, geos[2].Config
 	wantC := RunWorkloadOn(cfgC, w, p, s) // no directory yet: direct
 	dir := useTraceDir(t)
-	key := workloadTraceKey(w, p, s, 0, cfgA.Fingerprint())
+	key := workloadTraceKey(w, p, s)
 	// The engine keeps no entry, so the anchors are read off the file
 	// itself.
 	fileAnchors := func(stage string, cfgs ...cpu.Config) {
@@ -236,7 +264,7 @@ func TestV1TraceFileRerecords(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 9}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
+	key := workloadTraceKey(w, p, s)
 
 	want := RunWorkload(w, p, s, 0) // no directory yet: direct
 	dir := useTraceDir(t)

@@ -23,19 +23,21 @@ import (
 // The trace-replay engine behind every simulation point: a recorded
 // operation stream of a point is replayed through the batched
 // interpreter instead of re-running the workload front end. Every
-// point enters it the same way, as a group of machine configs that
-// share one trace key (fanout.go), and runGroup is its one
-// orchestrator.
+// point enters it the same way, as a group of machine configs (a
+// fan-out call, fanout.go), and runGroup is its one orchestrator.
 //
-// Keying is the whole trick. For the pure strategies (insecure,
-// software-CT, its vector variant) the dynamic op/address stream is a
-// function of (workload, params, strategy) alone — the machine
-// geometry only changes how the stream is *charged*, never what the
-// stream *is* — so those recordings are keyed without the machine
-// config and one recording serves every geometry of a sweep. The
-// BIA-family strategies read the BIA's existence/dirtiness bitmaps
-// through CTLoad, which makes their streams geometry-dependent, so
-// their keys keep the full config fingerprint exactly as before.
+// Only streams that read no cache or BIA state are traced. For the
+// insecure strategy, software CT and its vector variant, and an
+// unhooked preload, the dynamic op/address stream is a function of
+// (workload, params, strategy) alone — the machine geometry only
+// changes how the stream is *charged*, never what the stream *is* — so
+// their recordings are keyed without the machine config and one
+// recording serves every geometry of a sweep. The BIA-family
+// strategies read the BIA's existence/dirtiness bitmaps, which mirror
+// the cache, through CTLoad, so their streams depend on the machine and
+// they run direct, as do strategies whose behaviour is not a pure
+// function of their value (interference hooks, the stateful scratchpad
+// strategy).
 //
 // Replay is trusted only as far as it can be re-verified cheaply: a
 // stored trace carries the workload checksum (config-independent,
@@ -43,9 +45,7 @@ import (
 // expected report *per machine config* that has replayed it — the
 // first replay under a new geometry anchors its report, repeats must
 // reproduce it bit-exactly. Any mismatch — a stale or corrupted file,
-// behaviour drift — silently falls back to recording fresh. Strategies
-// whose behaviour is not a pure function of their value (interference
-// hooks, the stateful scratchpad strategy) are never traced.
+// behaviour drift — silently falls back to recording fresh.
 //
 // Every replay is a fan-out group: one stored stream charged to one
 // machine per config — a single point is a group of one. The trace
@@ -80,12 +80,12 @@ type traceEntry struct {
 const maxTraceOps = 1 << 20
 
 // traceDebug (env CTBIA_TRACE_DEBUG) logs why a group's points did not
-// replay: untraceable (impure strategy), aborted (the recording that
-// marks a key dead, with the record/event counts that tripped the
-// compression gate or the cap), deadrun (a direct run of a dead key),
-// quarantined, and each transient replay failure. This is how encoding
-// gaps show up: a compressible pattern the recorder doesn't fuse yet
-// appears here as a high-event abort.
+// replay: untraceable (a geometry-dependent or impure strategy),
+// aborted (the recording that marks a key dead, with the record/event
+// counts that tripped the compression gate or the cap), deadrun (a
+// direct run of a dead key), quarantined, and each transient replay
+// failure. This is how encoding gaps show up: a compressible pattern
+// the recorder doesn't fuse yet appears here as a high-event abort.
 var traceDebug = os.Getenv("CTBIA_TRACE_DEBUG") != ""
 
 var traceEngine = struct {
@@ -271,68 +271,53 @@ func noteTransient(key, label string, err error) {
 }
 
 // strategyFingerprint returns a string capturing everything about s
-// that can influence a run, whether the recorded stream is independent
-// of the machine geometry (share-eligible), and whether the strategy
-// is traceable at all. Only pure-value strategies qualify at all: an
-// interference Hook makes behaviour call-site dependent, and the
-// scratchpad strategy carries mutable state across calls. Of those,
-// the insecure and software-CT strategies never read cache or BIA
-// state, so their op/address streams depend only on (workload, params,
-// strategy); the BIA family consumes CTLoad's existence/dirtiness
-// bitmaps, whose contents are a function of the geometry.
-func strategyFingerprint(s ct.Strategy) (fp string, shared, ok bool) {
+// that can influence a run, and whether s is traceable: only a
+// strategy whose op/address stream depends on (workload, params,
+// strategy) alone, so that one recording replays on every machine
+// geometry. The insecure and software-CT strategies and an unhooked
+// preload never read cache or BIA state. The BIA family consumes
+// CTLoad's existence/dirtiness bitmaps, whose contents are a function
+// of the geometry; an interference Hook makes behaviour call-site
+// dependent; and the scratchpad strategy carries mutable state across
+// calls.
+func strategyFingerprint(s ct.Strategy) (fp string, ok bool) {
 	switch v := s.(type) {
 	case ct.Direct:
-		return "insecure", true, true
+		return "insecure", true
 	case ct.Linear:
-		return "ct", true, true
+		return "ct", true
 	case ct.LinearVec:
-		return "ct-avx", true, true
-	case ct.BIAMacro:
-		return "bia-macro", false, true
+		return "ct-avx", true
 	case ct.Preload:
 		if v.Hook == nil {
-			return "preload", false, true
-		}
-	case ct.BIA:
-		if v.Hook == nil {
-			return fmt.Sprintf("bia/t=%d", v.Threshold), false, true
+			return "preload", true
 		}
 	}
-	return "", false, false
+	return "", false
 }
 
 // workloadTraceKey is the identity of one RunWorkload point: simulator
-// salt, workload, exact params and strategy fingerprint — plus, for
-// the geometry-dependent strategies only, the BIA placement and
-// machine-config fingerprint. Share-eligible strategies get a
-// config-free key (marked "shared"), which is what lets one recording
-// serve every geometry of a sweep. Empty means untraceable.
-func workloadTraceKey(w workloads.Workload, p workloads.Params, s ct.Strategy, biaLevel int, poolFP string) string {
-	fp, shared, ok := strategyFingerprint(s)
+// salt, workload, exact params and strategy fingerprint, with no
+// machine config, which is what lets one recording serve every geometry
+// of a sweep. The trailing "shared" field keeps existing trace files'
+// names. Empty means untraceable.
+func workloadTraceKey(w workloads.Workload, p workloads.Params, s ct.Strategy) string {
+	fp, ok := strategyFingerprint(s)
 	if !ok {
 		return ""
 	}
-	if shared {
-		return fmt.Sprintf("%s\x1fw:%s\x1f%d/%d/%d\x1f%s\x1fshared",
-			SimVersionSalt, w.Name(), p.Size, p.Seed, p.Ops, fp)
-	}
-	return fmt.Sprintf("%s\x1fw:%s\x1f%d/%d/%d\x1f%s\x1f%d\x1f%s",
-		SimVersionSalt, w.Name(), p.Size, p.Seed, p.Ops, fp, biaLevel, poolFP)
+	return fmt.Sprintf("%s\x1fw:%s\x1f%d/%d/%d\x1f%s\x1fshared",
+		SimVersionSalt, w.Name(), p.Size, p.Seed, p.Ops, fp)
 }
 
 // kernelTraceKey is workloadTraceKey for the crypto kernels.
-func kernelTraceKey(k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy, biaLevel int, poolFP string) string {
-	fp, shared, ok := strategyFingerprint(s)
+func kernelTraceKey(k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy) string {
+	fp, ok := strategyFingerprint(s)
 	if !ok {
 		return ""
 	}
-	if shared {
-		return fmt.Sprintf("%s\x1fk:%s\x1f%d/%d\x1f%s\x1fshared",
-			SimVersionSalt, k.Name(), p.Blocks, p.Seed, fp)
-	}
-	return fmt.Sprintf("%s\x1fk:%s\x1f%d/%d\x1f%s\x1f%d\x1f%s",
-		SimVersionSalt, k.Name(), p.Blocks, p.Seed, fp, biaLevel, poolFP)
+	return fmt.Sprintf("%s\x1fk:%s\x1f%d/%d\x1f%s\x1fshared",
+		SimVersionSalt, k.Name(), p.Blocks, p.Seed, fp)
 }
 
 // traceFilePath maps a key to its persistent file (content-addressed
@@ -573,9 +558,9 @@ func tryReplay(pools []*cpu.Pool, fps []string, dir, key, label string, e *trace
 }
 
 // runGroup is the trace engine's one orchestrator. It serves one trace
-// key for a group of pooled machines — pools[i] builds machines of the
-// config fps[i] fingerprints, the identity report anchors are keyed by
-// — writing one report per config into out.
+// key for a group of machine configs, and returns one report per config
+// in input order. Each config's machines come from its pool, and its
+// fingerprint keys its report anchor.
 //
 // Without a trace directory, and for an untraceable, quarantined or
 // dead key, every config runs direct. Otherwise one loop serves the
@@ -593,7 +578,13 @@ func tryReplay(pools []*cpu.Pool, fps []string, dir, key, label string, e *trace
 // observed as a whole, lookup, decode and replay included; in a larger
 // group a recording or a direct run is its config's observed point and
 // a replay pass books one point per config it serves.
-func runGroup(out []cpu.Report, pools []*cpu.Pool, fps []string, key, label string, ref func() uint64, sim func(m *cpu.Machine) uint64) {
+func runGroup(cfgs []cpu.Config, key, label string, ref func() uint64, sim func(m *cpu.Machine) uint64) []cpu.Report {
+	pools := make([]*cpu.Pool, len(cfgs))
+	fps := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		pools[i], fps[i] = poolFor(cfg)
+	}
+	out := make([]cpu.Report, len(cfgs))
 	whole := len(pools) == 1
 	point := func(run func()) {
 		if whole {
@@ -654,6 +645,7 @@ func runGroup(out []cpu.Report, pools []*cpu.Pool, fps []string, key, label stri
 	} else {
 		serve()
 	}
+	return out
 }
 
 // observePoint is the observability layer's per-point anchor: it counts

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -157,11 +158,11 @@ func TestRunWorkloadReplays(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 600, Seed: 17}
 
-	r1 := RunWorkload(w, p, ct.BIA{}, 1)
+	r1 := RunWorkload(w, p, ct.Linear{}, 0)
 	if rec, rep, _ := TraceStats(); rec != 1 || rep != 0 {
 		t.Fatalf("first run: records=%d replays=%d, want 1/0", rec, rep)
 	}
-	r2 := RunWorkload(w, p, ct.BIA{}, 1)
+	r2 := RunWorkload(w, p, ct.Linear{}, 0)
 	if rec, rep, _ := TraceStats(); rec != 1 || rep != 1 {
 		t.Fatalf("second run: records=%d replays=%d, want 1/1", rec, rep)
 	}
@@ -222,21 +223,84 @@ func TestNoTraceDirKeepsNothing(t *testing.T) {
 }
 
 // TestUntraceableStrategiesBypass pins that strategies whose behaviour
-// is not a pure function of their value never enter the trace store.
+// is not a pure function of their value never enter the trace store,
+// even over a trace directory: a hooked preload, whose unhooked twin
+// records, and a hooked BIA.
 func TestUntraceableStrategiesBypass(t *testing.T) {
-	ResetTraces()
-	t.Cleanup(ResetTraces)
+	dir := useTraceDir(t)
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 300, Seed: 5}
 
-	hooked := ct.BIA{Hook: func(point ct.HookPoint, page memp.Addr) {}}
-	r1 := RunWorkload(w, p, hooked, 1)
-	r2 := RunWorkload(w, p, hooked, 1)
+	hook := func(point ct.HookPoint, page memp.Addr) {}
+	for _, c := range []struct {
+		s        ct.Strategy
+		biaLevel int
+	}{{ct.Preload{Hook: hook}, 0}, {ct.BIA{Hook: hook}, 1}} {
+		r1 := RunWorkload(w, p, c.s, c.biaLevel)
+		r2 := RunWorkload(w, p, c.s, c.biaLevel)
+		if r1 != r2 {
+			t.Errorf("hooked %s runs diverged: %v vs %v", c.s.Name(), r1, r2)
+		}
+	}
 	if rec, rep, _ := TraceStats(); rec != 0 || rep != 0 {
 		t.Fatalf("hooked strategy entered the trace engine: records=%d replays=%d", rec, rep)
 	}
-	if r1 != r2 {
-		t.Errorf("hooked runs diverged: %v vs %v", r1, r2)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("trace directory holds %d entries (err %v), want none", len(files), err)
+	}
+}
+
+// TestGeometryDependentPointsRunDirect pins that a trace directory
+// leaves the BIA family alone: its op streams read the BIA's bitmaps,
+// which mirror the cache, so a recording would replay only on the
+// geometry that made it. Fan-out calls of every BIA-family strategy
+// across the geosweep ladder, with the BIA at the L1 and at the L2,
+// record and replay nothing, leave the directory empty and report
+// exactly what they do with no directory.
+func TestGeometryDependentPointsRunDirect(t *testing.T) {
+	w := workloads.Histogram{}
+	p := workloads.Params{Size: 300, Seed: 7}
+	k := ctcrypto.All()[0]
+	kp := ctcrypto.Params{Blocks: 2, Seed: 7}
+	strats := []ct.Strategy{ct.BIA{}, ct.BIA{Threshold: 3}, ct.BIAMacro{}}
+	// run makes every fan-out call, a workload and a kernel per BIA
+	// level and strategy, and returns their reports and labels.
+	run := func() (reps [][]cpu.Report, labels []string) {
+		for _, level := range []int{1, 2} {
+			var cfgs []cpu.Config
+			for _, g := range GeoSweepGeometries() {
+				cfg := g.Config
+				cfg.BIALevel = level
+				cfgs = append(cfgs, cfg)
+			}
+			for _, s := range strats {
+				reps = append(reps, RunWorkloadFanout(cfgs, w, p, s), RunKernelFanout(cfgs, k, kp, s))
+				labels = append(labels,
+					fmt.Sprintf("%s/%s@%d", w.Name(), s.Name(), level),
+					fmt.Sprintf("%s/%s@%d", k.Name(), s.Name(), level))
+			}
+		}
+		return reps, labels
+	}
+	ResetTraces()
+	want, _ := run() // no directory: direct
+	dir := useTraceDir(t)
+	for _, stage := range []string{"first call", "repeat"} {
+		got, labels := run()
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Errorf("%s, %s config %d: report diverged from no directory\nwant: %v\ngot:  %v",
+						stage, labels[i], j, want[i][j], got[i][j])
+				}
+			}
+		}
+		if rec, rep, _ := TraceStats(); rec != 0 || rep != 0 {
+			t.Errorf("%s: records=%d replays=%d, want 0/0", stage, rec, rep)
+		}
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Errorf("%s: trace directory holds %d entries (err %v), want none", stage, len(files), err)
+		}
 	}
 }
 
@@ -249,8 +313,8 @@ func TestUntraceableStrategiesBypass(t *testing.T) {
 func TestCorruptTraceFallsBack(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 23}
-	s := ct.BIA{}
-	key := workloadTraceKey(w, p, s, 1, tableConfig(1).Fingerprint())
+	s := ct.Linear{}
+	key := workloadTraceKey(w, p, s)
 	if key == "" {
 		t.Fatal("expected a traceable point")
 	}
@@ -272,10 +336,10 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := useTraceDir(t)
-			want := RunWorkload(w, p, s, 1)
+			want := RunWorkload(w, p, s, 0)
 			rewriteTrace(t, dir, key, corrupt)
 
-			got := RunWorkload(w, p, s, 1)
+			got := RunWorkload(w, p, s, 0)
 			if got != want {
 				t.Errorf("corrupted trace leaked into a report\nwant: %v\ngot:  %v", want, got)
 			}
@@ -283,7 +347,7 @@ func TestCorruptTraceFallsBack(t *testing.T) {
 				t.Errorf("rerecords = %d, want 1", rerec)
 			}
 			// The re-recorded entry must serve the next run.
-			if got := RunWorkload(w, p, s, 1); got != want {
+			if got := RunWorkload(w, p, s, 0); got != want {
 				t.Errorf("post-fallback replay diverged: %v vs %v", got, want)
 			}
 		})
@@ -321,11 +385,11 @@ func rewriteTrace(t *testing.T, dir, key string, edit func(e *traceEntry)) {
 func TestCorruptTraceInReadOnlyDir(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 23}
-	s := ct.BIA{}
-	key := workloadTraceKey(w, p, s, 1, tableConfig(1).Fingerprint())
-	want := RunWorkload(w, p, s, 1) // no directory yet: direct
+	s := ct.Linear{}
+	key := workloadTraceKey(w, p, s)
+	want := RunWorkload(w, p, s, 0) // no directory yet: direct
 	dir := useTraceDir(t)
-	RunWorkload(w, p, s, 1) // records the key's file
+	RunWorkload(w, p, s, 0) // records the key's file
 	rewriteTrace(t, dir, key, func(e *traceEntry) {
 		for fp, r := range e.reps {
 			r.Cycles++
@@ -343,7 +407,7 @@ func TestCorruptTraceInReadOnlyDir(t *testing.T) {
 	}
 	ResetTraces()
 
-	if got := RunWorkload(w, p, s, 1); got != want {
+	if got := RunWorkload(w, p, s, 0); got != want {
 		t.Errorf("stale trace leaked into a report\nwant: %v\ngot:  %v", want, got)
 	}
 	if rec, rep, rerec := TraceStats(); rec != 1 || rep != 0 || rerec != 1 {
@@ -371,7 +435,7 @@ func TestTracePersistence(t *testing.T) {
 	w := workloads.BinarySearch{}
 	p := workloads.Params{Size: 500, Seed: 31, Ops: 6}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
+	key := workloadTraceKey(w, p, s)
 
 	want := RunWorkload(w, p, s, 0)
 	path := traceFilePath(dir, key)
@@ -420,7 +484,7 @@ func TestOversizedTraceFileIsMiss(t *testing.T) {
 	w := workloads.Histogram{}
 	p := workloads.Params{Size: 400, Seed: 29}
 	s := ct.Linear{}
-	key := workloadTraceKey(w, p, s, 0, tableConfig(0).Fingerprint())
+	key := workloadTraceKey(w, p, s)
 
 	want := RunWorkload(w, p, s, 0) // direct; also warms the machine pool
 	if err := SetTraceDir(dir); err != nil {
